@@ -452,13 +452,19 @@ def cos_val(d, nu):
     return f.cos_turn(nu, 2 * d)
 
 
+@lru_cache(maxsize=None)
 def inflation_factor(d, p):
-    """iota_{d,p} = s_p / s_1 (> 1), exact."""
+    """iota_{d,p} = s_p / s_1 (> 1), exact.
+
+    Computed without a division as the Chebyshev sum
+    U_{p-1}(cos(pi/d)) = sum_{k=0}^{p-1} zeta_{2d}^{p-1-2k}.
+    """
     q = d // 2
     if not 2 <= p <= q:
         raise ValueError(f"inflation index p={p} outside 2..floor(d/2)={q}")
     f = field_for_order(d)
-    key = ("iota", d, p)  # fields are shared across d with one conductor
-    if key not in f._inv_cache:
-        f._inv_cache[key] = sin_val(d, p) / sin_val(d, 1)
-    return f._inv_cache[key]
+    e = f.n // (2 * d)  # zeta_{2d} = zeta_n^e
+    acc = f.zero
+    for k in range(p):
+        acc = acc + f.zeta(e * (p - 1 - 2 * k))
+    return acc

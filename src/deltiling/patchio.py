@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 
 from .field import field_for_order
+from .prototiles import prototile_catalog
 from .substitution import Isometry, Patch, Tile
 
 FORMAT = "deltoid-patch"
@@ -27,11 +28,21 @@ def _elem_out(e):
     return {"num": list(e.num), "den": e.den}
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _elem_in(f, rec):
     try:
-        return f.from_coeffs(rec["num"], rec["den"])
+        num, den = rec["num"], rec["den"]
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"malformed field element: {exc}")
+    if not _is_int(den) or den <= 0:
+        raise SchemaError(f"denominator must be a positive integer: {den!r}")
+    if not isinstance(num, list) or not all(_is_int(c) for c in num):
+        raise SchemaError("numerator must be a list of integers")
+    try:
+        return f.from_coeffs(num, den)
     except ValueError as exc:
         raise SchemaError(str(exc))
 
@@ -43,9 +54,9 @@ def patch_document(patch: Patch, manifest=None, precision=12):
     for t in patch.tiles:
         tiles.append({"name": t.name, "r": t.iso.r,
                       "t": _elem_out(t.iso.t)})
-        shadow.append([[round(c.cvalue().real, precision),
-                        round(c.cvalue().imag, precision)]
-                       for c in t.corners(patch.d)])
+        zs = [c.cvalue() for c in t.corners(patch.d)]
+        shadow.append([[round(z.real, precision), round(z.imag, precision)]
+                       for z in zs])
     return {
         "format": FORMAT,
         "version": VERSION,
@@ -83,13 +94,16 @@ def import_patch(path):
     f = field_for_order(d)
     if doc.get("field_order") != f.n or doc.get("field_degree") != f.degree:
         raise SchemaError("field parameters do not match the declared d")
+    names = {p.name for p in prototile_catalog(d).prototiles}
     tiles = []
     for rec in doc.get("tiles", []):
         try:
             name, r, t = rec["name"], rec["r"], rec["t"]
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"malformed tile record: {exc}")
-        if not isinstance(r, int):
+        if not isinstance(name, str) or name not in names:
+            raise SchemaError(f"unknown prototile {name!r} for d={d}")
+        if not _is_int(r):
             raise SchemaError(f"rotation exponent must be an integer: {r!r}")
         tiles.append(Tile(name, Isometry(r % f.n, _elem_in(f, t))))
     return Patch(d, tiles), doc.get("manifest", {})

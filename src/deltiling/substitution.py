@@ -7,6 +7,11 @@ triangle are the substitution children.  All of this is computed exactly:
 the only floating point use is for pre-filtering candidates that are then
 confirmed with field arithmetic.
 
+Congruences are found without field division: the float phase of a side
+ratio picks the rotation exponent r, and the field confirms it by the
+exact equality zeta^r * (a1 - a0) == b1 - b0.  Floats only pick r; every
+verdict is a field equality.
+
 Tiles are always placed by direct isometries w -> zeta^r w + t; a mirrored
 tile is represented by the mirror prototile of the catalog, so reflections
 never appear in placements.
@@ -28,7 +33,11 @@ from .prototiles import (EdgeLetter, Prototile, canonical_rotation, decorate,
 
 @dataclass(frozen=True)
 class Isometry:
-    """Direct isometry w -> zeta_n^r * w + t over a cyclotomic field."""
+    """Direct isometry w -> zeta_n^r * w + t over a cyclotomic field.
+
+    Applying, composing and inverting only multiply by powers of zeta,
+    which `Elem.mul_zeta` does as a basis shift instead of a full product.
+    """
     r: int
     t: object  # Elem
 
@@ -37,17 +46,15 @@ class Isometry:
         return self.t.f
 
     def __call__(self, z):
-        return self.f.zeta(self.r) * z + self.t
+        return z.mul_zeta(self.r) + self.t
 
     def compose(self, other):
         """self after other."""
-        f = self.f
-        return Isometry((self.r + other.r) % f.n,
-                        f.zeta(self.r) * other.t + self.t)
+        return Isometry((self.r + other.r) % self.f.n,
+                        other.t.mul_zeta(self.r) + self.t)
 
     def inverse(self):
-        f = self.f
-        return Isometry((-self.r) % f.n, f.zeta(-self.r) * self.t * -1)
+        return Isometry((-self.r) % self.f.n, self.t.mul_zeta(-self.r) * -1)
 
     def scaled_translation(self, factor):
         return Isometry(self.r, self.t * factor)
@@ -60,30 +67,38 @@ def identity_isometry(f):
     return Isometry(0, f.zero)
 
 
-def rotation_index(f, ratio):
-    """Index r with ratio = zeta_n^r, or None."""
-    ang = cmath.phase(ratio.cvalue())
-    r0 = round(ang * f.n / (2 * cmath.pi)) % f.n
-    if f.zeta(r0) == ratio:
-        return r0
+def rotation_index(num, den):
+    """Index r with num = zeta_n^r * den, or None; no field division.
+
+    The float phase of num * conj(den) picks the only possible r, and the
+    exact equality den.mul_zeta(r) == num decides.  Pairs whose float
+    moduli clearly differ are skipped before any field operation.
+    """
+    f = den.f
+    zn, zd = num.cvalue(), den.cvalue()
+    if abs(abs(zn) - abs(zd)) > 1e-6 * max(abs(zn), abs(zd)):
+        return None
+    r = round(cmath.phase(zn * zd.conjugate()) * f.n / (2 * cmath.pi)) % f.n
+    if den.mul_zeta(r) == num:
+        return r
     return None
 
 
 def match_triangles(src, dst):
-    """Direct isometry with dst[k] = g(src[(k+shift) % 3]), or None."""
-    f = src[0].f
+    """Direct isometry with dst[k] = g(src[(k+shift) % 3]), or (None, None).
+
+    For each cyclic shift the rotation comes from `rotation_index` (float
+    phase picks r, the field confirms it) and the translation from the
+    first corner; the third corner is then confirmed exactly as well.
+    """
+    b0, b1, b2 = dst
+    num = b1 - b0
     for shift in range(3):
         a0, a1, a2 = (src[(k + shift) % 3] for k in range(3))
-        b0, b1, b2 = dst
-        num = b1 - b0
-        den = a1 - a0
-        ratio = num / den
-        if not (ratio * ratio.conj() - f.one).is_zero():
-            continue
-        r = rotation_index(f, ratio)
+        r = rotation_index(num, a1 - a0)
         if r is None:
             continue
-        g = Isometry(r, b0 - ratio * a0)
+        g = Isometry(r, b0 - a0.mul_zeta(r))
         if g(a2) == b2:
             return g, shift
     return None, None
@@ -180,7 +195,6 @@ def _target_preference(d, p, branch, sign):
 def locate_inflated(sym, tri, p, sign=1):
     """Target (sym', tri', psi) with psi(iota * tri corners) = tri' corners."""
     d = sym.d
-    f = field_for_order(d)
     iota = inflation_factor(d, p)
     arr = get_arrangement(sym.d, sym.kappa)
     corners, _ = arr.corners(tri)
@@ -205,21 +219,6 @@ def locate_inflated(sym, tri, p, sign=1):
                 g, shift = match_triangles(src, dst)
                 if g is not None:
                     return sym2, tri2, g
-    # exhaustive fallback: scan every class-p triangle of every variant
-    for s in (p, -p):
-        for k2 in kappas:
-            sym2 = SymmetryIndex(d, k2)
-            for la in range(d):
-                for mu in range(la + 1, d):
-                    for nu in range(mu + 1, d):
-                        tri2 = TriangleId(sym2, (la, mu, nu))
-                        if tri2.p_class != p:
-                            continue
-                        arr2 = get_arrangement(d, k2)
-                        dst, _ = arr2.corners(tri2)
-                        g, shift = match_triangles(src, dst)
-                        if g is not None:
-                            return sym2, tri2, g
     raise AssertionError(f"no congruent inflated image for {tri} (p={p})")
 
 
@@ -356,6 +355,15 @@ class VerifyReport:
                 + (f"; {len(self.problems)} problems" if self.problems else ""))
 
 
+def _inside_edge(a, b, c):
+    """Exact: c lies on the segment [a, b], strictly between its ends."""
+    u = b - a
+    w = u.conj() * (c - a)  # real iff c is on the line; then w = s * |u|^2
+    if w != w.conj():
+        return False
+    return w.real_sign() > 0 and (u * u.conj() - w).real_sign() > 0
+
+
 def verify_face_to_face(patch: Patch, decorated=True, max_problems=20):
     """Exact adjacency audit of a patch.
 
@@ -363,25 +371,25 @@ def verify_face_to_face(patch: Patch, decorated=True, max_problems=20):
     `decorated` the two letters must carry the same class and opposite
     orientations (the interior decorations then match across the edge).
     Boundary edges are checked against T-junctions: no tile corner may lie
-    strictly inside them.
+    strictly inside them.  Floats only pick the candidate corners (every
+    corner in a unit cell that the edge's bounding box touches, then a
+    loose collinearity test); each candidate is confirmed exactly.
     """
     d = patch.d
     problems = []
     edges = {}
-    corner_keys = set()
-    geo = []
+    points = {}  # corner key -> (exact corner, float embedding)
     for ti, tile in enumerate(patch.tiles):
         corners = tile.corners(d)
         letters = tile.letters(d)
         keys = [c.key() for c in corners]
-        fl = [c.cvalue() for c in corners]
-        geo.append(fl)
-        corner_keys.update(zip(keys, fl))
+        for key, c in zip(keys, corners):
+            if key not in points:
+                points[key] = (c, c.cvalue())
         for k in range(3):
             a, b = keys[k], keys[(k + 1) % 3]
             ekey = (a, b) if a <= b else (b, a)
-            edges.setdefault(ekey, []).append(
-                (ti, letters[k], a <= b, fl[k], fl[(k + 1) % 3]))
+            edges.setdefault(ekey, []).append((ti, letters[k], a <= b))
     interior = boundary = 0
     for ekey, ents in edges.items():
         if len(ents) > 2:
@@ -389,7 +397,7 @@ def verify_face_to_face(patch: Patch, decorated=True, max_problems=20):
             continue
         if len(ents) == 2:
             interior += 1
-            (_, l1, f1, *_), (_, l2, f2, *_) = ents
+            (_, l1, f1), (_, l2, f2) = ents
             if f1 == f2:
                 problems.append("edge traversed twice in the same direction "
                                 f"({l1}, {l2})")
@@ -400,26 +408,32 @@ def verify_face_to_face(patch: Patch, decorated=True, max_problems=20):
         else:
             boundary += 1
     # T-junction scan on boundary edges (corner strictly inside an edge)
-    bnd = [ents[0] for ents in edges.values() if len(ents) == 1]
     cells = {}
-    step = 1.0
-    for key, fl in corner_keys:
-        cells.setdefault((round(fl.real / step), round(fl.imag / step)),
-                         []).append((key, fl))
-    for _, letter, _, a, b in bnd:
-        mid = (a + b) / 2
-        span = abs(b - a)
-        cx, cy = round(mid.real / step), round(mid.imag / step)
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for key, fl in cells.get((cx + dx, cy + dy), ()):
-                    v = fl - a
-                    w = b - a
-                    s = (v * w.conjugate()).real / (span * span)
-                    if abs((v * w.conjugate()).imag) < 1e-9 * span * span \
-                            and 1e-9 < s < 1 - 1e-9:
-                        problems.append("tile corner inside a boundary edge "
-                                        f"(T-junction near {mid:.3f})")
+    for key, (_, fl) in points.items():
+        cells.setdefault((round(fl.real), round(fl.imag)), []).append(key)
+    eps = 1e-6
+    for (ka, kb), ents in edges.items():
+        if len(ents) != 1:
+            continue
+        (a, af), (b, bf) = points[ka], points[kb]
+        w = bf - af
+        span2 = abs(w) ** 2
+        xs = range(round(min(af.real, bf.real) - eps),
+                   round(max(af.real, bf.real) + eps) + 1)
+        ys = range(round(min(af.imag, bf.imag) - eps),
+                   round(max(af.imag, bf.imag) + eps) + 1)
+        for cell in ((x, y) for x in xs for y in ys):
+            for key in cells.get(cell, ()):
+                if key == ka or key == kb:
+                    continue
+                c, cf = points[key]
+                v = (cf - af) * w.conjugate()
+                if abs(v.imag) > eps * span2 \
+                        or not -eps * span2 < v.real < (1 + eps) * span2:
+                    continue
+                if _inside_edge(a, b, c):
+                    problems.append("tile corner inside a boundary edge "
+                                    f"(T-junction near {(af + bf) / 2:.3f})")
         if len(problems) >= max_problems:
             break
     return VerifyReport(not problems, len(patch.tiles), interior, boundary,

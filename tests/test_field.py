@@ -88,6 +88,19 @@ def test_inflation_factor_identity():
         inflation_factor(14, 1)
 
 
+def test_inflation_factor_chebyshev_sum_is_exact_quotient():
+    # the division-free sum equals s_p / s_1 with the same canonical key
+    pairs = [(d, p) for d in range(5, 19) for p in range(2, d // 2 + 1)]
+    assert len(pairs) == 63
+    for d in range(5, 19):
+        inv_s1 = sin_val(d, 1).inv()
+        for p in range(2, d // 2 + 1):
+            iota = inflation_factor(d, p)
+            quotient = inv_s1 * sin_val(d, p)
+            assert iota == quotient
+            assert iota.key() == quotient.key()
+
+
 def test_triple_angle_identity_exact():
     # sin(3x) = 3 sin x - 4 sin^3 x, exactly, at x = m*pi/d
     for d in (7, 14, 15):

@@ -139,3 +139,27 @@ def test_cli_error_exit(tmp_path, capsys):
         main(["arrange", "--d", "4", "--out", str(tmp_path)])
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda b: b["tiles"][0].update(name="Zz"),
+    lambda b: b["tiles"][0].update(name=["G"]),
+    lambda b: b["tiles"][0]["t"].update(den=0),
+    lambda b: b["tiles"][0]["t"].update(den=-1),
+    lambda b: b["tiles"][0]["t"].update(den=1.0),
+    lambda b: b["tiles"][0]["t"].update(den=True),
+    lambda b: b["tiles"][0]["t"]["num"].__setitem__(0, 0.5),
+    lambda b: b["tiles"][0].update(r=True),
+], ids=["unknown-name", "list-name", "den-zero", "den-negative",
+        "den-float", "den-bool", "num-float", "r-bool"])
+def test_cli_verify_rejects_malformed_patch(tmp_path, capsys, mutate):
+    doc = patchio.export_patch(build(n=1), tmp_path / "p.json")
+    bad = json.loads(json.dumps(doc))
+    mutate(bad)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "SchemaError" in err and "Traceback" not in err

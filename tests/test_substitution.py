@@ -1,13 +1,17 @@
 """Substitution rules: congruent placement, golden tables, edge words."""
 
+import cmath
 import collections
+import math
+import random
+from fractions import Fraction
 
 import pytest
 
 from deltiling.arrangement import SymmetryIndex, classify_triple
 from deltiling.field import field_for_order, inflation_factor
 from deltiling.prototiles import EdgeLetter, prototile_catalog
-from deltiling.substitution import (Isometry, Patch, derive_edge_words,
+from deltiling.substitution import (Isometry, Patch, Tile, derive_edge_words,
                                     derive_rules, edge_subdivision,
                                     identity_isometry, locate_inflated,
                                     match_triangles, mir, project, rho,
@@ -90,6 +94,53 @@ def test_match_triangles_detects_congruence():
     mirrored = tuple(c.conj() for c in tri)
     h, _ = match_triangles(tri, mirrored)
     assert h is None
+
+
+def test_isometry_matches_full_multiply():
+    # mul_zeta-based apply/compose/inverse equal the zeta^r * w formulas
+    rng = random.Random(3)
+    for d in (14, 13):
+        f = field_for_order(d)
+
+        def elem():
+            return f.from_coeffs([rng.randint(-3, 3) for _ in range(f.degree)],
+                                 rng.randint(1, 4))
+
+        for _ in range(5):
+            g = Isometry(rng.randrange(f.n), elem())
+            h = Isometry(rng.randrange(f.n), elem())
+            z = elem()
+            assert g(z) == f.zeta(g.r) * z + g.t
+            assert g.compose(h) == Isometry((g.r + h.r) % f.n,
+                                            f.zeta(g.r) * h.t + g.t)
+            assert g.inverse() == Isometry((-g.r) % f.n,
+                                           f.zeta(-g.r) * g.t * -1)
+        g = Isometry(0, elem())
+        assert g.inverse() == Isometry(0, g.t * -1)
+
+
+@pytest.mark.parametrize("d", [14, 13])
+def test_match_triangles_recovers_placements(d):
+    # every prototile, placed by a seeded zeta^r w + t, is matched by
+    # exactly that isometry; mirrored and iota-scaled copies never match
+    f = field_for_order(d)
+    rng = random.Random(d)
+    iota = inflation_factor(d, 2)
+    for proto in prototile_catalog(d).prototiles:
+        rep = tile_corners(d, proto.name)
+        for _ in range(2):
+            t = f.from_coeffs([rng.randint(-3, 3) for _ in range(f.degree)],
+                              rng.randint(1, 3))
+            place = Isometry(rng.randrange(f.n), t)
+            placed = tuple(place(c) for c in rep)
+            assert match_triangles(rep, placed) == (place, 0)
+            for shift in (1, 2):
+                rolled = tuple(placed[(k + shift) % 3] for k in range(3))
+                assert match_triangles(rep, rolled) == (place, shift)
+            mirrored = tuple(c.conj() for c in placed)
+            assert match_triangles(rep, mirrored) == (None, None)
+            scaled = tuple(c * iota for c in placed)
+            assert match_triangles(rep, scaled) == (None, None)
 
 
 def test_locate_inflated_published_example():
@@ -218,3 +269,48 @@ def test_other_orders_smoke():
         patch = Patch.single(d, name).inflate(rules).inflate(rules)
         rep = verify_face_to_face(patch, decorated=True)
         assert rep.ok, f"d={d} p={p}: {rep}"
+
+
+#: where a corner of B sits along an edge of A in the T-junction patches
+T_JUNCTION_FRACTIONS = (Fraction(1, 50), Fraction(1, 20), Fraction(19, 20),
+                        Fraction(49, 50))
+
+
+def t_junction_patches(d):
+    """Two-tile patches with a corner of B strictly inside an edge of A.
+
+    For every prototile A, edge of A, fraction, prototile B and corner of
+    B, that corner is placed exactly on the edge and B is turned so that
+    its corner bisector points along the outward normal of the edge.
+    """
+    f = field_for_order(d)
+    names = [p.name for p in prototile_catalog(d).prototiles]
+    for a_name in names:
+        ca = tile_corners(d, a_name)
+        for k in range(3):
+            a, b = ca[k], ca[(k + 1) % 3]
+            outward = cmath.phase(-1j * (b - a).cvalue())
+            for lam in T_JUNCTION_FRACTIONS:
+                point = a + (b - a) * lam
+                for b_name in names:
+                    cb = tile_corners(d, b_name)
+                    for j in range(3):
+                        u = (cb[(j + 1) % 3] - cb[j]).cvalue()
+                        w = (cb[(j + 2) % 3] - cb[j]).cvalue()
+                        bisector = cmath.phase(u / abs(u) + w / abs(w))
+                        r = round((outward - bisector) * f.n
+                                  / (2 * math.pi)) % f.n
+                        iso = Isometry(r, point - cb[j].mul_zeta(r))
+                        yield Patch(d, [Tile(a_name, identity_isometry(f)),
+                                        Tile(b_name, iso)])
+
+
+def test_t_junctions_near_edge_ends_are_rejected():
+    # d = 5 edges reach 2.236, so corners near an edge end lie several
+    # unit cells away from the edge midpoint
+    patches = list(t_junction_patches(5))
+    assert len(patches) == 576
+    missed = [p for p in patches if verify_face_to_face(p).ok]
+    assert not missed, f"{len(missed)} T-junctions reported face-to-face"
+    rep = verify_face_to_face(patches[0])
+    assert any("T-junction" in problem for problem in rep.problems)
