@@ -14,7 +14,7 @@ from .arrangement import (SymmetryIndex, census_closed_form, get_arrangement,
                           subdivision_closed_form, multiplicity_closed_form,
                           triangular_pattern)
 from .prototiles import prototile_catalog, undecorated_signature
-from .substitution import RuleSet
+from .substitution import RuleSet, prototile_ids, row_ids
 
 
 def substitution_matrix(rules: RuleSet):
@@ -91,11 +91,13 @@ def vertex_configurations(patch):
     """
     d = patch.d
     cat = prototile_catalog(d)
+    names, _ = prototile_ids(d)
+    rows, den = patch.corner_rows()
+    pid, _ = row_ids(rows)
     stars = {}
-    for tile in patch.tiles:
-        corners = tile.corners(d)
-        fl = [c.cvalue() for c in corners]
-        shape = _shape_id(cat, tile.name)
+    for i, keys, fl in zip(patch.columns[0].tolist(), pid.tolist(),
+                           field_for_order(d).cvalues(rows, den).tolist()):
+        shape = _shape_id(cat, names[i])
         for k in range(3):
             u = fl[(k + 1) % 3] - fl[k]
             w = fl[(k + 2) % 3] - fl[k]
@@ -103,7 +105,7 @@ def vertex_configurations(patch):
             num = round(ang * d / math.pi)
             assert abs(ang - num * math.pi / d) < 1e-9
             start = cmath.phase(u)
-            stars.setdefault(corners[k].key(), (fl[k], []))[1].append(
+            stars.setdefault(keys[k], (fl[k], []))[1].append(
                 (start % (2 * math.pi), shape, num))
     out = []
     for z, sectors in stars.values():

@@ -262,20 +262,54 @@ def build_parser():
     p.add_argument("patch")
     p.add_argument("--undecorated", action="store_true")
     p.set_defaults(fn=cmd_verify)
+    ap.subcommands = sub.choices
     return ap
+
+
+def _fail(message):
+    print(f"error: {message}", file=sys.stderr)
+    sys.exit(2)
+
+
+def _load_config(path):
+    """The --config JSON object, or exit 2 with the reason."""
+    try:
+        with open(path) as fh:
+            config = json.load(fh)
+    except (OSError, ValueError) as exc:
+        _fail(f"cannot read config {path}: {exc}")
+    if not isinstance(config, dict):
+        _fail(f"config {path} must hold a JSON object")
+    return config
+
+
+def _check_seed_tile(args):
+    """Default --seed-tile to the first prototile; reject unknown names."""
+    if not hasattr(args, "seed_tile"):
+        return
+    names = [p.name for p in prototile_catalog(args.d).prototiles]
+    if args.seed_tile is None:
+        args.seed_tile = names[0]
+    elif args.seed_tile not in names:
+        raise ValueError(f"unknown --seed-tile {args.seed_tile!r} for "
+                         f"d={args.d}; valid names: {' '.join(names)}")
 
 
 def main(argv=None):
     ap = build_parser()
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config")
+    known, _ = pre.parse_known_args(argv)
+    if known.config:
+        # config values become the subcommands' defaults, so an explicit
+        # flag still wins
+        config = _load_config(known.config)
+        for sub in ap.subcommands.values():
+            dests = {a.dest for a in sub._actions}
+            sub.set_defaults(**{k: v for k, v in config.items() if k in dests})
     args = ap.parse_args(argv)
-    if args.config:
-        with open(args.config) as fh:
-            for key, value in json.load(fh).items():
-                if getattr(args, key, None) in (None, False):
-                    setattr(args, key, value)
-    if getattr(args, "seed_tile", "x") is None:
-        args.seed_tile = prototile_catalog(args.d).prototiles[0].name
     try:
+        _check_seed_tile(args)
         args.fn(args)
     except (ValueError, patchio.SchemaError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

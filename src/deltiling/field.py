@@ -18,9 +18,10 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import mpmath
+import numpy as np
 
 
 def _poly_divexact(num, den):
@@ -130,6 +131,49 @@ class CycField:
         assert self.n % m == 0
         e = (self.n // m) * k
         return (self.zeta(e) - self.zeta(-e)) * self._half_i * -1
+
+    @cached_property
+    def rotations(self):
+        """int64 array R, R[k] the matrix of w -> zeta^k w on coefficient rows.
+
+        A row x of power-basis coefficients times R[k] is the row of
+        zeta^k * x: row j of R[k] is zeta^(j+k) reduced mod Phi_n.
+        """
+        red = np.array(self._red, dtype=np.int64)
+        D = self.degree
+        return np.stack([red[k:k + D] for k in range(self.n)])
+
+    def mul_matrix(self, e):
+        """(M, den): the row of x * e is (row of x) @ M / den."""
+        return (np.tensordot(np.array(e.num, dtype=np.int64),
+                             self.rotations[:self.degree], axes=1), e.den)
+
+    def cvalues(self, rows, den=1):
+        """Complex embeddings of integer coefficient rows over a common den.
+
+        Each value equals `Elem.cvalue()` of the normalised element bit for
+        bit: the terms are summed in basis order, as cvalue sums them.
+        """
+        rows = np.asarray(rows)
+        shape = rows.shape[:-1]
+        rows = rows.reshape(-1, self.degree)
+        if den != 1:
+            rows = rows.astype(np.int64)
+            g = np.gcd(np.gcd.reduce(rows, axis=1), den)
+            rows = rows // g[:, None]
+            dens = den // g
+        re = np.zeros(len(rows))
+        im = np.zeros(len(rows))
+        for j, b in enumerate(self._basis_c):
+            col = rows[:, j]
+            re += col * b.real
+            im += col * b.imag
+        if den != 1:
+            re /= dens
+            im /= dens
+        out = np.empty(len(rows), dtype=complex)
+        out.real, out.imag = re, im
+        return out.reshape(shape)
 
     def _basis_mpc(self, dps):
         key = dps

@@ -10,11 +10,14 @@ arithmetic; the shadow is derived data and ignored on import.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
+
+import numpy as np
 
 from .field import field_for_order
-from .prototiles import prototile_catalog
-from .substitution import Isometry, Patch, Tile
+from .substitution import INT64_SAFE, Patch, max_abs, prototile_ids
 
 FORMAT = "deltoid-patch"
 VERSION = 1
@@ -24,39 +27,42 @@ class SchemaError(ValueError):
     pass
 
 
-def _elem_out(e):
-    return {"num": list(e.num), "den": e.den}
-
-
 def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _elem_in(f, rec):
-    try:
-        num, den = rec["num"], rec["den"]
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"malformed field element: {exc}")
-    if not _is_int(den) or den <= 0:
-        raise SchemaError(f"denominator must be a positive integer: {den!r}")
-    if not isinstance(num, list) or not all(_is_int(c) for c in num):
-        raise SchemaError("numerator must be a list of integers")
-    try:
-        return f.from_coeffs(num, den)
-    except ValueError as exc:
-        raise SchemaError(str(exc))
+def _tile_columns(patch):
+    """(names, r, nums, dens) per tile, each translation normalised on its
+    own; nums is an int64 array, the rest are lists."""
+    names, _ = prototile_ids(patch.d)
+    ids, r, t, den = patch.columns
+    dens = np.full(len(ids), den, dtype=np.int64)
+    if den != 1:
+        g = np.gcd(np.gcd.reduce(t, axis=1), den)
+        t, dens = t // g[:, None], dens // g
+    return ([names[i] for i in ids.tolist()], r.tolist(), t, dens.tolist())
 
 
-def patch_document(patch: Patch, manifest=None, precision=12):
+def _distinct(values):
+    """(uniq, index): the distinct floats of values, told apart by their
+    bits, with values = uniq[index]."""
+    bits, index = np.unique(np.ascontiguousarray(values).view(np.int64),
+                            return_inverse=True)
+    return bits.view(np.float64).tolist(), index.reshape(values.shape)
+
+
+def _shadow(patch, precision):
+    """(rounded, index): the N x 6 shadow floats (x, y of each corner) are
+    rounded[index]; Python `round` (np.round gives other digits) runs once
+    per distinct float."""
+    z = patch.corner_values()
+    uniq, index = _distinct(np.stack([z.real, z.imag], axis=-1)
+                            .reshape(len(z), 6))
+    return [round(x, precision) for x in uniq], index
+
+
+def _document(patch, manifest, precision, tiles, corners):
     f = field_for_order(patch.d)
-    tiles = []
-    shadow = []
-    for t in patch.tiles:
-        tiles.append({"name": t.name, "r": t.iso.r,
-                      "t": _elem_out(t.iso.t)})
-        zs = [c.cvalue() for c in t.corners(patch.d)]
-        shadow.append([[round(z.real, precision), round(z.imag, precision)]
-                       for z in zs])
     return {
         "format": FORMAT,
         "version": VERSION,
@@ -65,16 +71,63 @@ def patch_document(patch: Patch, manifest=None, precision=12):
         "field_degree": f.degree,
         "manifest": manifest or {},
         "tiles": tiles,
-        "shadow": {"precision": precision, "corners": shadow},
+        "shadow": {"precision": precision, "corners": corners},
     }
 
 
+def patch_document(patch: Patch, manifest=None, precision=12):
+    names, r, nums, dens = _tile_columns(patch)
+    tiles = [{"name": n, "r": rk, "t": {"num": num, "den": den}}
+             for n, rk, num, den in zip(names, r, nums.tolist(), dens)]
+    rounded, index = _shadow(patch, precision)
+    corners = np.array(rounded)[index].reshape(len(patch), 3, 2).tolist()
+    return _document(patch, manifest, precision, tiles, corners)
+
+
+def _tiles_block(patch):
+    """The "tiles" items as json.dumps(indent=1) prints them at depth 1."""
+    names, r, nums, dens = _tile_columns(patch)
+    uniq, index = np.unique(nums, return_inverse=True)
+    text = np.array([str(v) for v in uniq.tolist()],
+                    dtype=object)[index.reshape(nums.shape)].tolist()
+    head = ('  {\n   "name": %s,\n   "r": %d,\n   "t": {\n    "den": %d,\n'
+            '    "num": [\n     ')
+    sep = ",\n     "
+    tail = "\n    ]\n   }\n  }"
+    quoted = {n: json.dumps(n) for n in set(names)}
+    return ",\n".join(head % (quoted[n], rk, den) + sep.join(num) + tail
+                      for n, rk, den, num in zip(names, r, dens, text))
+
+
+def _corners_block(patch, precision):
+    """The shadow "corners" items as json.dumps(indent=1) prints them at
+    depth 2."""
+    rounded, index = _shadow(patch, precision)
+    text = np.array([repr(x) for x in rounded], dtype=object)[index].tolist()
+    corner = "    [\n     %s,\n     %s\n    ]"
+    tile = "   [\n" + ",\n".join([corner] * 3) + "\n   ]"
+    return ",\n".join(tile % tuple(row) for row in text)
+
+
 def export_patch(patch: Patch, path, manifest=None, precision=12):
-    doc = patch_document(patch, manifest, precision)
-    data = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    """Write the patch file: the bytes of json.dumps(patch_document(patch),
+    indent=1, sort_keys=True) + newline, without building the document.
+
+    The small header goes through json.dumps; the tiles and shadow corners
+    are printed from line templates and spliced in.
+    """
+    text = json.dumps(_document(patch, manifest, precision, [], []),
+                      indent=1, sort_keys=True)
+    if len(patch):
+        # "shadow" and "tiles" sort after "manifest": the last matches
+        # are the top-level keys
+        text, _, rest = text.rpartition('"tiles": []')
+        text, _, mid = text.rpartition('"corners": []')
+        text = "".join([text, '"corners": [\n',
+                        _corners_block(patch, precision), "\n  ]", mid,
+                        '"tiles": [\n', _tiles_block(patch), "\n ]", rest])
     with open(path, "w") as fh:
-        fh.write(data)
-    return doc
+        fh.write(text + "\n")
 
 
 def import_patch(path):
@@ -84,26 +137,57 @@ def import_patch(path):
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"not valid JSON: {exc}")
-    if doc.get("format") != FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise SchemaError(f"not a {FORMAT} file")
     if doc.get("version") != VERSION:
         raise SchemaError(f"unsupported version {doc.get('version')!r}")
     d = doc.get("d")
-    if not isinstance(d, int) or d < 5:
+    if not _is_int(d) or d < 5:
         raise SchemaError(f"bad symmetry order {d!r}")
     f = field_for_order(d)
     if doc.get("field_order") != f.n or doc.get("field_degree") != f.degree:
         raise SchemaError("field parameters do not match the declared d")
-    names = {p.name for p in prototile_catalog(d).prototiles}
-    tiles = []
-    for rec in doc.get("tiles", []):
+    _, index = prototile_ids(d)
+    records = doc.get("tiles", [])
+    if not isinstance(records, list):
+        raise SchemaError("tiles must be a list")
+    ids, rs, nums, dens = [], [], [], []
+    for rec in records:
         try:
             name, r, t = rec["name"], rec["r"], rec["t"]
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"malformed tile record: {exc}")
-        if not isinstance(name, str) or name not in names:
+        if not isinstance(name, str) or name not in index:
             raise SchemaError(f"unknown prototile {name!r} for d={d}")
         if not _is_int(r):
             raise SchemaError(f"rotation exponent must be an integer: {r!r}")
-        tiles.append(Tile(name, Isometry(r % f.n, _elem_in(f, t))))
-    return Patch(d, tiles), doc.get("manifest", {})
+        try:
+            num, den = t["num"], t["den"]
+        except (KeyError, TypeError) as exc:
+            raise SchemaError(f"malformed field element: {exc}")
+        if not _is_int(den) or den <= 0:
+            raise SchemaError("denominator must be a positive integer: "
+                              f"{den!r}")
+        if not isinstance(num, list):
+            raise SchemaError("numerator must be a list of integers")
+        if len(num) != f.degree:
+            raise SchemaError("coefficient vector length mismatch")
+        ids.append(index[name])
+        rs.append(r % f.n)
+        nums.append(num)
+        dens.append(den)
+    if not {type(c) for c in itertools.chain.from_iterable(nums)} <= {int}:
+        raise SchemaError("numerator must be a list of integers")
+    common = math.lcm(*dens)
+    if common > 1:
+        nums = [num if den == common else [c * (common // den) for c in num]
+                for num, den in zip(nums, dens)]
+    try:
+        t = np.array(nums, dtype=np.int64).reshape(len(nums), f.degree)
+    except OverflowError:
+        t = None
+    if t is None or common >= INT64_SAFE or max_abs(t) >= INT64_SAFE:
+        raise SchemaError("coefficients and denominators must be below 2**62")
+    return (Patch.from_columns(d, np.array(ids, dtype=np.int16),
+                               np.array(rs, dtype=np.int32), t, common),
+            doc.get("manifest", {}))

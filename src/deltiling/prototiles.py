@@ -67,7 +67,9 @@ class DecoratedFace:
                              rot(self.inscribed), self.child_tri)
 
 
-def _point_in_triangle(p, tri, margin=1e-9):
+def point_in_triangle(p, tri, margin=1e-9):
+    """Float test: p lies inside the anticlockwise triangle tri, with the
+    cross product (b - a) x (p - a) above `margin` for every side ab."""
     for k in range(3):
         a, b = tri[k], tri[(k + 1) % 3]
         if ((b - a).conjugate() * (p - a)).imag < margin:
@@ -101,7 +103,7 @@ def decorate(sym: SymmetryIndex, tri: TriangleId) -> DecoratedFace:
     ptri_fl = [c.cvalue() for c in pc]
 
     candidates = [(t, cc) for t, cc, cen in cfaces
-                  if _point_in_triangle(cen, ptri_fl)]
+                  if point_in_triangle(cen, ptri_fl)]
     assert len(candidates) == 4, \
         f"{tri}: expected 4 refinement faces, found {len(candidates)}"
 

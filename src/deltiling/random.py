@@ -25,11 +25,14 @@ import random as _stdrandom
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .field import field_for_order, sin_val
+import numpy as np
+
+from .field import Elem, field_for_order, sin_val
 from .arrangement import SymmetryIndex, get_arrangement, length_class
 from .prototiles import prototile_catalog
-from .substitution import (Patch, Tile, derive_rules, derive_edge_words,
-                           match_triangles, mir, project, tile_corners,
+from .substitution import (Patch, RuleSet, Tile, derive_rules,
+                           derive_edge_words, letter_table, match_triangles,
+                           mir, project, row_ids, tile_corners, tile_edges,
                            _internal_tri)
 
 
@@ -252,17 +255,14 @@ class FlipSite:
     new: tuple      # the two replacement Tile records
 
 
-@lru_cache(maxsize=200000)
-def _cached_corners(d, tile):
-    return tile.corners(d)
-
-
 def find_flippable(patch: Patch, edge_class=None, diag_class=None):
     """All adjacent tile pairs admitting an edge flip.
 
     By default the shared edge has class q = d/2 and the new diagonal
     class q-1; pass edge_class/diag_class to search other flips (e.g. the
-    inverses, with the classes swapped).
+    inverses, with the classes swapped).  Shared edges are found from the
+    patch's corner rows and picked by the side class of their prototile;
+    exact corners are built only for the two tiles of each such edge.
     """
     d = patch.d
     if edge_class is None:
@@ -271,24 +271,25 @@ def find_flippable(patch: Patch, edge_class=None, diag_class=None):
         edge_class = d // 2
     if diag_class is None:
         diag_class = length_class(d, edge_class - 1)
-    edges = {}
-    corners = [_cached_corners(d, t) for t in patch.tiles]
-    for ti, cs in enumerate(corners):
-        keys = [c.key() for c in cs]
-        for k in range(3):
-            a, b = keys[k], keys[(k + 1) % 3]
-            edges.setdefault((a, b) if a <= b else (b, a), []).append((ti, k))
+    f = field_for_order(d)
+    ids = patch.columns[0]
+    rows, den = patch.corner_rows()
+    first, count, side1, side2, _ = tile_edges(row_ids(rows)[0])
+    classes = letter_table(d)[1][ids].ravel()
+    cand = np.flatnonzero((count == 2) & (classes[side1] == edge_class))
+    corners = {}
+
+    def exact(ti):
+        if ti not in corners:
+            corners[ti] = [Elem(f, row, den).normalized()
+                           for row in rows[ti].tolist()]
+        return corners[ti]
+
     sites = []
-    for ents in edges.values():
-        if len(ents) != 2:
-            continue
-        (ti, ki), (tj, kj) = ents
-        u = corners[ti][ki]
-        v = corners[ti][(ki + 1) % 3]
-        if _edge_class(d, v - u) != edge_class:
-            continue
-        w1 = corners[ti][(ki + 2) % 3]
-        w2 = corners[tj][(kj + 2) % 3]
+    for e in cand[np.argsort(first[cand])].tolist():
+        (ti, ki), (tj, kj) = divmod(int(side1[e]), 3), divmod(int(side2[e]), 3)
+        u, v, w1 = (exact(ti)[(ki + k) % 3] for k in range(3))
+        w2 = exact(tj)[(kj + 2) % 3]
         if _edge_class(d, w2 - w1) != diag_class:
             continue
         # the quadrilateral (u, w2, v, w1) must be strictly convex
@@ -340,7 +341,7 @@ class RandomRuleFamily:
 
     def __init__(self, d, members):
         self.d = d
-        self.members = members  # list of RuleSet-compatible rule dicts
+        self.members = members  # RuleSets sharing d, p and iota
         self.iota = members[0].iota
 
     def __len__(self):
@@ -349,20 +350,6 @@ class RandomRuleFamily:
     def uniform_pi(self):
         w = 1.0 / len(self.members)
         return [w] * len(self.members)
-
-
-class _FlippedRules:
-    """A rule set variant; duck-types RuleSet for Patch.inflate."""
-
-    def __init__(self, base, rules):
-        self.d = base.d
-        self.p = base.p
-        self.sign = base.sign
-        self.iota = base.iota
-        self.rules = rules
-
-    def children(self, name):
-        return self.rules[name]
 
 
 def _site_groups(d, base):
@@ -387,7 +374,7 @@ def random_rule_family(d, cap=64, rng_seed=0):
     for w in words.values():
         assert project(w) == project(mir(w))
     sites = _site_groups(d, base)
-    members = [_FlippedRules(base, dict(base.rules))]
+    members = [RuleSet(d, q, 1, dict(base.rules))]
     chosen = []
     for size in range(1, len(sites) + 1):
         if len(members) > cap:
@@ -419,8 +406,8 @@ def random_rule_family(d, cap=64, rng_seed=0):
             tiles = rules[name]
             tiles[site.i] = (site.new[0].name, site.new[0].iso)
             tiles[site.j] = (site.new[1].name, site.new[1].iso)
-        members.append(_FlippedRules(base, {n: tuple(ch)
-                                            for n, ch in rules.items()}))
+        members.append(RuleSet(d, q, 1, {n: tuple(ch)
+                                         for n, ch in rules.items()}))
     return RandomRuleFamily(d, members)
 
 

@@ -20,13 +20,18 @@ never appear in placements.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import SimpleNamespace
 
-from .field import embed, field_for_order, inflation_factor
+import numpy as np
+
+from .field import Elem, embed, field_for_order, inflation_factor
 from .arrangement import SymmetryIndex, TriangleId, get_arrangement
 from .prototiles import (EdgeLetter, Prototile, canonical_rotation, decorate,
-                         prototile_catalog, signature, tilde_signature)
+                         point_in_triangle, prototile_catalog, signature,
+                         tilde_signature)
 
 
 # -- placements ---------------------------------------------------------
@@ -224,14 +229,6 @@ def locate_inflated(sym, tri, p, sign=1):
 
 # -- rule derivation ----------------------------------------------------
 
-def _point_in(p, tri_fl, margin=1e-9):
-    for k in range(3):
-        a, b = tri_fl[k], tri_fl[(k + 1) % 3]
-        if ((b - a).conjugate() * (p - a)).imag < margin:
-            return False
-    return True
-
-
 class RuleSet:
     """Substitution children, per prototile, in the inflated-tile frame."""
 
@@ -244,6 +241,31 @@ class RuleSet:
 
     def children(self, name):
         return self.rules[name]
+
+    def columns(self):
+        """The rules as arrays for `Patch.inflate`, built once per rule set.
+
+        Per prototile id: the first child row `start` and the child count
+        (-1 for a prototile without a rule).  Per child row: the name id,
+        the rotation r, and `rot[row, s]`, the translation rotated by
+        zeta^s for every s, over the common denominator `den`.  `M` is
+        the matrix of multiplication by iota (over `mden`).
+        """
+        if "_columns" not in self.__dict__:
+            f = field_for_order(self.d)
+            names, index = prototile_ids(self.d)
+            count = [len(self.rules[n]) if n in self.rules else -1
+                     for n in names]
+            kids = [ch for n in names for ch in self.rules.get(n, ())]
+            trans, den = _common_den([h.t for _, h in kids], f.degree)
+            M, mden = f.mul_matrix(self.iota)
+            self._columns = SimpleNamespace(
+                count=np.array(count, dtype=np.int64),
+                start=np.cumsum([0] + [max(c, 0) for c in count[:-1]]),
+                ids=np.array([index[c] for c, _ in kids], dtype=np.int16),
+                r=np.array([h.r for _, h in kids], dtype=np.int32),
+                rot=_rotated(f, trans), den=den, M=M, mden=mden)
+        return self._columns
 
     def counts(self, name):
         out = {}
@@ -287,7 +309,7 @@ def derive_rules(d, p, sign=1) -> RuleSet:
         children = []
         for idx, (cname, place, fc) in placements.items():
             cen = sum(c.cvalue() for c in fc) / 3
-            if _point_in(cen, tri_fl):
+            if point_in_triangle(cen, tri_fl):
                 children.append((cname, inv.compose(place)))
         assert children, f"empty rule for {proto.name}"
         children.sort(key=lambda ch: (ch[0], ch[1].key()))
@@ -305,37 +327,226 @@ class Tile:
     def corners(self, d):
         return tile_corners(d, self.name, self.iso)
 
-    def letters(self, d):
-        return _tile_geometry(d, self.name)[1]
+
+#: int64 arithmetic stays exact while every bound on a result is below this
+INT64_SAFE = 2 ** 62
+
+
+def _guard(bound, what):
+    if bound >= INT64_SAFE:
+        raise OverflowError(f"{what}: coefficients could reach {bound}, "
+                            "beyond the exact int64 range 2**62")
+
+
+def max_abs(a):
+    return max(int(a.max()), -int(a.min())) if a.size else 0
+
+
+def _int_dtype(bound):
+    """The narrowest signed integer dtype that holds every |x| <= bound."""
+    for dt in (np.int8, np.int16, np.int32):
+        if bound <= np.iinfo(dt).max:
+            return dt
+    return np.int64
+
+
+def _compact(a):
+    """`a` in the narrowest signed integer dtype that holds it."""
+    return a.astype(_int_dtype(max_abs(a)), copy=False)
+
+
+def _rotated(f, rows):
+    """out[i, k] = row of zeta^k * (element with row rows[i]), for all k."""
+    R = f.rotations
+    out = np.empty((len(rows), f.n, f.degree),
+                   _int_dtype(f.degree * max_abs(rows) * max_abs(R)))
+    for k in range(f.n):
+        out[:, k] = rows @ R[k]
+    return out
+
+
+def _common_den(elems, degree):
+    """(rows, den): numerators of field elements over their common den."""
+    den = math.lcm(*(e.den for e in elems)) if elems else 1
+    rows = np.array([e.num if e.den == den else
+                     [c * (den // e.den) for c in e.num] for e in elems],
+                    dtype=np.int64).reshape(len(elems), degree)
+    return rows, den
+
+
+@lru_cache(maxsize=None)
+def prototile_ids(d):
+    """(prototile names in catalog order, name -> id)."""
+    names = tuple(p.name for p in prototile_catalog(d).prototiles)
+    return names, {n: i for i, n in enumerate(names)}
+
+
+@lru_cache(maxsize=None)
+def _corner_table(d):
+    """(table, den): table[id, r] = rows of zeta^r * prototile corners."""
+    f = field_for_order(d)
+    names, _ = prototile_ids(d)
+    corners = [c for n in names for c in tile_corners(d, n)]
+    rows, den = _common_den(corners, f.degree)
+    table = _rotated(f, rows).reshape(len(names), 3, f.n, f.degree)
+    return table.transpose(0, 2, 1, 3), den
+
+
+@lru_cache(maxsize=None)
+def letter_table(d):
+    """(letters, classes, orientations) of every prototile side, by id."""
+    names, _ = prototile_ids(d)
+    letters = [_tile_geometry(d, n)[1] for n in names]
+    return (letters,
+            np.array([[l.cls for l in ls] for ls in letters], dtype=np.int64),
+            np.array([[l.orient for l in ls] for ls in letters],
+                     dtype=np.int64))
+
+
+def row_ids(rows):
+    """(ids, first): equal coefficient rows get equal ids.
+
+    ids has the shape of rows without its last axis; first[i] is the flat
+    index of the first row with id i.
+    """
+    flat = np.ascontiguousarray(_compact(rows.reshape(-1, rows.shape[-1])))
+    keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1])))
+    _, first, inv = np.unique(keys.ravel(), return_index=True,
+                              return_inverse=True)
+    return inv.reshape(rows.shape[:-1]), first
 
 
 class Patch:
+    """A finite set of placed prototiles, stored column-wise.
+
+    Tile k is prototile `names[ids[k]]` placed by w -> zeta^r[k] w +
+    t[k] / den: name ids (int16), rotations (int32) and translation
+    numerators (int64, one row per tile) share one denominator.  A patch
+    made from `Tile`s builds these columns on first use; a patch made by
+    `inflate` or `import_patch` builds its `tiles` list only when asked.
+    Both views are read-only: make a new Patch to change tiles.  Every
+    int64 product is bounded first and raises OverflowError instead of
+    wrapping.
+    """
+
     def __init__(self, d, tiles):
         self.d = d
-        self.tiles = list(tiles)
+        self._tiles = list(tiles)
+        self._columns = None
 
     @classmethod
     def single(cls, d, name):
         f = field_for_order(d)
         return cls(d, [Tile(name, identity_isometry(f))])
 
+    @classmethod
+    def from_columns(cls, d, ids, r, t, den=1):
+        """A patch from name ids, rotations and translation numerators."""
+        if den != 1 and len(t):
+            g = math.gcd(den, int(np.gcd.reduce(t, axis=None)))
+            t, den = t // g, den // g
+        self = cls.__new__(cls)
+        self.d = d
+        self._tiles = None
+        self._columns = (ids, r, t, den)
+        return self
+
+    @property
+    def columns(self):
+        """(ids, r, t, den) of the tiles."""
+        if self._columns is None:
+            f = field_for_order(self.d)
+            _, index = prototile_ids(self.d)
+            tiles = self._tiles
+            t, den = _common_den([tile.iso.t for tile in tiles], f.degree)
+            self._columns = (
+                np.array([index[tile.name] for tile in tiles], dtype=np.int16),
+                np.array([tile.iso.r % f.n for tile in tiles], dtype=np.int32),
+                t, den)
+        return self._columns
+
+    @property
+    def tiles(self):
+        """The tiles as `Tile`s with normalised translations."""
+        if self._tiles is None:
+            f = field_for_order(self.d)
+            names, _ = prototile_ids(self.d)
+            ids, r, t, den = self._columns
+            self._tiles = [
+                Tile(names[i], Isometry(rk, Elem(f, num, den).normalized()))
+                for i, rk, num in zip(ids.tolist(), r.tolist(), t.tolist())]
+        return self._tiles
+
     def __len__(self):
-        return len(self.tiles)
+        if self._tiles is not None:
+            return len(self._tiles)
+        return len(self._columns[0])
+
+    def corner_rows(self):
+        """(C, den): C[k, j] = numerators of corner j of tile k, over den.
+
+        The one corner kernel: the rotated prototile corners are gathered
+        from a per-d table and the translations added.  Equal corners have
+        equal rows.  C has the narrowest integer dtype its bound allows.
+        """
+        ids, r, t, den = self.columns
+        table, tden = _corner_table(self.d)
+        L = math.lcm(den, tden)
+        s1, s2 = L // tden, L // den
+        bound = max_abs(table) * s1 + max_abs(t) * s2
+        _guard(bound, "corner rows")
+        dt = _int_dtype(max(bound, s1, s2))
+        C = table[ids, r].astype(dt)
+        if s1 != 1:
+            C *= s1
+        tc = t.astype(dt)
+        if s2 != 1:
+            tc *= s2
+        C += tc[:, None, :]
+        return C, L
+
+    def corner_values(self):
+        """Complex corners, N x 3, equal to `Elem.cvalue()` bit for bit."""
+        C, den = self.corner_rows()
+        return field_for_order(self.d).cvalues(C, den)
 
     def inflate(self, rules: RuleSet):
+        """Replace every tile by the children of its rule, scaled by iota.
+
+        Child c of tile (r, t) is placed by (zeta^r * h_c.t + iota * t,
+        r + h_c.r): a gather from the rule table plus one matrix product.
+        """
         assert rules.d == self.d
-        out = []
-        for tile in self.tiles:
-            outer = tile.iso.scaled_translation(rules.iota)
-            for cname, h in rules.children(tile.name):
-                out.append(Tile(cname, outer.compose(h)))
-        return Patch(self.d, out)
+        f = field_for_order(self.d)
+        ids, r, t, den = self.columns
+        tab = rules.columns()
+        count = tab.count[ids]
+        if (count < 0).any():
+            missing = ids[np.argmax(count < 0)]
+            raise KeyError(prototile_ids(self.d)[0][missing])
+        out_start = np.cumsum(count) - count
+        parent = np.repeat(np.arange(len(ids)), count)
+        child = (np.arange(len(parent))
+                 + np.repeat(tab.start[ids] - out_start, count))
+        pr = r[parent]
+        L = math.lcm(den * tab.mden, tab.den)
+        s1, s2 = L // (den * tab.mden), L // tab.den
+        _guard(f.degree * max_abs(t) * max_abs(tab.M) * s1
+               + max_abs(tab.rot) * s2, "inflation")
+        new_t = (t @ tab.M)[parent]
+        if s1 != 1:
+            new_t *= s1
+        rot = tab.rot[child, pr]
+        new_t += rot.astype(np.int64) * s2 if s2 != 1 else rot
+        new_r = (pr + tab.r[child]) % f.n
+        return Patch.from_columns(self.d, tab.ids[child],
+                                  new_r.astype(np.int32), new_t, L)
 
     def counts(self):
-        out = {}
-        for t in self.tiles:
-            out[t.name] = out.get(t.name, 0) + 1
-        return out
+        names, _ = prototile_ids(self.d)
+        ids = self.columns[0]
+        return {names[i]: int(k) for i, k in
+                enumerate(np.bincount(ids, minlength=len(names))) if k}
 
 
 # -- face-to-face verification ------------------------------------------
@@ -364,6 +575,28 @@ def _inside_edge(a, b, c):
     return w.real_sign() > 0 and (u * u.conj() - w).real_sign() > 0
 
 
+def tile_edges(pid):
+    """The edges of tiles whose corners have ids pid (N x 3).
+
+    Tile edge 3k + j runs from corner j to corner j+1 of tile k; the two
+    sides of a shared edge get one edge id.  Returns (first, count, side1,
+    side2, fwd), indexed by edge id: its first tile edge, the number of
+    tile edges with that id, the first two of them in tile order (side2
+    is meaningful when count >= 2), and, per tile edge, whether it runs
+    from the smaller to the larger corner id.
+    """
+    a = pid.ravel()
+    b = pid[:, [1, 2, 0]].ravel()
+    n = int(pid.max()) + 1 if pid.size else 0
+    _, first, eid, count = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
+                                     return_index=True, return_inverse=True,
+                                     return_counts=True)
+    order = np.argsort(eid, kind="stable")
+    start = np.cumsum(count) - count
+    side2 = order[np.minimum(start + 1, len(order) - 1)]
+    return first, count, order[start], side2, a < b
+
+
 def verify_face_to_face(patch: Patch, decorated=True, max_problems=20):
     """Exact adjacency audit of a patch.
 
@@ -371,51 +604,62 @@ def verify_face_to_face(patch: Patch, decorated=True, max_problems=20):
     `decorated` the two letters must carry the same class and opposite
     orientations (the interior decorations then match across the edge).
     Boundary edges are checked against T-junctions: no tile corner may lie
-    strictly inside them.  Floats only pick the candidate corners (every
-    corner in a unit cell that the edge's bounding box touches, then a
-    loose collinearity test); each candidate is confirmed exactly.
+    strictly inside them.  Corners are compared as exact coefficient rows.
+    Floats only pick the candidate corners (every corner in a unit cell
+    that the edge's bounding box touches, then a loose collinearity test);
+    each candidate is confirmed exactly.
     """
     d = patch.d
+    ids = patch.columns[0]
+    rows, den = patch.corner_rows()
+    pid, pfirst = row_ids(rows)
+    first, count, side1, side2, fwd = tile_edges(pid)
+    letters, cls, orient = letter_table(d)
+    cls, orient = cls[ids].ravel(), orient[ids].ravel()
+    pair = count == 2
+    same = pair & (fwd[side1] == fwd[side2])
+    cls_bad = pair & ~same & (cls[side1] != cls[side2])
+    dec_bad = pair & ~same & ~cls_bad & (orient[side1] + orient[side2] != 0)
+    bad = (count > 2) | same | cls_bad | (dec_bad & decorated)
     problems = []
-    edges = {}
-    points = {}  # corner key -> (exact corner, float embedding)
-    for ti, tile in enumerate(patch.tiles):
-        corners = tile.corners(d)
-        letters = tile.letters(d)
-        keys = [c.key() for c in corners]
-        for key, c in zip(keys, corners):
-            if key not in points:
-                points[key] = (c, c.cvalue())
-        for k in range(3):
-            a, b = keys[k], keys[(k + 1) % 3]
-            ekey = (a, b) if a <= b else (b, a)
-            edges.setdefault(ekey, []).append((ti, letters[k], a <= b))
-    interior = boundary = 0
-    for ekey, ents in edges.items():
-        if len(ents) > 2:
-            problems.append(f"edge shared by {len(ents)} tiles")
+    for e in sorted(np.flatnonzero(bad).tolist(), key=first.__getitem__):
+        if count[e] > 2:
+            problems.append(f"edge shared by {count[e]} tiles")
             continue
-        if len(ents) == 2:
-            interior += 1
-            (_, l1, f1), (_, l2, f2) = ents
-            if f1 == f2:
-                problems.append("edge traversed twice in the same direction "
-                                f"({l1}, {l2})")
-            elif l1.cls != l2.cls:
-                problems.append(f"edge class mismatch {l1} vs {l2}")
-            elif decorated and l1.orient + l2.orient != 0:
-                problems.append(f"decoration mismatch {l1} vs {l2}")
+        l1, l2 = (letters[ids[o // 3]][o % 3] for o in (side1[e], side2[e]))
+        if same[e]:
+            problems.append("edge traversed twice in the same direction "
+                            f"({l1}, {l2})")
+        elif cls_bad[e]:
+            problems.append(f"edge class mismatch {l1} vs {l2}")
         else:
-            boundary += 1
-    # T-junction scan on boundary edges (corner strictly inside an edge)
+            problems.append(f"decoration mismatch {l1} vs {l2}")
+    boundary = np.flatnonzero(count == 1)
+    if len(problems) < max_problems and len(boundary):
+        ends = side1[boundary[np.argsort(first[boundary])]]
+        points = rows.reshape(-1, rows.shape[-1])[pfirst]
+        problems += _t_junctions(field_for_order(d), points, den,
+                                 pid.ravel()[ends],
+                                 pid[:, [1, 2, 0]].ravel()[ends],
+                                 max_problems - len(problems))
+    return VerifyReport(not problems, len(patch), int(pair.sum()),
+                        len(boundary), problems[:max_problems])
+
+
+def _t_junctions(f, points, den, starts, ends, max_problems):
+    """Corners strictly inside the edges starts[k] -> ends[k] (point ids)."""
+    fl = f.cvalues(points, den).tolist()
     cells = {}
-    for key, (_, fl) in points.items():
-        cells.setdefault((round(fl.real), round(fl.imag)), []).append(key)
+    for key, z in enumerate(fl):
+        cells.setdefault((round(z.real), round(z.imag)), []).append(key)
+
+    def exact(key):
+        return Elem(f, points[key].tolist(), den).normalized()
+
+    problems = []
     eps = 1e-6
-    for (ka, kb), ents in edges.items():
-        if len(ents) != 1:
-            continue
-        (a, af), (b, bf) = points[ka], points[kb]
+    for ka, kb in zip(starts.tolist(), ends.tolist()):
+        af, bf = fl[ka], fl[kb]
         w = bf - af
         span2 = abs(w) ** 2
         xs = range(round(min(af.real, bf.real) - eps),
@@ -426,18 +670,16 @@ def verify_face_to_face(patch: Patch, decorated=True, max_problems=20):
             for key in cells.get(cell, ()):
                 if key == ka or key == kb:
                     continue
-                c, cf = points[key]
-                v = (cf - af) * w.conjugate()
+                v = (fl[key] - af) * w.conjugate()
                 if abs(v.imag) > eps * span2 \
                         or not -eps * span2 < v.real < (1 + eps) * span2:
                     continue
-                if _inside_edge(a, b, c):
+                if _inside_edge(exact(ka), exact(kb), exact(key)):
                     problems.append("tile corner inside a boundary edge "
                                     f"(T-junction near {(af + bf) / 2:.3f})")
         if len(problems) >= max_problems:
             break
-    return VerifyReport(not problems, len(patch.tiles), interior, boundary,
-                        problems[:max_problems])
+    return problems
 
 
 # -- edge inflation words -----------------------------------------------

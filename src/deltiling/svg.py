@@ -6,9 +6,11 @@ import cmath
 import colorsys
 import math
 
+import numpy as np
+
 from .arrangement import get_arrangement, deltoid_point
 from .prototiles import prototile_catalog, undecorated_signature
-from .substitution import Patch
+from .substitution import Patch, prototile_ids
 
 
 def _fmt(x, precision=9):
@@ -33,10 +35,28 @@ class Canvas:
         return f"{_fmt(z.real, self.precision)},{_fmt(-z.imag, self.precision)}"
 
     def polygon(self, pts, fill="none", stroke="#000", width=0.01):
-        body = " ".join(self._pt(z) for z in pts)
-        self.parts.append(f'<polygon points="{body}" fill="{fill}" '
-                          f'stroke="{stroke}" stroke-width="{_fmt(width)}" '
-                          'stroke-linejoin="round"/>')
+        self.polygons(np.array([pts], dtype=complex), [fill], stroke, width)
+
+    def polygons(self, pts, fills, stroke="#000", width=0.01):
+        """One polygon per row of the complex array pts; each distinct
+        coordinate is formatted once."""
+        x, y = pts.real, -pts.imag
+        if x.size:
+            self.min_x = min(self.min_x, x.min())
+            self.max_x = max(self.max_x, x.max())
+            self.min_y = min(self.min_y, y.min())
+            self.max_y = max(self.max_y, y.max())
+        xy = np.stack([x, y], axis=-1).reshape(len(pts), 2 * pts.shape[1])
+        bits, index = np.unique(xy.view(np.int64), return_inverse=True)
+        text = np.array([_fmt(v, self.precision)
+                         for v in bits.view(np.float64).tolist()],
+                        dtype=object)[index.reshape(xy.shape)].tolist()
+        body = " ".join(["%s,%s"] * pts.shape[1])
+        width = _fmt(width)
+        self.parts.extend(f'<polygon points="{body % tuple(row)}" '
+                          f'fill="{fill}" stroke="{stroke}" '
+                          f'stroke-width="{width}" stroke-linejoin="round"/>'
+                          for row, fill in zip(text, fills))
 
     def polyline(self, pts, stroke="#000", width=0.01):
         body = " ".join(self._pt(z) for z in pts)
@@ -114,10 +134,6 @@ def render_arrangement(d, kappa, path, polygon=True, labels=False):
     cv.write(path)
 
 
-def _tile_outline(patch, tile):
-    return [c.cvalue() for c in tile.corners(patch.d)]
-
-
 def _decoration_overlay(d, name, outline):
     """Float inscribed-triangle corners of a placed tile."""
     cat = prototile_catalog(d)
@@ -138,18 +154,18 @@ def render_patch(patch: Patch, path, decorations=False, labels=False,
     d = patch.d
     palette = _shape_palette(d)
     cv = Canvas(precision)
-    for tile in patch.tiles:
-        pts = _tile_outline(patch, tile)
-        cv.polygon(pts, fill=palette[tile.name], stroke="#222", width=stroke)
+    outlines = patch.corner_values()
+    names, _ = prototile_ids(d)
+    tile_names = [names[i] for i in patch.columns[0].tolist()]
+    cv.polygons(outlines, [palette[n] for n in tile_names], stroke="#222",
+                width=stroke)
     if decorations:
-        for tile in patch.tiles:
-            pts = _tile_outline(patch, tile)
-            inner = _decoration_overlay(d, tile.name, pts)
+        for name, pts in zip(tile_names, outlines.tolist()):
+            inner = _decoration_overlay(d, name, pts)
             cv.polygon(inner, fill="none", stroke="#555", width=stroke * 0.7)
     if labels:
-        for tile in patch.tiles:
-            pts = _tile_outline(patch, tile)
-            cv.text(sum(pts) / 3, tile.name, size=abs(pts[1] - pts[0]) * 0.25)
+        for name, pts in zip(tile_names, outlines.tolist()):
+            cv.text(sum(pts) / 3, name, size=abs(pts[1] - pts[0]) * 0.25)
     for a, b in highlight_edges:
         cv.line(a, b, stroke="#c00", width=stroke * 4)
     cv.write(path)

@@ -1,0 +1,116 @@
+"""Column-wise patches against a per-tile Isometry reference."""
+
+import json
+import os
+import tempfile
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from deltiling.field import Elem, field_for_order
+from deltiling.patchio import export_patch, patch_document
+from deltiling.prototiles import prototile_catalog
+from deltiling.substitution import (Isometry, Patch, RuleSet, Tile,
+                                    derive_rules, tile_corners,
+                                    verify_face_to_face)
+from deltiling.svg import render_patch
+
+
+def reference_inflate(tiles, rules):
+    """The per-tile inflation loop: outer placement after each child's."""
+    out = []
+    for tile in tiles:
+        outer = tile.iso.scaled_translation(rules.iota)
+        for cname, h in rules.children(tile.name):
+            out.append(Tile(cname, outer.compose(h)))
+    return out
+
+
+def reference_document(d, tiles, precision=12):
+    """The tiles and shadow blocks of a patch file, tile by tile."""
+    recs, shadow = [], []
+    for tile in tiles:
+        t = tile.iso.t
+        recs.append({"name": tile.name, "r": tile.iso.r,
+                     "t": {"num": list(t.num), "den": t.den}})
+        zs = [c.cvalue() for c in tile_corners(d, tile.name, tile.iso)]
+        shadow.append([[round(z.real, precision), round(z.imag, precision)]
+                       for z in zs])
+    return recs, shadow
+
+
+@st.composite
+def placed_patches(draw):
+    """(d, seed tile, rule sequence): a seed at a random direct isometry
+    (translation denominator 1 or 2) and up to two (p, sign) rule sets."""
+    d = draw(st.sampled_from([5, 8, 13, 14]))
+    f = field_for_order(d)
+    names = [p.name for p in prototile_catalog(d).prototiles]
+    name = draw(st.sampled_from(names))
+    coeffs = draw(st.lists(st.integers(-5, 5), min_size=f.degree,
+                           max_size=f.degree))
+    t = f.from_coeffs(coeffs, draw(st.sampled_from([1, 2])))
+    seed = Tile(name, Isometry(draw(st.integers(0, f.n - 1)), t))
+    steps = draw(st.lists(st.tuples(st.integers(2, min(d // 2, 4)),
+                                    st.sampled_from([1, -1])), max_size=2))
+    return d, seed, [derive_rules(d, p, s) for p, s in steps]
+
+
+@settings(max_examples=30, deadline=None)
+@given(placed_patches())
+def test_columns_match_isometry_reference(case):
+    d, seed, rule_seq = case
+    f = field_for_order(d)
+    patch, ref = Patch(d, [seed]), [seed]
+    for rules in rule_seq:
+        patch, ref = patch.inflate(rules), reference_inflate(ref, rules)
+    assert len(patch) == len(ref)
+    assert patch.tiles == ref
+    rows, den = patch.corner_rows()
+    for tile, tile_rows, values in zip(ref, rows,
+                                       patch.corner_values().tolist()):
+        corners = tile_corners(d, tile.name, tile.iso)
+        got = [Elem(f, row, den).normalized() for row in tile_rows.tolist()]
+        assert got == list(corners)
+        # the float shadow is cvalue() bit for bit
+        assert values == [c.cvalue() for c in corners]
+    tiles, shadow = reference_document(d, ref)
+    doc = patch_document(patch)
+    assert doc["tiles"] == tiles
+    assert doc["shadow"]["corners"] == shadow
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "p.json")
+        export_patch(patch, path, manifest={"tiles": [], "corners": []})
+        with open(path) as fh:
+            written = fh.read()
+    doc = patch_document(patch, manifest={"tiles": [], "corners": []})
+    assert written == json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+def test_empty_patch_exports_renders_and_verifies(tmp_path):
+    patch = Patch(14, [])
+    export_patch(patch, tmp_path / "e.json")
+    assert (tmp_path / "e.json").read_text() == \
+        json.dumps(patch_document(patch), indent=1, sort_keys=True) + "\n"
+    render_patch(patch, tmp_path / "e.svg")
+    assert "<polygon" not in (tmp_path / "e.svg").read_text()
+    assert verify_face_to_face(patch).ok
+
+
+def test_int64_guard_raises_instead_of_wrapping():
+    f = field_for_order(14)
+    big = f.from_coeffs([2 ** 59] + [0] * (f.degree - 1))
+    patch = Patch(14, [Tile("G", Isometry(0, big))])
+    with pytest.raises(OverflowError):
+        patch.inflate(derive_rules(14, 7, 1))
+    huge = f.from_coeffs([2 ** 62] + [0] * (f.degree - 1))
+    with pytest.raises(OverflowError):
+        Patch(14, [Tile("G", Isometry(0, huge))]).corner_rows()
+
+
+def test_tile_without_a_rule_is_a_key_error():
+    rules = derive_rules(14, 3, 1)
+    only_g = RuleSet(14, 3, 1, {"G": rules.rules["G"]})
+    assert len(Patch.single(14, "G").inflate(only_g)) == len(rules.rules["G"])
+    with pytest.raises(KeyError, match="F"):
+        Patch.single(14, "F").inflate(only_g)

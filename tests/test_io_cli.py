@@ -1,5 +1,6 @@
 """Patch interchange format, SVG rendering and the command line."""
 
+import hashlib
 import json
 import os
 import xml.etree.ElementTree as ET
@@ -46,7 +47,8 @@ def test_exact_coordinates_survive(tmp_path):
 def test_schema_errors(tmp_path):
     patch = build(n=1)
     path = tmp_path / "p.json"
-    doc = patchio.export_patch(patch, path)
+    patchio.export_patch(patch, path)
+    doc = json.loads(path.read_text())
 
     def corrupted(mutate):
         bad = json.loads(json.dumps(doc))
@@ -66,7 +68,8 @@ def test_schema_errors(tmp_path):
 
 def test_shadow_matches_exact(tmp_path):
     patch = build(n=1)
-    doc = patchio.export_patch(patch, tmp_path / "p.json", precision=12)
+    patchio.export_patch(patch, tmp_path / "p.json", precision=12)
+    doc = json.loads((tmp_path / "p.json").read_text())
     for tile, shadow in zip(patch.tiles, doc["shadow"]["corners"]):
         for c, (x, y) in zip(tile.corners(14), shadow):
             assert abs(c.cvalue() - complex(x, y)) < 1e-9
@@ -150,11 +153,14 @@ def test_cli_error_exit(tmp_path, capsys):
     lambda b: b["tiles"][0]["t"].update(den=True),
     lambda b: b["tiles"][0]["t"]["num"].__setitem__(0, 0.5),
     lambda b: b["tiles"][0].update(r=True),
+    lambda b: b["tiles"][0]["t"]["num"].__setitem__(0, 2 ** 62),
+    lambda b: b["tiles"][0]["t"]["num"].__setitem__(0, -2 ** 70),
 ], ids=["unknown-name", "list-name", "den-zero", "den-negative",
-        "den-float", "den-bool", "num-float", "r-bool"])
+        "den-float", "den-bool", "num-float", "r-bool", "num-2^62",
+        "num-beyond-int64"])
 def test_cli_verify_rejects_malformed_patch(tmp_path, capsys, mutate):
-    doc = patchio.export_patch(build(n=1), tmp_path / "p.json")
-    bad = json.loads(json.dumps(doc))
+    patchio.export_patch(build(n=1), tmp_path / "p.json")
+    bad = json.loads((tmp_path / "p.json").read_text())
     mutate(bad)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))
@@ -163,3 +169,55 @@ def test_cli_verify_rejects_malformed_patch(tmp_path, capsys, mutate):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "SchemaError" in err and "Traceback" not in err
+
+
+def test_cli_tile_output_is_unchanged(tmp_path):
+    # sha256 of both artifacts as written before patches were stored
+    # column-wise
+    main(["tile", "--d", "14", "--p", "3", "--seed-tile", "G", "--n", "3",
+          "--out", str(tmp_path)])
+    digest = {ext: hashlib.sha256(
+        (tmp_path / f"patch_d14_G_n3.{ext}").read_bytes()).hexdigest()
+        for ext in ("json", "svg")}
+    assert digest == {
+        "json": "ce3478878d0b501b02ccaa33d86472daa08f6fe2167e23ad95ab8b28a5d78f71",
+        "svg": "7c8b6fb6f81d442ace1692c08d679f913d414827cdc694295bc3c683e3e3ffbc",
+    }
+
+
+@pytest.mark.parametrize("command", [
+    ["tile", "--d", "8", "--p", "3", "--seed-tile", "A"],
+    ["random", "--d", "8", "--mode", "subst", "--seed-tile", "A"],
+], ids=["tile", "random"])
+def test_cli_rejects_unknown_seed_tile(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "'A'" in err and "T1t" in err and "Traceback" not in err
+
+
+def test_cli_config_sets_defaults_and_flags_win(tmp_path):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"n": 1, "sign": "-"}))
+    args = ["--config", str(config), "tile", "--d", "8", "--p", "3",
+            "--seed-tile", "T1t", "--out", str(tmp_path)]
+    main(args)
+    doc = json.loads((tmp_path / "patch_d8_T1t_n1.json").read_text())
+    assert doc["manifest"]["stages"] == [{"p": 3, "sign": -1}]
+    main(args + ["--n", "2"])
+    assert (tmp_path / "patch_d8_T1t_n2.json").exists()
+
+
+@pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"],
+                         ids=["missing", "invalid", "not-object"])
+def test_cli_bad_config_exits_2(tmp_path, capsys, content):
+    config = tmp_path / "c.json"
+    if content is not None:
+        config.write_text(content)
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(config), "tile", "--d", "8", "--p", "3",
+              "--seed-tile", "T1t", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "config" in err and "Traceback" not in err
