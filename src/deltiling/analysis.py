@@ -23,14 +23,21 @@ def substitution_matrix(rules: RuleSet):
 
 
 def is_primitive(M):
-    """Some power of M is strictly positive."""
-    P = np.eye(M.shape[0], dtype=object)
-    A = M.astype(object)
-    for _ in range(M.shape[0]):
-        P = (P @ A > 0).astype(object)
-        if P.all():
-            return True
-    return False
+    """Some power of the non-negative square matrix M is strictly positive.
+
+    A primitive n x n matrix has A^k > 0 for every k >= (n-1)^2 + 1
+    (Wielandt's bound), so squaring the 0/1 pattern until the exponent
+    2^j reaches that bound decides it.
+    """
+    n = M.shape[0]
+    P = (np.asarray(M) > 0).astype(np.int64)
+    power = 1
+    while not P.all():
+        if power >= (n - 1) ** 2 + 1:
+            return False
+        P = ((P @ P) > 0).astype(np.int64)
+        power *= 2
+    return True
 
 
 def tile_frequencies(rules: RuleSet):

@@ -161,6 +161,7 @@ class Arrangement:
         self.segments = [Segment(self, i) for i in range(d)]
         self._build_vertices()
         self._faces = None
+        self._face_table = None
 
     # -- construction ----------------------------------------------------
     def seg_pair_point(self, i, j):
@@ -185,9 +186,11 @@ class Arrangement:
     def _build_vertices(self):
         d = self.sym.d
         verts = {}
+        pairs = {}
         for i in range(d):
             for j in range(i + 1, d):
                 z, s_i = self.seg_pair_point(i, j)
+                pairs[i, j] = z
                 s_j = self._param_on(self.segments[j], z)
                 # keep only points inside both chords (param range [-4, 0])
                 ok = True
@@ -210,6 +213,8 @@ class Arrangement:
                 rec.params[i] = s_i
                 rec.params[j] = s_j
         self.vertices = verts
+        # every pair point, on or off the chords, keyed (i, j) with i < j
+        self.pair_points = pairs
         by_seg = [[] for _ in range(d)]
         for rec in verts.values():
             for i in rec.segs:
@@ -294,6 +299,16 @@ class Arrangement:
             self._faces = out
         return self._faces
 
+    def face_table(self):
+        """(face, corners, float centroid) for every face, built once."""
+        if self._face_table is None:
+            out = []
+            for t in self.faces():
+                corners, _ = self.corners(t)
+                out.append((t, corners, sum(c.cvalue() for c in corners) / 3))
+            self._face_table = out
+        return self._face_table
+
     def corners(self, tri: TriangleId):
         """Exact corners in anticlockwise order.
 
@@ -301,9 +316,8 @@ class Arrangement:
         whose side faces corners[k].
         """
         la, mu, nu = tri.idx
-        a = self.seg_pair_point(mu, nu)[0]
-        b = self.seg_pair_point(la, nu)[0]
-        c = self.seg_pair_point(la, mu)[0]
+        pairs = self.pair_points
+        a, b, c = pairs[mu, nu], pairs[la, nu], pairs[la, mu]
         if cross_sign(b - a, c - a) < 0:
             return (a, c, b), (la, nu, mu)
         return (a, b, c), (la, mu, nu)

@@ -95,7 +95,6 @@ class CycField:
         self.zero = Elem(self, (0,) * D, 1)
         self.one = Elem(self, self._red[0], 1)
         self.i = self.zeta(n // 4)
-        self.minus_i = self.zeta(3 * n // 4)
         self._half_i = Elem(self, self._red[n // 4], 2)
         self._inv_cache = {}
         # complex float embedding of the power basis
@@ -144,9 +143,18 @@ class CycField:
         return np.stack([red[k:k + D] for k in range(self.n)])
 
     def mul_matrix(self, e):
-        """(M, den): the row of x * e is (row of x) @ M / den."""
-        return (np.tensordot(np.array(e.num, dtype=np.int64),
-                             self.rotations[:self.degree], axes=1), e.den)
+        """(M, den): the row of x * e is (row of x) @ M / den.
+
+        M = sum of e_j * R[j] over the nonzero coefficients of e (R as in
+        `rotations`, whose n matrices are not built here).
+        """
+        D = self.degree
+        red = np.array(self._red[:2 * D - 1], dtype=np.int64)
+        M = np.zeros((D, D), dtype=np.int64)
+        for j, c in enumerate(e.num):
+            if c:
+                M += c * red[j:j + D]
+        return M, e.den
 
     def cvalues(self, rows, den=1):
         """Complex embeddings of integer coefficient rows over a common den.
@@ -381,7 +389,7 @@ class Elem:
 
     def imag_sign(self):
         """Sign of the imaginary part, decided exactly."""
-        w = (self - self.conj()) * self.f.minus_i  # 2*Im(self), real
+        w = (self - self.conj()).mul_zeta(3 * self.f.n // 4)  # 2*Im, real
         return w.real_sign()
 
     def __lt__(self, other):

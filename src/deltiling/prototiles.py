@@ -77,18 +77,6 @@ def point_in_triangle(p, tri, margin=1e-9):
     return True
 
 
-@lru_cache(maxsize=None)
-def _child_face_data(d2, kappa2):
-    """Float centroids and exact corner data for all faces of an arrangement."""
-    arr = get_arrangement(d2, kappa2)
-    out = []
-    for t in arr.faces():
-        corners, _ = arr.corners(t)
-        fl = [c.cvalue() for c in corners]
-        out.append((t, corners, sum(fl) / 3))
-    return arr, out
-
-
 def decorate(sym: SymmetryIndex, tri: TriangleId) -> DecoratedFace:
     """Compute the interior decoration of one elementary triangle."""
     if not tri.elementary:
@@ -96,13 +84,13 @@ def decorate(sym: SymmetryIndex, tri: TriangleId) -> DecoratedFace:
     d = sym.d
     parent = get_arrangement(d, sym.kappa)
     csym = child_symmetry(sym)
-    child, cfaces = _child_face_data(csym.d, csym.kappa)
+    child = get_arrangement(csym.d, csym.kappa)
 
     corners, opposite = parent.corners(tri)
     pc = [embed(c, child.f) for c in corners]
     ptri_fl = [c.cvalue() for c in pc]
 
-    candidates = [(t, cc) for t, cc, cen in cfaces
+    candidates = [(t, cc) for t, cc, cen in child.face_table()
                   if point_in_triangle(cen, ptri_fl)]
     assert len(candidates) == 4, \
         f"{tri}: expected 4 refinement faces, found {len(candidates)}"
@@ -250,7 +238,11 @@ def mirror_triple(d, idx):
 
 
 class Catalog:
-    """All prototiles of order d, with name, signature and partner lookups."""
+    """All prototiles of order d, with name, signature and partner lookups.
+
+    `faces[kappa, tri.idx]` is the decoration of every face of every
+    symmetry variant, in the corner order of `Arrangement.corners`.
+    """
 
     def __init__(self, d):
         self.d = d
@@ -258,9 +250,10 @@ class Catalog:
         if d % 3 == 0:
             syms += [SymmetryIndex(d, -2), SymmetryIndex(d, 2)]
         groups = {}  # signature -> list of DecoratedFace (canonical rotation)
+        self.faces = {}
         for sym in syms:
             for tri in get_arrangement(sym.d, sym.kappa).faces():
-                df = decorate(sym, tri)
+                df = self.faces[sym.kappa, tri.idx] = decorate(sym, tri)
                 r = canonical_rotation(df.letters)
                 df = df.rotated(r)
                 groups.setdefault(tuple(df.letters), []).append(df)

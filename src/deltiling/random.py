@@ -44,7 +44,7 @@ def polygon_vertices(d, kappa=0):
         raise ValueError("the inscribed polygon needs even d = 2q")
     q = d // 2
     arr = get_arrangement(d, kappa)
-    return [arr.seg_pair_point(c, q + c)[0] for c in range(q)]
+    return [arr.pair_points[c, q + c] for c in range(q)]
 
 
 # -- flip templates (quadrilateral congruences) -------------------------

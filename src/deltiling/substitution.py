@@ -3,9 +3,10 @@
 Inflating an elementary triangle by iota_{d,p} = s_p/s_1 produces a
 triangle congruent to a class-p triangle of an order-d pattern (possibly
 with a different symmetry variant); the elementary faces inside that
-triangle are the substitution children.  All of this is computed exactly:
-the only floating point use is for pre-filtering candidates that are then
-confirmed with field arithmetic.
+triangle are the substitution children.  Placements are exact.  The
+children are picked by float centroid containment and confirmed exactly
+by area balance (`check_area_balance`); edge words are still read from
+float corners.
 
 Congruences are found without field division: the float phase of a side
 ratio picks the rotation exponent r, and the field confirms it by the
@@ -27,11 +28,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .field import Elem, embed, field_for_order, inflation_factor
+from .field import Elem, field_for_order, inflation_factor
 from .arrangement import SymmetryIndex, TriangleId, get_arrangement
-from .prototiles import (EdgeLetter, Prototile, canonical_rotation, decorate,
-                         point_in_triangle, prototile_catalog, signature,
-                         tilde_signature)
+from .prototiles import (canonical_rotation, point_in_triangle,
+                         prototile_catalog)
 
 
 # -- placements ---------------------------------------------------------
@@ -116,15 +116,11 @@ def _tile_geometry(d, name):
     """(corners, letters) of a catalog prototile in the order-d field."""
     cat = prototile_catalog(d)
     p = cat.by_name[name]
-    sym = p.face.sym
-    arr = get_arrangement(sym.d, sym.kappa)
-    corners, _ = arr.corners(p.face.tri)
-    big = p.face.corners[0].f
-    for r in range(3):
-        if embed(corners[r], big) == p.face.corners[0]:
-            rot = tuple(corners[(r + k) % 3] for k in range(3))
-            return rot, p.signature
-    raise AssertionError(f"corner alignment lost for {name}")
+    sym, tri = p.face.sym, p.face.tri
+    # the representative is its catalog decoration turned to canonical start
+    r = canonical_rotation(cat.faces[sym.kappa, tri.idx].letters)
+    corners, _ = get_arrangement(sym.d, sym.kappa).corners(tri)
+    return tuple(corners[(r + k) % 3] for k in range(3)), p.signature
 
 
 def tile_corners(d, name, iso=None):
@@ -135,26 +131,16 @@ def tile_corners(d, name, iso=None):
 
 
 @lru_cache(maxsize=None)
-def _decorated(sym, tri):
-    return decorate(sym, tri)
-
-
-@lru_cache(maxsize=None)
-def _face_placements(d2, kappa2, d):
-    """(prototile name, placement) for every face of one arrangement."""
-    sym = SymmetryIndex(d2, kappa2)
+def _face_placements(d, kappa):
+    """(prototile name, placement, float centroid) per face of A(d, kappa)."""
     cat = prototile_catalog(d)
-    arr = get_arrangement(d2, kappa2)
-    out = {}
-    for tri in arr.faces():
-        df = _decorated(sym, tri)
-        proto, r = cat.classify(df.letters)
-        corners, _ = arr.corners(tri)
+    out = []
+    for tri, corners, centroid in get_arrangement(d, kappa).face_table():
+        proto, r = cat.classify(cat.faces[kappa, tri.idx].letters)
         face_corners = tuple(corners[(k + r) % 3] for k in range(3))
-        rep = tile_corners(d, proto.name)
-        g, shift = match_triangles(rep, face_corners)
+        g, shift = match_triangles(tile_corners(d, proto.name), face_corners)
         assert g is not None and shift == 0, f"cannot place {tri} as {proto.name}"
-        out[tri.idx] = (proto.name, g, face_corners)
+        out.append((proto.name, g, centroid))
     return out
 
 
@@ -289,32 +275,59 @@ class RuleSet:
 
 @lru_cache(maxsize=None)
 def derive_rules(d, p, sign=1) -> RuleSet:
+    """Children picked by float centroid, confirmed by exact area balance."""
     cat = prototile_catalog(d)
     iota = inflation_factor(d, p)
     rules = {}
     for proto in cat.prototiles:
-        sym = proto.face.sym
-        tri = proto.face.tri
-        sym2, tri2, psi = locate_inflated(sym, tri, p, sign)
-        arr2 = get_arrangement(sym2.d, sym2.kappa)
-        tcorners, _ = arr2.corners(tri2)
-        # representative rotation: psi maps the canonical corner cycle
-        rep = tile_corners(d, proto.name)
-        src = tuple(c * iota for c in rep)
-        g, shift = match_triangles(src, tcorners)
+        sym2, tri2, _ = locate_inflated(proto.face.sym, proto.face.tri, p, sign)
+        tcorners, _ = get_arrangement(d, sym2.kappa).corners(tri2)
+        # representative rotation: g maps the canonical corner cycle
+        src = tuple(c * iota for c in tile_corners(d, proto.name))
+        g, _ = match_triangles(src, tcorners)
         assert g is not None
         tri_fl = [c.cvalue() for c in tcorners]
-        placements = _face_placements(sym2.d, sym2.kappa, d)
         inv = g.inverse()
-        children = []
-        for idx, (cname, place, fc) in placements.items():
-            cen = sum(c.cvalue() for c in fc) / 3
-            if point_in_triangle(cen, tri_fl):
-                children.append((cname, inv.compose(place)))
+        children = [(cname, inv.compose(place)) for cname, place, centroid
+                    in _face_placements(d, sym2.kappa)
+                    if point_in_triangle(centroid, tri_fl)]
         assert children, f"empty rule for {proto.name}"
         children.sort(key=lambda ch: (ch[0], ch[1].key()))
         rules[proto.name] = tuple(children)
-    return RuleSet(d, p, sign, rules)
+    out = RuleSet(d, p, sign, rules)
+    check_area_balance(out)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _area_rows(d):
+    """(rows, den): 2i times twice the area of every prototile, by id."""
+    names, _ = prototile_ids(d)
+    areas = []
+    for name in names:
+        a, b, c = tile_corners(d, name)
+        x = (b - a).conj() * (c - a)
+        areas.append(x - x.conj())
+    return _common_den(areas, field_for_order(d).degree)
+
+
+def check_area_balance(rules: RuleSet):
+    """Exact: the children of every prototile fill iota^2 times its area.
+
+    Counts times per-prototile area rows must equal the area rows times
+    the matrix of multiplication by iota^2, as integer coefficient rows.
+    """
+    f = field_for_order(rules.d)
+    A, _ = _area_rows(rules.d)
+    count, _ = rules.matrix()
+    M, mden = f.mul_matrix(rules.iota * rules.iota)
+    _guard(f.degree * max_abs(A) * max_abs(M)
+           + int(count.sum(axis=0).max()) * max_abs(A) * mden, "area balance")
+    bad = ~(count.T @ A * mden == A @ M).all(axis=1)
+    if bad.any():
+        names, _ = prototile_ids(rules.d)
+        raise AssertionError("children do not fill the inflated prototile: "
+                             + ", ".join(names[i] for i in np.flatnonzero(bad)))
 
 
 # -- patches ------------------------------------------------------------
@@ -709,46 +722,37 @@ def derive_edge_words(rules: RuleSet):
     Words are read along each side of every inflated prototile; the
     derivation asserts that all occurrences of a letter induce the same
     word, which is what makes the substitution well defined on edges.
+    Child corners are floats zeta^r * c + t, built once per child; a
+    child side belongs to a word when both its ends lie on the parent side.
     """
     d = rules.d
+    f = field_for_order(d)
+    names, index = prototile_ids(d)
+    letters = letter_table(d)[0]
+    base = np.array([[c.cvalue() for c in tile_corners(d, n)] for n in names])
+    iota = rules.iota.cvalue()
     words = {}
     for name, children in rules.rules.items():
-        rep, letters = _tile_geometry(d, name)
-        big = tile_corners(d, name)
-        sides = []
-        for k in range(3):
-            a = rep[k] * rules.iota
-            b = rep[(k + 1) % 3] * rules.iota
-            sides.append((a, b, letters[k]))
-        child_edges = []
-        for cname, h in children:
-            ccorners = tile_corners(d, cname, h)
-            _, cletters = _tile_geometry(d, cname)
-            for k in range(3):
-                child_edges.append((ccorners[k], ccorners[(k + 1) % 3],
-                                    cletters[k]))
-        for a, b, letter in sides:
-            af, bf = a.cvalue(), b.cvalue()
-            dirv = bf - af
-            ln2 = abs(dirv) ** 2
-            found = []
-            for ca, cb, cl in child_edges:
-                caf, cbf = ca.cvalue(), cb.cvalue()
-                # both endpoints on the [a, b] segment, oriented forwards
-                ok = True
-                for pt in (caf, cbf):
-                    s = ((pt - af) * dirv.conjugate()).real / ln2
-                    cr = ((pt - af) * dirv.conjugate()).imag
-                    if abs(cr) > 1e-9 * ln2 or s < -1e-9 or s > 1 + 1e-9:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                pos = ((caf - af) * dirv.conjugate()).real / ln2
-                assert ((cbf - caf) * dirv.conjugate()).real > 0
-                found.append((pos, cl))
-            found.sort(key=lambda e: e[0])
-            word = tuple(cl for _, cl in found)
+        ids = [index[cname] for cname, _ in children]
+        turn = np.exp(2j * np.pi / f.n * np.array([h.r for _, h in children]))
+        shift = np.array([h.t.cvalue() for _, h in children])
+        corners = (turn[:, None] * base[ids] + shift[:, None]).ravel()
+        nxt = np.arange(len(corners)) // 3 * 3 + [1, 2, 0] * len(ids)
+        big = base[index[name]] * iota
+        side = big[[1, 2, 0]] - big
+        ln2 = (abs(side) ** 2)[:, None]
+        # v[k, j]: child corner j against parent side k, scaled by |side|^2
+        v = (corners[None, :] - big[:, None]) * side.conjugate()[:, None]
+        on = ((np.abs(v.imag) <= 1e-9 * ln2) & (v.real >= -1e-9 * ln2)
+              & (v.real <= (1 + 1e-9) * ln2))
+        on &= on[:, nxt]
+        for k, letter in enumerate(letters[index[name]]):
+            found = np.flatnonzero(on[k])
+            pos = v[k, found].real
+            assert (v[k, nxt[found]].real > pos).all(), \
+                f"child side against the direction of {letter} in {name}"
+            word = tuple(letters[ids[e // 3]][e % 3]
+                         for e in found[np.argsort(pos, kind="stable")])
             prev = words.get(letter)
             assert prev is None or prev == word, \
                 f"inconsistent edge word for {letter} in {name}"

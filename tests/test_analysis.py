@@ -27,9 +27,38 @@ def test_matrix_columns_match_rules():
 
 
 def test_matrices_are_primitive():
-    for d, p in [(14, 3), (7, 2), (9, 3), (10, 5)]:
-        M, _ = substitution_matrix(derive_rules(d, p, 1))
-        assert is_primitive(M)
+    cases = [(14, p, sign) for p in range(2, 8) for sign in (1, -1)]
+    for d, p, sign in cases + [(7, 2, 1), (9, 3, 1), (10, 5, 1)]:
+        M, _ = substitution_matrix(derive_rules(d, p, sign))
+        assert is_primitive(M), (d, p, sign)
+
+
+def wielandt(n):
+    """Cycle 0 -> 1 -> ... -> n-1 -> 0 plus n-1 -> 1: primitive, exponent
+    (n-1)^2 + 1, the largest any primitive n x n matrix has."""
+    A = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        A[i, (i + 1) % n] = 1
+    A[n - 1, 1] = 1
+    return A
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_is_primitive_beyond_exponent_n(n):
+    A = wielandt(n)
+    P = np.eye(n, dtype=np.int64)
+    for k in range(1, (n - 1) ** 2 + 2):
+        P = ((P @ A) > 0).astype(np.int64)
+        assert P.all() == (k == (n - 1) ** 2 + 1)  # first positive power
+    assert is_primitive(A)
+
+
+def test_is_primitive_rejects_imprimitive_matrices():
+    cyclic = np.roll(np.eye(5, dtype=np.int64), 1, axis=1)
+    assert not is_primitive(cyclic)
+    reducible = np.block([[np.ones((2, 2)), np.ones((2, 3))],
+                          [np.zeros((3, 2)), np.ones((3, 3))]]).astype(int)
+    assert not is_primitive(reducible)
 
 
 def test_perron_eigenvalue_is_iota_squared():

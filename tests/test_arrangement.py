@@ -220,3 +220,24 @@ def test_faces_have_disjoint_interiors():
         for i, tri in enumerate(polys):
             cen = sum(tri) / 3
             assert sum(1 for p in polys if inside(cen, p)) == 1
+
+
+@pytest.mark.parametrize("d", [5, 6, 7, 8, 9, 12, 13, 14])
+def test_corners_read_from_the_pair_table(d):
+    # corners() looks its points up in the table built with the vertices;
+    # for every triple they equal the points recomputed from
+    # seg_pair_point, in corners, opposite segments and orientation
+    for kappa in ((0, -2, 2) if d % 3 == 0 else (0,)):
+        sym = SymmetryIndex(d, kappa)
+        arr = get_arrangement(d, kappa)
+        for la in range(d):
+            for mu in range(la + 1, d):
+                for nu in range(mu + 1, d):
+                    a = arr.seg_pair_point(mu, nu)[0]
+                    b = arr.seg_pair_point(la, nu)[0]
+                    c = arr.seg_pair_point(la, mu)[0]
+                    if cross_sign(b - a, c - a) < 0:
+                        expect = (a, c, b), (la, nu, mu)
+                    else:
+                        expect = (a, b, c), (la, mu, nu)
+                    assert arr.corners(TriangleId(sym, (la, mu, nu))) == expect

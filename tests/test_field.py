@@ -1,8 +1,10 @@
 """Exact cyclotomic arithmetic."""
 
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from deltiling.field import (CycField, Elem, cyclotomic_poly, field_for_order,
@@ -127,3 +129,24 @@ def test_unit_root():
         assert abs(unit_root(d, k).cvalue() -
                    complex(math.cos(k * math.pi / (3 * d)),
                            math.sin(k * math.pi / (3 * d)))) < 1e-12
+
+
+@pytest.mark.parametrize("d", [14, 13])
+def test_mul_matrix_is_multiplication(d):
+    # the row of x * e is (row of x) @ M / den, and M holds the first D
+    # rotation matrices weighted by the coefficients of e
+    f = field_for_order(d)
+    rng = random.Random(d)
+
+    def elem():
+        return f.from_coeffs([rng.choice((0, 0, rng.randint(-5, 5)))
+                              for _ in range(f.degree)], rng.randint(1, 3))
+
+    for e in (inflation_factor(d, 3) * inflation_factor(d, 3), elem()):
+        M, den = f.mul_matrix(e)
+        assert (M == np.tensordot(np.array(e.num), f.rotations[:f.degree],
+                                  axes=1)).all()
+        for _ in range(3):
+            x = elem()
+            row = np.array(x.num, dtype=np.int64) @ M
+            assert f.from_coeffs(row.tolist(), x.den * den) == x * e

@@ -185,6 +185,40 @@ def test_cli_tile_output_is_unchanged(tmp_path):
     }
 
 
+#: sha256 of every artifact, recorded before rule derivation and
+#: decoration read the arrangement's pair-point and face tables
+CLI_DIGESTS = {
+    "arrange --d 14 --kappa 0": {
+        "arrangement_d14_k0.svg": "05b56f332587d085836e1337957e751742c5eedeb8be8414217d888cb6d59053",
+        "arrangement_d14_k0.txt": "86d969e282ecea7513227c7c8bdc7f614c05805b99e1c53c8d54dd58cf37b554"},
+    "arrange --d 12 --kappa -2": {
+        "arrangement_d12_k-2.svg": "c217caed3018a6cce31ebc20fcb8ea0bba993086b655fedcff2f8a8a02a774d0",
+        "arrangement_d12_k-2.txt": "aed66e753eadf6aa7eb7b1635b8c04a5d1ad9e3a45110ea8e5de98f88ae8bbef"},
+    "prototiles --d 14": {
+        "prototiles_d14.svg": "163d6f2f78f5bb4d75903293d4122d8c6945395deade23d0e140e5a32759c241",
+        "prototiles_d14.txt": "4c10b93b8d4be827261aef236b23fee6560f6aceb193e092cdb939b7032e7b20"},
+    "prototiles --d 12": {
+        "prototiles_d12.svg": "a1993c0b3143e1611f591b49df0a5c163a8cf16b3ebb1ffed09bfb188ce09e12",
+        "prototiles_d12.txt": "dd475ce2628c664df227248de80e13ef9b577570f7648c18541d1876cae1e0b5"},
+    "rules --d 14 --p 3 --sign +": {
+        "rules_d14_p3_p.svg": "a3e6e30a92c2a599b756d5c36fa3aa63aa74eab06bae4e4944c10739bb9750d4",
+        "rules_d14_p3_p.txt": "1ac57b688842d10fd61046feafe489d986fe5797862f995e72313ca37bf13730"},
+    "rules --d 12 --p 3 --sign -": {
+        "rules_d12_p3_m.svg": "99209677a7c647f5fdead7d6f0d494989f0a0f15c07d841a46f9d4d2848aa1a5",
+        "rules_d12_p3_m.txt": "4cf1418220731ffda905fe9cc59ae5c130e1e40dc5c8cd52e2fe87ae0f598848"},
+    "rules --d 13 --p 2 --sign +": {
+        "rules_d13_p2_p.svg": "f2ed7886b1d63155257a24986c8293832a8fa0dc6a0868ae9c5f4fd1d0d7d5b3",
+        "rules_d13_p2_p.txt": "527f3022a5ddd9b3912957fa29e7ff72e072fadf2da06b4e0df4d61ae1209698"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(CLI_DIGESTS))
+def test_cli_artifacts_are_unchanged(tmp_path, command):
+    main(command.split() + ["--out", str(tmp_path)])
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in tmp_path.iterdir()} == CLI_DIGESTS[command]
+
+
 @pytest.mark.parametrize("command", [
     ["tile", "--d", "8", "--p", "3", "--seed-tile", "A"],
     ["random", "--d", "8", "--mode", "subst", "--seed-tile", "A"],

@@ -2,6 +2,7 @@
 
 import cmath
 import collections
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -10,8 +11,10 @@ import pytest
 
 from deltiling.arrangement import SymmetryIndex, classify_triple
 from deltiling.field import field_for_order, inflation_factor
+from deltiling import substitution
 from deltiling.prototiles import EdgeLetter, prototile_catalog
-from deltiling.substitution import (Isometry, Patch, Tile, derive_edge_words,
+from deltiling.substitution import (Isometry, Patch, RuleSet, Tile,
+                                    check_area_balance, derive_edge_words,
                                     derive_rules, edge_subdivision,
                                     identity_isometry, locate_inflated,
                                     match_triangles, mir, project, rho,
@@ -179,6 +182,66 @@ def test_children_tile_the_inflated_parent_exactly():
     for name, children in rules.rules.items():
         got = sum(area(n, h) for n, h in children)
         assert abs(got - iota2 * area(name)) < 1e-9 * iota2
+
+
+def rule_listing(d, p, sign):
+    """Every child placement (r, den, numerators) and every edge word."""
+    rules = derive_rules(d, p, sign)
+    lines = [f"rules {d} {p} {sign:+d}"]
+    for name in sorted(rules.rules):
+        for cname, h in rules.rules[name]:
+            lines.append(f"{name} {cname} {h.r} {h.t.den} "
+                         + " ".join(map(str, h.t.num)))
+    words = derive_edge_words(rules)
+    for letter in sorted(words, key=lambda l: (l.cls, l.orient)):
+        lines.append(f"{letter} -> {word_str(words[letter])}")
+    return lines
+
+
+def test_rules_and_edge_words_unchanged_d5_to_d14():
+    # sha256 of the listing of every (d, p, +-) for d = 5..14, recorded
+    # before rule derivation read corners, decorations and centroids from
+    # the arrangement and catalog tables
+    digest = hashlib.sha256()
+    for d in range(5, 15):
+        lines = [line for p in range(2, d // 2 + 1) for sign in (1, -1)
+                 for line in rule_listing(d, p, sign)]
+        digest.update(("\n".join(lines) + "\n").encode())
+    assert digest.hexdigest() == \
+        "53a2c7c6aa9c7cc5488ce2dc9ac1fb27afcf48edfe202e2697eb8d76ae8a7512"
+
+
+def test_area_balance_rejects_a_missing_or_extra_child():
+    rules = derive_rules(14, 3, 1)
+    check_area_balance(rules)
+    children = rules.rules["G"]
+    other = rules.rules["P"][0]
+    for changed in (children[1:], children + (other,)):
+        mutated = RuleSet(14, 3, 1, dict(rules.rules, G=changed))
+        with pytest.raises(AssertionError, match="prototile: G$"):
+            check_area_balance(mutated)
+
+
+@pytest.mark.parametrize("mutation", ["drop", "add"])
+def test_derive_rules_confirms_float_children_exactly(monkeypatch, mutation):
+    # a centroid verdict that drops one child, or admits one face whose
+    # centroid lies just outside the inflated prototile, is caught by the
+    # exact area balance
+    inside = substitution.point_in_triangle
+    flipped = []
+
+    def verdict(p, tri):
+        ok = inside(p, tri)
+        if not flipped and (ok if mutation == "drop"
+                            else inside(p, tri, margin=-0.5) and not ok):
+            flipped.append(p)
+            return not ok
+        return ok
+
+    monkeypatch.setattr(substitution, "point_in_triangle", verdict)
+    with pytest.raises(AssertionError, match="children do not fill"):
+        derive_rules.__wrapped__(7, 2, 1)
+    assert len(flipped) == 1
 
 
 def test_golden_edge_words_14_3():
