@@ -61,6 +61,30 @@ def length_class(d, diff):
     return min(diff, d - diff)
 
 
+@lru_cache(maxsize=None)
+def _length_squares(d):
+    """|4 s_1 s_m|^2 for m = 1..floor(d/2): (floats, exact squares)."""
+    s1 = sin_val(d, 1)
+    exact = []
+    for m in range(1, d // 2 + 1):
+        ln = s1 * sin_val(d, m) * 4
+        exact.append(ln * ln)
+    return tuple(x.cvalue().real for x in exact), tuple(exact)
+
+
+def edge_class(d, vec):
+    """The class m with |vec| = 4 s_1 s_m in the order-d field, or None.
+
+    The float squared length picks the nearest class; exact equality of
+    the squares confirms it.
+    """
+    v2 = vec * vec.conj()
+    floats, exact = _length_squares(d)
+    val = v2.cvalue().real
+    k = min(range(len(floats)), key=lambda k: abs(floats[k] - val))
+    return k + 1 if v2 == exact[k] else None
+
+
 @dataclass(frozen=True)
 class TriangleId:
     """Triangle cut out by three segments of one arrangement.
@@ -242,18 +266,10 @@ class Arrangement:
         """Length classes of the pieces between consecutive vertices on segment i."""
         d = self.sym.d
         recs = self.seg_vertices[i]
-        sq = {}
-        s1 = sin_val(d, 1)
-        for n in range(1, d // 2 + 1):
-            ln = s1 * sin_val(d, n) * 4
-            sq[n] = ln * ln
         out = []
         for a, b in zip(recs, recs[1:]):
-            g = b.z - a.z
-            g2 = g * g.conj()
-            val = g2.cvalue().real
-            n = min(sq, key=lambda n_: abs(sq[n_].cvalue().real - val))
-            assert g2 == sq[n], f"piece on segment {i} is not an S_n length"
+            n = edge_class(d, b.z - a.z)
+            assert n is not None, f"piece on segment {i} is not an S_n length"
             out.append(n)
         return out
 

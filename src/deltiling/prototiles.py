@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .field import embed, field_for_order, sin_val
-from .arrangement import (SymmetryIndex, TriangleId, cross_sign,
+from .field import embed
+from .arrangement import (SymmetryIndex, TriangleId, cross_sign, edge_class,
                           get_arrangement, length_class)
 
 
@@ -118,19 +118,12 @@ def decorate(sym: SymmetryIndex, tri: TriangleId) -> DecoratedFace:
         else:
             raise AssertionError(f"{tri}: inscribed corner off the sides")
 
-    # squared section lengths, order-2d units
+    # section lengths in order-2d units
     d2 = csym.d
-    s1 = sin_val(d2, 1)
-    sq = {}
-    for m in range(1, d2 // 2 + 1):
-        ln = s1 * sin_val(d2, m) * 4
-        sq[m] = ln * ln
 
     def section_class(v):
-        v2 = v * v.conj()
-        val = v2.cvalue().real
-        m = min(sq, key=lambda m_: abs(sq[m_].cvalue().real - val))
-        assert v2 == sq[m], f"{tri}: section is not an elementary length"
+        m = edge_class(d2, v)
+        assert m is not None, f"{tri}: section is not an elementary length"
         return m
 
     letters = []

@@ -27,13 +27,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .field import Elem, field_for_order, sin_val
-from .arrangement import SymmetryIndex, get_arrangement, length_class
+from .field import field_for_order
+from .arrangement import (SymmetryIndex, cross_sign, edge_class,
+                          get_arrangement, length_class)
 from .prototiles import prototile_catalog
 from .substitution import (Patch, RuleSet, Tile, derive_rules,
                            derive_edge_words, letter_table, match_triangles,
-                           mir, project, row_ids, tile_corners, tile_edges,
-                           _internal_tri)
+                           mir, project, prototile_ids, row_ids, tile_corners,
+                           tile_edges, _inflate, _rule_table)
 
 
 # -- the inscribed polygon ----------------------------------------------
@@ -142,7 +143,6 @@ def _shared_edge(arr, t1, t2):
 
 
 def _acw(tri):
-    from .arrangement import cross_sign
     if cross_sign(tri[1] - tri[0], tri[2] - tri[0]) < 0:
         return (tri[0], tri[2], tri[1])
     return tri
@@ -175,11 +175,8 @@ def verify_template(tpl: FlipTemplate):
     quad = _shared_edge(arr, src[0], src[1])
     assert quad is not None, f"{tpl}: source pair is not edge-adjacent"
     u, v, w1, w2 = quad
-    s1 = sin_val(d, 1)
     for vec, cls in (((v - u), q), ((w2 - w1), q - 1)):
-        ln = s1 * sin_val(d, cls) * 4
-        assert vec * vec.conj() == ln * ln, \
-            f"{tpl}: diagonal is not class {cls}"
+        assert edge_class(d, vec) == cls, f"{tpl}: diagonal is not class {cls}"
     halves = ((u, w1, w2), (v, w1, w2))
     for tri in dst:
         corners, _ = arr2.corners(tri)
@@ -213,29 +210,11 @@ def _shape_index(d):
     return out
 
 
-@lru_cache(maxsize=None)
-def _length_table(d):
-    s1 = sin_val(d, 1)
-    out = {}
-    for m in range(1, d // 2 + 1):
-        ln = s1 * sin_val(d, m) * 4
-        out[m] = ln * ln
-    return out
-
-
-def _edge_class(d, vec):
-    v2 = vec * vec.conj()
-    for m, sq in _length_table(d).items():
-        if v2 == sq:
-            return m
-    return None
-
-
 def _place_shape(d, corners):
     """(name, Isometry) of a prototile congruent (directly) to corners."""
     classes = []
     for k in range(3):
-        cls = _edge_class(d, corners[(k + 1) % 3] - corners[k])
+        cls = edge_class(d, corners[(k + 1) % 3] - corners[k])
         if cls is None:
             return None
         classes.append(cls)
@@ -255,14 +234,49 @@ class FlipSite:
     new: tuple      # the two replacement Tile records
 
 
+@lru_cache(maxsize=None)
+def _flip_entry(d, edge_cls, diag_cls, key):
+    """The flip table: replacements of one tile pair, or None.
+
+    key = (id_i, k_i, id_j, k_j, s): prototile i at the identity, side k_i
+    of it shared with side k_j of prototile j, turned by zeta^s.  The
+    pair flips when the side runs the other way along j, the far corners
+    span a class-diag_cls diagonal, the quadrilateral is strictly convex
+    (exact orientation tests) and both halves are prototiles.  Returns
+    the two replacements as (name, Isometry) relative to tile i.
+    """
+    id_i, k_i, id_j, k_j, s = key
+    names, _ = prototile_ids(d)
+    ci = tile_corners(d, names[id_i])
+    cj = [c.mul_zeta(s) for c in tile_corners(d, names[id_j])]
+    u, v, w1 = (ci[(k_i + k) % 3] for k in range(3))
+    if cj[(k_j + 1) % 3] - cj[k_j] != u - v:
+        return None
+    w2 = cj[(k_j + 2) % 3] + (v - cj[k_j])
+    if edge_class(d, w2 - w1) != diag_cls:
+        return None
+    quad = (u, w2, v, w1)
+    if any(cross_sign(quad[(k + 1) % 4] - quad[k],
+                      quad[(k + 2) % 4] - quad[(k + 1) % 4]) <= 0
+           for k in range(4)):
+        return None
+    p1 = _place_shape(d, (w1, u, w2))
+    p2 = _place_shape(d, (w2, v, w1))
+    if p1 is None or p2 is None:
+        return None
+    return p1, p2
+
+
 def find_flippable(patch: Patch, edge_class=None, diag_class=None):
     """All adjacent tile pairs admitting an edge flip.
 
     By default the shared edge has class q = d/2 and the new diagonal
     class q-1; pass edge_class/diag_class to search other flips (e.g. the
     inverses, with the classes swapped).  Shared edges are found from the
-    patch's corner rows and picked by the side class of their prototile;
-    exact corners are built only for the two tiles of each such edge.
+    patch's corner rows and picked by the side class of their prototile.
+    Each pair is decided by the flip table `_flip_entry`, keyed by the two
+    prototiles, their shared sides and their relative rotation; the
+    replacements are placed by the first tile's isometry.
     """
     d = patch.d
     if edge_class is None:
@@ -271,40 +285,27 @@ def find_flippable(patch: Patch, edge_class=None, diag_class=None):
         edge_class = d // 2
     if diag_class is None:
         diag_class = length_class(d, edge_class - 1)
-    f = field_for_order(d)
-    ids = patch.columns[0]
-    rows, den = patch.corner_rows()
+    n = field_for_order(d).n
+    ids, r, _, _ = patch.columns
+    rows, _ = patch.corner_rows()
     first, count, side1, side2, _ = tile_edges(row_ids(rows)[0])
     classes = letter_table(d)[1][ids].ravel()
     cand = np.flatnonzero((count == 2) & (classes[side1] == edge_class))
-    corners = {}
-
-    def exact(ti):
-        if ti not in corners:
-            corners[ti] = [Elem(f, row, den).normalized()
-                           for row in rows[ti].tolist()]
-        return corners[ti]
-
+    cand = cand[np.argsort(first[cand])]
+    ti, ki = np.divmod(side1[cand], 3)
+    tj, kj = np.divmod(side2[cand], 3)
+    keys = zip(ids[ti].tolist(), ki.tolist(), ids[tj].tolist(), kj.tolist(),
+               ((r[tj] - r[ti]) % n).tolist())
     sites = []
-    for e in cand[np.argsort(first[cand])].tolist():
-        (ti, ki), (tj, kj) = divmod(int(side1[e]), 3), divmod(int(side2[e]), 3)
-        u, v, w1 = (exact(ti)[(ki + k) % 3] for k in range(3))
-        w2 = exact(tj)[(kj + 2) % 3]
-        if _edge_class(d, w2 - w1) != diag_class:
+    for a, b, key in zip(ti.tolist(), tj.tolist(), keys):
+        entry = _flip_entry(d, edge_class, diag_class, key)
+        if entry is None:
             continue
-        # the quadrilateral (u, w2, v, w1) must be strictly convex
-        quad = [z.cvalue() for z in (u, w2, v, w1)]
-        if any(((quad[(k + 1) % 4] - quad[k]).conjugate()
-                * (quad[(k + 2) % 4] - quad[(k + 1) % 4])).imag < 1e-9
-               for k in range(4)):
-            continue
-        p1 = _place_shape(d, (w1, u, w2))
-        p2 = _place_shape(d, (w2, v, w1))
-        if p1 is None or p2 is None:
-            continue
-        sites.append(FlipSite(ti, tj,
-                              (patch.tiles[ti], patch.tiles[tj]),
-                              (Tile(p1[0], p1[1]), Tile(p2[0], p2[1]))))
+        tiles = patch.tiles
+        iso = tiles[a].iso
+        sites.append(FlipSite(a, b, (tiles[a], tiles[b]),
+                              tuple(Tile(name, iso.compose(g))
+                                    for name, g in entry)))
     return sites
 
 
@@ -347,6 +348,14 @@ class RandomRuleFamily:
     def __len__(self):
         return len(self.members)
 
+    def columns(self):
+        """One column table of all members, built once per family: row
+        member * P + id is prototile `id` under that member."""
+        if "_columns" not in self.__dict__:
+            self._columns = _rule_table(
+                self.d, [m.rules for m in self.members], self.iota)
+        return self._columns
+
     def uniform_pi(self):
         w = 1.0 / len(self.members)
         return [w] * len(self.members)
@@ -367,6 +376,9 @@ def random_rule_family(d, cap=64, rng_seed=0):
     if d % 2:
         raise ValueError("random substitution needs even d = 2q: the base "
                          "edge subdivisions must be palindromic")
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1 (got {cap}): the family "
+                         "always holds the base rule set")
     q = d // 2
     base = derive_rules(d, q, 1)
     # sanity: palindromic edge subdivisions make undecorated matching sound
@@ -412,8 +424,11 @@ def random_rule_family(d, cap=64, rng_seed=0):
 
 
 def _draw(rng_seed, path, step, pi):
-    """Counter-based member draw: independent of evaluation order."""
-    tag = f"{rng_seed}|{'.'.join(map(str, path))}|{step}".encode()
+    """Counter-based member draw: independent of evaluation order.
+
+    path is the tile's lineage, its child indices joined by dots.
+    """
+    tag = f"{rng_seed}|{path}|{step}".encode()
     u = int.from_bytes(hashlib.sha256(tag).digest()[:8], "big") / 2.0 ** 64
     acc = 0.0
     for k, w in enumerate(pi):
@@ -428,22 +443,26 @@ def random_substitution(seed_tile, family: RandomRuleFamily, pi, n, rng_seed=0):
 
     Every tile draws its own rule-set member at every step, keyed by its
     lineage path, so the result is reproducible for a given rng_seed no
-    matter how the expansion is scheduled.
+    matter how the expansion is scheduled.  Each step is one pass of the
+    inflation kernel over the family's stacked rule table, with row key
+    member * P + id per tile.
     """
     if abs(sum(pi) - 1.0) > 1e-9 or any(w <= 0 for w in pi):
         raise ValueError("pi must be positive and sum to 1")
     if len(pi) != len(family.members):
         raise ValueError("pi must assign a weight to every family member")
     d = family.d
-    f = field_for_order(d)
-    from .substitution import identity_isometry
-    work = [(Tile(seed_tile, identity_isometry(f)), ())]
+    tab = family.columns()
+    P = len(prototile_ids(d)[0])
+    patch = Patch.single(d, seed_tile)
+    paths = [""]
     for step in range(n):
-        nxt = []
-        for tile, path in work:
-            member = family.members[_draw(rng_seed, path, step, pi)]
-            outer = tile.iso.scaled_translation(member.iota)
-            for idx, (cname, h) in enumerate(member.children(tile.name)):
-                nxt.append((Tile(cname, outer.compose(h)), path + (idx,)))
-        work = nxt
-    return Patch(d, [t for t, _ in work])
+        member = np.array([_draw(rng_seed, path, step, pi) for path in paths],
+                          dtype=np.int64)
+        key = member * P + patch.columns[0]
+        patch, parent, child = _inflate(patch, tab, key)
+        if step + 1 < n:
+            idx = (child - tab.start[key][parent]).tolist()
+            paths = [f"{paths[a]}.{k}" if step else str(k)
+                     for a, k in zip(parent.tolist(), idx)]
+    return patch

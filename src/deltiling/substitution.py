@@ -229,28 +229,10 @@ class RuleSet:
         return self.rules[name]
 
     def columns(self):
-        """The rules as arrays for `Patch.inflate`, built once per rule set.
-
-        Per prototile id: the first child row `start` and the child count
-        (-1 for a prototile without a rule).  Per child row: the name id,
-        the rotation r, and `rot[row, s]`, the translation rotated by
-        zeta^s for every s, over the common denominator `den`.  `M` is
-        the matrix of multiplication by iota (over `mden`).
-        """
+        """The rules as a column table for `Patch.inflate`, built once
+        per rule set (see `_rule_table`)."""
         if "_columns" not in self.__dict__:
-            f = field_for_order(self.d)
-            names, index = prototile_ids(self.d)
-            count = [len(self.rules[n]) if n in self.rules else -1
-                     for n in names]
-            kids = [ch for n in names for ch in self.rules.get(n, ())]
-            trans, den = _common_den([h.t for _, h in kids], f.degree)
-            M, mden = f.mul_matrix(self.iota)
-            self._columns = SimpleNamespace(
-                count=np.array(count, dtype=np.int64),
-                start=np.cumsum([0] + [max(c, 0) for c in count[:-1]]),
-                ids=np.array([index[c] for c, _ in kids], dtype=np.int16),
-                r=np.array([h.r for _, h in kids], dtype=np.int32),
-                rot=_rotated(f, trans), den=den, M=M, mden=mden)
+            self._columns = _rule_table(self.d, [self.rules], self.iota)
         return self._columns
 
     def counts(self, name):
@@ -271,6 +253,36 @@ class RuleSet:
             for cname, _ in self.rules[name]:
                 M[index[cname], j] += 1
         return M, order
+
+
+def _rule_table(d, rule_dicts, iota):
+    """Column table of one or more rule sets sharing the factor iota.
+
+    Row key m * P + id (P prototiles) is prototile `id` under
+    `rule_dicts[m]`.  Per key: the first child row `start` and the child
+    count (-1 for a prototile without a rule).  Per child row: the name
+    id, the rotation r, and `tidx`, the index of its translation among the
+    distinct ones; `rot[tidx, s]` is that translation turned by zeta^s,
+    for every s, over the common denominator `den`.  `M` is the matrix of
+    multiplication by iota (over `mden`).
+    """
+    f = field_for_order(d)
+    names, index = prototile_ids(d)
+    count = [len(rules[n]) if n in rules else -1
+             for rules in rule_dicts for n in names]
+    kids = [ch for rules in rule_dicts for n in names
+            for ch in rules.get(n, ())]
+    trans, den = _common_den([h.t for _, h in kids], f.degree)
+    # rule sets repeat few translations: turn each distinct one once
+    uniq, tidx = np.unique(trans, axis=0, return_inverse=True)
+    M, mden = f.mul_matrix(iota)
+    return SimpleNamespace(
+        count=np.array(count, dtype=np.int64),
+        start=np.cumsum([0] + [max(c, 0) for c in count[:-1]]),
+        ids=np.array([index[c] for c, _ in kids], dtype=np.int16),
+        r=np.array([h.r for _, h in kids], dtype=np.int32),
+        tidx=tidx.reshape(-1), rot=_rotated(f, uniq), den=den, M=M,
+        mden=mden)
 
 
 @lru_cache(maxsize=None)
@@ -524,42 +536,50 @@ class Patch:
         return field_for_order(self.d).cvalues(C, den)
 
     def inflate(self, rules: RuleSet):
-        """Replace every tile by the children of its rule, scaled by iota.
-
-        Child c of tile (r, t) is placed by (zeta^r * h_c.t + iota * t,
-        r + h_c.r): a gather from the rule table plus one matrix product.
-        """
+        """Replace every tile by the children of its rule, scaled by iota."""
         assert rules.d == self.d
-        f = field_for_order(self.d)
-        ids, r, t, den = self.columns
-        tab = rules.columns()
-        count = tab.count[ids]
-        if (count < 0).any():
-            missing = ids[np.argmax(count < 0)]
-            raise KeyError(prototile_ids(self.d)[0][missing])
-        out_start = np.cumsum(count) - count
-        parent = np.repeat(np.arange(len(ids)), count)
-        child = (np.arange(len(parent))
-                 + np.repeat(tab.start[ids] - out_start, count))
-        pr = r[parent]
-        L = math.lcm(den * tab.mden, tab.den)
-        s1, s2 = L // (den * tab.mden), L // tab.den
-        _guard(f.degree * max_abs(t) * max_abs(tab.M) * s1
-               + max_abs(tab.rot) * s2, "inflation")
-        new_t = (t @ tab.M)[parent]
-        if s1 != 1:
-            new_t *= s1
-        rot = tab.rot[child, pr]
-        new_t += rot.astype(np.int64) * s2 if s2 != 1 else rot
-        new_r = (pr + tab.r[child]) % f.n
-        return Patch.from_columns(self.d, tab.ids[child],
-                                  new_r.astype(np.int32), new_t, L)
+        return _inflate(self, rules.columns(), self.columns[0])[0]
 
     def counts(self):
         names, _ = prototile_ids(self.d)
         ids = self.columns[0]
         return {names[i]: int(k) for i, k in
                 enumerate(np.bincount(ids, minlength=len(names))) if k}
+
+
+def _inflate(patch, tab, key):
+    """The one inflation kernel: tile k takes the children of table row
+    key[k] (see `_rule_table`).
+
+    Child c of tile (r, t) is placed by (zeta^r * h_c.t + iota * t,
+    r + h_c.r): a gather from the rule table plus one matrix product.
+    Returns (patch, parent, child): the inflated patch and, per new tile,
+    its parent tile and its child row in the table.
+    """
+    f = field_for_order(patch.d)
+    _, r, t, den = patch.columns
+    count = tab.count[key]
+    if (count < 0).any():
+        names, _ = prototile_ids(patch.d)
+        raise KeyError(names[key[np.argmax(count < 0)] % len(names)])
+    out_start = np.cumsum(count) - count
+    parent = np.repeat(np.arange(len(key)), count)
+    child = (np.arange(len(parent))
+             + np.repeat(tab.start[key] - out_start, count))
+    pr = r[parent]
+    L = math.lcm(den * tab.mden, tab.den)
+    s1, s2 = L // (den * tab.mden), L // tab.den
+    _guard(f.degree * max_abs(t) * max_abs(tab.M) * s1
+           + max_abs(tab.rot) * s2, "inflation")
+    new_t = (t @ tab.M)[parent]
+    if s1 != 1:
+        new_t *= s1
+    rot = tab.rot[tab.tidx[child], pr]
+    new_t += rot.astype(np.int64) * s2 if s2 != 1 else rot
+    new_r = (pr + tab.r[child]) % f.n
+    out = Patch.from_columns(patch.d, tab.ids[child], new_r.astype(np.int32),
+                             new_t, L)
+    return out, parent, child
 
 
 # -- face-to-face verification ------------------------------------------

@@ -4,12 +4,15 @@ import cmath
 import math
 import random
 
+from fractions import Fraction
+
 import pytest
 
 from deltiling.field import field_for_order, sin_val
 from deltiling.arrangement import (CONCURRENT, SymmetryIndex, TriangleId,
                                    census_closed_form, classify_triple,
-                                   cross_sign, deltoid_point, get_arrangement,
+                                   cross_sign, deltoid_point, edge_class,
+                                   get_arrangement,
                                    intersect, subdivision_closed_form, on_deltoid,
                                    multiplicity_closed_form, triangular_pattern,
                                    vertex_multiplicities, subdivision_sequence)
@@ -241,3 +244,17 @@ def test_corners_read_from_the_pair_table(d):
                     else:
                         expect = (a, b, c), (la, mu, nu)
                     assert arr.corners(TriangleId(sym, (la, mu, nu))) == expect
+
+
+@pytest.mark.parametrize("d", [5, 10, 13, 14, 28])
+def test_edge_class_is_exact(d):
+    f = field_for_order(d)
+    one = f.rational(1)
+    for m in range(1, d // 2 + 1):
+        ln = sin_val(d, 1) * sin_val(d, m) * 4
+        for k in (0, 1, f.n // 3):
+            assert edge_class(d, ln.mul_zeta(k)) == m
+        # the float value picks class m; exact equality rejects both
+        assert edge_class(d, ln * Fraction(10 ** 13 + 1, 10 ** 13)) is None
+        assert edge_class(d, -ln + one * Fraction(1, 10 ** 14)) is None
+    assert edge_class(d, f.zero) is None
