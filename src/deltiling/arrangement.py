@@ -15,7 +15,6 @@ cyclotomic field.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -154,11 +153,32 @@ class Segment:
         self.anum = sym.angle_num(i)
         f = arr.f
         u = arr.u
-        e = (u * self.anum) % f.n
+        self.e = e = (u * self.anum) % f.n
         self.dir = f.zeta(e)  # unit direction exp(i*phi)
         self.start = f.zeta(e) * 2 + f.zeta(-2 * e)         # z(phi)
         self.end = f.zeta(e) * -2 + f.zeta(-2 * e)          # z(phi + pi)
         self.tangency = f.zeta(-2 * e) * 2 + f.zeta(4 * e)  # z(-2 phi)
+
+
+def _tangent_meet(f, e1, e2):
+    """Meeting point of the chords with directions zeta^e1 and zeta^e2.
+
+    For w = exp(i phi), v = exp(i psi) the point is
+    w^-2 + v^-2 + (w v)^2 = z(phi) + (2 cos(phi + 2 psi) - 2) w,
+    which lies on the chord of phi, and by symmetry on that of psi.
+    """
+    return f.zeta(-2 * e1) + f.zeta(-2 * e2) + f.zeta(2 * (e1 + e2))
+
+
+def _chord_key(n, e1, e2):
+    """Integer position key of the meet with direction e2 along the e1 chord.
+
+    The meet sits at parameter s = 2 cos(2 pi t / n) - 2 for
+    t = e1 + 2 e2; the key is t folded into [0, n/2], where cos falls
+    strictly, so a larger key means a smaller s.
+    """
+    t = (e1 + 2 * e2) % n
+    return min(t, n - t)
 
 
 class _Vertex:
@@ -167,7 +187,7 @@ class _Vertex:
     def __init__(self, z):
         self.z = z
         self.segs = set()
-        self.params = {}
+        self.params = {}  # segment -> `_chord_key` of the point on it
 
     @property
     def multiplicity(self):
@@ -190,62 +210,42 @@ class Arrangement:
     # -- construction ----------------------------------------------------
     def seg_pair_point(self, i, j):
         """Exact intersection point of the lines carrying segments i and j."""
-        si, sj = self.segments[i], self.segments[j]
-        f = self.f
-        e = (self.u * (si.anum - sj.anum)) % f.n
-        key = ("sindenom", e)
-        if key not in f._inv_cache:
-            den = f.zeta(e) - f.zeta(-e)  # 2i sin(phi_i - phi_j)
-            f._inv_cache[key] = den.inv()
-        dz = sj.start - si.start
-        num = dz * sj.dir.conj() - dz.conj() * sj.dir
-        s = num * f._inv_cache[key]  # real parameter along segment i
-        return si.start + s * si.dir, s
-
-    def _param_on(self, seg, z):
-        """Real parameter s with z = seg.start + s*seg.dir (z must be on the line)."""
-        return ((z - seg.start) * seg.dir.conj() +
-                (z - seg.start).conj() * seg.dir) / 2
+        return _tangent_meet(self.f, self.segments[i].e, self.segments[j].e)
 
     def _build_vertices(self):
+        """Every pair point, deduplicated into vertices, ordered per chord.
+
+        Segment i runs from z(phi_i) (parameter s = 0) to z(phi_i + pi)
+        (s = -4), and its meet with segment j sits at
+        s = 2 cos(phi_i + 2 phi_j) - 2 (see `_tangent_meet`), which lies
+        in [-4, 0]: every pair point is a vertex inside both chords.  Each
+        chord is ordered from s = 0 towards s = -4 by the integer
+        `_chord_key`.
+        """
         d = self.sym.d
+        n = self.f.n
+        es = [seg.e for seg in self.segments]
         verts = {}
         pairs = {}
         for i in range(d):
             for j in range(i + 1, d):
-                z, s_i = self.seg_pair_point(i, j)
-                pairs[i, j] = z
-                s_j = self._param_on(self.segments[j], z)
-                # keep only points inside both chords (param range [-4, 0])
-                ok = True
-                for s in (s_i, s_j):
-                    v = s.cvalue().real
-                    if v > 1e-9 or v < -4 - 1e-9:
-                        ok = False
-                        break
-                    if v > -1e-9 or v < -4 + 1e-9:
-                        if s.real_sign() > 0 or (s + 4).real_sign() < 0:
-                            ok = False
-                            break
-                if not ok:
-                    continue
+                z = pairs[i, j] = _tangent_meet(self.f, es[i], es[j])
                 k = z.key()
                 rec = verts.get(k)
                 if rec is None:
                     rec = verts[k] = _Vertex(z)
                 rec.segs.update((i, j))
-                rec.params[i] = s_i
-                rec.params[j] = s_j
+                rec.params[i] = _chord_key(n, es[i], es[j])
+                rec.params[j] = _chord_key(n, es[j], es[i])
         self.vertices = verts
-        # every pair point, on or off the chords, keyed (i, j) with i < j
+        # every pair point, keyed (i, j) with i < j
         self.pair_points = pairs
         by_seg = [[] for _ in range(d)]
         for rec in verts.values():
             for i in rec.segs:
                 by_seg[i].append(rec)
-        # order along each chord from z(phi) (s=0) towards z(phi+pi) (s=-4)
         for i in range(d):
-            by_seg[i].sort(key=lambda r: -r.params[i].cvalue().real)
+            by_seg[i].sort(key=lambda r: r.params[i])
         self.seg_vertices = by_seg
 
     # -- queries ---------------------------------------------------------
@@ -369,10 +369,6 @@ def on_deltoid(z):
     return (lhs - rhs).is_zero()
 
 
-def build_segments(sym: SymmetryIndex):
-    return get_arrangement(sym.d, sym.kappa).segments
-
-
 def intersect(d, phi_num, psi_num):
     """p(phi, psi) for phi = phi_num*pi/(3d), psi = psi_num*pi/(3d), exact.
 
@@ -382,15 +378,7 @@ def intersect(d, phi_num, psi_num):
         raise ValueError("no intersection: angles equal mod pi")
     f = field_for_order(d)
     u = f.n // (6 * d)
-    pts = []
-    for num in (phi_num, psi_num):
-        e = (u * num) % f.n
-        pts.append((f.zeta(e) * 2 + f.zeta(-2 * e), f.zeta(e)))
-    (z1, u1), (z2, u2) = pts
-    den = u1 * u2.conj() - u1.conj() * u2
-    dz = z2 - z1
-    s = (dz * u2.conj() - dz.conj() * u2) / den
-    return z1 + s * u1
+    return _tangent_meet(f, u * phi_num, u * psi_num)
 
 
 def classify_triple(sym: SymmetryIndex, la, mu, nu):

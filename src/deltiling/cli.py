@@ -139,10 +139,11 @@ def cmd_random(args):
                         seed_tile=args.seed_tile)
         patch = ensembles.rearrangement_sample(patch, args.steps,
                                                args.rng_seed)
-        for site in ensembles.find_flippable(patch):
-            cs = [c.cvalue() for c in site.old[0].corners(args.d)]
-            ds = [c.cvalue() for c in site.old[1].corners(args.d)]
-            shared = [z for z in cs if any(abs(z - w) < 1e-9 for w in ds)]
+        # each flip site's shared edge: the corners both tiles have exactly
+        for site in ensembles.find_flippable(patch) if args.mark_flips else ():
+            other = {c.key() for c in site.old[1].corners(args.d)}
+            shared = [c.cvalue() for c in site.old[0].corners(args.d)
+                      if c.key() in other]
             if len(shared) == 2:
                 highlight.append(tuple(shared))
     else:
@@ -157,8 +158,7 @@ def cmd_random(args):
         raise AssertionError(f"ensemble sample failed the audit: {rep}")
     base = os.path.join(out, f"random_d{args.d}_{args.mode}_s{args.rng_seed}")
     patchio.export_patch(patch, base + ".json", manifest)
-    svg.render_patch(patch, base + ".svg",
-                     highlight_edges=highlight if args.mark_flips else ())
+    svg.render_patch(patch, base + ".svg", highlight_edges=highlight)
     print(f"wrote {base}.json and {base}.svg ({len(patch)} tiles)")
 
 

@@ -96,7 +96,6 @@ class CycField:
         self.one = Elem(self, self._red[0], 1)
         self.i = self.zeta(n // 4)
         self._half_i = Elem(self, self._red[n // 4], 2)
-        self._inv_cache = {}
         # complex float embedding of the power basis
         self._basis_c = [cmath.exp(2j * math.pi * k / n) for k in range(D)]
         self._basis_mp = {}
@@ -355,9 +354,6 @@ class Elem:
 
     def is_real(self):
         return self == self.conj()
-
-    def is_imag(self):
-        return (self + self.conj()).is_zero()
 
     # -- numeric embedding ----------------------------------------------
     def cvalue(self):

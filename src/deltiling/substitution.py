@@ -185,11 +185,18 @@ def _target_preference(d, p, branch, sign):
 
 def locate_inflated(sym, tri, p, sign=1):
     """Target (sym', tri', psi) with psi(iota * tri corners) = tri' corners."""
+    corners, _ = get_arrangement(sym.d, sym.kappa).corners(tri)
+    return _locate(sym, tri, corners, p, sign)[:3]
+
+
+def _locate(sym, tri, corners, p, sign):
+    """(sym', tri', g, tri' corners) with g(iota * corners) = tri' corners.
+
+    `corners` are the corners of `tri` in any cyclic order; g is the first
+    matching isometry for that order.
+    """
     d = sym.d
-    iota = inflation_factor(d, p)
-    arr = get_arrangement(sym.d, sym.kappa)
-    corners, _ = arr.corners(tri)
-    src = tuple(c * iota for c in corners)
+    src = tuple(c * inflation_factor(d, p) for c in corners)
     sigma = tri.sigma
     branch = tri.m_class if tri.m_class <= d // 2 else tri.m_class - d
     signed = _signed_triple(sym, tri.idx)
@@ -205,11 +212,10 @@ def locate_inflated(sym, tri, p, sign=1):
                 tri2 = _internal_tri(sym2, tuple(x + n for x in signed))
                 if tri2.p_class != p:
                     continue
-                arr2 = get_arrangement(d, k2)
-                dst, _ = arr2.corners(tri2)
-                g, shift = match_triangles(src, dst)
+                dst, _ = get_arrangement(d, k2).corners(tri2)
+                g, _ = match_triangles(src, dst)
                 if g is not None:
-                    return sym2, tri2, g
+                    return sym2, tri2, g, dst
     raise AssertionError(f"no congruent inflated image for {tri} (p={p})")
 
 
@@ -289,15 +295,11 @@ def _rule_table(d, rule_dicts, iota):
 def derive_rules(d, p, sign=1) -> RuleSet:
     """Children picked by float centroid, confirmed by exact area balance."""
     cat = prototile_catalog(d)
-    iota = inflation_factor(d, p)
     rules = {}
     for proto in cat.prototiles:
-        sym2, tri2, _ = locate_inflated(proto.face.sym, proto.face.tri, p, sign)
-        tcorners, _ = get_arrangement(d, sym2.kappa).corners(tri2)
         # representative rotation: g maps the canonical corner cycle
-        src = tuple(c * iota for c in tile_corners(d, proto.name))
-        g, _ = match_triangles(src, tcorners)
-        assert g is not None
+        sym2, _, g, tcorners = _locate(proto.face.sym, proto.face.tri,
+                                       tile_corners(d, proto.name), p, sign)
         tri_fl = [c.cvalue() for c in tcorners]
         inv = g.inverse()
         children = [(cname, inv.compose(place)) for cname, place, centroid

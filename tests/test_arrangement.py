@@ -5,6 +5,7 @@ import math
 import random
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -44,7 +45,8 @@ def test_segments_are_tangent_chords():
             assert (ch * ch.conj()) == arr.f.rational(16)
             # tangency point lies on the chord (at an endpoint for the
             # cusp chords, strictly inside otherwise)
-            t = arr._param_on(seg, seg.tangency)
+            w = seg.tangency - seg.start
+            t = (w * seg.dir.conj() + w.conj() * seg.dir) / 2
             assert t <= 0 and t >= -4
 
 
@@ -63,15 +65,19 @@ def test_intersect_right_angle_example():
 
 
 def test_intersect_parallel_raises():
-    with pytest.raises(ValueError):
-        intersect(14, 5, 5 + 42)
+    for a, b in [(5, 5 + 42), (-5, 37), (-40, 86), (50, 8)]:
+        with pytest.raises(ValueError):
+            intersect(14, a, b)
 
 
 def test_intersect_matches_float_geometry():
+    # angles are taken mod 6d, so negative ones and ones >= 3d work too
     rng = random.Random(3)
     d = 14
-    for _ in range(20):
-        a, b = rng.sample(range(3 * d), 2)
+    for _ in range(60):
+        a, b = rng.sample(range(-6 * d, 9 * d), 2)
+        if (a - b) % (3 * d) == 0:
+            continue
         ph, ps = a * math.pi / (3 * d), b * math.pi / (3 * d)
         z1 = 2 * cmath.exp(1j * ph) + cmath.exp(-2j * ph)
         z2 = 2 * cmath.exp(1j * ps) + cmath.exp(-2j * ps)
@@ -90,8 +96,8 @@ def test_concurrency_criterion():
             for mu in range(la + 1, d):
                 for nu in range(mu + 1, d):
                     t = classify_triple(sym, la, mu, nu)
-                    p1 = arr.seg_pair_point(la, mu)[0]
-                    p2 = arr.seg_pair_point(la, nu)[0]
+                    p1 = arr.seg_pair_point(la, mu)
+                    p2 = arr.seg_pair_point(la, nu)
                     if t is CONCURRENT:
                         assert p1 == p2
                     else:
@@ -225,20 +231,71 @@ def test_faces_have_disjoint_interiors():
             assert sum(1 for p in polys if inside(cen, p)) == 1
 
 
+@lru_cache(maxsize=None)
+def _sin_den_inv(d, e):
+    """1 / (2i sin(2 pi e / n)) in the order-d field, by field division."""
+    f = field_for_order(d)
+    return (f.zeta(e) - f.zeta(-e)).inv()
+
+
+def line_meet(arr, i, j):
+    """(z, s): the meet of the lines of segments i and j, z = start_i + s dir_i.
+
+    The generic line intersection, solved with one field division; an
+    independent reference for the closed form the arrangement uses.
+    """
+    si, sj = arr.segments[i], arr.segments[j]
+    dz = sj.start - si.start
+    num = dz * sj.dir.conj() - dz.conj() * sj.dir
+    s = num * _sin_den_inv(arr.sym.d, (si.e - sj.e) % arr.f.n)
+    return si.start + s * si.dir, s
+
+
+def _kappas(d):
+    return (0, -2, 2) if d % 3 == 0 else (0,)
+
+
+@pytest.mark.parametrize("d", range(5, 19))
+def test_pair_points_are_the_line_meets(d):
+    # the closed-form pair points equal the divided-out line meets; every
+    # meet lies inside both chords (s in [-4, 0]); each vertex's integer
+    # key t on a chord is its parameter, s = 2 cos(2 pi t / n) - 2; and
+    # the chords are ordered as the float parameters order them
+    for kappa in _kappas(d):
+        arr = get_arrangement(d, kappa)
+        f = arr.f
+        params = [{} for _ in range(d)]
+        for i in range(d):
+            for j in range(i + 1, d):
+                z, s_i = line_meet(arr, i, j)
+                z2, s_j = line_meet(arr, j, i)
+                assert arr.pair_points[i, j] == z == z2 == arr.seg_pair_point(i, j)
+                rec = arr.vertices[z.key()]
+                for k, s in ((i, s_i), (j, s_j)):
+                    assert -4 <= s <= 0
+                    assert s == f.cos_turn(rec.params[k], f.n) * 2 - 2
+                    params[k][z.key()] = s.cvalue().real
+        for i in range(d):
+            order = [rec.z.key() for rec in arr.seg_vertices[i]]
+            assert order == sorted(params[i], key=lambda k: -params[i][k])
+            keys = [rec.params[i] for rec in arr.seg_vertices[i]]
+            assert keys == sorted(set(keys))
+
+
 @pytest.mark.parametrize("d", [5, 6, 7, 8, 9, 12, 13, 14])
 def test_corners_read_from_the_pair_table(d):
     # corners() looks its points up in the table built with the vertices;
-    # for every triple they equal the points recomputed from
-    # seg_pair_point, in corners, opposite segments and orientation
-    for kappa in ((0, -2, 2) if d % 3 == 0 else (0,)):
+    # for every triple they equal the points recomputed by the reference
+    # line meet, in corners, opposite segments and orientation
+    for kappa in _kappas(d):
         sym = SymmetryIndex(d, kappa)
         arr = get_arrangement(d, kappa)
         for la in range(d):
             for mu in range(la + 1, d):
                 for nu in range(mu + 1, d):
-                    a = arr.seg_pair_point(mu, nu)[0]
-                    b = arr.seg_pair_point(la, nu)[0]
-                    c = arr.seg_pair_point(la, mu)[0]
+                    a = line_meet(arr, mu, nu)[0]
+                    b = line_meet(arr, la, nu)[0]
+                    c = line_meet(arr, la, mu)[0]
                     if cross_sign(b - a, c - a) < 0:
                         expect = (a, c, b), (la, nu, mu)
                     else:

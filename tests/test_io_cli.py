@@ -209,6 +209,10 @@ CLI_DIGESTS = {
     "rules --d 13 --p 2 --sign +": {
         "rules_d13_p2_p.svg": "f2ed7886b1d63155257a24986c8293832a8fa0dc6a0868ae9c5f4fd1d0d7d5b3",
         "rules_d13_p2_p.txt": "527f3022a5ddd9b3912957fa29e7ff72e072fadf2da06b4e0df4d61ae1209698"},
+    # 678 tiles; the svg marks the 19 flip sites left after 50 steps
+    "random --d 14 --mode rearrange --seed-tile G --n 3 --mark-flips": {
+        "random_d14_rearrange_s0.json": "ed7d5680a13e36f9aa22607cf84f202a9553cb4ae39e1d3ca38b9004fdd64fe1",
+        "random_d14_rearrange_s0.svg": "c6cc4e743dcf10187fab88e1e20f5f5349ed87d9634ec92f59c6f15d5b0b0a8e"},
 }
 
 
