@@ -10,8 +10,7 @@ import argparse
 import os
 from collections import Counter
 
-from deltiling.substitution import (Patch, Tile, derive_edge_words,
-                                    derive_rules)
+from deltiling.substitution import Patch, derive_edge_words, derive_rules
 from deltiling.svg import render_patch
 
 
@@ -48,9 +47,9 @@ def main():
     for name in sorted(rules.rules):
         if name.endswith("t"):
             continue
-        tiles = [Tile(child, h) for child, h in rules.rules[name]]
         path = os.path.join(args.out, f"rule_{args.d}_{args.p}_{name}.svg")
-        render_patch(Patch(args.d, tiles), path, decorations=True, labels=True)
+        render_patch(Patch.single(args.d, name).inflate(rules), path,
+                     decorations=True, labels=True)
     print(f"dissection drawings -> {args.out}/rule_{args.d}_{args.p}_*.svg")
 
 

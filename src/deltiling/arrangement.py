@@ -330,11 +330,24 @@ class Arrangement:
 
         Returns (corners, opposite) where opposite[k] is the segment index
         whose side faces corners[k].
+
+        The order is fixed by the symmetry variant.  With A, B, C the
+        meets (see `_tangent_meet`) of the chord pairs (mu, nu), (la, nu)
+        and (la, mu), of directions phi_1, phi_2, phi_3,
+
+            Im(conj(B - A)(C - A)) = 16 sin^2(phi_1 + phi_2 + phi_3)
+                * sin(phi_1 - phi_2) sin(phi_1 - phi_3) sin(phi_2 - phi_3).
+
+        The directions a_i pi/(3d) lie in a window shorter than pi and
+        rise with i for kappa in {0, -2}, so every sine difference is
+        negative and A, B, C run clockwise; for kappa = +2 they fall with
+        i and A, B, C run anticlockwise.  The first factor vanishes only
+        for concurrent triples (sigma = kappa), which keep (A, B, C).
         """
         la, mu, nu = tri.idx
         pairs = self.pair_points
         a, b, c = pairs[mu, nu], pairs[la, nu], pairs[la, mu]
-        if cross_sign(b - a, c - a) < 0:
+        if self.sym.kappa != 2 and tri.m_class:
             return (a, c, b), (la, nu, mu)
         return (a, b, c), (la, mu, nu)
 

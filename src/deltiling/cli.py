@@ -30,6 +30,16 @@ def _sign(s):
     raise argparse.ArgumentTypeError("sign must be + or -")
 
 
+def _stage(entry):
+    """(p, sign) of a --compose entry "p,sign"."""
+    try:
+        p, sign = entry.split(",")
+        return int(p), _sign(sign)
+    except (AttributeError, ValueError, argparse.ArgumentTypeError):
+        raise ValueError(f"--compose entry {entry!r} is not p,sign "
+                         "(for example 3,+ or 5,-)") from None
+
+
 def cmd_arrange(args):
     out = _out_dir(args)
     sym = SymmetryIndex(args.d, args.kappa)
@@ -91,16 +101,14 @@ def cmd_rules(args):
     iota = abs(rules.iota.cvalue())
     cell = 4.5 * iota
     cols = 6
-    from .substitution import tile_corners
     for i, name in enumerate(sorted(rules.rules)):
         col, row = i % cols, i // cols
         shift = complex(col * cell, -row * cell)
-        for cname, h in rules.rules[name]:
-            pts = [c.cvalue() * 1.0 + shift
-                   for c in tile_corners(args.d, cname, h)]
+        tile = Patch.single(args.d, name)
+        children = tile.inflate(rules).corner_values() + shift
+        for (cname, _), pts in zip(rules.rules[name], children.tolist()):
             cv.polygon(pts, fill=palette[cname], stroke="#222", width=0.02)
-        rep = [c.cvalue() * iota + shift
-               for c in tile_corners(args.d, name)]
+        rep = (tile.corner_values()[0] * iota + shift).tolist()
         cv.polygon(rep, fill="none", stroke="#000", width=0.05)
         cv.text(sum(rep) / 3 - 0.6j * iota, name, size=0.8)
     cv.write(base + ".svg", margin=2.0)
@@ -108,11 +116,8 @@ def cmd_rules(args):
 
 
 def cmd_tile(args):
+    stages = [(args.p, args.sign)] + [_stage(e) for e in args.compose or []]
     out = _out_dir(args)
-    stages = [(args.p, args.sign)]
-    for part in args.compose or []:
-        p2, s2 = part.split(",")
-        stages.append((int(p2), _sign(s2)))
     patch = Patch.single(args.d, args.seed_tile)
     manifest = {"mode": "deterministic", "d": args.d, "seed_tile":
                 args.seed_tile, "stages": []}

@@ -466,20 +466,6 @@ def field_for_order(d):
     return CycField(n)
 
 
-def embed(x, target):
-    """Re-express x in the larger field `target` (conductor multiple)."""
-    if x.f is target:
-        return x
-    if target.n % x.f.n != 0:
-        raise ValueError(f"no embedding of Q(zeta_{x.f.n}) into Q(zeta_{target.n})")
-    k = target.n // x.f.n
-    acc = target.zero
-    for j, c in enumerate(x.num):
-        if c:
-            acc = acc + target.zeta(j * k) * c
-    return acc / x.den
-
-
 def unit_root(d, k):
     """exp(i*k*pi/(3d)) in the order-d field."""
     f = field_for_order(d)

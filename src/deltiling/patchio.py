@@ -132,11 +132,13 @@ def export_patch(patch: Patch, path, manifest=None, precision=12):
 
 def import_patch(path):
     """(patch, manifest) from a patch file; exact data only is trusted."""
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"not valid JSON: {exc}")
+    except OSError as exc:
+        raise SchemaError(f"cannot read {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"not valid JSON: {exc}")
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise SchemaError(f"not a {FORMAT} file")
     if doc.get("version") != VERSION:

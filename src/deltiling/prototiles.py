@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .field import embed
-from .arrangement import (SymmetryIndex, TriangleId, cross_sign, edge_class,
-                          get_arrangement, length_class)
+from .arrangement import (CONCURRENT, SymmetryIndex, TriangleId,
+                          classify_triple, edge_class, get_arrangement,
+                          length_class)
 
 
 @dataclass(frozen=True)
@@ -67,60 +67,49 @@ class DecoratedFace:
                              rot(self.inscribed), self.child_tri)
 
 
-def point_in_triangle(p, tri, margin=1e-9):
-    """Float test: p lies inside the anticlockwise triangle tri, with the
-    cross product (b - a) x (p - a) above `margin` for every side ab."""
-    for k in range(3):
-        a, b = tri[k], tri[(k + 1) % 3]
-        if ((b - a).conjugate() * (p - a)).imag < margin:
-            return False
-    return True
-
-
 def decorate(sym: SymmetryIndex, tri: TriangleId) -> DecoratedFace:
-    """Compute the interior decoration of one elementary triangle."""
+    """Compute the interior decoration of one elementary triangle.
+
+    Chord i of A(d, kappa) is the line of chord c(i) of A(2d, -kappa),
+    with c(i) = 2i for kappa = 0 and c(i) = -2i - 2 (mod 2d) for
+    kappa = +-2 (equal directions mod pi).  The inscribed face is cut by
+    the chords c(i) + s, with s = -(sigma - kappa) (negated for
+    kappa = -2), so every point is a pair point of the child table: the
+    parent corner between chords i and j is the meet of c(i) and c(j),
+    and the inscribed corner on the side of chord i is the meet of the
+    other two inner chords, a triple point with c(i).
+    """
     if not tri.elementary:
         raise ValueError(f"{tri} is not elementary")
-    d = sym.d
-    parent = get_arrangement(d, sym.kappa)
     csym = child_symmetry(sym)
-    child = get_arrangement(csym.d, csym.kappa)
+    d2 = csym.d
+    pairs = get_arrangement(d2, csym.kappa).pair_points
+    _, opposite = get_arrangement(sym.d, sym.kappa).corners(tri)
 
-    corners, opposite = parent.corners(tri)
-    pc = [embed(c, child.f) for c in corners]
-    ptri_fl = [c.cvalue() for c in pc]
+    # sigma - kappa is +1 for m_class 1 and -1 for m_class d - 1
+    s = 1 if (tri.m_class == 1) == (sym.kappa == -2) else -1
+    # sides run k -> k+1; the segment carrying side k is opposite[k+2]
+    side_segs = tuple(opposite[(k + 2) % 3] for k in range(3))
+    outer = [2 * i if sym.kappa == 0 else (-2 * i - 2) % d2
+             for i in side_segs]
+    inner = [(c + s) % d2 for c in outer]
 
-    candidates = [(t, cc) for t, cc, cen in child.face_table()
-                  if point_in_triangle(cen, ptri_fl)]
-    assert len(candidates) == 4, \
-        f"{tri}: expected 4 refinement faces, found {len(candidates)}"
+    def meet(i, j):
+        return pairs[min(i, j), max(i, j)]
 
-    # the inscribed face is the one whose corners avoid the parent corners
-    def touches_parent_corner(cc):
-        keys = {p.key() for p in pc}
-        return any(c.key() in keys for c in cc)
-
-    inner = [(t, cc) for t, cc in candidates if not touches_parent_corner(cc)]
-    assert len(inner) == 1, f"{tri}: inscribed face not unique"
-    child_tri, icorners = inner[0]
-
-    # match each inscribed corner to the parent side it lies on
-    inscribed = [None] * 3
-    for p in icorners:
-        for k in range(3):
-            a, b = pc[k], pc[(k + 1) % 3]
-            af, bf = a.cvalue(), b.cvalue()
-            if abs(((bf - af).conjugate() * (p.cvalue() - af)).imag) < 1e-9:
-                assert cross_sign(b - a, p - a) == 0
-                assert inscribed[k] is None
-                inscribed[k] = p
-                break
-        else:
-            raise AssertionError(f"{tri}: inscribed corner off the sides")
+    # corner k closes side k-1 and opens side k
+    pc = tuple(meet(outer[(k + 2) % 3], outer[k]) for k in range(3))
+    inscribed = []
+    for k in range(3):
+        j, l = inner[(k + 1) % 3], inner[(k + 2) % 3]
+        assert classify_triple(csym, outer[k], j, l) is CONCURRENT, \
+            f"{tri}: inscribed corner off side {k}"
+        inscribed.append(meet(j, l))
+    child_tri = TriangleId(csym, tuple(sorted(inner)))
+    assert child_tri.elementary, \
+        f"{tri}: inscribed face {child_tri} is not elementary"
 
     # section lengths in order-2d units
-    d2 = csym.d
-
     def section_class(v):
         m = edge_class(d2, v)
         assert m is not None, f"{tri}: section is not an elementary length"
@@ -128,23 +117,15 @@ def decorate(sym: SymmetryIndex, tri: TriangleId) -> DecoratedFace:
 
     letters = []
     for k in range(3):
-        a_cls = tri.side_classes[tri.idx.index(opposite[(k + 2) % 3])]
+        a_cls = tri.side_classes[tri.idx.index(side_segs[k])]
         first = section_class(inscribed[k] - pc[k])
         second = section_class(pc[(k + 1) % 3] - inscribed[k])
         expect = {2 * a_cls - 1, length_class(d2, 2 * a_cls + 1)}
         assert {first, second} == expect, \
             f"{tri}: sections {first},{second} do not match class {a_cls}"
-        if first < second:
-            w = 1
-        elif first > second:
-            w = -1
-        else:
-            w = 0
-        letters.append(EdgeLetter(a_cls, w))
+        letters.append(EdgeLetter(a_cls, (first < second) - (first > second)))
 
-    # sides run k -> k+1; the segment carrying side k is opposite[k+2]
-    side_segs = tuple(opposite[(k + 2) % 3] for k in range(3))
-    return DecoratedFace(sym, tri, tuple(pc), side_segs, tuple(letters),
+    return DecoratedFace(sym, tri, pc, side_segs, tuple(letters),
                          tuple(inscribed), child_tri)
 
 

@@ -30,8 +30,7 @@ import numpy as np
 
 from .field import Elem, field_for_order, inflation_factor
 from .arrangement import SymmetryIndex, TriangleId, get_arrangement
-from .prototiles import (canonical_rotation, point_in_triangle,
-                         prototile_catalog)
+from .prototiles import canonical_rotation, prototile_catalog
 
 
 # -- placements ---------------------------------------------------------
@@ -142,6 +141,16 @@ def _face_placements(d, kappa):
         assert g is not None and shift == 0, f"cannot place {tri} as {proto.name}"
         out.append((proto.name, g, centroid))
     return out
+
+
+def point_in_triangle(p, tri, margin=1e-9):
+    """Float test: p lies inside the anticlockwise triangle tri, with the
+    cross product (b - a) x (p - a) above `margin` for every side ab."""
+    for k in range(3):
+        a, b = tri[k], tri[(k + 1) % 3]
+        if ((b - a).conjugate() * (p - a)).imag < margin:
+            return False
+    return True
 
 
 # -- locating the inflated triangle -------------------------------------

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -110,9 +111,9 @@ def test_cli_arrange_prototiles_rules(tmp_path, capsys):
     main(["arrange", "--d", "8", "--kappa", "0", "--out", out])
     main(["prototiles", "--d", "8", "--out", out])
     main(["rules", "--d", "8", "--p", "3", "--out", out])
-    listing = open(os.path.join(out, "rules_d8_p3_p.txt")).read()
+    listing = (tmp_path / "rules_d8_p3_p.txt").read_text()
     assert "Phi(" in listing and "phi(" in listing
-    dump = open(os.path.join(out, "arrangement_d8_k0.txt")).read()
+    dump = (tmp_path / "arrangement_d8_k0.txt").read_text()
     assert "v2=" in dump and "subdivision=" in dump
 
 
@@ -131,7 +132,7 @@ def test_cli_random_reproducible(tmp_path):
     main(args + ["--out", out2])
     f1 = os.path.join(out1, "random_d14_subst_s9.json")
     f2 = os.path.join(out2, "random_d14_subst_s9.json")
-    assert open(f1, "rb").read() == open(f2, "rb").read()
+    assert Path(f1).read_bytes() == Path(f2).read_bytes()
     loaded, manifest = patchio.import_patch(f1)
     assert manifest["rng_seed"] == 9 and "pi" in manifest
     assert verify_face_to_face(loaded, decorated=False).ok
@@ -169,6 +170,40 @@ def test_cli_verify_rejects_malformed_patch(tmp_path, capsys, mutate):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "SchemaError" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_cli_verify_rejects_unreadable_path(tmp_path, capsys, kind):
+    path = tmp_path / "missing.json" if kind == "missing" else tmp_path
+    with pytest.raises(patchio.SchemaError):
+        patchio.import_patch(path)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "SchemaError" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("entry", ["3,x", "3"])
+def test_cli_tile_rejects_malformed_compose(tmp_path, capsys, entry):
+    with pytest.raises(SystemExit) as exc:
+        main(["tile", "--d", "8", "--p", "3", "--seed-tile", "T1t",
+              "--compose", entry, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert repr(entry) in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_tile_compose_cycles_stages(tmp_path):
+    # --p 3 --sign + --compose 3,- --n 2 is (3,+) then (3,-)
+    main(["tile", "--d", "14", "--p", "3", "--seed-tile", "G", "--n", "2",
+          "--compose", "3,-", "--out", str(tmp_path)])
+    loaded, manifest = patchio.import_patch(tmp_path / "patch_d14_G_n2.json")
+    assert manifest["stages"] == [{"p": 3, "sign": 1}, {"p": 3, "sign": -1}]
+    expect = Patch.single(14, "G").inflate(derive_rules(14, 3, 1)) \
+        .inflate(derive_rules(14, 3, -1))
+    assert loaded.tiles == expect.tiles
 
 
 def test_cli_tile_output_is_unchanged(tmp_path):

@@ -2,11 +2,13 @@
 
 import pytest
 
-from deltiling.arrangement import SymmetryIndex, triangular_pattern
+from deltiling.arrangement import (SymmetryIndex, cross_sign, get_arrangement,
+                                   triangular_pattern)
 from deltiling.prototiles import (EdgeLetter, LETTER_NAMES_14, canonical_rotation,
                                   child_symmetry, decorate, hat_signature,
                                   mirror_triple, prototile_catalog, signature,
                                   tilde_signature, undecorated_signature)
+from deltiling.substitution import point_in_triangle
 
 
 def sig_str(sig):
@@ -18,14 +20,76 @@ def test_child_symmetry():
     assert child_symmetry(SymmetryIndex(9, -2)) == SymmetryIndex(18, 2)
 
 
+def _dot_sign(u, v):
+    """Exact sign of Re(conj(u) v), the dot product of u and v."""
+    w = u.conj() * v
+    return (w + w.conj()).real_sign()
+
+
 def test_decoration_edge_classes_match_triangle():
     sym = SymmetryIndex(14, 0)
     for tri in triangular_pattern(sym)[:10]:
         df = decorate(sym, tri)
         # letters carry the side classes of the triangle, in walk order
         assert sorted(l.cls for l in df.letters) == sorted(tri.side_classes)
-        # inscribed corners sit on the respective sides
-        assert len(df.inscribed) == 3
+        # inscribed corner k sits on side k, strictly between its ends
+        for k, p in enumerate(df.inscribed):
+            a, b = df.corners[k], df.corners[(k + 1) % 3]
+            assert cross_sign(b - a, p - a) == 0
+            assert _dot_sign(b - a, p - a) > 0 and _dot_sign(b - a, b - p) > 0
+
+
+def _embed(x, target):
+    """x re-expressed in the field `target`, whose conductor it divides."""
+    k = target.n // x.f.n
+    acc = target.zero
+    for j, c in enumerate(x.num):
+        if c:
+            acc = acc + target.zeta(j * k) * c
+    return acc / x.den
+
+
+def search_decoration(sym, tri):
+    """(corners, sides, inscribed, inscribed face) of `tri`, found by search.
+
+    The order-2d faces whose float centroids lie inside the triangle are
+    its refinement; the inscribed face is the one touching no corner, and
+    each of its corners is matched to the side it lies on to 1e-9.
+    """
+    csym = child_symmetry(sym)
+    child = get_arrangement(csym.d, csym.kappa)
+    corners, opposite = get_arrangement(sym.d, sym.kappa).corners(tri)
+    pc = tuple(_embed(c, child.f) for c in corners)
+    ptri = [c.cvalue() for c in pc]
+    candidates = [(t, cc) for t, cc, cen in child.face_table()
+                  if point_in_triangle(cen, ptri)]
+    assert len(candidates) == 4
+    keys = {c.key() for c in pc}
+    inner = [(t, cc) for t, cc in candidates
+             if not any(c.key() in keys for c in cc)]
+    assert len(inner) == 1
+    child_tri, icorners = inner[0]
+    inscribed = [None] * 3
+    for p in icorners:
+        for k in range(3):
+            a, b = ptri[k], ptri[(k + 1) % 3]
+            if abs(((b - a).conjugate() * (p.cvalue() - a)).imag) < 1e-9:
+                assert inscribed[k] is None
+                inscribed[k] = p
+    sides = tuple(opposite[(k + 2) % 3] for k in range(3))
+    return pc, sides, tuple(inscribed), child_tri
+
+
+@pytest.mark.parametrize("d", [5, 6, 7, 8, 9, 12, 13, 14])
+def test_decoration_equals_search(d):
+    # the closed-form decoration (child pair-table lookups) equals the
+    # one found by float containment in the order-2d face table
+    for kappa in ((0, -2, 2) if d % 3 == 0 else (0,)):
+        sym = SymmetryIndex(d, kappa)
+        for tri in triangular_pattern(sym):
+            df = decorate(sym, tri)
+            assert (df.corners, df.opposite, df.inscribed, df.child_tri) == \
+                search_decoration(sym, tri)
 
 
 def test_named_prototile_signatures():
