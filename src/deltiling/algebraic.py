@@ -1,12 +1,18 @@
-"""Algebraic-number diagnostics: minimal polynomials and the Pisot test."""
+"""Algebraic-number diagnostics: minimal polynomials and the Pisot test.
+
+Every element x of a cyclotomic field Q(zeta_n) has its Galois
+conjugates at hand: they are the images sigma_k(x), zeta -> zeta^k, for
+the units k mod n.  The distinct images form the orbit of x, its minimal
+polynomial is the product of (X - sigma) over the orbit, and the Pisot
+verdict is one exact sign per conjugate.  No polynomial root finding is
+involved.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
 
 from .field import Elem
 
@@ -41,20 +47,11 @@ class IntPolynomial:
     def is_monic(self):
         return self.coeffs[-1] == 1
 
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def eval_elem(self, x: Elem):
         acc = x.f.zero
         for c in reversed(self.coeffs):
             acc = acc * x + x.f.rational(c)
         return acc
-
-    def derivative(self):
-        return IntPolynomial([i * c for i, c in enumerate(self.coeffs)][1:] or [0])
 
     def __eq__(self, other):
         return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
@@ -78,39 +75,36 @@ class IntPolynomial:
         return " ".join(terms)
 
 
+def galois_orbit(x: Elem):
+    """The distinct conjugates sigma_k(x), k a unit mod n; x comes first."""
+    f = x.f
+    return [Elem(f, row, x.den).normalized()
+            for row in dict.fromkeys(map(tuple, f.conjugate_rows(x).tolist()))]
+
+
 def minimal_polynomial(x: Elem) -> IntPolynomial:
     """Primitive integer minimal polynomial of a field element.
 
-    Found by incremental echelon reduction of the power vectors
-    1, x, x^2, ... until the first rational linear dependence.
+    The roots of the minimal polynomial are the distinct conjugates of x,
+    so it is the product of (X - sigma) over the Galois orbit, expanded in
+    the field.  Every coefficient is fixed by all sigma_k, hence rational.
     """
-    f = x.f
-    D = f.degree
-    echelon = []  # (pivot index, residual vector, combo over powers)
-    power = f.one
-    for k in range(D + 1):
-        vec = [Fraction(c, power.den) for c in power.num]
-        combo = [Fraction(0)] * (k + 1)
-        combo[k] = Fraction(1)
-        for piv, evec, ecombo in echelon:
-            c = vec[piv]
-            if c:
-                for j in range(D):
-                    vec[j] -= c * evec[j]
-                for j, cc in enumerate(ecombo):
-                    combo[j] -= c * cc
-        piv = next((j for j, c in enumerate(vec) if c), None)
-        if piv is None:
-            den = 1
-            for c in combo:
-                den = den * c.denominator // math.gcd(den, c.denominator)
-            return IntPolynomial([int(c * den) for c in combo]).primitive()
-        inv = 1 / vec[piv]
-        vec = [c * inv for c in vec]
-        combo = [c * inv for c in combo]
-        echelon.append((piv, vec, combo))
-        power = power * x
-    raise AssertionError("no dependence found within field degree")
+    return _orbit_polynomial(galois_orbit(x))
+
+
+def _orbit_polynomial(orbit):
+    """The primitive integer form of the product of (X - s) over orbit."""
+    f = orbit[0].f
+    poly = [f.one]  # ascending coefficients
+    for s in orbit:
+        poly = ([-s * poly[0]]
+                + [a - s * b for a, b in zip(poly, poly[1:])] + [f.one])
+    coeffs = []
+    for c in poly:
+        assert not any(c.num[1:]), "irrational coefficient"
+        coeffs.append(Fraction(c.num[0], c.den))
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return IntPolynomial([int(c * den) for c in coeffs]).primitive()
 
 
 @dataclass
@@ -118,70 +112,44 @@ class PisotResult:
     is_pisot: bool
     reason: str
     polynomial: IntPolynomial
-    conjugates: list  # (complex approx, modulus, certified radius)
-    margin: float  # min over conjugates of | |z| - 1 | (excluding x itself)
-
-
-def _certified_roots(poly: IntPolynomial, target_width=1e-7):
-    """Approximate roots with certified per-root inclusion radii.
-
-    Radius n*|p(z)/p'(z)| around each approximation contains a root; when
-    all discs are pairwise disjoint each contains exactly one.
-    """
-    n = poly.degree
-    dpoly = poly.derivative()
-    coeffs_desc = list(reversed(poly.coeffs))
-    for dps in (40, 80, 160, 320, 640):
-        with mpmath.workdps(dps):
-            roots = mpmath.polyroots(coeffs_desc, maxsteps=200, extraprec=dps * 2)
-            data = []
-            for z in roots:
-                pv = poly(z)
-                dv = dpoly(z)
-                if dv == 0:
-                    break
-                data.append((z, float(abs(z)), float(n * abs(pv) / abs(dv))))
-            else:
-                ok = all(r <= target_width for _, _, r in data)
-                if ok:
-                    for i in range(len(data)):
-                        for j in range(i + 1, len(data)):
-                            if abs(data[i][0] - data[j][0]) <= data[i][2] + data[j][2]:
-                                ok = False
-                if ok:
-                    return data
-    raise ArithmeticError("could not certify polynomial roots")
+    conjugates: list  # (float value, modulus, error bound), x itself first
+    margin: float  # min over conjugates of 1 - |z| - bound (excluding x)
 
 
 def pisot_check(x: Elem, width=1e-7) -> PisotResult:
-    """Classify x as Pisot / not, with certified conjugate moduli."""
-    poly = minimal_polynomial(x)
+    """Classify x as Pisot or not; every verdict is an exact sign.
+
+    A real x of a cyclotomic field generates an abelian, hence normal,
+    real subfield Q(x), so every conjugate sigma(x) lies in Q(x) and is
+    real.  None equals 1 or -1 unless x does, since sigma(x) = +-1 gives
+    x = sigma^-1(+-1) = +-1.  For x > 1 each conjugate is therefore inside
+    the unit circle exactly when 1 - sigma^2 > 0, a sign that is never
+    zero: a conjugate on the unit circle (the Salem boundary case) cannot
+    occur.  The float values in `conjugates` are within their error
+    bounds (`Elem.cvalue_error`); ArithmeticError if a bound exceeds width.
+    """
+    orbit = galois_orbit(x)
+    poly = _orbit_polynomial(orbit)
     if not x.is_real():
         return PisotResult(False, "not a real number", poly, [], 0.0)
     if not (x > 1):
         return PisotResult(False, "not greater than one", poly, [], 0.0)
     if not poly.is_monic():
         return PisotResult(False, "not an algebraic integer", poly, [], 0.0)
-    roots = _certified_roots(poly, target_width=width)
-    xv = x.cvalue().real
-    self_idx = min(range(len(roots)), key=lambda i: abs(roots[i][0] - xv))
-    margin = math.inf
-    for i, (z, mod, rad) in enumerate(roots):
-        if i == self_idx:
-            continue
-        lo, hi = mod - rad, mod + rad
-        if hi < 1:
-            margin = min(margin, 1 - hi)
-        elif lo > 1:
-            return PisotResult(False, f"conjugate with modulus {mod:.6f} > 1",
-                               poly, roots, 0.0)
-        else:
-            return PisotResult(False, "conjugate modulus on the unit circle "
-                               "(Salem/boundary)", poly, roots, 0.0)
-    if margin is math.inf:
-        margin = 0.0
+    conjugates = []
+    for s in orbit:
+        value, rad = s.cvalue().real, s.cvalue_error()
+        if rad > width:
+            raise ArithmeticError(f"conjugate error bound {rad:.3g} > {width}")
+        conjugates.append((value, abs(value), rad))
+    outside = [mod for s, (_, mod, _) in zip(orbit[1:], conjugates[1:])
+               if (1 - s * s).real_sign() < 0]
+    if outside:
+        reason = f"conjugate with modulus {max(outside):.6f} > 1"
+        return PisotResult(False, reason, poly, conjugates, 0.0)
+    margin = min((1 - m - r for _, m, r in conjugates[1:]), default=0.0)
     return PisotResult(True, "all conjugates inside the unit circle", poly,
-                       roots, margin)
+                       conjugates, margin)
 
 
 def is_pisot(x: Elem) -> bool:

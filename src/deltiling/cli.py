@@ -168,6 +168,10 @@ def cmd_random(args):
 
 
 def cmd_analyze(args):
+    ps = range(2, args.d // 2 + 1)
+    if args.p is not None:
+        inflation_factor(args.d, args.p)  # ValueError for p outside ps
+        ps = [args.p]
     rep = analysis.census_report(args.d)
     print(f"census d={args.d}: all_match={rep['all_match']}")
     for v in rep["variants"]:
@@ -175,7 +179,6 @@ def cmd_analyze(args):
               f"closed_form={v['closed_form']} "
               f"multiplicities_ok={v['multiplicities_ok']} "
               f"subdivisions_ok={v['subdivisions_ok']}")
-    ps = [args.p] if args.p else range(2, args.d // 2 + 1)
     for row in analysis.pisot_table(args.d):
         if row["p"] not in ps:
             continue

@@ -20,7 +20,6 @@ import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-import mpmath
 import numpy as np
 
 
@@ -155,6 +154,25 @@ class CycField:
                 M += c * red[j:j + D]
         return M, e.den
 
+    def conjugate_rows(self, x):
+        """Rows over x.den of sigma_k(x), zeta -> zeta^k, for the units k
+        mod n in increasing order (the first row is x itself).
+
+        The row of sigma_k(x) is the sum of c_j * (row of zeta^(jk mod n))
+        over the nonzero c_j: the pattern of `mul_matrix`, one gather per
+        c_j.  The rows are int64 while they provably fit, Python ints beyond.
+        """
+        n = self.n
+        ks = np.array([k for k in range(1, n) if math.gcd(k, n) == 1])
+        red = np.array(self._red[:n], dtype=np.int64)
+        bound = sum(abs(c) for c in x.num) * int(np.abs(red).max())
+        red = red.astype(np.int64 if bound < 2 ** 62 else object)
+        rows = np.zeros((len(ks), self.degree), dtype=red.dtype)
+        for j, c in enumerate(x.num):
+            if c:
+                rows += c * red[j * ks % n]
+        return rows
+
     def cvalues(self, rows, den=1):
         """Complex embeddings of integer coefficient rows over a common den.
 
@@ -183,6 +201,8 @@ class CycField:
         return out.reshape(shape)
 
     def _basis_mpc(self, dps):
+        import mpmath  # only sign decisions that escalate load it
+
         key = dps
         if key not in self._basis_mp:
             with mpmath.workdps(dps):
@@ -299,30 +319,18 @@ class Elem:
         return Elem(f, out, self.den).normalized()
 
     def inv(self):
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Multiplicative inverse: the product of the other conjugates
+        sigma_k(x), k != 1, over the norm, their product with x (rational).
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
         f = self.f
-        phi = [Fraction(c) for c in cyclotomic_poly(f.n)]
-        a = [Fraction(c, self.den) for c in self.num]
-        # xgcd(a, phi) over Q[x]
-        r0, r1 = phi, _trim(a)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while len(r1) > 1 or r1[0] != 0:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        # r0 is a nonzero constant gcd; inverse = s0... careful: s here tracks
-        # coefficients of `a`: phi*u + a*v = r0  => a^{-1} = v / r0 mod phi
-        c = r0[0]
-        v = [x / c for x in s0]
-        v = _poly_mod(v, phi)
-        v += [Fraction(0)] * (f.degree - len(v))
-        den = 1
-        for x in v:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-        nums = [int(x * den) for x in v]
-        return Elem(f, nums, den).normalized()
+        others = f.one
+        for row in f.conjugate_rows(self)[1:].tolist():
+            others = others * Elem(f, row, self.den)
+        norm = others * self
+        assert not any(norm.num[1:]), "non-rational norm"
+        return others * Fraction(norm.den, norm.num[0])
 
     def __truediv__(self, other):
         if isinstance(other, int):
@@ -361,7 +369,25 @@ class Elem:
         b = self.f._basis_c
         return sum(c * b[j] for j, c in enumerate(self.num) if c) / self.den
 
+    def cvalue_error(self, bits=53):
+        """Bound on |cvalue() - x| (bits = 53), or on |mpc(dps) - x| at the
+        binary precision `bits`: sum|c_j| * (D + 8) * 2^(3 - bits) / den.
+
+        With u = 2^-bits, each basis value is within 22u of zeta^j (three
+        roundings in its angle, < 19u, and one ulp each in cos and sin);
+        converting and multiplying c_j add 2u|c_j|, the sum at most
+        sqrt(2) (D - 1) u sum|c_j|, the division by den one relative u: in
+        all below sum|c_j| * (1.5D + 25) * u / den, within the bound.
+        """
+        total = sum(abs(c) for c in self.num) * (self.f.degree + 8)
+        if bits == 53:
+            return total * 2.0 ** -50 / self.den
+        import mpmath
+        return mpmath.ldexp(total, 3 - bits) / self.den
+
     def mpc(self, dps=30):
+        import mpmath
+
         b = self.f._basis_mpc(dps)
         with mpmath.workdps(dps):
             acc = mpmath.mpc(0)
@@ -371,15 +397,21 @@ class Elem:
             return acc / self.den
 
     def real_sign(self):
-        """Sign of a real element, decided exactly (0 only for exact zero)."""
+        """Sign of a real element, decided exactly (0 only for exact zero).
+
+        The float value decides when it lies beyond its `cvalue_error`;
+        otherwise the mpmath value at 60, 200 or 800 digits decides beyond
+        the bound at that precision.
+        """
         if self.is_zero():
             return 0
         v = self.cvalue().real
-        if abs(v) > 1e-9:
+        if abs(v) > self.cvalue_error():
             return 1 if v > 0 else -1
+        from mpmath.libmp import dps_to_prec
         for dps in (60, 200, 800):
             mv = self.mpc(dps).real
-            if abs(mv) > mpmath.mpf(10) ** (10 - dps):
+            if abs(mv) > self.cvalue_error(dps_to_prec(dps)):
                 return 1 if mv > 0 else -1
         raise ArithmeticError("could not certify sign; increase precision")
 
@@ -409,49 +441,6 @@ class Elem:
 
     def __repr__(self):
         return f"<Elem n={self.f.n} ~ {self.cvalue():.6g}>"
-
-
-def _trim(p):
-    p = list(p)
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_divmod(a, b):
-    a = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    q = [Fraction(0)] * max(1, len(a) - db)
-    for k in range(len(a) - 1, db - 1, -1):
-        c = a[k] / lead
-        if c:
-            q[k - db] = c
-            for j in range(db + 1):
-                a[k - db + j] -= c * b[j]
-    return _trim(q), _trim(a[:db] if db else [Fraction(0)])
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i_, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i_ + j] += x * y
-    return _trim(out)
-
-
-def _poly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i_, x in enumerate(a):
-        out[i_] += x
-    for i_, x in enumerate(b):
-        out[i_] -= x
-    return _trim(out)
-
-
-def _poly_mod(a, b):
-    return _poly_divmod(a, b)[1]
 
 
 # ---------------------------------------------------------------------------

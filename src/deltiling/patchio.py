@@ -109,24 +109,41 @@ def _corners_block(patch, precision):
     return ",\n".join(tile % tuple(row) for row in text)
 
 
+#: tiles per block of text that `export_patch` writes at a time
+CHUNK = 8192
+
+
+def _write_blocks(fh, patch, block):
+    """Write block(part) for the consecutive parts of CHUNK tiles of the
+    patch, joined by commas."""
+    ids, r, t, den = patch.columns
+    for a in range(0, len(ids), CHUNK):
+        s = slice(a, a + CHUNK)
+        part = Patch.from_columns(patch.d, ids[s], r[s], t[s], den)
+        fh.write((",\n" if a else "") + block(part))
+
+
 def export_patch(patch: Patch, path, manifest=None, precision=12):
     """Write the patch file: the bytes of json.dumps(patch_document(patch),
     indent=1, sort_keys=True) + newline, without building the document.
 
     The small header goes through json.dumps; the tiles and shadow corners
-    are printed from line templates and spliced in.
+    are printed from line templates, CHUNK tiles at a time, and written
+    between its parts.
     """
     text = json.dumps(_document(patch, manifest, precision, [], []),
                       indent=1, sort_keys=True)
-    if len(patch):
-        # "shadow" and "tiles" sort after "manifest": the last matches
-        # are the top-level keys
-        text, _, rest = text.rpartition('"tiles": []')
-        text, _, mid = text.rpartition('"corners": []')
-        text = "".join([text, '"corners": [\n',
-                        _corners_block(patch, precision), "\n  ]", mid,
-                        '"tiles": [\n', _tiles_block(patch), "\n ]", rest])
     with open(path, "w") as fh:
+        if len(patch):
+            # "shadow" and "tiles" sort after "manifest": the last matches
+            # are the top-level keys
+            text, _, rest = text.rpartition('"tiles": []')
+            text, _, mid = text.rpartition('"corners": []')
+            fh.write(text + '"corners": [\n')
+            _write_blocks(fh, patch, lambda c: _corners_block(c, precision))
+            fh.write("\n  ]" + mid + '"tiles": [\n')
+            _write_blocks(fh, patch, _tiles_block)
+            text = "\n ]" + rest
         fh.write(text + "\n")
 
 

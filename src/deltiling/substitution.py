@@ -258,7 +258,6 @@ class RuleSet:
 
     def matrix(self, order=None):
         """M[i][j] = multiplicity of prototile i inside the image of j."""
-        import numpy as np
         cat = prototile_catalog(self.d)
         if order is None:
             order = [p.name for p in cat.prototiles]
@@ -747,45 +746,67 @@ def edge_subdivision(d, p, j):
     return list(range(j - p + 1, j + p, 2))
 
 
+@lru_cache(maxsize=None)
+def _float_corners(d):
+    """Complex float corners of every prototile, by id."""
+    names, _ = prototile_ids(d)
+    return np.array([[c.cvalue() for c in tile_corners(d, n)] for n in names])
+
+
 def derive_edge_words(rules: RuleSet):
     """The induced letter substitution: letter -> word of child letters.
 
     Words are read along each side of every inflated prototile; the
     derivation asserts that all occurrences of a letter induce the same
     word, which is what makes the substitution well defined on edges.
-    Child corners are floats zeta^r * c + t, built once per child; a
-    child side belongs to a word when both its ends lie on the parent side.
+    Child corners are floats zeta^r * c + t, built for all children at
+    once (`CycField.cvalues` gives t bit for bit as `Elem.cvalue`); a
+    child side belongs to a word when both its ends lie on the parent
+    side, tested for every child against its own parent's three sides.
     """
     d = rules.d
     f = field_for_order(d)
-    names, index = prototile_ids(d)
+    _, index = prototile_ids(d)
     letters = letter_table(d)[0]
-    base = np.array([[c.cvalue() for c in tile_corners(d, n)] for n in names])
-    iota = rules.iota.cvalue()
+    base = _float_corners(d)
+    parents = list(rules.rules)
+    kids = [(i, index[cname], h) for i, name in enumerate(parents)
+            for cname, h in rules.rules[name]]
+    owner = np.array([i for i, _, _ in kids])
+    ids = [c for _, c, _ in kids]
+    turn = np.exp(2j * np.pi / f.n * np.array([h.r for _, _, h in kids]))
+    shift = f.cvalues(*_common_den([h.t for _, _, h in kids], f.degree))
+    corners = turn[:, None] * base[ids] + shift[:, None]
+    big = base[[index[name] for name in parents]] * rules.iota.cvalue()
+    side = big[:, [1, 2, 0]] - big
+    ln2 = (abs(side) ** 2)[owner][:, None, :]
+    # v[c, j, k]: corner j of child c against side k of its parent,
+    # scaled by |side|^2
+    v = ((corners[:, :, None] - big[owner][:, None, :])
+         * side.conjugate()[owner][:, None, :])
+    on = ((np.abs(v.imag) <= 1e-9 * ln2) & (v.real >= -1e-9 * ln2)
+          & (v.real <= (1 + 1e-9) * ln2))
+    on &= on[:, [1, 2, 0]]
+    c, j, k = np.nonzero(on)
+    pos = v[c, j, k].real
+    group = owner[c] * 3 + k
+    backward = np.zeros(3 * len(parents), dtype=bool)
+    backward[group[~(v[c, (j + 1) % 3, k].real > pos)]] = True
+    order = np.lexsort((pos, group))
+    bounds = np.searchsorted(group[order], np.arange(3 * len(parents) + 1))
+    # equal letters are made one object, so comparing words is identity
+    canon = {}
+    seq = np.array([canon.setdefault(letter, letter) for ls in letters
+                    for letter in ls], dtype=object)[
+        np.array(ids)[c[order]] * 3 + j[order]].tolist()
     words = {}
-    for name, children in rules.rules.items():
-        ids = [index[cname] for cname, _ in children]
-        turn = np.exp(2j * np.pi / f.n * np.array([h.r for _, h in children]))
-        shift = np.array([h.t.cvalue() for _, h in children])
-        corners = (turn[:, None] * base[ids] + shift[:, None]).ravel()
-        nxt = np.arange(len(corners)) // 3 * 3 + [1, 2, 0] * len(ids)
-        big = base[index[name]] * iota
-        side = big[[1, 2, 0]] - big
-        ln2 = (abs(side) ** 2)[:, None]
-        # v[k, j]: child corner j against parent side k, scaled by |side|^2
-        v = (corners[None, :] - big[:, None]) * side.conjugate()[:, None]
-        on = ((np.abs(v.imag) <= 1e-9 * ln2) & (v.real >= -1e-9 * ln2)
-              & (v.real <= (1 + 1e-9) * ln2))
-        on &= on[:, nxt]
-        for k, letter in enumerate(letters[index[name]]):
-            found = np.flatnonzero(on[k])
-            pos = v[k, found].real
-            assert (v[k, nxt[found]].real > pos).all(), \
-                f"child side against the direction of {letter} in {name}"
-            word = tuple(letters[ids[e // 3]][e % 3]
-                         for e in found[np.argsort(pos, kind="stable")])
-            prev = words.get(letter)
-            assert prev is None or prev == word, \
-                f"inconsistent edge word for {letter} in {name}"
-            words[letter] = word
+    for g, name in enumerate(n for n in parents for _ in range(3)):
+        letter = letters[index[name]][g % 3]
+        assert not backward[g], \
+            f"child side against the direction of {letter} in {name}"
+        word = tuple(seq[bounds[g]:bounds[g + 1]])
+        prev = words.get(letter)
+        assert prev is None or prev == word, \
+            f"inconsistent edge word for {letter} in {name}"
+        words[letter] = word
     return words

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deltiling.field import Elem, field_for_order
+from deltiling import patchio
 from deltiling.patchio import export_patch, patch_document
 from deltiling.prototiles import prototile_catalog
 from deltiling.substitution import (Isometry, Patch, RuleSet, Tile,
@@ -95,6 +96,23 @@ def test_empty_patch_exports_renders_and_verifies(tmp_path):
     render_patch(patch, tmp_path / "e.svg")
     assert "<polygon" not in (tmp_path / "e.svg").read_text()
     assert verify_face_to_face(patch).ok
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 8192])
+def test_export_in_chunks_is_the_document(tmp_path, monkeypatch, chunk):
+    # translations over several denominators, so a chunk's common
+    # denominator can differ from the patch's
+    f = field_for_order(14)
+    tiles = Patch.single(14, "G").inflate(derive_rules(14, 3, 1)).tiles
+    patch = Patch(14, [Tile(t.name, Isometry(t.iso.r, t.iso.t
+                                             + f.rational(1, 1 + k % 5)))
+                       for k, t in enumerate(tiles)])
+    assert patch.columns[3] == 60
+    monkeypatch.setattr(patchio, "CHUNK", chunk)
+    export_patch(patch, tmp_path / "p.json", manifest={"n": 2})
+    doc = patch_document(patch, manifest={"n": 2})
+    assert (tmp_path / "p.json").read_text() == \
+        json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
 def test_int64_guard_raises_instead_of_wrapping():

@@ -1,7 +1,10 @@
 """Exact cyclotomic arithmetic."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -77,6 +80,45 @@ def test_real_sign_and_comparisons():
     assert (s1 - s1).real_sign() == 0
     assert s1 > 0 and s1 < 1
     assert f.rational(3, 2) == f.rational(6, 4)
+
+
+def test_real_sign_of_tiny_values_with_large_coefficients():
+    # phi^n - L_n = -psi^n (L_n the Lucas numbers) has sign (-1)^(n+1); its
+    # float value is wrong beyond 1e-9 for many n, since the coefficients
+    # of phi^n grow like phi^n
+    phi = inflation_factor(5, 2)
+    power, lucas = phi.f.one, [2, 1]
+    wrong = 0
+    for n in range(1, 101):
+        power = power * phi
+        lucas.append(lucas[-1] + lucas[-2])
+        x = power - lucas[n]
+        assert x.real_sign() == (-1) ** (n + 1), n
+        v = x.cvalue().real
+        wrong += abs(v) > 1e-9 and (v > 0) != (n % 2 == 1)
+    assert wrong > 20
+
+
+def test_cvalue_error_bounds_the_float_value():
+    rng = random.Random(3)
+    for n in (60, 84, 156):
+        f = CycField(n)
+        for _ in range(20):
+            x = f.from_coeffs([rng.randint(-10 ** 6, 10 ** 6)
+                               for _ in range(f.degree)], rng.randint(1, 99))
+            exact = x.mpc(60)
+            assert abs(x.cvalue() - complex(exact)) <= x.cvalue_error()
+
+
+def test_mpmath_loads_only_on_escalation():
+    code = ("import sys, deltiling; "
+            "from deltiling.analysis import pisot_table; "
+            "deltiling.derive_rules(14, 3, 1); pisot_table(14); "
+            "print('mpmath' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False"]
 
 
 def test_inflation_factor_identity():

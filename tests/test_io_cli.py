@@ -124,6 +124,15 @@ def test_cli_analyze(capsys):
     assert "all_match=True" in text
 
 
+@pytest.mark.parametrize("p", ["0", "1", "8"])
+def test_cli_analyze_rejects_bad_p_before_any_output(capsys, p):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--d", "14", "--p", p])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"p={p}" in err
+
+
 def test_cli_random_reproducible(tmp_path):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     args = ["random", "--d", "14", "--mode", "subst", "--n", "2",
