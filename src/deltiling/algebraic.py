@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import Elem
+from .field import ESCALATION_DPS, Elem
 
 
 class IntPolynomial:
@@ -112,7 +112,7 @@ class PisotResult:
     is_pisot: bool
     reason: str
     polynomial: IntPolynomial
-    conjugates: list  # (float value, modulus, error bound), x itself first
+    conjugates: list  # (value, modulus, error bound), x first; see pisot_check
     margin: float  # min over conjugates of 1 - |z| - bound (excluding x)
 
 
@@ -125,8 +125,11 @@ def pisot_check(x: Elem, width=1e-7) -> PisotResult:
     x = sigma^-1(+-1) = +-1.  For x > 1 each conjugate is therefore inside
     the unit circle exactly when 1 - sigma^2 > 0, a sign that is never
     zero: a conjugate on the unit circle (the Salem boundary case) cannot
-    occur.  The float values in `conjugates` are within their error
-    bounds (`Elem.cvalue_error`); ArithmeticError if a bound exceeds width.
+    occur.  The values in `conjugates` are within their error bounds
+    (`Elem.cvalue_error`), each at most width: they are floats, except
+    where the float bound exceeds width; there mpmath evaluates at the
+    precisions of `Elem.real_sign` until the bound is below width
+    (ArithmeticError if 800 digits do not suffice).
     """
     orbit = galois_orbit(x)
     poly = _orbit_polynomial(orbit)
@@ -140,16 +143,28 @@ def pisot_check(x: Elem, width=1e-7) -> PisotResult:
     for s in orbit:
         value, rad = s.cvalue().real, s.cvalue_error()
         if rad > width:
-            raise ArithmeticError(f"conjugate error bound {rad:.3g} > {width}")
+            value, rad = _precise_value(s, width)
         conjugates.append((value, abs(value), rad))
     outside = [mod for s, (_, mod, _) in zip(orbit[1:], conjugates[1:])
                if (1 - s * s).real_sign() < 0]
     if outside:
-        reason = f"conjugate with modulus {max(outside):.6f} > 1"
+        reason = f"conjugate with modulus {float(max(outside)):.6f} > 1"
         return PisotResult(False, reason, poly, conjugates, 0.0)
     margin = min((1 - m - r for _, m, r in conjugates[1:]), default=0.0)
     return PisotResult(True, "all conjugates inside the unit circle", poly,
                        conjugates, margin)
+
+
+def _precise_value(x: Elem, width):
+    """(mpmath real value, error bound <= width) of a real element x, at the
+    first precision of `Elem.real_sign` whose `cvalue_error` meets width."""
+    from mpmath.libmp import dps_to_prec
+
+    for dps in ESCALATION_DPS:
+        bound = x.cvalue_error(dps_to_prec(dps))
+        if bound <= width:
+            return x.mpc(dps).real, bound
+    raise ArithmeticError(f"width {width} needs more than 800 digits")
 
 
 def is_pisot(x: Elem) -> bool:

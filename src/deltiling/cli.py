@@ -316,6 +316,11 @@ def main(argv=None):
             dests = {a.dest for a in sub._actions}
             sub.set_defaults(**{k: v for k, v in config.items() if k in dests})
     args = ap.parse_args(argv)
+    # argparse converts flags, not config values: check the merged counts
+    for name in ("n", "steps"):
+        value = getattr(args, name, 0)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            _fail(f"--{name} must be a non-negative integer (got {value!r})")
     try:
         _check_seed_tile(args)
         args.fn(args)

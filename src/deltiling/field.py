@@ -51,6 +51,10 @@ def cyclotomic_poly(n):
     return tuple(poly)
 
 
+#: the mpmath precisions (digits) tried where a float value is too coarse
+ESCALATION_DPS = (60, 200, 800)
+
+
 class CycField:
     """The cyclotomic field Q(zeta_n), zeta_n = exp(2*pi*i/n).
 
@@ -134,11 +138,14 @@ class CycField:
         """int64 array R, R[k] the matrix of w -> zeta^k w on coefficient rows.
 
         A row x of power-basis coefficients times R[k] is the row of
-        zeta^k * x: row j of R[k] is zeta^(j+k) reduced mod Phi_n.
+        zeta^k * x: row j of R[k] is zeta^(j+k) reduced mod Phi_n.  R[k]
+        is rows k .. k+D-1 of one table of reduced powers, so R is a
+        read-only strided view of n + D - 1 rows, not n copies.
         """
-        red = np.array(self._red, dtype=np.int64)
         D = self.degree
-        return np.stack([red[k:k + D] for k in range(self.n)])
+        red = np.array(self._red[:self.n + D - 1], dtype=np.int64)
+        return np.lib.stride_tricks.sliding_window_view(
+            red, D, axis=0).transpose(0, 2, 1)
 
     def mul_matrix(self, e):
         """(M, den): the row of x * e is (row of x) @ M / den.
@@ -409,7 +416,7 @@ class Elem:
         if abs(v) > self.cvalue_error():
             return 1 if v > 0 else -1
         from mpmath.libmp import dps_to_prec
-        for dps in (60, 200, 800):
+        for dps in ESCALATION_DPS:
             mv = self.mpc(dps).real
             if abs(mv) > self.cvalue_error(dps_to_prec(dps)):
                 return 1 if mv > 0 else -1

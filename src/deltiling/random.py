@@ -352,8 +352,7 @@ class RandomRuleFamily:
         """One column table of all members, built once per family: row
         member * P + id is prototile `id` under that member."""
         if "_columns" not in self.__dict__:
-            self._columns = _rule_table(
-                self.d, [m.rules for m in self.members], self.iota)
+            self._columns = _rule_table(self.d, self.members, self.iota)
         return self._columns
 
     def uniform_pi(self):

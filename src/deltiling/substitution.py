@@ -3,15 +3,16 @@
 Inflating an elementary triangle by iota_{d,p} = s_p/s_1 produces a
 triangle congruent to a class-p triangle of an order-d pattern (possibly
 with a different symmetry variant); the elementary faces inside that
-triangle are the substitution children.  Placements are exact.  The
-children are picked by float centroid containment and confirmed exactly
-by area balance (`check_area_balance`); edge words are still read from
-float corners.
+triangle are the substitution children.  Rules are derived on integer
+coefficient rows: the children are picked by an array centroid test,
+placed as integer columns (rotation exponent, translation row), and
+confirmed exactly by area balance (`check_area_balance`); edge words are
+still read from float corners.
 
 Congruences are found without field division: the float phase of a side
-ratio picks the rotation exponent r, and the field confirms it by the
-exact equality zeta^r * (a1 - a0) == b1 - b0.  Floats only pick r; every
-verdict is a field equality.
+ratio picks the rotation exponent r, and equal integer rows of
+zeta^r * (a1 - a0) and b1 - b0 (and of the third corner) decide.  Floats
+only pick r; every verdict is exact.
 
 Tiles are always placed by direct isometries w -> zeta^r w + t; a mirrored
 tile is represented by the mirror prototile of the catalog, so reflections
@@ -20,10 +21,10 @@ never appear in placements.
 
 from __future__ import annotations
 
-import cmath
+import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -71,41 +72,59 @@ def identity_isometry(f):
     return Isometry(0, f.zero)
 
 
-def rotation_index(num, den):
-    """Index r with num = zeta_n^r * den, or None; no field division.
+#: the three cyclic orders of a corner triple
+SHIFTS = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
 
-    The float phase of num * conj(den) picks the only possible r, and the
-    exact equality den.mul_zeta(r) == num decides.  Pairs whose float
-    moduli clearly differ are skipped before any field operation.
+
+def _congruent(f, a, b):
+    """(r, ok, t) for corner rows a, b (..., 3, D) over one denominator:
+    ok where w -> zeta^r w + t maps each a[k] to b[k].
+
+    No field division: the float phase of the first sides picks the only
+    possible r, and equal integer rows of both sides decide.
     """
-    f = den.f
-    zn, zd = num.cvalue(), den.cvalue()
-    if abs(abs(zn) - abs(zd)) > 1e-6 * max(abs(zn), abs(zd)):
-        return None
-    r = round(cmath.phase(zn * zd.conjugate()) * f.n / (2 * cmath.pi)) % f.n
-    if den.mul_zeta(r) == num:
-        return r
-    return None
+    z, bound = _field_tables(f)
+    # differences of rows bounded by B are bounded by 2B
+    _guard(2 * max(f.degree * max_abs(a) * bound, max_abs(b)),
+           "triangle match")
+    za = (a[..., 1, :] - a[..., 0, :]) @ z
+    zb = (b[..., 1, :] - b[..., 0, :]) @ z
+    r = np.rint(np.angle(zb * za.conj()) * f.n / (2 * np.pi)).astype(
+        np.int64) % f.n
+    a = a @ f.rotations[r]
+    ok = ((a - a[..., :1, :]) == (b - b[..., :1, :])).all(axis=(-2, -1))
+    return r, ok, b[..., 0, :] - a[..., 0, :]
 
 
 def match_triangles(src, dst):
-    """Direct isometry with dst[k] = g(src[(k+shift) % 3]), or (None, None).
+    """Direct isometry with dst[k] = g(src[(k+shift) % 3]) for the first
+    shift that fits, or (None, None); see `_congruent`."""
+    f = src[0].f
+    rows, den = _common_den(list(src) + list(dst), f.degree)
+    r, ok, t = _congruent(f, rows[SHIFTS], rows[3:])
+    if not ok.any():
+        return None, None
+    s = int(np.argmax(ok))
+    return Isometry(int(r[s]), Elem(f, t[s].tolist(), den).normalized()), s
 
-    For each cyclic shift the rotation comes from `rotation_index` (float
-    phase picks r, the field confirms it) and the translation from the
-    first corner; the third corner is then confirmed exactly as well.
-    """
-    b0, b1, b2 = dst
-    num = b1 - b0
-    for shift in range(3):
-        a0, a1, a2 = (src[(k + shift) % 3] for k in range(3))
-        r = rotation_index(num, a1 - a0)
-        if r is None:
-            continue
-        g = Isometry(r, b0 - a0.mul_zeta(r))
-        if g(a2) == b2:
-            return g, shift
-    return None, None
+
+@lru_cache(maxsize=None)
+def _field_tables(f):
+    """(z, bound): `rows @ z` are float values of coefficient rows (a
+    pre-filter, not bit-equal to `Elem.cvalue`), and bound is the largest
+    |entry| of R = f.rotations: every row of every R[k] is a row of R[:, 0]
+    or of R[-1]."""
+    R = f.rotations
+    return (f.cvalues(np.eye(f.degree, dtype=np.int64)),
+            max(max_abs(R[:, 0]), max_abs(R[-1])))
+
+
+def _over(rows, den, L):
+    """Integer rows over den, rewritten over its multiple L."""
+    if L == den:
+        return rows
+    _guard(max_abs(rows) * (L // den), "common denominator")
+    return rows * (L // den)
 
 
 # -- prototile geometry in the order-d field ----------------------------
@@ -131,42 +150,53 @@ def tile_corners(d, name, iso=None):
 
 @lru_cache(maxsize=None)
 def _face_placements(d, kappa):
-    """(prototile name, placement, float centroid) per face of A(d, kappa)."""
+    """Every face of A(d, kappa) placed as a prototile, as columns.
+
+    (ids, r, t, den, centroids): face k is prototile ids[k] placed by
+    w -> zeta^r[k] w + t[k] / den, the catalog corner order going to the
+    face corners turned by the classifying rotation (`_congruent`);
+    centroids are the float face centroids.
+    """
+    f = field_for_order(d)
     cat = prototile_catalog(d)
-    out = []
-    for tri, corners, centroid in get_arrangement(d, kappa).face_table():
+    _, index = prototile_ids(d)
+    faces = get_arrangement(d, kappa).face_table()
+    ids, corners = [], []
+    for tri, cs, _ in faces:
         proto, r = cat.classify(cat.faces[kappa, tri.idx].letters)
-        face_corners = tuple(corners[(k + r) % 3] for k in range(3))
-        g, shift = match_triangles(tile_corners(d, proto.name), face_corners)
-        assert g is not None and shift == 0, f"cannot place {tri} as {proto.name}"
-        out.append((proto.name, g, centroid))
-    return out
+        ids.append(index[proto.name])
+        corners += [cs[(k + r) % 3] for k in range(3)]
+    B, bden = _common_den(corners, f.degree)
+    A, aden = _corner_rows(d)
+    den = math.lcm(bden, aden)
+    r, ok, t = _congruent(f, _over(A[ids], aden, den),
+                          _over(B, bden, den).reshape(len(ids), 3, f.degree))
+    bad = int(np.argmin(ok))
+    assert ok[bad], (f"cannot place {faces[bad][0]} as "
+                     f"{cat.prototiles[ids[bad]].name}")
+    return SimpleNamespace(ids=np.array(ids, dtype=np.int16), r=r, t=t,
+                           den=den,
+                           centroids=np.array([c for _, _, c in faces]))
 
 
-def point_in_triangle(p, tri, margin=1e-9):
-    """Float test: p lies inside the anticlockwise triangle tri, with the
-    cross product (b - a) x (p - a) above `margin` for every side ab."""
-    for k in range(3):
-        a, b = tri[k], tri[(k + 1) % 3]
-        if ((b - a).conjugate() * (p - a)).imag < margin:
-            return False
-    return True
+def _inside_mask(points, tri, margin=1e-9):
+    """Float test per point: inside the anticlockwise triangle tri, with
+    the cross product (b - a) x (p - a) at least `margin` for every side
+    ab of tri."""
+    a = np.asarray(tri)
+    cross = ((a[[1, 2, 0]] - a).conj() * (points[:, None] - a)).imag
+    return (cross >= margin).all(axis=1)
 
 
 # -- locating the inflated triangle -------------------------------------
 
 def _signed_triple(sym, idx):
-    if sym.kappa == 2:
-        return tuple(-i for i in idx)
-    return idx
+    return tuple(-i for i in idx) if sym.kappa == 2 else idx
 
 
 def _internal_tri(sym, signed):
-    if sym.kappa == 2:
-        signed = tuple((-x) % sym.d for x in signed)
-    else:
-        signed = tuple(x % sym.d for x in signed)
-    return TriangleId(sym, tuple(sorted(signed)))
+    s = -1 if sym.kappa == 2 else 1
+    return TriangleId(sym, tuple(sorted((s * x) % sym.d for x in signed)))
 
 
 def _target_preference(d, p, branch, sign):
@@ -181,31 +211,33 @@ def _target_preference(d, p, branch, sign):
     if d % 3 != 0 or p % 3 != 0:
         pref = p if branch < 0 else -p
     else:
-        m = p // 3
-        q = d // 3
-        if branch > 0:
-            pref = -p if (m == 1 and q <= 3) else p
-        else:
-            pref = p if (m == 1 and q <= 3) else -p
-    if sign < 0:
-        pref = -pref
-    return (pref, -pref)
+        # m = p / 3 = 1 and q = d / 3 <= 3 swap the two classes
+        pref = p if (branch > 0) != (p == 3 and d <= 9) else -p
+    return (pref, -pref) if sign > 0 else (-pref, pref)
 
 
 def locate_inflated(sym, tri, p, sign=1):
     """Target (sym', tri', psi) with psi(iota * tri corners) = tri' corners."""
+    f = field_for_order(sym.d)
     corners, _ = get_arrangement(sym.d, sym.kappa).corners(tri)
-    return _locate(sym, tri, corners, p, sign)[:3]
+    rows, den = _common_den(corners, f.degree)
+    M, mden = f.mul_matrix(inflation_factor(sym.d, p))
+    _guard(f.degree * max_abs(rows) * max_abs(M), "inflated corners")
+    sym2, tri2, r, t, _, tden = _locate(sym, tri, rows @ M, den * mden, p,
+                                        sign)
+    return sym2, tri2, Isometry(r, Elem(f, t.tolist(), tden).normalized())
 
 
-def _locate(sym, tri, corners, p, sign):
-    """(sym', tri', g, tri' corners) with g(iota * corners) = tri' corners.
+def _locate(sym, tri, src, den, p, sign):
+    """(sym', tri', r, t, dst, den') with w -> zeta^r w + t mapping src to
+    the corners dst of tri' (in the target's cyclic order), all over den'.
 
-    `corners` are the corners of `tri` in any cyclic order; g is the first
-    matching isometry for that order.
+    src holds the rows over den of iota times the corners of tri, in any
+    cyclic order.  Candidates are tried in a fixed order, and the first
+    cyclic shift of src congruent to a candidate (`_congruent`) wins.
     """
     d = sym.d
-    src = tuple(c * inflation_factor(d, p) for c in corners)
+    f = field_for_order(d)
     sigma = tri.sigma
     branch = tri.m_class if tri.m_class <= d // 2 else tri.m_class - d
     signed = _signed_triple(sym, tri.idx)
@@ -221,24 +253,60 @@ def _locate(sym, tri, corners, p, sign):
                 tri2 = _internal_tri(sym2, tuple(x + n for x in signed))
                 if tri2.p_class != p:
                     continue
-                dst, _ = get_arrangement(d, k2).corners(tri2)
-                g, _ = match_triangles(src, dst)
-                if g is not None:
-                    return sym2, tri2, g, dst
+                dst, dden = _common_den(
+                    get_arrangement(d, k2).corners(tri2)[0], f.degree)
+                L = math.lcm(den, dden)
+                dst = _over(dst, dden, L)
+                r, ok, t = _congruent(f, _over(src, den, L)[SHIFTS], dst)
+                if ok.any():
+                    k = int(np.argmax(ok))
+                    return sym2, tri2, int(r[k]), t[k], dst, L
     raise AssertionError(f"no congruent inflated image for {tri} (p={p})")
 
 
 # -- rule derivation ----------------------------------------------------
 
 class RuleSet:
-    """Substitution children, per prototile, in the inflated-tile frame."""
+    """Substitution children, per prototile, in the inflated-tile frame.
 
-    def __init__(self, d, p, sign, rules):
+    Its column table `table()` is (count, kids): per prototile id the
+    number of children (-1 for a prototile without a rule), and a Patch of
+    every child in prototile id order.  `derive_rules` stores the table;
+    `rules` (name -> tuple of (child name, Isometry)) is a view of it,
+    built on first use.  A RuleSet made from such a dict reads its table
+    from the dict on each call instead, so no copy of the rules is kept.
+    """
+
+    def __init__(self, d, p, sign, rules=None, table=None):
         self.d = d
         self.p = p
         self.sign = sign
-        self.rules = rules  # name -> tuple of (child name, Isometry)
         self.iota = inflation_factor(d, p)
+        if rules is not None:
+            self.rules = rules
+        self._table = table
+
+    def table(self):
+        if self._table is not None:
+            return self._table
+        names, _ = prototile_ids(self.d)
+        rules = self.rules
+        kids = [ch for n in names for ch in rules.get(n, ())]
+        return (np.array([len(rules[n]) if n in rules else -1
+                          for n in names], dtype=np.int64),
+                Patch.from_columns(self.d, *_placement_columns(self.d, kids)))
+
+    @cached_property
+    def rules(self):
+        f = field_for_order(self.d)
+        names, _ = prototile_ids(self.d)
+        count, kids = self._table
+        ids, r, t, den = kids.columns
+        it = iter([(names[i], Isometry(rk, Elem(f, num, den).normalized()))
+                   for i, rk, num in zip(ids.tolist(), r.tolist(),
+                                         t.tolist())])
+        return {n: tuple(itertools.islice(it, c))
+                for n, c in zip(names, count.tolist()) if c >= 0}
 
     def children(self, name):
         return self.rules[name]
@@ -247,33 +315,40 @@ class RuleSet:
         """The rules as a column table for `Patch.inflate`, built once
         per rule set (see `_rule_table`)."""
         if "_columns" not in self.__dict__:
-            self._columns = _rule_table(self.d, [self.rules], self.iota)
+            self._columns = _rule_table(self.d, [self], self.iota)
         return self._columns
 
     def counts(self, name):
-        out = {}
-        for cname, _ in self.rules[name]:
-            out[cname] = out.get(cname, 0) + 1
-        return out
+        names, index = prototile_ids(self.d)
+        count, kids = self.table()
+        i = index[name]
+        if count[i] < 0:
+            raise KeyError(name)
+        start = int(np.maximum(count[:i], 0).sum())
+        got = np.bincount(kids.columns[0][start:start + count[i]],
+                          minlength=len(names))
+        return {names[c]: int(k) for c, k in enumerate(got) if k}
 
     def matrix(self, order=None):
         """M[i][j] = multiplicity of prototile i inside the image of j."""
-        cat = prototile_catalog(self.d)
-        if order is None:
-            order = [p.name for p in cat.prototiles]
-        index = {n: i for i, n in enumerate(order)}
-        M = np.zeros((len(order), len(order)), dtype=int)
-        for j, name in enumerate(order):
-            for cname, _ in self.rules[name]:
-                M[index[cname], j] += 1
-        return M, order
+        names, index = prototile_ids(self.d)
+        order = list(names) if order is None else order
+        count, kids = self.table()
+        sel = [index[n] for n in order]
+        if (count[sel] < 0).any():
+            raise KeyError(order[int(np.argmin(count[sel]))])
+        P = len(names)
+        full = np.bincount(kids.columns[0].astype(np.int64) * P
+                           + np.repeat(np.arange(P), np.maximum(count, 0)),
+                           minlength=P * P).reshape(P, P)
+        return full[np.ix_(sel, sel)], order
 
 
-def _rule_table(d, rule_dicts, iota):
+def _rule_table(d, members, iota):
     """Column table of one or more rule sets sharing the factor iota.
 
     Row key m * P + id (P prototiles) is prototile `id` under
-    `rule_dicts[m]`.  Per key: the first child row `start` and the child
+    `members[m]`.  Per key: the first child row `start` and the child
     count (-1 for a prototile without a rule).  Per child row: the name
     id, the rotation r, and `tidx`, the index of its translation among the
     distinct ones; `rot[tidx, s]` is that translation turned by zeta^s,
@@ -281,42 +356,71 @@ def _rule_table(d, rule_dicts, iota):
     multiplication by iota (over `mden`).
     """
     f = field_for_order(d)
-    names, index = prototile_ids(d)
-    count = [len(rules[n]) if n in rules else -1
-             for rules in rule_dicts for n in names]
-    kids = [ch for rules in rule_dicts for n in names
-            for ch in rules.get(n, ())]
-    trans, den = _common_den([h.t for _, h in kids], f.degree)
+    tables = [m.table() for m in members]
+    kids = [k.columns for _, k in tables]
+    den = math.lcm(*(k[3] for k in kids))
+    count = np.concatenate([c for c, _ in tables])
+    trans = np.concatenate([_over(k[2], k[3], den) for k in kids])
     # rule sets repeat few translations: turn each distinct one once
     uniq, tidx = np.unique(trans, axis=0, return_inverse=True)
     M, mden = f.mul_matrix(iota)
     return SimpleNamespace(
-        count=np.array(count, dtype=np.int64),
-        start=np.cumsum([0] + [max(c, 0) for c in count[:-1]]),
-        ids=np.array([index[c] for c, _ in kids], dtype=np.int16),
-        r=np.array([h.r for _, h in kids], dtype=np.int32),
+        count=count,
+        start=np.cumsum(np.concatenate(([0], np.maximum(count[:-1], 0)))),
+        ids=np.concatenate([k[0] for k in kids]),
+        r=np.concatenate([k[1] for k in kids]),
         tidx=tidx.reshape(-1), rot=_rotated(f, uniq), den=den, M=M,
         mden=mden)
 
 
 @lru_cache(maxsize=None)
 def derive_rules(d, p, sign=1) -> RuleSet:
-    """Children picked by float centroid, confirmed by exact area balance."""
+    """Children picked by an array centroid test, placed as integer
+    columns, confirmed by exact area balance.
+
+    Each prototile's inflated image is located (`_locate`) as a triangle
+    of some A(d, kappa'); the faces of A(d, kappa') whose centroids lie
+    inside it are its children, pulled back by the inverse placement
+    w -> zeta^-r (w - t): a child on a face placed by (r_f, t_f) is
+    placed by (r_f - r, zeta^-r (t_f - t)).
+    """
+    f = field_for_order(d)
+    n = f.n
     cat = prototile_catalog(d)
-    rules = {}
-    for proto in cat.prototiles:
-        # representative rotation: g maps the canonical corner cycle
-        sym2, _, g, tcorners = _locate(proto.face.sym, proto.face.tri,
-                                       tile_corners(d, proto.name), p, sign)
-        tri_fl = [c.cvalue() for c in tcorners]
-        inv = g.inverse()
-        children = [(cname, inv.compose(place)) for cname, place, centroid
-                    in _face_placements(d, sym2.kappa)
-                    if point_in_triangle(centroid, tri_fl)]
-        assert children, f"empty rule for {proto.name}"
-        children.sort(key=lambda ch: (ch[0], ch[1].key()))
-        rules[proto.name] = tuple(children)
-    out = RuleSet(d, p, sign, rules)
+    names, _ = prototile_ids(d)
+    corners, cden = _corner_rows(d)
+    M, mden = f.mul_matrix(inflation_factor(d, p))
+    _guard(f.degree * max_abs(corners) * max_abs(M), "inflated corners")
+    src = corners @ M
+    located = [_locate(proto.face.sym, proto.face.tri, src[k], cden * mden,
+                       p, sign) for k, proto in enumerate(cat.prototiles)]
+    faces = {k: _face_placements(d, k)
+             for k in {sym2.kappa for sym2, *_ in located}}
+    L = math.lcm(*(den for *_, den in located),
+                 *(face.den for face in faces.values()))
+    T = np.array([_over(t, den, L) for _, _, _, t, _, den in located])
+    kid_t = {k: _over(x.t, x.den, L) for k, x in faces.items()}
+    z, bound = _field_tables(f)
+    _guard(f.degree * bound * (max(map(max_abs, kid_t.values()))
+                               + max_abs(T)), "child placements")
+    parts = []
+    for k, (sym2, _, r, _, dst, den) in enumerate(located):
+        face = faces[sym2.kappa]
+        sel = np.flatnonzero(_inside_mask(face.centroids, dst @ z / den))
+        assert len(sel), f"empty rule for {names[k]}"
+        parts.append((np.full(len(sel), k), face.ids[sel],
+                      (face.r[sel] - r) % n,
+                      (kid_t[sym2.kappa][sel] - T[k]) @ f.rotations[-r % n]))
+    owner, ids, r, t = (np.concatenate(col) for col in zip(*parts))
+    # sort each rule by (name, r, Elem.key()) of the normalised translation
+    g = np.gcd(np.gcd.reduce(t, axis=1), L)
+    rank = np.argsort(np.argsort(np.array(names)))
+    order = np.lexsort((L // g, *(t // g[:, None]).T[::-1], r, rank[ids],
+                        owner))
+    out = RuleSet(d, p, sign, table=(
+        np.bincount(owner, minlength=len(names)),
+        Patch.from_columns(d, ids[order], r[order].astype(np.int32),
+                           t[order], L)))
     check_area_balance(out)
     return out
 
@@ -409,6 +513,16 @@ def _common_den(elems, degree):
     return rows, den
 
 
+def _placement_columns(d, placed):
+    """(ids, r, t, den) of (prototile name, Isometry) pairs."""
+    f = field_for_order(d)
+    _, index = prototile_ids(d)
+    t, den = _common_den([iso.t for _, iso in placed], f.degree)
+    return (np.array([index[name] for name, _ in placed], dtype=np.int16),
+            np.array([iso.r % f.n for _, iso in placed], dtype=np.int32),
+            t, den)
+
+
 @lru_cache(maxsize=None)
 def prototile_ids(d):
     """(prototile names in catalog order, name -> id)."""
@@ -417,13 +531,22 @@ def prototile_ids(d):
 
 
 @lru_cache(maxsize=None)
+def _corner_rows(d):
+    """(rows, den): rows[id] = the three prototile corners, by id."""
+    f = field_for_order(d)
+    names, _ = prototile_ids(d)
+    rows, den = _common_den([c for n in names for c in tile_corners(d, n)],
+                            f.degree)
+    return rows.reshape(len(names), 3, f.degree), den
+
+
+@lru_cache(maxsize=None)
 def _corner_table(d):
     """(table, den): table[id, r] = rows of zeta^r * prototile corners."""
     f = field_for_order(d)
-    names, _ = prototile_ids(d)
-    corners = [c for n in names for c in tile_corners(d, n)]
-    rows, den = _common_den(corners, f.degree)
-    table = _rotated(f, rows).reshape(len(names), 3, f.n, f.degree)
+    rows, den = _corner_rows(d)
+    table = _rotated(f, rows.reshape(-1, f.degree)).reshape(
+        len(rows), 3, f.n, f.degree)
     return table.transpose(0, 2, 1, 3), den
 
 
@@ -490,14 +613,8 @@ class Patch:
     def columns(self):
         """(ids, r, t, den) of the tiles."""
         if self._columns is None:
-            f = field_for_order(self.d)
-            _, index = prototile_ids(self.d)
-            tiles = self._tiles
-            t, den = _common_den([tile.iso.t for tile in tiles], f.degree)
-            self._columns = (
-                np.array([index[tile.name] for tile in tiles], dtype=np.int16),
-                np.array([tile.iso.r % f.n for tile in tiles], dtype=np.int32),
-                t, den)
+            self._columns = _placement_columns(
+                self.d, [(tile.name, tile.iso) for tile in self._tiles])
         return self._columns
 
     @property
@@ -746,13 +863,6 @@ def edge_subdivision(d, p, j):
     return list(range(j - p + 1, j + p, 2))
 
 
-@lru_cache(maxsize=None)
-def _float_corners(d):
-    """Complex float corners of every prototile, by id."""
-    names, _ = prototile_ids(d)
-    return np.array([[c.cvalue() for c in tile_corners(d, n)] for n in names])
-
-
 def derive_edge_words(rules: RuleSet):
     """The induced letter substitution: letter -> word of child letters.
 
@@ -766,18 +876,18 @@ def derive_edge_words(rules: RuleSet):
     """
     d = rules.d
     f = field_for_order(d)
-    _, index = prototile_ids(d)
+    names, index = prototile_ids(d)
     letters = letter_table(d)[0]
-    base = _float_corners(d)
-    parents = list(rules.rules)
-    kids = [(i, index[cname], h) for i, name in enumerate(parents)
-            for cname, h in rules.rules[name]]
-    owner = np.array([i for i, _, _ in kids])
-    ids = [c for _, c, _ in kids]
-    turn = np.exp(2j * np.pi / f.n * np.array([h.r for _, _, h in kids]))
-    shift = f.cvalues(*_common_den([h.t for _, _, h in kids], f.degree))
-    corners = turn[:, None] * base[ids] + shift[:, None]
-    big = base[[index[name] for name in parents]] * rules.iota.cvalue()
+    base = f.cvalues(*_corner_rows(d))  # prototile corners, by id
+    count, kids = rules.table()
+    ids, r, t, den = kids.columns
+    have = count >= 0
+    parents = [n for n, h in zip(names, have) if h]
+    owner = np.repeat(np.cumsum(have) - 1, np.maximum(count, 0))
+    ids = ids.astype(np.int64)
+    turn = np.exp(2j * np.pi / f.n * r)
+    corners = turn[:, None] * base[ids] + f.cvalues(t, den)[:, None]
+    big = base[have] * rules.iota.cvalue()
     side = big[:, [1, 2, 0]] - big
     ln2 = (abs(side) ** 2)[owner][:, None, :]
     # v[c, j, k]: corner j of child c against side k of its parent,
@@ -798,7 +908,7 @@ def derive_edge_words(rules: RuleSet):
     canon = {}
     seq = np.array([canon.setdefault(letter, letter) for ls in letters
                     for letter in ls], dtype=object)[
-        np.array(ids)[c[order]] * 3 + j[order]].tolist()
+        ids[c[order]] * 3 + j[order]].tolist()
     words = {}
     for g, name in enumerate(n for n in parents for _ in range(3)):
         letter = letters[index[name]][g % 3]

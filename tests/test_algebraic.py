@@ -174,7 +174,8 @@ def test_minimal_polynomial_equals_echelon():
 def test_minimal_polynomial_of_large_coefficients():
     # phi^n has the minimal polynomial X^2 - L_n X + (-1)^n (L_n the Lucas
     # numbers); at n = 100 its conjugate rows no longer fit int64, and the
-    # float values of its conjugates are too coarse for the default width
+    # float values of its conjugates are too coarse for the default width,
+    # so they are evaluated at a higher precision
     phi = inflation_factor(5, 2)
     x, lucas = phi.f.one, [2, 1]
     for n in range(1, 101):
@@ -182,14 +183,18 @@ def test_minimal_polynomial_of_large_coefficients():
         lucas.append(lucas[-1] + lucas[-2])
     assert max(map(abs, x.num)) > 2 ** 62
     assert minimal_polynomial(x).coeffs == (1, -lucas[100], 1)
-    with pytest.raises(ArithmeticError):
-        pisot_check(x)
-    assert pisot_check(x, width=1e9).is_pisot
-    assert not pisot_check(x + 2, width=1e9).is_pisot
+    res = pisot_check(x)
+    assert res.is_pisot
+    assert all(rad <= 1e-7 for _, _, rad in res.conjugates)
+    assert abs(res.conjugates[0][0] - lucas[100]) < 1
+    assert not pisot_check(x + 2).is_pisot
 
 
 def test_pisot_conjugate_bounds_respect_width():
     res = pisot_check(inflation_factor(13, 5))
     assert all(0 < rad < 1e-12 for _, _, rad in res.conjugates)
-    with pytest.raises(ArithmeticError):
-        pisot_check(inflation_factor(13, 5), width=1e-20)
+    fine = pisot_check(inflation_factor(13, 5), width=1e-20)
+    assert all(0 < rad <= 1e-20 for _, _, rad in fine.conjugates)
+    assert fine.is_pisot == res.is_pisot and fine.reason == res.reason
+    for (v, _, r), (w, _, q) in zip(res.conjugates, fine.conjugates):
+        assert abs(v - w) <= r + q

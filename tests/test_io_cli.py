@@ -303,3 +303,30 @@ def test_cli_bad_config_exits_2(tmp_path, capsys, content):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "config" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, name, value", [
+    (["tile", "--d", "14", "--p", "3", "--seed-tile", "G"], "n", -1),
+    (["random", "--d", "8", "--mode", "subst"], "n", -2),
+    (["random", "--d", "8", "--mode", "rearrange"], "steps", -3),
+    (["tile", "--d", "14", "--p", "3", "--seed-tile", "G"], "n", 2.5),
+    (["random", "--d", "8", "--mode", "rearrange"], "steps", True),
+], ids=["tile-n", "subst-n", "rearrange-steps", "tile-n-float",
+        "steps-bool"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_cli_rejects_bad_counts_before_any_output(tmp_path, capsys, command,
+                                                  name, value, source):
+    out = tmp_path / "out"
+    if source == "flag":
+        # argparse itself rejects a non-integer flag ("True", "2.5")
+        args = command + [f"--{name}", str(value)]
+    else:
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({name: value}))
+        args = ["--config", str(config)] + command
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--out", str(out)])
+    assert exc.value.code == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and f"--{name}" in err and "Traceback" not in err
+    assert not out.exists()

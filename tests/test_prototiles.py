@@ -1,5 +1,6 @@
 """Decorated prototiles: decorations, signatures, catalogs, naming."""
 
+import numpy as np
 import pytest
 
 from deltiling.arrangement import (SymmetryIndex, cross_sign, get_arrangement,
@@ -8,7 +9,7 @@ from deltiling.prototiles import (EdgeLetter, LETTER_NAMES_14, canonical_rotatio
                                   child_symmetry, decorate, hat_signature,
                                   mirror_triple, prototile_catalog, signature,
                                   tilde_signature, undecorated_signature)
-from deltiling.substitution import point_in_triangle
+from deltiling.substitution import _inside_mask
 
 
 def sig_str(sig):
@@ -61,8 +62,9 @@ def search_decoration(sym, tri):
     corners, opposite = get_arrangement(sym.d, sym.kappa).corners(tri)
     pc = tuple(_embed(c, child.f) for c in corners)
     ptri = [c.cvalue() for c in pc]
-    candidates = [(t, cc) for t, cc, cen in child.face_table()
-                  if point_in_triangle(cen, ptri)]
+    table = child.face_table()
+    inside = _inside_mask(np.array([cen for _, _, cen in table]), ptri)
+    candidates = [(t, cc) for (t, cc, _), ok in zip(table, inside) if ok]
     assert len(candidates) == 4
     keys = {c.key() for c in pc}
     inner = [(t, cc) for t, cc in candidates

@@ -7,9 +7,11 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from deltiling.arrangement import SymmetryIndex, classify_triple
+from deltiling.arrangement import (SymmetryIndex, classify_triple,
+                                   get_arrangement)
 from deltiling.field import field_for_order, inflation_factor
 from deltiling import substitution
 from deltiling.prototiles import EdgeLetter, prototile_catalog
@@ -227,18 +229,21 @@ def test_derive_rules_confirms_float_children_exactly(monkeypatch, mutation):
     # a centroid verdict that drops one child, or admits one face whose
     # centroid lies just outside the inflated prototile, is caught by the
     # exact area balance
-    inside = substitution.point_in_triangle
+    inside = substitution._inside_mask
     flipped = []
 
-    def verdict(p, tri):
-        ok = inside(p, tri)
-        if not flipped and (ok if mutation == "drop"
-                            else inside(p, tri, margin=-0.5) and not ok):
-            flipped.append(p)
-            return not ok
+    def verdict(points, tri):
+        ok = inside(points, tri)
+        pick = (ok if mutation == "drop"
+                else inside(points, tri, margin=-0.5) & ~ok)
+        if not flipped and pick.any():
+            k = int(np.flatnonzero(pick)[0])
+            flipped.append(k)
+            ok = ok.copy()
+            ok[k] = not ok[k]
         return ok
 
-    monkeypatch.setattr(substitution, "point_in_triangle", verdict)
+    monkeypatch.setattr(substitution, "_inside_mask", verdict)
     with pytest.raises(AssertionError, match="children do not fill"):
         derive_rules.__wrapped__(7, 2, 1)
     assert len(flipped) == 1
@@ -377,3 +382,96 @@ def test_t_junctions_near_edge_ends_are_rejected():
     assert not missed, f"{len(missed)} T-junctions reported face-to-face"
     rep = verify_face_to_face(patches[0])
     assert any("T-junction" in problem for problem in rep.problems)
+
+
+# -- the per-child derivation, kept as the reference for the columns -----
+
+def reference_rotation_index(num, den):
+    f = den.f
+    zn, zd = num.cvalue(), den.cvalue()
+    if abs(abs(zn) - abs(zd)) > 1e-6 * max(abs(zn), abs(zd)):
+        return None
+    r = round(cmath.phase(zn * zd.conjugate()) * f.n / (2 * cmath.pi)) % f.n
+    return r if den.mul_zeta(r) == num else None
+
+
+def reference_match(src, dst):
+    """First cyclic shift with dst[k] = g(src[k + shift]), field arithmetic."""
+    b0, b1, b2 = dst
+    for shift in range(3):
+        a0, a1, a2 = (src[(k + shift) % 3] for k in range(3))
+        r = reference_rotation_index(b1 - b0, a1 - a0)
+        if r is not None:
+            g = Isometry(r, b0 - a0.mul_zeta(r))
+            if g(a2) == b2:
+                return g
+    return None
+
+
+def reference_locate(sym, tri, corners, p, sign):
+    d = sym.d
+    src = tuple(c * inflation_factor(d, p) for c in corners)
+    branch = tri.m_class if tri.m_class <= d // 2 else tri.m_class - d
+    signed = substitution._signed_triple(sym, tri.idx)
+    for s in substitution._target_preference(d, p, branch, sign):
+        for k2 in ((0,) if d % 3 else (0, -2, 2)):
+            rhs = (k2 + s - tri.sigma) % d
+            for n in [n for n in range(d) if (3 * n) % d == rhs]:
+                sym2 = SymmetryIndex(d, k2)
+                tri2 = substitution._internal_tri(
+                    sym2, tuple(x + n for x in signed))
+                if tri2.p_class != p:
+                    continue
+                dst, _ = get_arrangement(d, k2).corners(tri2)
+                g = reference_match(src, dst)
+                if g is not None:
+                    return sym2, g, dst
+    raise AssertionError("no congruent inflated image")
+
+
+def reference_point_in_triangle(p, tri, margin=1e-9):
+    return all(((tri[(k + 1) % 3] - tri[k]).conjugate() * (p - tri[k])).imag
+               >= margin for k in range(3))
+
+
+def reference_rules(d, p, sign):
+    """Children one by one: Elem placements, compose, point tests, sort."""
+    cat = prototile_catalog(d)
+    faces = {}
+    for kappa in ((0,) if d % 3 else (0, -2, 2)):
+        faces[kappa] = []
+        for tri, corners, centroid in get_arrangement(d, kappa).face_table():
+            proto, r = cat.classify(cat.faces[kappa, tri.idx].letters)
+            place = reference_match(tile_corners(d, proto.name),
+                                    tuple(corners[(k + r) % 3]
+                                          for k in range(3)))
+            faces[kappa].append((proto.name, place, centroid))
+    rules = {}
+    for proto in cat.prototiles:
+        sym2, g, tcorners = reference_locate(proto.face.sym, proto.face.tri,
+                                             tile_corners(d, proto.name), p,
+                                             sign)
+        tri_fl = [c.cvalue() for c in tcorners]
+        inv = g.inverse()
+        children = [(name, inv.compose(place))
+                    for name, place, centroid in faces[sym2.kappa]
+                    if reference_point_in_triangle(centroid, tri_fl)]
+        children.sort(key=lambda ch: (ch[0], ch[1].key()))
+        rules[proto.name] = tuple(children)
+    return RuleSet(d, p, sign, rules)
+
+
+@pytest.mark.parametrize("d", range(5, 17))
+def test_column_derivation_equals_per_child_reference(d):
+    for p in range(2, d // 2 + 1):
+        for sign in (1, -1):
+            got = derive_rules(d, p, sign)
+            want = reference_rules(d, p, sign)
+            for name, children in want.rules.items():
+                assert [(n, h.r, h.t.key()) for n, h in got.rules[name]] == \
+                    [(n, h.r, h.t.key()) for n, h in children], (d, p, sign)
+            a, b = vars(got.columns()), vars(want.columns())
+            assert a.keys() == b.keys()
+            for key, value in a.items():
+                assert np.array_equal(value, b[key]), (d, p, sign, key)
+                assert np.asarray(value).dtype == np.asarray(b[key]).dtype
