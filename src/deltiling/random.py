@@ -19,22 +19,27 @@ edge subdivisions, so edge matching does not need the decorations.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import itertools
+import math
 import random as _stdrandom
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .field import field_for_order
+from .field import Elem, field_for_order
 from .arrangement import (SymmetryIndex, cross_sign, edge_class,
                           get_arrangement, length_class)
 from .prototiles import prototile_catalog
-from .substitution import (Patch, RuleSet, Tile, derive_rules,
+from .substitution import (Isometry, Patch, RuleSet, Tile, derive_rules,
                            derive_edge_words, letter_table, match_triangles,
-                           mir, project, prototile_ids, row_ids, tile_corners,
-                           tile_edges, _inflate, _rule_table)
+                           max_abs, mir, project, prototile_ids, row_ids,
+                           tile_corners, tile_edges, _common_den,
+                           _field_tables, _guard, _inflate, _rule_starts,
+                           _rule_table)
 
 
 # -- the inscribed polygon ----------------------------------------------
@@ -210,61 +215,153 @@ def _shape_index(d):
     return out
 
 
-def _place_shape(d, corners):
-    """(name, Isometry) of a prototile congruent (directly) to corners."""
-    classes = []
-    for k in range(3):
-        cls = edge_class(d, corners[(k + 1) % 3] - corners[k])
-        if cls is None:
-            return None
-        classes.append(cls)
+def _match_shape(d, corners, classes):
+    """(name, Isometry, shift) of a prototile with side classes `classes`
+    (in any order) congruent (directly) to corners, or None: corner m of
+    the placed prototile is corners[(m - shift) % 3]."""
     for name in _shape_index(d).get(tuple(sorted(classes)), ()):
-        g, _ = match_triangles(tile_corners(d, name), corners)
+        g, shift = match_triangles(tile_corners(d, name), corners)
         if g is not None:
-            return name, g
+            return name, g, shift
     return None
 
 
-@dataclass(frozen=True)
-class FlipSite:
-    """A flippable pair of tiles inside a patch."""
-    i: int
-    j: int
-    old: tuple      # the two Tile records being replaced
-    new: tuple      # the two replacement Tile records
+class _Flip(NamedTuple):
+    """One flip-table entry: the two replacements relative to tile i.
+
+    `placements` are their (name, Isometry); as columns, `ids`, `r` and
+    `t` are their prototile ids, rotations and translation rows over
+    `den`, and `bound` bounds the coefficients of every zeta^s * t.
+    corners[k][m] is the quadrilateral corner (0, 1, 2, 3 for u, v, w1,
+    w2) at corner m of replacement k.
+    """
+    placements: tuple
+    ids: tuple
+    r: tuple
+    t: np.ndarray
+    den: int
+    bound: int
+    corners: tuple
+
+
+#: the flipped halves (w1, u, w2) and (w2, v, w1), by index in (u, v, w1, w2)
+_HALVES = ((2, 0, 3), (3, 1, 2))
 
 
 @lru_cache(maxsize=None)
 def _flip_entry(d, edge_cls, diag_cls, key):
-    """The flip table: replacements of one tile pair, or None.
+    """The flip table: the `_Flip` of one tile pair, or None.
 
     key = (id_i, k_i, id_j, k_j, s): prototile i at the identity, side k_i
     of it shared with side k_j of prototile j, turned by zeta^s.  The
-    pair flips when the side runs the other way along j, the far corners
-    span a class-diag_cls diagonal, the quadrilateral is strictly convex
-    (exact orientation tests) and both halves are prototiles.  Returns
-    the two replacements as (name, Isometry) relative to tile i.
+    pair flips when the side runs the other way along j and both halves
+    cut off by the other diagonal are prototiles in which that diagonal
+    has class diag_cls.  The halves' other sides are sides of i and j, so
+    their classes are read off the letter table, and an exact congruence
+    places each half.  This also makes the quadrilateral strictly convex:
+    its four turns are the orientations of i, j and the two halves, and
+    every prototile runs anticlockwise.
     """
     id_i, k_i, id_j, k_j, s = key
-    names, _ = prototile_ids(d)
+    names, index = prototile_ids(d)
     ci = tile_corners(d, names[id_i])
     cj = [c.mul_zeta(s) for c in tile_corners(d, names[id_j])]
     u, v, w1 = (ci[(k_i + k) % 3] for k in range(3))
     if cj[(k_j + 1) % 3] - cj[k_j] != u - v:
         return None
     w2 = cj[(k_j + 2) % 3] + (v - cj[k_j])
-    if edge_class(d, w2 - w1) != diag_cls:
+    corners = (u, v, w1, w2)
+    cls = letter_table(d)[1]
+    # (w1, u, w2) has sides w1 -> u of i and u -> w2 of j; (w2, v, w1) has
+    # w2 -> v of j and v -> w1 of i; the diagonal closes both
+    known = ((cls[id_i, (k_i + 2) % 3], cls[id_j, (k_j + 1) % 3]),
+             (cls[id_j, (k_j + 2) % 3], cls[id_i, (k_i + 1) % 3]))
+    found = [_match_shape(d, [corners[c] for c in half],
+                          [int(c) for c in sides] + [diag_cls])
+             for half, sides in zip(_HALVES, known)]
+    if any(p is None for p in found):
         return None
-    quad = (u, w2, v, w1)
-    if any(cross_sign(quad[(k + 1) % 4] - quad[k],
-                      quad[(k + 2) % 4] - quad[(k + 1) % 4]) <= 0
-           for k in range(4)):
-        return None
-    p1 = _place_shape(d, (w1, u, w2))
-    p2 = _place_shape(d, (w2, v, w1))
-    if p1 is None or p2 is None:
-        return None
-    return p1, p2
+    f = field_for_order(d)
+    rows, den = _common_den([g.t for _, g, _ in found], f.degree)
+    return _Flip(tuple((name, g) for name, g, _ in found),
+                 tuple(index[name] for name, _, _ in found),
+                 tuple(g.r for _, g, _ in found), rows, den,
+                 f.degree * max_abs(rows) * _field_tables(f)[1],
+                 tuple(tuple(half[(m - shift) % 3] for m in range(3))
+                       for (_, _, shift), half in zip(found, _HALVES)))
+
+
+def _write_flip(d, ids, r, t, den, i, j, flip):
+    """Overwrite tiles i and j of the columns with the flip's replacements,
+    placed by tile i's isometry: (r_i + r_k, zeta^r_i t_k + t_i).
+
+    t (int64) is rescaled in place when the common denominator grows;
+    returns that denominator.
+    """
+    L = math.lcm(den, flip.den)
+    s1, s2 = L // den, L // flip.den
+    ri = int(r[i])
+    _guard(max_abs(t if s1 != 1 else t[i]) * s1 + flip.bound * s2, "flip")
+    if s1 != 1:
+        t *= s1
+    rotations = field_for_order(d).rotations
+    new = flip.t @ rotations[ri]
+    if s2 != 1:
+        new *= s2
+    new += t[i]
+    n = len(rotations)
+    for k, row in enumerate((i, j)):
+        ids[row] = flip.ids[k]
+        r[row] = (ri + flip.r[k]) % n
+        t[row] = new[k]
+    return L
+
+
+class _Scan(NamedTuple):
+    """What one `find_flippable` call searched: the patch, the corner ids
+    of its tiles (N x 3) and the edge and diagonal classes."""
+    patch: Patch
+    pid: np.ndarray
+    edge_class: int
+    diag_class: int
+
+
+def _tile_at(patch, k):
+    """Tile k of a patch, built from its columns alone."""
+    ids, r, t, den = patch.columns
+    f = field_for_order(patch.d)
+    return Tile(prototile_ids(patch.d)[0][ids[k]],
+                Isometry(int(r[k]), Elem(f, t[k].tolist(), den).normalized()))
+
+
+class FlipSite:
+    """A flippable pair of tiles inside a patch.
+
+    Tile i's side `side % 3` (side = 3 i + k_i is the pair's first tile
+    edge) is shared with tile j.  `old`, the two Tiles being replaced, and
+    `new`, their replacements, are built on each use from the flip-table
+    entry `flip` and the `scan` the site was found in.
+    """
+
+    __slots__ = ("i", "j", "side", "flip", "scan")
+
+    def __init__(self, i, j, side, flip, scan):
+        self.i, self.j, self.side = i, j, side
+        self.flip, self.scan = flip, scan
+
+    def __repr__(self):
+        return f"FlipSite(i={self.i}, j={self.j})"
+
+    @property
+    def old(self):
+        return _tile_at(self.scan.patch, self.i), _tile_at(self.scan.patch,
+                                                           self.j)
+
+    @property
+    def new(self):
+        iso = _tile_at(self.scan.patch, self.i).iso
+        return tuple(Tile(name, iso.compose(g))
+                     for name, g in self.flip.placements)
 
 
 def find_flippable(patch: Patch, edge_class=None, diag_class=None):
@@ -275,9 +372,16 @@ def find_flippable(patch: Patch, edge_class=None, diag_class=None):
     inverses, with the classes swapped).  Shared edges are found from the
     patch's corner rows and picked by the side class of their prototile.
     Each pair is decided by the flip table `_flip_entry`, keyed by the two
-    prototiles, their shared sides and their relative rotation; the
-    replacements are placed by the first tile's isometry.
+    prototiles, their shared sides and their relative rotation.  Sites
+    come in the order of their first tile edge; their replacements are
+    composed only when read.
     """
+    rows, _ = patch.corner_rows()
+    return _flip_sites(patch, row_ids(rows)[0], edge_class, diag_class)
+
+
+def _flip_sites(patch, pid, edge_class=None, diag_class=None):
+    """`find_flippable` on given corner ids pid (N x 3) of the tiles."""
     d = patch.d
     if edge_class is None:
         if d % 2:
@@ -287,8 +391,7 @@ def find_flippable(patch: Patch, edge_class=None, diag_class=None):
         diag_class = length_class(d, edge_class - 1)
     n = field_for_order(d).n
     ids, r, _, _ = patch.columns
-    rows, _ = patch.corner_rows()
-    first, count, side1, side2, _ = tile_edges(row_ids(rows)[0])
+    first, count, side1, side2, _ = tile_edges(pid)
     classes = letter_table(d)[1][ids].ravel()
     cand = np.flatnonzero((count == 2) & (classes[side1] == edge_class))
     cand = cand[np.argsort(first[cand])]
@@ -296,38 +399,133 @@ def find_flippable(patch: Patch, edge_class=None, diag_class=None):
     tj, kj = np.divmod(side2[cand], 3)
     keys = zip(ids[ti].tolist(), ki.tolist(), ids[tj].tolist(), kj.tolist(),
                ((r[tj] - r[ti]) % n).tolist())
+    scan = _Scan(patch, pid, edge_class, diag_class)
     sites = []
-    for a, b, key in zip(ti.tolist(), tj.tolist(), keys):
-        entry = _flip_entry(d, edge_class, diag_class, key)
-        if entry is None:
-            continue
-        tiles = patch.tiles
-        iso = tiles[a].iso
-        sites.append(FlipSite(a, b, (tiles[a], tiles[b]),
-                              tuple(Tile(name, iso.compose(g))
-                                    for name, g in entry)))
+    for side, a, b, key in zip(side1[cand].tolist(), ti.tolist(),
+                               tj.tolist(), keys):
+        flip = _flip_entry(d, edge_class, diag_class, key)
+        if flip is not None:
+            sites.append(FlipSite(a, b, side, flip, scan))
     return sites
 
 
 def apply_flip(patch: Patch, site: FlipSite) -> Patch:
-    """Replace the two tiles of a flip site; the outline is unchanged."""
-    for idx, old in zip((site.i, site.j), site.old):
-        if patch.tiles[idx] != old:
-            raise ValueError("stale flip site: the patch has changed")
-    tiles = list(patch.tiles)
-    tiles[site.i], tiles[site.j] = site.new
-    return Patch(patch.d, tiles)
+    """Replace the two tiles of a flip site; the outline is unchanged.
+
+    The new patch's columns are a copy of the old ones with two rows
+    overwritten.  Tiles i and j must be placed as in the patch the site
+    was found on.
+    """
+    for k in (site.i, site.j):
+        if k >= len(patch):
+            raise ValueError(f"stale flip site: tile {k} is past the end "
+                             f"of a {len(patch)}-tile patch")
+    if site.scan.patch is not patch and site.old != (
+            _tile_at(patch, site.i), _tile_at(patch, site.j)):
+        raise ValueError("stale flip site: the patch has changed")
+    ids, r, t, den = patch.columns
+    ids, r, t = ids.copy(), r.copy(), t.astype(np.int64)
+    den = _write_flip(patch.d, ids, r, t, den, site.i, site.j, site.flip)
+    return Patch.from_columns(patch.d, ids, r, t, den)
+
+
+#: offset from tile edge 3 k + m to the tile edge starting where it ends
+_NEXT = (1, 1, -2)
+
+
+class _FlipChain:
+    """The flip sites of a patch, kept current under flips.
+
+    Built from one `find_flippable` result, on its own copy of the
+    columns.  It keeps the corner id at the start of every tile edge
+    (3 k + m runs from corner m to corner m+1 of tile k) and, per corner
+    id, the set of tile edges starting there.  A flip keeps its
+    quadrilateral's four corners, so only the six edges among them change:
+    their sites are dropped and re-decided.  `sides` lists the sites'
+    first tile edges in ascending order, which is `find_flippable` order.
+    """
+
+    def __init__(self, sites):
+        scan = sites[0].scan
+        d = self.d = scan.patch.d
+        self.n = field_for_order(d).n
+        self.edge_class, self.diag_class = scan.edge_class, scan.diag_class
+        self.side_class = letter_table(d)[1].tolist()
+        ids, r, t, self.den = scan.patch.columns
+        self.ids, self.r, self.t = ids.copy(), r.copy(), t.astype(np.int64)
+        self.start = scan.pid.ravel().tolist()
+        self.inc = [set() for _ in range(max(self.start) + 1)]
+        for x, c in enumerate(self.start):
+            self.inc[c].add(x)
+        self.sides = [s.side for s in sites]
+        self.sites = {s.side: (s.i, s.j, s.flip) for s in sites}
+
+    def _edge(self, a, b):
+        """The tile edges between corners a and b, ascending."""
+        st = self.start
+        return sorted([x for x in self.inc[a] if st[x + _NEXT[x % 3]] == b]
+                      + [x for x in self.inc[b] if st[x + _NEXT[x % 3]] == a])
+
+    def _decide(self, edge):
+        """Record the site on one edge's tile edges, if it flips."""
+        if len(edge) != 2:
+            return
+        (ti, ki), (tj, kj) = divmod(edge[0], 3), divmod(edge[1], 3)
+        a, b = int(self.ids[ti]), int(self.ids[tj])
+        if self.side_class[a][ki] != self.edge_class:
+            return
+        key = (a, ki, b, kj, int(self.r[tj] - self.r[ti]) % self.n)
+        flip = _flip_entry(self.d, self.edge_class, self.diag_class, key)
+        if flip is not None:
+            self.sites[edge[0]] = (ti, tj, flip)
+            bisect.insort(self.sides, edge[0])
+
+    def flip(self, side):
+        """Apply the site whose first tile edge is `side`."""
+        i, j, flip = self.sites[side]
+        st = self.start
+        u, v, w1 = (st[side - side % 3 + (side + m) % 3] for m in range(3))
+        (w2,) = [c for c in st[3 * j:3 * j + 3] if c != u and c != v]
+        quad = (u, v, w1, w2)
+        pairs = ((u, v), (w1, w2), (u, w1), (v, w1), (u, w2), (v, w2))
+        for a, b in pairs:
+            edge = self._edge(a, b)
+            if edge and self.sites.pop(edge[0], None) is not None:
+                del self.sides[bisect.bisect_left(self.sides, edge[0])]
+        self.den = _write_flip(self.d, self.ids, self.r, self.t, self.den,
+                               i, j, flip)
+        for tile, at in zip((i, j), flip.corners):
+            for m in range(3):
+                x = 3 * tile + m
+                self.inc[st[x]].discard(x)
+                st[x] = quad[at[m]]
+                self.inc[st[x]].add(x)
+        for a, b in pairs:
+            self._decide(self._edge(a, b))
+
+    def patch(self):
+        return Patch.from_columns(self.d, self.ids.copy(), self.r.copy(),
+                                  self.t.copy(), self.den)
 
 
 def rearrangement_sample(patch: Patch, steps, rng_seed=0):
-    """Sequential random single-flip dynamics (uniform over current sites)."""
+    """Sequential random single-flip dynamics (uniform over current sites).
+
+    One full `find_flippable` scan; after it a `_FlipChain` keeps the site
+    list in scan order, so every step's `rng.choice` sees the list a
+    rescan would give, and each flip re-decides only the edges of its two
+    tiles.
+    """
     rng = _stdrandom.Random(rng_seed)
+    sites = find_flippable(patch) if steps > 0 else None
+    if not sites:
+        return patch
+    chain = _FlipChain(sites)
     for _ in range(steps):
-        sites = find_flippable(patch)
-        if not sites:
+        if not chain.sides:
             break
-        patch = apply_flip(patch, rng.choice(sites))
-    return patch
+        chain.flip(rng.choice(chain.sides))
+    return chain.patch()
 
 
 # -- random substitution ------------------------------------------------
@@ -361,12 +559,35 @@ class RandomRuleFamily:
 
 
 def _site_groups(d, base):
-    """Per-prototile flip sites inside the inflated prototiles."""
-    groups = []
-    for name in sorted(base.rules):
-        patch = Patch(d, [Tile(c, h) for c, h in base.rules[name]])
-        for site in find_flippable(patch):
-            groups.append((name, site))
+    """Per-prototile flip sites inside the inflated prototiles, by name.
+
+    One search covers the whole base table: each child's corners are
+    tagged with its parent prototile, so no edge joins two rules.  Each
+    site is then re-indexed into its prototile's children, sliced from
+    the table as a patch.
+    """
+    names, _ = prototile_ids(d)
+    count, kids = base.table()
+    ids, r, t, den = kids.columns
+    start = _rule_starts(count)
+    parent = np.repeat(np.arange(len(count)), np.maximum(count, 0))
+    rows, _ = kids.corner_rows()
+    pid = row_ids(np.concatenate(
+        [rows, np.broadcast_to(parent[:, None, None], (len(rows), 3, 1))],
+        axis=-1))[0]
+    scans, groups = {}, []
+    for site in _flip_sites(kids, pid):
+        k = int(parent[site.i])
+        a = int(start[k])
+        if k not in scans:
+            s = slice(a, a + int(count[k]))
+            scans[k] = site.scan._replace(
+                patch=Patch.from_columns(d, ids[s], r[s], t[s], den),
+                pid=pid[s])
+        groups.append((names[k], FlipSite(site.i - a, site.j - a,
+                                          site.side - 3 * a, site.flip,
+                                          scans[k])))
+    groups.sort(key=lambda g: (g[0], g[1].side))
     return groups
 
 
@@ -385,11 +606,8 @@ def random_rule_family(d, cap=64, rng_seed=0):
     for w in words.values():
         assert project(w) == project(mir(w))
     sites = _site_groups(d, base)
-    members = [RuleSet(d, q, 1, dict(base.rules))]
     chosen = []
     for size in range(1, len(sites) + 1):
-        if len(members) > cap:
-            break
         for combo in itertools.combinations(range(len(sites)), size):
             used = set()
             ok = True
@@ -402,7 +620,7 @@ def random_rule_family(d, cap=64, rng_seed=0):
                 used |= key
             if ok:
                 chosen.append(combo)
-                if len(members) + len(chosen) > cap:
+                if len(chosen) >= cap:
                     break
         else:
             continue
@@ -410,15 +628,22 @@ def random_rule_family(d, cap=64, rng_seed=0):
     rng = _stdrandom.Random(rng_seed)
     if len(chosen) > cap - 1:
         chosen = rng.sample(chosen, cap - 1)
+    # every member is the base table with its flipped rows overwritten
+    _, index = prototile_ids(d)
+    count, kids = base.table()
+    ids, r, t, den = kids.columns
+    start = _rule_starts(count).tolist()
+    members = [RuleSet(d, q, 1, table=(count, kids))]
     for combo in chosen:
-        rules = {n: list(ch) for n, ch in base.rules.items()}
+        cols = [ids.copy(), r.copy(), t.astype(np.int64)]
+        mden = den
         for ci in combo:
             name, site = sites[ci]
-            tiles = rules[name]
-            tiles[site.i] = (site.new[0].name, site.new[0].iso)
-            tiles[site.j] = (site.new[1].name, site.new[1].iso)
-        members.append(RuleSet(d, q, 1, {n: tuple(ch)
-                                         for n, ch in rules.items()}))
+            at = start[index[name]]
+            mden = _write_flip(d, *cols, mden, at + site.i, at + site.j,
+                               site.flip)
+        members.append(RuleSet(d, q, 1, table=(
+            count, Patch.from_columns(d, *cols, mden))))
     return RandomRuleFamily(d, members)
 
 

@@ -344,6 +344,12 @@ class RuleSet:
         return full[np.ix_(sel, sel)], order
 
 
+def _rule_starts(count):
+    """First child row of every row key, for child counts `count` (-1 for
+    a prototile without a rule)."""
+    return np.cumsum(np.maximum(count, 0)) - np.maximum(count, 0)
+
+
 def _rule_table(d, members, iota):
     """Column table of one or more rule sets sharing the factor iota.
 
@@ -362,14 +368,14 @@ def _rule_table(d, members, iota):
     count = np.concatenate([c for c, _ in tables])
     trans = np.concatenate([_over(k[2], k[3], den) for k in kids])
     # rule sets repeat few translations: turn each distinct one once
-    uniq, tidx = np.unique(trans, axis=0, return_inverse=True)
+    tidx, first = row_ids(trans)
     M, mden = f.mul_matrix(iota)
     return SimpleNamespace(
         count=count,
-        start=np.cumsum(np.concatenate(([0], np.maximum(count[:-1], 0)))),
+        start=_rule_starts(count),
         ids=np.concatenate([k[0] for k in kids]),
         r=np.concatenate([k[1] for k in kids]),
-        tidx=tidx.reshape(-1), rot=_rotated(f, uniq), den=den, M=M,
+        tidx=tidx, rot=_rotated(f, trans[first]), den=den, M=M,
         mden=mden)
 
 
@@ -594,8 +600,11 @@ class Patch:
 
     @classmethod
     def single(cls, d, name):
-        f = field_for_order(d)
-        return cls(d, [Tile(name, identity_isometry(f))])
+        """Prototile `name` at the identity."""
+        return cls.from_columns(
+            d, np.array([prototile_ids(d)[1][name]], dtype=np.int16),
+            np.zeros(1, dtype=np.int32),
+            np.zeros((1, field_for_order(d).degree), dtype=np.int64))
 
     @classmethod
     def from_columns(cls, d, ids, r, t, den=1):

@@ -7,18 +7,23 @@ per-tile inflation loop; the same seeds must give the same bytes.
 """
 
 import hashlib
+import itertools
+import math
 import os
+import random
 import tempfile
 
 import numpy as np
 import pytest
 
 from deltiling import random as ensembles
+from deltiling.arrangement import cross_sign, edge_class
 from deltiling.field import field_for_order
 from deltiling.patchio import export_patch
 from deltiling.prototiles import prototile_catalog
-from deltiling.substitution import (Isometry, Patch, Tile, derive_rules,
-                                    identity_isometry)
+from deltiling.substitution import (Isometry, Patch, RuleSet, Tile,
+                                    derive_rules, identity_isometry,
+                                    match_triangles, tile_corners)
 
 
 def placements(d):
@@ -196,6 +201,112 @@ def test_rule_tables_turn_each_distinct_translation_once():
     assert len(tab.rot) < len(tab.tidx)
 
 
+# -- the column-built rule family against dict-made members ----------------
+
+def dict_family(d, cap, rng_seed=0):
+    """The family as RuleSets made from rule dicts, each flipped site's
+    pair replaced by its `new` Tiles (the per-site construction)."""
+    q = d // 2
+    base = derive_rules(d, q, 1)
+    sites = ensembles._site_groups(d, base)
+    chosen = []
+    for size in range(1, len(sites) + 1):
+        for combo in itertools.combinations(range(len(sites)), size):
+            keys = [(name, k) for name, s in (sites[c] for c in combo)
+                    for k in (s.i, s.j)]
+            if len(set(keys)) == len(keys):
+                chosen.append(combo)
+                if len(chosen) >= cap:
+                    break
+        else:
+            continue
+        break
+    if len(chosen) > cap - 1:
+        chosen = random.Random(rng_seed).sample(chosen, cap - 1)
+    members = [RuleSet(d, q, 1, dict(base.rules))]
+    for combo in chosen:
+        rules = {n: list(ch) for n, ch in base.rules.items()}
+        for c in combo:
+            name, site = sites[c]
+            for k, new in zip((site.i, site.j), site.new):
+                rules[name][k] = (new.name, new.iso)
+        members.append(RuleSet(d, q, 1, {n: tuple(ch)
+                                         for n, ch in rules.items()}))
+    return members
+
+
+@pytest.mark.parametrize("cap", [1, 4, 64])
+def test_column_rule_family_matches_dict_members(cap):
+    d = 14
+    f = field_for_order(d)
+    got = ensembles.random_rule_family(d, cap=cap).columns()
+    members = dict_family(d, cap)
+    want = ensembles.RandomRuleFamily(d, members).columns()
+    for key in ("count", "start", "ids", "r"):
+        assert np.array_equal(getattr(got, key), getattr(want, key)), key
+    # rot[tidx, s] = (translation row) @ R[s] on both sides, for every s
+    rows = [h.t for m in members for name in ensembles.prototile_ids(d)[0]
+            for _, h in m.rules.get(name, ())]
+    den = math.lcm(*(e.den for e in rows))
+    assert got.den == den
+    trans = np.array([[c * (den // e.den) for c in e.num] for e in rows])
+    assert np.array_equal(got.rot[got.tidx, 0], trans)
+    for s in range(f.n):
+        assert np.array_equal(got.rot[:, s], got.rot[:, 0] @ f.rotations[s])
+
+
+# -- the incremental flip chain against full scans ---------------------------
+
+def site_keys(sites):
+    return [(s.side, s.i, s.j, s.flip.placements) for s in sites]
+
+
+def chain_keys(chain):
+    return [(x, *chain.sites[x][:2], chain.sites[x][2].placements)
+            for x in chain.sides]
+
+
+@pytest.mark.parametrize("d, p, n, classes, prior", [
+    (14, 3, 3, {}, 0),
+    (14, 3, 4, {}, 0),
+    # inverse flips exist only where forward flips were made
+    (14, 3, 4, {"edge_class": 6, "diag_class": 7}, 600),
+    # 66 flips end the chain of 70 sites: flips drop neighbouring sites
+    (8, 3, 4, {"edge_class": 3, "diag_class": 4}, 0),
+], ids=["678-tiles", "5577-tiles", "5577-tiles-inverse", "697-tiles-d8"])
+def test_chain_sites_match_full_scans(d, p, n, classes, prior):
+    """After every step of a chain of up to 300 steps the kept site list
+    equals a full find_flippable of the chain's patch, the patch equals
+    the one apply_flip makes from the full scan's site, and the kept
+    corner ids pair one to one with those of the scan."""
+    name = "G" if d == 14 else prototile_catalog(d).prototiles[0].name
+    patch = inflated(d, name, placements(d)[1], derive_rules(d, p, 1), n)
+    patch = ensembles.rearrangement_sample(patch, prior, 2)
+    sites = ensembles.find_flippable(patch, **classes)
+    chain = ensembles._FlipChain(sites)
+    rng = random.Random(n)
+    steps = 0
+    while chain.sides and steps < 300:
+        pick = rng.randrange(len(chain.sides))
+        ref = ensembles.apply_flip(patch, sites[pick])
+        chain.flip(chain.sides[pick])
+        patch = chain.patch()
+        assert_same_columns(patch, ref)
+        sites = ensembles.find_flippable(patch, **classes)
+        assert chain_keys(chain) == site_keys(sites)
+        if sites:
+            pid = sites[0].scan.pid.ravel().tolist()
+            assert (len(set(zip(chain.start, pid))) == len(set(pid))
+                    == len(set(chain.start)))
+        steps += 1
+    assert steps >= 66
+    starts = {}
+    for x, c in enumerate(chain.start):
+        starts.setdefault(c, set()).add(x)
+    assert all(chain.inc[c] == starts.get(c, set())
+               for c in range(len(chain.inc)))
+
+
 # -- the flip table against placement on exact corners ----------------------
 
 def site_corners(d, site):
@@ -210,6 +321,21 @@ def site_corners(d, site):
     return u, v, w1, w2
 
 
+def place_shape(d, corners):
+    """(name, Isometry) of the first catalog prototile directly congruent
+    to corners, picked by exact side classes and match_triangles."""
+    classes = [edge_class(d, corners[(k + 1) % 3] - corners[k])
+               for k in range(3)]
+    if None in classes:
+        return None
+    for proto in prototile_catalog(d).prototiles:
+        if sorted(proto.side_classes) == sorted(classes):
+            g, _ = match_triangles(tile_corners(d, proto.name), corners)
+            if g is not None:
+                return proto.name, g
+    return None
+
+
 @pytest.mark.parametrize("d, k", [(14, 0), (14, 2), (10, 0), (12, 0)])
 def test_flip_table_sites_match_place_shape(d, k):
     name = "G" if d == 14 else prototile_catalog(d).prototiles[0].name
@@ -220,8 +346,11 @@ def test_flip_table_sites_match_place_shape(d, k):
         for site in ensembles.find_flippable(patch):
             u, v, w1, w2 = site_corners(d, site)
             for new, corners in zip(site.new, ((w1, u, w2), (w2, v, w1))):
-                assert ensembles._place_shape(d, corners) == (new.name,
-                                                              new.iso)
+                assert place_shape(d, corners) == (new.name, new.iso)
+            quad = (u, w2, v, w1)
+            assert all(cross_sign(quad[(m + 1) % 4] - quad[m],
+                                  quad[(m + 2) % 4] - quad[(m + 1) % 4]) > 0
+                       for m in range(4))
             seen += 1
     assert seen
 

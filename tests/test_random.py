@@ -156,3 +156,42 @@ def test_random_substitution():
     for _ in range(2):
         base = base.inflate(single_family.members[0])
     assert geometry(det) == geometry(base)
+
+
+def test_apply_flip_rejects_sites_past_the_end():
+    rules = derive_rules(14, 5, 1)
+    patch = Patch.single(14, "G").inflate(rules).inflate(rules)
+    site = max(find_flippable(patch), key=lambda s: max(s.i, s.j))
+    ids, r, t, den = patch.columns
+    k = min(site.i, site.j) + 1
+    smaller = Patch.from_columns(14, ids[:k], r[:k], t[:k], den)
+    with pytest.raises(ValueError, match="stale flip site"):
+        apply_flip(smaller, site)
+
+
+def test_flips_never_write_into_their_input():
+    rules = derive_rules(14, 3, 1)
+    base = Patch.single(14, "G")
+    for _ in range(3):
+        base = base.inflate(rules)
+    before = [a.copy() for a in base.columns[:3]]
+    sample = rearrangement_sample(base, 100, rng_seed=4)
+    for site in find_flippable(base)[:10]:
+        apply_flip(base, site)
+    assert sample.columns[0] is not base.columns[0]
+    for a, b in zip(before, base.columns[:3]):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_flip_rows_are_guarded():
+    """A replacement row that could leave the exact int64 range raises."""
+    from deltiling.random import _write_flip
+    rules = derive_rules(14, 5, 1)
+    patch = Patch.single(14, "G").inflate(rules).inflate(rules)
+    site = find_flippable(patch)[0]
+    ids, r, t, den = patch.columns
+    t = t.astype("int64")
+    t[site.i, 0] = 2 ** 62
+    with pytest.raises(OverflowError, match="flip"):
+        _write_flip(14, ids.copy(), r.copy(), t, den, site.i, site.j,
+                    site.flip)
