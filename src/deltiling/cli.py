@@ -142,8 +142,11 @@ def cmd_random(args):
             patch = patch.inflate(rules)
         manifest.update(p=args.p, sign=args.sign, n=args.n, steps=args.steps,
                         seed_tile=args.seed_tile)
-        patch = ensembles.rearrangement_sample(patch, args.steps,
-                                               args.rng_seed)
+        patch, flips = ensembles.rearrangement_run(patch, args.steps,
+                                                   args.rng_seed)
+        if flips < args.steps:
+            print(f"note: no flip site left after {flips} of {args.steps} "
+                  "steps", file=sys.stderr)
         # each flip site's shared edge: the corners both tiles have exactly
         for site in ensembles.find_flippable(patch) if args.mark_flips else ():
             other = {c.key() for c in site.old[1].corners(args.d)}

@@ -514,18 +514,24 @@ def rearrangement_sample(patch: Patch, steps, rng_seed=0):
     One full `find_flippable` scan; after it a `_FlipChain` keeps the site
     list in scan order, so every step's `rng.choice` sees the list a
     rescan would give, and each flip re-decides only the edges of its two
-    tiles.
+    tiles.  The chain stops early when no flip site is left.
     """
+    return rearrangement_run(patch, steps, rng_seed)[0]
+
+
+def rearrangement_run(patch: Patch, steps, rng_seed=0):
+    """(sample, flips): `rearrangement_sample` and the number of flips it
+    made, fewer than steps when the chain ran out of flip sites."""
     rng = _stdrandom.Random(rng_seed)
     sites = find_flippable(patch) if steps > 0 else None
     if not sites:
-        return patch
+        return patch, 0
     chain = _FlipChain(sites)
-    for _ in range(steps):
+    for made in range(steps):
         if not chain.sides:
-            break
+            return chain.patch(), made
         chain.flip(rng.choice(chain.sides))
-    return chain.patch()
+    return chain.patch(), steps
 
 
 # -- random substitution ------------------------------------------------

@@ -567,17 +567,46 @@ def letter_table(d):
                      dtype=np.int64))
 
 
+#: rows compared per block when `row_ids` looks for runs of equal keys
+_ROW_BLOCK = 1 << 16
+
+
 def row_ids(rows):
     """(ids, first): equal coefficient rows get equal ids.
 
     ids has the shape of rows without its last axis; first[i] is the flat
-    index of the first row with id i.
+    index of the first row with id i.  Ids number the distinct rows in the
+    byte order of their narrowest-dtype form, as `np.unique` numbers the
+    rows viewed as bytes.  The key leaves out the columns that are zero
+    in every row, which change no comparison; its bytes, zero-padded to
+    whole 8-byte words read big-endian, compare as unsigned integers in
+    that byte order.  One argsort (a lexsort for keys of several words)
+    orders the keys, and sorted neighbours are compared a block at a
+    time, so no sorted copy of the keys is made.
     """
-    flat = np.ascontiguousarray(_compact(rows.reshape(-1, rows.shape[-1])))
-    keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1])))
-    _, first, inv = np.unique(keys.ravel(), return_index=True,
-                              return_inverse=True)
-    return inv.reshape(rows.shape[:-1]), first
+    flat = rows.reshape(-1, rows.shape[-1])
+    used = np.flatnonzero(flat.any(axis=0))
+    dt = np.dtype(_int_dtype(max_abs(flat)))
+    key = np.zeros((len(flat), -(-max(len(used), 1) * dt.itemsize // 8)),
+                   dtype=">u8")
+    cols = key.view(dt)
+    for i, j in enumerate(used):
+        cols[:, i] = flat[:, j]
+    key = key.byteswap(inplace=True).view(key.dtype.newbyteorder())
+    order = (np.argsort(key[:, 0]) if key.shape[1] == 1
+             else np.lexsort(key.T[::-1]))
+    new = np.ones(len(key), dtype=bool)
+    for s in range(1, len(key), _ROW_BLOCK):
+        k = key[order[s - 1:s + _ROW_BLOCK]]
+        new[s:s + len(k) - 1] = (k[1:] != k[:-1]).any(axis=1)
+    run = np.cumsum(new)
+    run -= 1
+    ids = np.empty_like(order)
+    ids[order] = run
+    # the argsort need not be stable: take each run's smallest index
+    first = (np.minimum.reduceat(order, np.flatnonzero(new)) if len(order)
+             else order)
+    return ids.reshape(rows.shape[:-1]), first
 
 
 class Patch:
@@ -683,6 +712,12 @@ class Patch:
                 enumerate(np.bincount(ids, minlength=len(names))) if k}
 
 
+def _runs(count):
+    """(owner, offset): offsets 0..count[k]-1 for each k, with owner k."""
+    owner = np.repeat(np.arange(len(count)), count)
+    return owner, np.arange(len(owner)) - (np.cumsum(count) - count)[owner]
+
+
 def _inflate(patch, tab, key):
     """The one inflation kernel: tile k takes the children of table row
     key[k] (see `_rule_table`).
@@ -698,10 +733,8 @@ def _inflate(patch, tab, key):
     if (count < 0).any():
         names, _ = prototile_ids(patch.d)
         raise KeyError(names[key[np.argmax(count < 0)] % len(names)])
-    out_start = np.cumsum(count) - count
-    parent = np.repeat(np.arange(len(key)), count)
-    child = (np.arange(len(parent))
-             + np.repeat(tab.start[key] - out_start, count))
+    parent, child = _runs(count)
+    child += tab.start[key][parent]
     pr = r[parent]
     L = math.lcm(den * tab.mden, tab.den)
     s1, s2 = L // (den * tab.mden), L // tab.den
@@ -752,18 +785,25 @@ def tile_edges(pid):
     side2, fwd), indexed by edge id: its first tile edge, the number of
     tile edges with that id, the first two of them in tile order (side2
     is meaningful when count >= 2), and, per tile edge, whether it runs
-    from the smaller to the larger corner id.
+    from the smaller to the larger corner id.  Edge ids number the
+    distinct corner-id pairs in increasing order: one stable argsort of
+    the pair keys, read at the starts of its runs (so side1 is first).
     """
     a = pid.ravel()
     b = pid[:, [1, 2, 0]].ravel()
     n = int(pid.max()) + 1 if pid.size else 0
-    _, first, eid, count = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
-                                     return_index=True, return_inverse=True,
-                                     return_counts=True)
-    order = np.argsort(eid, kind="stable")
-    start = np.cumsum(count) - count
+    key = np.minimum(a, b)
+    key *= n
+    key += np.maximum(a, b)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    new = np.ones(len(key), dtype=bool)
+    new[1:] = key[1:] != key[:-1]
+    start = np.flatnonzero(new)
+    count = np.diff(np.r_[start, len(key)])
+    first = order[start]
     side2 = order[np.minimum(start + 1, len(order) - 1)]
-    return first, count, order[start], side2, a < b
+    return first, count, first, side2, a < b
 
 
 def verify_face_to_face(patch: Patch, decorated=True, max_problems=20):
@@ -773,15 +813,20 @@ def verify_face_to_face(patch: Patch, decorated=True, max_problems=20):
     `decorated` the two letters must carry the same class and opposite
     orientations (the interior decorations then match across the edge).
     Boundary edges are checked against T-junctions: no tile corner may lie
-    strictly inside them.  Corners are compared as exact coefficient rows.
-    Floats only pick the candidate corners (every corner in a unit cell
-    that the edge's bounding box touches, then a loose collinearity test);
-    each candidate is confirmed exactly.
+    strictly inside them.  Corners and edges are paired as exact
+    coefficient rows (`row_ids`, `tile_edges`).  Floats only pick the
+    T-junction candidates, from one sorted cell grid, with a filter
+    widened by the proven float error of every corner, so no true
+    T-junction is dropped; each candidate is confirmed exactly
+    (`_t_junctions`).  The corner rows are freed once the distinct
+    corners are read from them.
     """
     d = patch.d
     ids = patch.columns[0]
     rows, den = patch.corner_rows()
     pid, pfirst = row_ids(rows)
+    points = rows.reshape(-1, rows.shape[-1])[pfirst]
+    del rows
     first, count, side1, side2, fwd = tile_edges(pid)
     letters, cls, orient = letter_table(d)
     cls, orient = cls[ids].ravel(), orient[ids].ravel()
@@ -806,7 +851,6 @@ def verify_face_to_face(patch: Patch, decorated=True, max_problems=20):
     boundary = np.flatnonzero(count == 1)
     if len(problems) < max_problems and len(boundary):
         ends = side1[boundary[np.argsort(first[boundary])]]
-        points = rows.reshape(-1, rows.shape[-1])[pfirst]
         problems += _t_junctions(field_for_order(d), points, den,
                                  pid.ravel()[ends],
                                  pid[:, [1, 2, 0]].ravel()[ends],
@@ -815,39 +859,110 @@ def verify_face_to_face(patch: Patch, decorated=True, max_problems=20):
                         len(boundary), problems[:max_problems])
 
 
-def _t_junctions(f, points, den, starts, ends, max_problems):
-    """Corners strictly inside the edges starts[k] -> ends[k] (point ids)."""
-    fl = f.cvalues(points, den).tolist()
-    cells = {}
-    for key, z in enumerate(fl):
-        cells.setdefault((round(z.real), round(z.imag)), []).append(key)
+def _cell_pairs(fl, err, starts, ends):
+    """(edge, corner): the corners in the cells that the padded bounding
+    box of edge k (corner ids starts[k] -> ends[k]) touches, edge by edge.
 
-    def exact(key):
-        return Elem(f, points[key].tolist(), den).normalized()
+    The cells are squares of side s, the least power of two at least 1,
+    pad and 2^-28 R (R the largest |Re fl_k| or |Im fl_k|): unit cells
+    unless the errors or the coordinates are large, and never more than
+    2^30 of them along an axis, so the keys fit int64.  Corner k lies in
+    the cell (rint(Re fl_k / s), rint(Im fl_k / s)); the corners are
+    sorted once by integer cell key, and each cell's corners are one
+    `searchsorted` range.  With e the largest error bound err[k] (see
+    `_t_junctions`): if z_c lies on the segment [z_a, z_b], then Re fl_c
+    lies within e_c + max(e_a, e_b) <= 2e of the interval spanned by
+    Re fl_a and Re fl_b, and likewise Im.  Each edge takes the cells its
+    float bounding box touches when padded by pad = 2e + 2^-40 (1 + R)
+    (the second term covers the rounding of the padded box), so, as rint
+    is monotone, the cell of such a corner is among them.
+    """
+    x, y = fl.real, fl.imag
+    R = max(np.abs(x).max(), np.abs(y).max())
+    pad = 2 * err.max() + 2.0 ** -40 * (1 + R)
+    s = 2.0 ** max(0, math.frexp(max(pad, R * 2.0 ** -28))[1])
+    cx, cy = np.rint(x / s).astype(np.int64), np.rint(y / s).astype(np.int64)
+    x0, x1, y0, y1 = cx.min(), cx.max(), cy.min(), cy.max()
+    height = int(y1 - y0) + 1
+    key = (cx - x0) * height + (cy - y0)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+
+    def cells(lo, hi, floor, ceil):
+        return (np.maximum(np.rint((lo - pad) / s).astype(np.int64), floor),
+                np.minimum(np.rint((hi + pad) / s).astype(np.int64), ceil))
+
+    # the cells of each edge's padded box, x outer and y inner
+    xa, xb, ya, yb = x[starts], x[ends], y[starts], y[ends]
+    lx, hx = cells(np.minimum(xa, xb), np.maximum(xa, xb), x0, x1)
+    ly, hy = cells(np.minimum(ya, yb), np.maximum(ya, yb), y0, y1)
+    ny = hy - ly + 1
+    edge, k = _runs((hx - lx + 1) * ny)
+    i, j = np.divmod(k, ny[edge])
+    cell = (lx[edge] - x0 + i) * height + (ly[edge] - y0 + j)
+    lo = np.searchsorted(key, cell, side="left")
+    cell, k = _runs(np.searchsorted(key, cell, side="right") - lo)
+    return edge[cell], order[lo[cell] + k]
+
+
+#: up to this many (edge, corner) pairs `_t_junctions` tests them all;
+#: building the cell grid costs more than filtering that many pairs
+_ALL_PAIRS = 4096
+
+
+def _t_junctions(f, points, den, starts, ends, max_problems):
+    """Corners strictly inside the edges starts[k] -> ends[k] (point ids),
+    in edge order, at most max_problems of them.
+
+    Floats only pick candidates, and never drop a true one; each candidate
+    is confirmed exactly by `_inside_edge`.  The float value fl_k of
+    corner k (`CycField.cvalues`, equal to `Elem.cvalue`) lies within
+    e_k = sum_j |c_kj| (D + 8) 2^-50 / den of its exact value z_k
+    (`Elem.cvalue_error`).  The proof of that bound gives an error below
+    e_k / 2 (a factor 1.5 D + 25 where the formula has 8 D + 64), which
+    leaves room for the roundings in computing e_k and the margins below.
+    The candidate pairs come from `_cell_pairs`, or are all pairs when
+    there are at most `_ALL_PAIRS` of them.
+
+    Filter.  Let w = fl_b - fl_a, v = (fl_c - fl_a) conj(w) and
+    h = e_a + e_b + e_c.  If z_c = z_a + t (z_b - z_a) with 0 < t < 1,
+    then P = fl_a + t w is within max(e_a, e_b) of z_c, so fl_c - fl_a =
+    t w + q with |q| <= h.  Hence v = t |w|^2 + q conj(w) satisfies
+    |Im v| <= h|w| and -h|w| <= Re v <= |w|^2 + h|w|.  Each side of these
+    tests is computed with fewer than 16 roundings (relative 2^-53) of
+    sums of products of factors of modulus at most |w| + 2h, so it moves
+    by less than 2^-48 (|w| + 2h)^2; the filter widens every test by
+    tau = 2^-44 (|w| + 2h)^2 and keeps such a corner.
+    """
+    fl = f.cvalues(points, den)
+    err = np.abs(points).sum(axis=1, dtype=float) * (
+        (f.degree + 8) * 2.0 ** -50 / den)
+    if len(starts) * len(points) <= _ALL_PAIRS:
+        edge, c = np.divmod(np.arange(len(starts) * len(points)),
+                            len(points))
+    else:
+        edge, c = _cell_pairs(fl, err, starts, ends)
+    a, b = starts[edge], ends[edge]
+    w = fl[b] - fl[a]
+    v = (fl[c] - fl[a]) * w.conj()
+    aw = np.abs(w)
+    h = err[a] + err[b] + err[c]
+    tol = h * aw + 2.0 ** -44 * (aw + 2 * h) ** 2
+    keep = ((c != a) & (c != b) & (np.abs(v.imag) <= tol)
+            & (v.real >= -tol) & (v.real <= aw * aw + tol))
+
+    def exact(p):
+        return Elem(f, points[p].tolist(), den).normalized()
 
     problems = []
-    eps = 1e-6
-    for ka, kb in zip(starts.tolist(), ends.tolist()):
-        af, bf = fl[ka], fl[kb]
-        w = bf - af
-        span2 = abs(w) ** 2
-        xs = range(round(min(af.real, bf.real) - eps),
-                   round(max(af.real, bf.real) + eps) + 1)
-        ys = range(round(min(af.imag, bf.imag) - eps),
-                   round(max(af.imag, bf.imag) + eps) + 1)
-        for cell in ((x, y) for x in xs for y in ys):
-            for key in cells.get(cell, ()):
-                if key == ka or key == kb:
-                    continue
-                v = (fl[key] - af) * w.conjugate()
-                if abs(v.imag) > eps * span2 \
-                        or not -eps * span2 < v.real < (1 + eps) * span2:
-                    continue
-                if _inside_edge(exact(ka), exact(kb), exact(key)):
-                    problems.append("tile corner inside a boundary edge "
-                                    f"(T-junction near {(af + bf) / 2:.3f})")
-        if len(problems) >= max_problems:
-            break
+    for ka, kb, kc in zip(a[keep].tolist(), b[keep].tolist(),
+                          c[keep].tolist()):
+        if _inside_edge(exact(ka), exact(kb), exact(kc)):
+            mid = (complex(fl[ka]) + complex(fl[kb])) / 2
+            problems.append("tile corner inside a boundary edge "
+                            f"(T-junction near {mid:.3f})")
+            if len(problems) >= max_problems:
+                break
     return problems
 
 

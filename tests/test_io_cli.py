@@ -267,6 +267,21 @@ def test_cli_artifacts_are_unchanged(tmp_path, command):
             for path in tmp_path.iterdir()} == CLI_DIGESTS[command]
 
 
+def test_cli_notes_a_flip_chain_that_runs_out_of_sites(tmp_path, capsys):
+    # the 678-tile (14, G) patch has 69 flip sites and each flip uses one
+    args = ["random", "--d", "14", "--mode", "rearrange", "--seed-tile", "G",
+            "--n", "3", "--out", str(tmp_path)]
+    # the svg draws the tiles only; the json manifest records --steps
+    path = tmp_path / "random_d14_rearrange_s0.svg"
+    main(args + ["--steps", "69"])
+    assert capsys.readouterr().err == ""
+    full = path.read_bytes()
+    main(args + ["--steps", "100"])
+    assert capsys.readouterr().err == \
+        "note: no flip site left after 69 of 100 steps\n"
+    assert path.read_bytes() == full
+
+
 @pytest.mark.parametrize("command", [
     ["tile", "--d", "8", "--p", "3", "--seed-tile", "A"],
     ["random", "--d", "8", "--mode", "subst", "--seed-tile", "A"],

@@ -3,6 +3,7 @@
 import cmath
 import collections
 import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -13,6 +14,7 @@ import pytest
 from deltiling.arrangement import (SymmetryIndex, classify_triple,
                                    get_arrangement)
 from deltiling.field import field_for_order, inflation_factor
+from deltiling import random as ensembles
 from deltiling import substitution
 from deltiling.prototiles import EdgeLetter, prototile_catalog
 from deltiling.substitution import (Isometry, Patch, RuleSet, Tile,
@@ -344,6 +346,23 @@ T_JUNCTION_FRACTIONS = (Fraction(1, 50), Fraction(1, 20), Fraction(19, 20),
                         Fraction(49, 50))
 
 
+def t_junction_tile(d, a_name, k, lam, b_name, j):
+    """Prototile b_name with corner j at fraction lam along edge k of
+    prototile a_name (at the identity), its corner bisector along the
+    outward normal of that edge."""
+    f = field_for_order(d)
+    ca = tile_corners(d, a_name)
+    a, b = ca[k], ca[(k + 1) % 3]
+    outward = cmath.phase(-1j * (b - a).cvalue())
+    point = a + (b - a) * lam
+    cb = tile_corners(d, b_name)
+    u = (cb[(j + 1) % 3] - cb[j]).cvalue()
+    w = (cb[(j + 2) % 3] - cb[j]).cvalue()
+    bisector = cmath.phase(u / abs(u) + w / abs(w))
+    r = round((outward - bisector) * f.n / (2 * math.pi)) % f.n
+    return Tile(b_name, Isometry(r, point - cb[j].mul_zeta(r)))
+
+
 def t_junction_patches(d):
     """Two-tile patches with a corner of B strictly inside an edge of A.
 
@@ -354,23 +373,13 @@ def t_junction_patches(d):
     f = field_for_order(d)
     names = [p.name for p in prototile_catalog(d).prototiles]
     for a_name in names:
-        ca = tile_corners(d, a_name)
         for k in range(3):
-            a, b = ca[k], ca[(k + 1) % 3]
-            outward = cmath.phase(-1j * (b - a).cvalue())
             for lam in T_JUNCTION_FRACTIONS:
-                point = a + (b - a) * lam
                 for b_name in names:
-                    cb = tile_corners(d, b_name)
                     for j in range(3):
-                        u = (cb[(j + 1) % 3] - cb[j]).cvalue()
-                        w = (cb[(j + 2) % 3] - cb[j]).cvalue()
-                        bisector = cmath.phase(u / abs(u) + w / abs(w))
-                        r = round((outward - bisector) * f.n
-                                  / (2 * math.pi)) % f.n
-                        iso = Isometry(r, point - cb[j].mul_zeta(r))
                         yield Patch(d, [Tile(a_name, identity_isometry(f)),
-                                        Tile(b_name, iso)])
+                                        t_junction_tile(d, a_name, k, lam,
+                                                        b_name, j)])
 
 
 def test_t_junctions_near_edge_ends_are_rejected():
@@ -475,3 +484,206 @@ def test_column_derivation_equals_per_child_reference(d):
             for key, value in a.items():
                 assert np.array_equal(value, b[key]), (d, p, sign, key)
                 assert np.asarray(value).dtype == np.asarray(b[key]).dtype
+
+
+# -- the dict/round T-junction search and np.unique pairing, kept as the
+# -- references for the sorted cell grid and the one-sort pairing --------
+
+def reference_row_ids(rows):
+    flat = np.ascontiguousarray(
+        substitution._compact(rows.reshape(-1, rows.shape[-1])))
+    keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1])))
+    _, first, inv = np.unique(keys.ravel(), return_index=True,
+                              return_inverse=True)
+    return inv.reshape(rows.shape[:-1]), first
+
+
+def reference_tile_edges(pid):
+    a = pid.ravel()
+    b = pid[:, [1, 2, 0]].ravel()
+    n = int(pid.max()) + 1 if pid.size else 0
+    _, first, eid, count = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
+                                     return_index=True, return_inverse=True,
+                                     return_counts=True)
+    order = np.argsort(eid, kind="stable")
+    start = np.cumsum(count) - count
+    side2 = order[np.minimum(start + 1, len(order) - 1)]
+    return first, count, order[start], side2, a < b
+
+
+def reference_t_junctions(f, points, den, starts, ends, max_problems):
+    """Corners binned in a dict by two `round`s, each edge's cells walked
+    in Python, a fixed 1e-6 filter, then the exact test."""
+    fl = f.cvalues(points, den).tolist()
+    cells = {}
+    for key, z in enumerate(fl):
+        cells.setdefault((round(z.real), round(z.imag)), []).append(key)
+
+    def exact(key):
+        return substitution.Elem(f, points[key].tolist(), den).normalized()
+
+    problems = []
+    eps = 1e-6
+    for ka, kb in zip(starts.tolist(), ends.tolist()):
+        af, bf = fl[ka], fl[kb]
+        w = bf - af
+        span2 = abs(w) ** 2
+        xs = range(round(min(af.real, bf.real) - eps),
+                   round(max(af.real, bf.real) + eps) + 1)
+        ys = range(round(min(af.imag, bf.imag) - eps),
+                   round(max(af.imag, bf.imag) + eps) + 1)
+        for cell in ((x, y) for x in xs for y in ys):
+            for key in cells.get(cell, ()):
+                if key == ka or key == kb:
+                    continue
+                v = (fl[key] - af) * w.conjugate()
+                if abs(v.imag) > eps * span2 \
+                        or not -eps * span2 < v.real < (1 + eps) * span2:
+                    continue
+                if substitution._inside_edge(exact(ka), exact(kb),
+                                             exact(key)):
+                    problems.append("tile corner inside a boundary edge "
+                                    f"(T-junction near {(af + bf) / 2:.3f})")
+        if len(problems) >= max_problems:
+            break
+    return problems
+
+
+def reference_verify(patch, **kw):
+    """`verify_face_to_face` on the reference pairing and T-junctions."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(substitution, "row_ids", reference_row_ids)
+        mp.setattr(substitution, "tile_edges", reference_tile_edges)
+        mp.setattr(substitution, "_t_junctions", reference_t_junctions)
+        return verify_face_to_face(patch, **kw)
+
+
+def assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def assert_matches_reference(patch, **kw):
+    rows, _ = patch.corner_rows()
+    pid, first = substitution.row_ids(rows)
+    assert_same_arrays((pid, first), reference_row_ids(rows))
+    assert_same_arrays(substitution.tile_edges(pid),
+                       reference_tile_edges(pid))
+    assert verify_face_to_face(patch, **kw) == reference_verify(patch, **kw)
+
+
+@pytest.fixture(params=["all-pairs", "cell-grid"])
+def candidates(request, monkeypatch):
+    """Run a test on both candidate searches of `_t_junctions`: small
+    patches test all (edge, corner) pairs, large ones use the cell grid."""
+    if request.param == "cell-grid":
+        monkeypatch.setattr(substitution, "_ALL_PAIRS", 0)
+
+
+def test_t_junction_controls_match_reference(candidates):
+    for patch in t_junction_patches(5):
+        assert_matches_reference(patch)
+
+
+def pinned_patches():
+    d = 14
+    f = field_for_order(d)
+    rules = derive_rules(d, 3, 1)
+    patch = Patch(d, [Tile("G", Isometry(5, f.rational(2) + f.i * -3))])
+    for _ in range(3):
+        patch = patch.inflate(rules)
+    yield patch
+    yield patch.inflate(rules)
+    yield ensembles.rearrangement_sample(patch, 12, 0)
+    family = ensembles.random_rule_family(d, cap=4)
+    yield ensembles.random_substitution("G", family, family.uniform_pi(), 3, 0)
+
+
+@pytest.mark.parametrize("k", range(4), ids=["678-tiles", "5577-tiles",
+                                             "rearranged", "draw"])
+def test_large_patches_match_reference(k):
+    patch = next(itertools.islice(pinned_patches(), k, None))
+    assert_matches_reference(patch)
+    assert_matches_reference(patch, decorated=False)
+
+
+def test_row_ids_number_rows_in_byte_order():
+    # negative coefficients have high bytes of 0x80 and above; a zero
+    # column in every row and the int16 width exercise the dropped
+    # columns and the two-word keys
+    rng = np.random.default_rng(3)
+    for hi, width in [(3, 4), (40, 6), (300, 9), (2 ** 40, 3)]:
+        rows = rng.integers(-hi, hi, size=(500, 2, width))
+        rows[:, :, 1] = 0
+        rows[::7] = rows[3]
+        assert_same_arrays(substitution.row_ids(rows), reference_row_ids(rows))
+    for zeros in (np.zeros((0, 3, 5), dtype=np.int64),
+                  np.zeros((4, 3, 5), dtype=np.int16)):
+        assert_same_arrays(substitution.row_ids(zeros),
+                           reference_row_ids(zeros))
+
+
+def test_problems_stop_at_max_problems(candidates):
+    # four B corners on one boundary edge of A
+    d = 5
+    f = field_for_order(d)
+    names = [p.name for p in prototile_catalog(d).prototiles]
+    patch = Patch(d, [Tile(names[0], identity_isometry(f))]
+                  + [t_junction_tile(d, names[0], 0, lam, names[1], 0)
+                     for lam in T_JUNCTION_FRACTIONS])
+    rep = verify_face_to_face(patch)
+    assert sum("T-junction" in p for p in rep.problems) == 4
+    for m in range(1, 7):
+        got = verify_face_to_face(patch, max_problems=m)
+        assert len(got.problems) == min(m, len(rep.problems))
+        assert got == reference_verify(patch, max_problems=m)
+
+
+def moved(patch, x):
+    return Patch(patch.d, [Tile(t.name, Isometry(t.iso.r, t.iso.t + x))
+                           for t in patch.tiles])
+
+
+@pytest.mark.parametrize("k, bits, every", [(58, 40, 1), (80, 56, 8)])
+def test_t_junctions_found_with_large_float_errors(k, bits, every,
+                                                  candidates):
+    # x = iota^-k at (5, 2) has 40-bit (k = 58) or 56-bit (k = 80)
+    # coefficients and |x| < 1e-12: the moved corners carry float errors
+    # far above any fixed tolerance (at k = 80 the float value of x is
+    # -0.5), so only the propagated cvalue_error bound keeps the
+    # candidates; at k = 80 it makes the grid cells larger than 1
+    d = 5
+    f = field_for_order(d)
+    x = f.rational(1)
+    for _ in range(k):
+        x = x * inflation_factor(d, 2).inv()
+    assert max(abs(c) for c in x.num).bit_length() == bits
+    assert abs(x.mpc(60)) < 1e-12 and x.cvalue_error() > 1e-3
+    kept = [p for p in itertools.islice(t_junction_patches(d), 0, None, every)
+            if verify_face_to_face(moved(p, x)).ok]
+    assert not kept, f"{len(kept)} moved T-junctions reported face-to-face"
+    rules = derive_rules(d, 2, 1)
+    good = Patch.single(d, prototile_catalog(d).prototiles[0].name)
+    for _ in range(3):
+        good = good.inflate(rules)
+    rep = verify_face_to_face(moved(good, x))
+    assert rep.ok and rep.boundary_edges, str(rep)
+
+
+def overlap_witnesses():
+    """G at the identity and G translated by 1/7 + z/11, z^5/13 or
+    1/50 + z^3/31, z = zeta_28 = zeta_84^3: the two tiles overlap."""
+    f = field_for_order(14)
+    shifts = [f.rational(1, 7) + f.zeta(3) * Fraction(1, 11),
+              f.zeta(15) * Fraction(1, 13),
+              f.rational(1, 50) + f.zeta(9) * Fraction(1, 31)]
+    return [Patch(14, [Tile("G", identity_isometry(f)),
+                       Tile("G", Isometry(0, t))]) for t in shifts]
+
+
+@pytest.mark.xfail(strict=True, reason="the verifier certifies no embedding "
+                   "yet: overlapping tiles pass (ROADMAP item 1)")
+@pytest.mark.parametrize("k", range(3))
+def test_overlapping_tiles_are_rejected(k):
+    assert not verify_face_to_face(overlap_witnesses()[k]).ok
