@@ -391,17 +391,17 @@ def _flip_sites(patch, pid, edge_class=None, diag_class=None):
         diag_class = length_class(d, edge_class - 1)
     n = field_for_order(d).n
     ids, r, _, _ = patch.columns
-    first, count, side1, side2, _ = tile_edges(pid)
+    first, count, side2, _ = tile_edges(pid)
     classes = letter_table(d)[1][ids].ravel()
-    cand = np.flatnonzero((count == 2) & (classes[side1] == edge_class))
+    cand = np.flatnonzero((count == 2) & (classes[first] == edge_class))
     cand = cand[np.argsort(first[cand])]
-    ti, ki = np.divmod(side1[cand], 3)
+    ti, ki = np.divmod(first[cand], 3)
     tj, kj = np.divmod(side2[cand], 3)
     keys = zip(ids[ti].tolist(), ki.tolist(), ids[tj].tolist(), kj.tolist(),
                ((r[tj] - r[ti]) % n).tolist())
     scan = _Scan(patch, pid, edge_class, diag_class)
     sites = []
-    for side, a, b, key in zip(side1[cand].tolist(), ti.tolist(),
+    for side, a, b, key in zip(first[cand].tolist(), ti.tolist(),
                                tj.tolist(), keys):
         flip = _flip_entry(d, edge_class, diag_class, key)
         if flip is not None:

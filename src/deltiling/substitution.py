@@ -589,9 +589,9 @@ def row_ids(rows):
     dt = np.dtype(_int_dtype(max_abs(flat)))
     key = np.zeros((len(flat), -(-max(len(used), 1) * dt.itemsize // 8)),
                    dtype=">u8")
-    cols = key.view(dt)
-    for i, j in enumerate(used):
-        cols[:, i] = flat[:, j]
+    cols = key.view(dt)[:, :len(used)]
+    for s in range(0, len(flat), _ROW_BLOCK):
+        cols[s:s + _ROW_BLOCK] = flat[s:s + _ROW_BLOCK, used]
     key = key.byteswap(inplace=True).view(key.dtype.newbyteorder())
     order = (np.argsort(key[:, 0]) if key.shape[1] == 1
              else np.lexsort(key.T[::-1]))
@@ -781,13 +781,13 @@ def tile_edges(pid):
     """The edges of tiles whose corners have ids pid (N x 3).
 
     Tile edge 3k + j runs from corner j to corner j+1 of tile k; the two
-    sides of a shared edge get one edge id.  Returns (first, count, side1,
-    side2, fwd), indexed by edge id: its first tile edge, the number of
-    tile edges with that id, the first two of them in tile order (side2
-    is meaningful when count >= 2), and, per tile edge, whether it runs
-    from the smaller to the larger corner id.  Edge ids number the
-    distinct corner-id pairs in increasing order: one stable argsort of
-    the pair keys, read at the starts of its runs (so side1 is first).
+    sides of a shared edge get one edge id.  Returns (first, count, side2,
+    fwd), indexed by edge id: its first tile edge, the number of tile
+    edges with that id, its second tile edge (meaningful when count >= 2),
+    and, per tile edge, whether it runs from the smaller to the larger
+    corner id.  Edge ids number the distinct corner-id pairs in increasing
+    order: one stable argsort of the pair keys, read at the starts of its
+    runs.
     """
     a = pid.ravel()
     b = pid[:, [1, 2, 0]].ravel()
@@ -803,7 +803,7 @@ def tile_edges(pid):
     count = np.diff(np.r_[start, len(key)])
     first = order[start]
     side2 = order[np.minimum(start + 1, len(order) - 1)]
-    return first, count, first, side2, a < b
+    return first, count, side2, a < b
 
 
 def verify_face_to_face(patch: Patch, decorated=True, max_problems=20):
@@ -827,20 +827,20 @@ def verify_face_to_face(patch: Patch, decorated=True, max_problems=20):
     pid, pfirst = row_ids(rows)
     points = rows.reshape(-1, rows.shape[-1])[pfirst]
     del rows
-    first, count, side1, side2, fwd = tile_edges(pid)
+    first, count, side2, fwd = tile_edges(pid)
     letters, cls, orient = letter_table(d)
     cls, orient = cls[ids].ravel(), orient[ids].ravel()
     pair = count == 2
-    same = pair & (fwd[side1] == fwd[side2])
-    cls_bad = pair & ~same & (cls[side1] != cls[side2])
-    dec_bad = pair & ~same & ~cls_bad & (orient[side1] + orient[side2] != 0)
+    same = pair & (fwd[first] == fwd[side2])
+    cls_bad = pair & ~same & (cls[first] != cls[side2])
+    dec_bad = pair & ~same & ~cls_bad & (orient[first] + orient[side2] != 0)
     bad = (count > 2) | same | cls_bad | (dec_bad & decorated)
     problems = []
     for e in sorted(np.flatnonzero(bad).tolist(), key=first.__getitem__):
         if count[e] > 2:
             problems.append(f"edge shared by {count[e]} tiles")
             continue
-        l1, l2 = (letters[ids[o // 3]][o % 3] for o in (side1[e], side2[e]))
+        l1, l2 = (letters[ids[o // 3]][o % 3] for o in (first[e], side2[e]))
         if same[e]:
             problems.append("edge traversed twice in the same direction "
                             f"({l1}, {l2})")
@@ -850,7 +850,7 @@ def verify_face_to_face(patch: Patch, decorated=True, max_problems=20):
             problems.append(f"decoration mismatch {l1} vs {l2}")
     boundary = np.flatnonzero(count == 1)
     if len(problems) < max_problems and len(boundary):
-        ends = side1[boundary[np.argsort(first[boundary])]]
+        ends = np.sort(first[boundary])
         problems += _t_junctions(field_for_order(d), points, den,
                                  pid.ravel()[ends],
                                  pid[:, [1, 2, 0]].ravel()[ends],
@@ -859,9 +859,9 @@ def verify_face_to_face(patch: Patch, decorated=True, max_problems=20):
                         len(boundary), problems[:max_problems])
 
 
-def _cell_pairs(fl, err, starts, ends):
-    """(edge, corner): the corners in the cells that the padded bounding
-    box of edge k (corner ids starts[k] -> ends[k]) touches, edge by edge.
+def _cell_pairs(fl, pad, za, zb):
+    """(edge, corner): the corners fl[corner] in the cells that the box
+    spanned by za[edge] and zb[edge], padded by pad, touches, edge by edge.
 
     The cells are squares of side s, the least power of two at least 1,
     pad and 2^-28 R (R the largest |Re fl_k| or |Im fl_k|): unit cells
@@ -869,17 +869,12 @@ def _cell_pairs(fl, err, starts, ends):
     2^30 of them along an axis, so the keys fit int64.  Corner k lies in
     the cell (rint(Re fl_k / s), rint(Im fl_k / s)); the corners are
     sorted once by integer cell key, and each cell's corners are one
-    `searchsorted` range.  With e the largest error bound err[k] (see
-    `_t_junctions`): if z_c lies on the segment [z_a, z_b], then Re fl_c
-    lies within e_c + max(e_a, e_b) <= 2e of the interval spanned by
-    Re fl_a and Re fl_b, and likewise Im.  Each edge takes the cells its
-    float bounding box touches when padded by pad = 2e + 2^-40 (1 + R)
-    (the second term covers the rounding of the padded box), so, as rint
-    is monotone, the cell of such a corner is among them.
+    `searchsorted` range.  Each box takes every cell it touches (x outer,
+    y inner), so, as rint is monotone, a corner within pad of the box
+    is found as long as pad also covers the rounding of the padded box.
     """
     x, y = fl.real, fl.imag
     R = max(np.abs(x).max(), np.abs(y).max())
-    pad = 2 * err.max() + 2.0 ** -40 * (1 + R)
     s = 2.0 ** max(0, math.frexp(max(pad, R * 2.0 ** -28))[1])
     cx, cy = np.rint(x / s).astype(np.int64), np.rint(y / s).astype(np.int64)
     x0, x1, y0, y1 = cx.min(), cx.max(), cy.min(), cy.max()
@@ -888,14 +883,14 @@ def _cell_pairs(fl, err, starts, ends):
     order = np.argsort(key, kind="stable")
     key = key[order]
 
-    def cells(lo, hi, floor, ceil):
-        return (np.maximum(np.rint((lo - pad) / s).astype(np.int64), floor),
-                np.minimum(np.rint((hi + pad) / s).astype(np.int64), ceil))
+    def cells(a, b, floor, ceil):
+        return (np.maximum(np.rint((np.minimum(a, b) - pad) / s)
+                           .astype(np.int64), floor),
+                np.minimum(np.rint((np.maximum(a, b) + pad) / s)
+                           .astype(np.int64), ceil))
 
-    # the cells of each edge's padded box, x outer and y inner
-    xa, xb, ya, yb = x[starts], x[ends], y[starts], y[ends]
-    lx, hx = cells(np.minimum(xa, xb), np.maximum(xa, xb), x0, x1)
-    ly, hy = cells(np.minimum(ya, yb), np.maximum(ya, yb), y0, y1)
+    lx, hx = cells(za.real, zb.real, x0, x1)
+    ly, hy = cells(za.imag, zb.imag, y0, y1)
     ny = hy - ly + 1
     edge, k = _runs((hx - lx + 1) * ny)
     i, j = np.divmod(k, ny[edge])
@@ -905,9 +900,48 @@ def _cell_pairs(fl, err, starts, ends):
     return edge[cell], order[lo[cell] + k]
 
 
-#: up to this many (edge, corner) pairs `_t_junctions` tests them all;
+#: up to this many (edge, corner) pairs `_candidates` returns them all:
 #: building the cell grid costs more than filtering that many pairs
+#: (0.1 to 0.2 ms more per two-tile patch)
 _ALL_PAIRS = 4096
+
+
+def _candidates(fl, err, starts, ends):
+    """(edge, corner), sorted by edge: every corner c that can lie inside
+    the edge starts[k] -> ends[k] (corner ids; fl the float values and
+    err the bounds of their errors, see `_t_junctions`), and some more.
+
+    If z_c lies on the segment [z_a, z_b], then Re fl_c lies within
+    e_c + max(e_a, e_b) of the interval spanned by Re fl_a and Re fl_b,
+    and likewise Im.  The corners with err at most E = max(1/4, 16 m),
+    m the median of err, form the grid of `_cell_pairs`, with the boxes
+    padded by 2e + 2^-40 (1 + R), e their largest error and R their
+    largest float coordinate (the second term covers the rounding of the
+    padded box): an edge between two of them finds every such corner.
+    The few corners above E, which only a patch with some very large
+    coefficients has, would make every cell as large as their errors;
+    instead they are paired with every edge, and an edge with such an
+    end with every corner.  A patch with at most `_ALL_PAIRS` pairs gets
+    all of them.
+    """
+    if len(starts) * len(fl) <= _ALL_PAIRS:
+        return np.divmod(np.arange(len(starts) * len(fl)), len(fl))
+    big = err > max(0.25, 16 * np.median(err))
+    grid = np.flatnonzero(~big)
+    pad = 2 * err[grid].max() + 2.0 ** -40 * (
+        1 + np.abs(fl[grid].view(float)).max())
+    if len(grid) == len(fl):
+        return _cell_pairs(fl, pad, fl[starts], fl[ends])
+    odd = big[starts] | big[ends]
+    plain, other, out = (np.flatnonzero(~odd), np.flatnonzero(odd),
+                         np.flatnonzero(big))
+    edge, c = _cell_pairs(fl[grid], pad, fl[starts[plain]], fl[ends[plain]])
+    edge = np.concatenate([plain[edge], np.repeat(plain, len(out)),
+                           np.repeat(other, len(fl))])
+    c = np.concatenate([grid[c], np.tile(out, len(plain)),
+                        np.tile(np.arange(len(fl)), len(other))])
+    order = np.argsort(edge, kind="stable")
+    return edge[order], c[order]
 
 
 def _t_junctions(f, points, den, starts, ends, max_problems):
@@ -921,8 +955,7 @@ def _t_junctions(f, points, den, starts, ends, max_problems):
     (`Elem.cvalue_error`).  The proof of that bound gives an error below
     e_k / 2 (a factor 1.5 D + 25 where the formula has 8 D + 64), which
     leaves room for the roundings in computing e_k and the margins below.
-    The candidate pairs come from `_cell_pairs`, or are all pairs when
-    there are at most `_ALL_PAIRS` of them.
+    The candidate pairs come from `_candidates`.
 
     Filter.  Let w = fl_b - fl_a, v = (fl_c - fl_a) conj(w) and
     h = e_a + e_b + e_c.  If z_c = z_a + t (z_b - z_a) with 0 < t < 1,
@@ -937,11 +970,7 @@ def _t_junctions(f, points, den, starts, ends, max_problems):
     fl = f.cvalues(points, den)
     err = np.abs(points).sum(axis=1, dtype=float) * (
         (f.degree + 8) * 2.0 ** -50 / den)
-    if len(starts) * len(points) <= _ALL_PAIRS:
-        edge, c = np.divmod(np.arange(len(starts) * len(points)),
-                            len(points))
-    else:
-        edge, c = _cell_pairs(fl, err, starts, ends)
+    edge, c = _candidates(fl, err, starts, ends)
     a, b = starts[edge], ends[edge]
     w = fl[b] - fl[a]
     v = (fl[c] - fl[a]) * w.conj()

@@ -508,7 +508,7 @@ def reference_tile_edges(pid):
     order = np.argsort(eid, kind="stable")
     start = np.cumsum(count) - count
     side2 = order[np.minimum(start + 1, len(order) - 1)]
-    return first, count, order[start], side2, a < b
+    return first, count, side2, a < b
 
 
 def reference_t_junctions(f, points, den, starts, ends, max_problems):
@@ -573,15 +573,12 @@ def assert_matches_reference(patch, **kw):
     assert verify_face_to_face(patch, **kw) == reference_verify(patch, **kw)
 
 
-@pytest.fixture(params=["all-pairs", "cell-grid"])
-def candidates(request, monkeypatch):
-    """Run a test on both candidate searches of `_t_junctions`: small
-    patches test all (edge, corner) pairs, large ones use the cell grid."""
-    if request.param == "cell-grid":
-        monkeypatch.setattr(substitution, "_ALL_PAIRS", 0)
-
-
-def test_t_junction_controls_match_reference(candidates):
+@pytest.mark.parametrize("all_pairs", [substitution._ALL_PAIRS, 0],
+                         ids=["all-pairs", "cell-grid"])
+def test_t_junction_controls_match_reference(all_pairs, monkeypatch):
+    # two-tile patches test every (edge, corner) pair; 0 sends them
+    # through the cell grid
+    monkeypatch.setattr(substitution, "_ALL_PAIRS", all_pairs)
     for patch in t_junction_patches(5):
         assert_matches_reference(patch)
 
@@ -624,7 +621,7 @@ def test_row_ids_number_rows_in_byte_order():
                            reference_row_ids(zeros))
 
 
-def test_problems_stop_at_max_problems(candidates):
+def test_problems_stop_at_max_problems():
     # four B corners on one boundary edge of A
     d = 5
     f = field_for_order(d)
@@ -647,12 +644,14 @@ def moved(patch, x):
 
 @pytest.mark.parametrize("k, bits, every", [(58, 40, 1), (80, 56, 8)])
 def test_t_junctions_found_with_large_float_errors(k, bits, every,
-                                                  candidates):
+                                                  monkeypatch):
     # x = iota^-k at (5, 2) has 40-bit (k = 58) or 56-bit (k = 80)
     # coefficients and |x| < 1e-12: the moved corners carry float errors
     # far above any fixed tolerance (at k = 80 the float value of x is
     # -0.5), so only the propagated cvalue_error bound keeps the
-    # candidates; at k = 80 it makes the grid cells larger than 1
+    # candidates; on the cell grid, at k = 80 it makes the cells larger
+    # than 1
+    monkeypatch.setattr(substitution, "_ALL_PAIRS", 0)
     d = 5
     f = field_for_order(d)
     x = f.rational(1)
@@ -669,6 +668,44 @@ def test_t_junctions_found_with_large_float_errors(k, bits, every,
         good = good.inflate(rules)
     rep = verify_face_to_face(moved(good, x))
     assert rep.ok and rep.boundary_edges, str(rep)
+
+
+def test_few_huge_error_corners_keep_the_cells_small(monkeypatch):
+    # a two-tile T-junction moved by x = iota^-80 at (5, 2) (56-bit
+    # coefficients, float error bound above 2000) beside a 2,584-tile
+    # patch: its six corners must not make every cell that large, or
+    # every boundary edge would be paired with every corner
+    d = 5
+    f = field_for_order(d)
+    x = f.rational(1)
+    for _ in range(80):
+        x = x * inflation_factor(d, 2).inv()
+    assert x.cvalue_error() > 1000
+    rules = derive_rules(d, 2, 1)
+    big = Patch.single(d, prototile_catalog(d).prototiles[0].name)
+    for _ in range(8):
+        big = big.inflate(rules)
+    big = moved(big, f.rational(100))
+    assert len(big) == 2584
+    sizes = []
+    candidates = substitution._candidates
+
+    def counted(fl, err, starts, ends):
+        edge, c = candidates(fl, err, starts, ends)
+        assert np.all(np.diff(edge) >= 0)
+        sizes.append((len(edge), len(starts), len(fl)))
+        return edge, c
+
+    monkeypatch.setattr(substitution, "_candidates", counted)
+    assert verify_face_to_face(big).ok
+    grid_pairs = sizes[-1][0]
+    pair = moved(next(t_junction_patches(d)), x)
+    rep = verify_face_to_face(Patch(d, big.tiles + pair.tiles))
+    assert len(rep.problems) == 1 and "T-junction" in rep.problems[0]
+    assert verify_face_to_face(Patch(d, big.tiles + pair.tiles[:1])).ok
+    for n, edges, corners in sizes[-2:]:
+        assert n <= grid_pairs + 6 * (edges + corners)
+        assert n < edges * corners / 10
 
 
 def overlap_witnesses():
