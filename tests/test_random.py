@@ -1,5 +1,7 @@
 """Edge flips, rearrangement sampling and random substitution."""
 
+import dataclasses
+
 import pytest
 
 from deltiling.field import sin_val
@@ -9,6 +11,7 @@ from deltiling.substitution import Patch, derive_rules, verify_face_to_face
 from deltiling.random import (apply_flip, enumerate_flips, find_flippable,
                               polygon_vertices, random_rule_family,
                               random_substitution, rearrangement_sample,
+                              verify_template, _case_templates,
                               _template_tris)
 
 
@@ -42,11 +45,44 @@ def test_flip_template_ranges():
     assert all(t.target_kappa == -2 for t in enumerate_flips(12, 0))
 
 
+TEMPLATE_CASES = [(8, 0), (10, 0), (12, 0), (12, -2), (12, 2),
+                  (14, 0), (16, 0), (18, 0), (18, -2), (18, 2)]
+
+
 def test_flip_templates_exact_congruence():
-    # enumerate_flips(verify=True) asserts the stated congruences exactly
-    for d, kappa in [(8, 0), (10, 0), (12, 0), (12, -2), (12, 2),
-                     (14, 0), (16, 0), (18, 0), (18, -2), (18, 2)]:
-        assert enumerate_flips(d, kappa, verify=True)
+    # enumerate_flips audits every template exactly (verify_template)
+    for d, kappa in TEMPLATE_CASES:
+        assert enumerate_flips(d, kappa)
+
+
+def broken_templates(tpl):
+    """(reason, template): the targets replaced by the sources, one target
+    swapped for a source face, the second source moved to the face
+    farthest from the first, and one target or one source shifted by one
+    label; reason matches the check of `verify_template` that rejects it."""
+    src, _ = _template_tris(tpl)
+    faces = get_arrangement(tpl.d, tpl.kappa).face_table()
+    c0 = next(c for tri, _, c in faces if tri == src[0])
+    far = max(faces, key=lambda face: abs(face[2] - c0))[0].idx
+    (a, b), (x, y) = tpl.source, tpl.target
+    return [
+        ("not the targets", dataclasses.replace(
+            tpl, target=tpl.source, target_kappa=tpl.kappa)),
+        ("not the targets", dataclasses.replace(tpl, target=(x, a))),
+        ("do not flip", dataclasses.replace(tpl, source=(a, far))),
+        ("not elementary", dataclasses.replace(
+            tpl, target=(tuple(v + 1 for v in x), y))),
+        ("not a face", dataclasses.replace(
+            tpl, source=(a, tuple(v + 1 for v in b)))),
+    ]
+
+
+@pytest.mark.parametrize("d,kappa", TEMPLATE_CASES)
+def test_verify_template_rejects_broken_templates(d, kappa):
+    for tpl in _case_templates(d, kappa):
+        for reason, broken in broken_templates(tpl):
+            with pytest.raises(AssertionError, match=reason):
+                verify_template(broken)
 
 
 def test_published_rearrangements_14():
@@ -62,7 +98,7 @@ def test_published_rearrangements_14():
         return frozenset(out)
 
     got = {}
-    for tpl in enumerate_flips(14, 0, verify=False):
+    for tpl in enumerate_flips(14, 0):
         src, dst = _template_tris(tpl)
         got[names(src)] = names(dst)
     assert got[frozenset({"E", "Et"})] == frozenset({"H", "M"})

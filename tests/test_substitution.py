@@ -490,8 +490,9 @@ def test_column_derivation_equals_per_child_reference(d):
 # -- references for the sorted cell grid and the one-sort pairing --------
 
 def reference_row_ids(rows):
+    flat = rows.reshape(-1, rows.shape[-1])
     flat = np.ascontiguousarray(
-        substitution._compact(rows.reshape(-1, rows.shape[-1])))
+        flat.astype(substitution._int_dtype(substitution.max_abs(flat))))
     keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1])))
     _, first, inv = np.unique(keys.ravel(), return_index=True,
                               return_inverse=True)
