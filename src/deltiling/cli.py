@@ -285,9 +285,11 @@ def _fail(message):
 def _load_config(path):
     """The --config JSON object, or exit 2 with the reason."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             config = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: invalid JSON or UTF-8, or an int past int()'s digit
+        # limit; RecursionError: nesting deeper than the interpreter's stack
         _fail(f"cannot read config {path}: {exc}")
     if not isinstance(config, dict):
         _fail(f"config {path} must hold a JSON object")
@@ -327,7 +329,8 @@ def main(argv=None):
     try:
         _check_seed_tile(args)
         args.fn(args)
-    except (ValueError, patchio.SchemaError) as exc:
+    except (ValueError, OverflowError, patchio.SchemaError) as exc:
+        # OverflowError: input whose exact coefficients leave the int64 range
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         sys.exit(2)
 

@@ -453,13 +453,17 @@ class Elem:
 # ---------------------------------------------------------------------------
 # order-d trigonometric layer
 
+def conductor(d):
+    """The conductor of the order-d field: 6d (d even) / 12d (d odd)."""
+    return 6 * d if d % 2 == 0 else 12 * d
+
+
 @lru_cache(maxsize=None)
 def field_for_order(d):
-    """Field housing the order-d arrangement: conductor 6d (d even) / 12d (d odd)."""
+    """Field housing the order-d arrangement, of conductor `conductor(d)`."""
     if d < 5:
         raise ValueError("need d >= 5")
-    n = 6 * d if d % 2 == 0 else 12 * d
-    return CycField(n)
+    return CycField(conductor(d))
 
 
 def unit_root(d, k):

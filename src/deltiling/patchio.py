@@ -5,7 +5,14 @@ as exact data only: the rotation exponent r of zeta_n^r and the
 translation as an integer coefficient vector over the cyclotomic power
 basis with a common denominator.  A parallel "shadow" block carries float
 corner coordinates for consumers that do not implement the field
-arithmetic; the shadow is derived data and ignored on import.
+arithmetic; the shadow is derived data: import checks that it is valid
+JSON but does not decode it.
+
+Import has two readers.  A file in the exact layout `export_patch` writes
+(indent 1, sorted keys) is checked by patterns and its columns are read
+from the bytes by numpy, with no Python object per number or record; any
+other JSON file goes through `json`.  Both give the same columns and pass
+them to the same value checks.
 """
 
 from __future__ import annotations
@@ -13,10 +20,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
+from functools import lru_cache
 
 import numpy as np
 
-from .field import field_for_order
+from .field import conductor, field_for_order
 from .substitution import INT64_SAFE, Patch, max_abs, prototile_ids
 
 FORMAT = "deltoid-patch"
@@ -147,66 +156,239 @@ def export_patch(patch: Patch, path, manifest=None, precision=12):
         fh.write(text + "\n")
 
 
-def import_patch(path):
-    """(patch, manifest) from a patch file; exact data only is trusted."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise SchemaError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"not valid JSON: {exc}")
-    if not isinstance(doc, dict) or doc.get("format") != FORMAT:
-        raise SchemaError(f"not a {FORMAT} file")
-    if doc.get("version") != VERSION:
-        raise SchemaError(f"unsupported version {doc.get('version')!r}")
-    d = doc.get("d")
+def _field(d, order, degree):
+    """The field of symmetry order d; SchemaError unless the header's field
+    order and degree are its own."""
     if not _is_int(d) or d < 5:
         raise SchemaError(f"bad symmetry order {d!r}")
-    f = field_for_order(d)
-    if doc.get("field_order") != f.n or doc.get("field_degree") != f.degree:
+    # checked before the field is built, which takes memory quadratic in d
+    if not _is_int(order) or order != conductor(d):
         raise SchemaError("field parameters do not match the declared d")
-    _, index = prototile_ids(d)
+    f = field_for_order(d)
+    if not _is_int(degree) or degree != f.degree:
+        raise SchemaError("field parameters do not match the declared d")
+    return f
+
+
+#: a JSON integer of at most 18 digits, so below 10**18 < INT64_SAFE
+_INT = rb"-?(?:0|[1-9][0-9]{0,17})"
+#: a JSON number (the empty alternatives match faster than an optional group)
+_NUMBER = rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+|)(?:[eE][-+]?[0-9]+|)"
+_HEADER = (rb'\{\n "d": (' + _INT + rb'),\n "field_degree": (' + _INT
+           + rb'),\n "field_order": (' + _INT + rb'),\n "format": '
+           + json.dumps(FORMAT).encode() + rb',\n "manifest": ')
+_SHADOW = b',\n "shadow": {\n  "corners": [\n'
+_END = b'\n ],\n "version": %d\n}\n' % VERSION
+
+
+@lru_cache(maxsize=None)
+def _grammar(degree, chunk):
+    """(corners, middle, tiles): patterns for up to `chunk` shadow corner
+    triples, the text between the corners and the tiles, and up to `chunk`
+    tile records of field degree `degree`, in the exact layout of
+    `export_patch`.  Only standard `re` syntax: Python 3.10 has no
+    possessive quantifiers."""
+    pair = rb"\[\n     " + _NUMBER + rb",\n     " + _NUMBER + rb"\n    \]"
+    corner = (rb"   \[\n    " + pair + rb",\n    " + pair + rb",\n    "
+              + pair + rb"\n   \]")
+    # the coefficients are unrolled: a repeated group matches 3x slower
+    tile = (rb'  \{\n   "name": "[A-Za-z0-9]+",\n   "r": ' + _INT
+            + rb',\n   "t": \{\n    "den": ' + _INT
+            + rb',\n    "num": \[\n     ' + rb",\n     ".join([_INT] * degree)
+            + rb"\n    \]\n   \}\n  \}")
+    middle = rb'\n  \],\n  "precision": ' + _INT + rb'\n \},\n "tiles": \[\n'
+    return tuple(re.compile(p) for p in (
+        corner + rb"(?:,\n" + corner + rb"){0,%d}" % (chunk - 1), middle,
+        tile + rb"(?:,\n" + tile + rb"){0,%d}" % (chunk - 1)))
+
+
+def _chunk_spans(pattern, data, pos):
+    """The spans of the matches of pattern from pos on, while they are
+    joined by ",\\n"; None if the first does not match."""
+    spans = []
+    while (m := pattern.match(data, pos)) is not None:
+        spans.append(m.span())
+        if not data.startswith(b",\n", m.end()):
+            return spans
+        pos = m.end() + 2
+    return None
+
+
+def _parse_ints(b, first, last):
+    """The integers written at b[first:last] (index arrays of one shape)
+    in the bytes b; every span must hold a JSON integer of at most 18
+    digits."""
+    shape, first, last = first.shape, first.ravel(), last.ravel()
+    neg = b[first] == ord("-")
+    first = first + neg
+    width = last - first
+    val = b[first].astype(np.int64) - ord("0")
+    i = np.arange(len(val))
+    for k in range(1, int(width.max(initial=1))):
+        i = i[width[i] > k]
+        val[i] = val[i] * 10 + b[first[i] + k] - ord("0")
+    return np.where(neg, -val, val).reshape(shape)
+
+
+def _read_tiles(b, degree, keys, order):
+    """(ids, r, den, num) of the tile records in the bytes b (a match of
+    the tile pattern).  Each record is 9 + degree lines and each value
+    sits at a fixed column of its line; a name not in the sorted byte
+    strings `keys` gets id -1."""
+    lines = np.concatenate([[-1], np.flatnonzero(b == ord("\n")), [len(b)]])
+    start = (lines[:-1] + 1).reshape(-1, 9 + degree)
+    stop = lines[1:].reshape(-1, 9 + degree)
+    # '   "name": "G",' and the value lines '   "r": 3,', '    "den": 1,'
+    # and '     0,' ... '     0'
+    first, last = start[:, 1] + 12, stop[:, 1] - 2
+    rows = [2, 4] + list(range(6, 6 + degree))
+    values = _parse_ints(
+        b, start[:, rows] + np.array([8, 11] + [5] * degree),
+        stop[:, rows] - np.array([1] * (1 + degree) + [0]))
+    width = keys.itemsize
+    at = first[:, None] + np.arange(width)
+    inside = at < last[:, None]
+    name = np.where(inside, b[np.where(inside, at, 0)], 0).astype(np.uint8)
+    name = name.view(f"S{width}").ravel()
+    pos = np.minimum(np.searchsorted(keys, name), len(keys) - 1)
+    known = (keys[pos] == name) & (last - first <= width)
+    return (np.where(known, order[pos], -1).astype(np.int16),
+            values[:, 0], values[:, 1], values[:, 2:])
+
+
+def _canonical_columns(data):
+    """(d, manifest, ids, r, den, num) of a patch file in the exact layout
+    that `export_patch` writes, or None for any other bytes.
+
+    The layout is checked by patterns, CHUNK records at a time, and the
+    values are read from the matched bytes in one array pass per chunk.
+    The shadow corners are checked against the JSON number grammar but
+    not decoded.  Every accepted file is valid JSON that `_json_columns`
+    reads to the same columns; ids, r, den and num are int16, int64,
+    int64 and an int64 N x degree array, r as written."""
+    head = re.match(_HEADER, data) if data.isascii() else None
+    if head is None:
+        return None
+    d, degree, order = map(int, head.groups())
+    try:
+        _field(d, order, degree)
+    except SchemaError:
+        return None
+    end = data.find(_SHADOW, head.end())
+    if end < 0:
+        return None
+    try:
+        # in a list, the manifest nests as deep as in the whole document; a
+        # match of _SHADOW inside the manifest leaves an unclosed prefix,
+        # and text that is not one value does not unpack
+        manifest, = json.loads("[%s]" % data[head.end():end].decode("ascii"))
+    except (ValueError, RecursionError):
+        return None
+    corners, middle, tiles = _grammar(degree, CHUNK)
+    spans = _chunk_spans(corners, data, end + len(_SHADOW))
+    mid = spans and middle.match(data, spans[-1][1])
+    spans = mid and _chunk_spans(tiles, data, mid.end())
+    if not spans or data[spans[-1][1]:] != _END:
+        return None
+    keys = np.array([n.encode() for n in prototile_ids(d)[0]])
+    order = np.argsort(keys)
+    keys = keys[order]
+    parts = [_read_tiles(np.frombuffer(data, np.uint8, b - a, a), degree,
+                         keys, order) for a, b in spans]
+    return (d, manifest) + tuple(np.concatenate(c) for c in zip(*parts))
+
+
+def _int64(values, what):
+    """values as an int64 array; SchemaError unless each is a JSON integer
+    (not a bool) that int64 holds."""
+    if not {type(x) for x in values} <= {int}:
+        raise SchemaError(f"{what} must be integers")
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise SchemaError(f"{what} must fit in int64") from None
+
+
+def _json_columns(text):
+    """(d, manifest, ids, r, den, num) of a patch document in any JSON
+    layout, as `_canonical_columns` gives them, with the types and shapes
+    checked; SchemaError if the document is not one."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # ValueError also covers ints beyond int()'s digit limit, and
+        # RecursionError nesting deeper than the interpreter's stack
+        raise SchemaError(f"not valid JSON: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT:
+        raise SchemaError(f"not a {FORMAT} file")
+    if not _is_int(doc.get("version")) or doc["version"] != VERSION:
+        raise SchemaError(f"unsupported version {doc.get('version')!r}")
+    d = doc.get("d")
+    f = _field(d, doc.get("field_order"), doc.get("field_degree"))
     records = doc.get("tiles", [])
     if not isinstance(records, list):
         raise SchemaError("tiles must be a list")
-    ids, rs, nums, dens = [], [], [], []
-    for rec in records:
-        try:
-            name, r, t = rec["name"], rec["r"], rec["t"]
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"malformed tile record: {exc}")
-        if not isinstance(name, str) or name not in index:
-            raise SchemaError(f"unknown prototile {name!r} for d={d}")
-        if not _is_int(r):
-            raise SchemaError(f"rotation exponent must be an integer: {r!r}")
-        try:
-            num, den = t["num"], t["den"]
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"malformed field element: {exc}")
-        if not _is_int(den) or den <= 0:
-            raise SchemaError("denominator must be a positive integer: "
-                              f"{den!r}")
-        if not isinstance(num, list):
-            raise SchemaError("numerator must be a list of integers")
-        if len(num) != f.degree:
-            raise SchemaError("coefficient vector length mismatch")
-        ids.append(index[name])
-        rs.append(r % f.n)
-        nums.append(num)
-        dens.append(den)
-    if not {type(c) for c in itertools.chain.from_iterable(nums)} <= {int}:
-        raise SchemaError("numerator must be a list of integers")
-    common = math.lcm(*dens)
-    if common > 1:
-        nums = [num if den == common else [c * (common // den) for c in num]
-                for num, den in zip(nums, dens)]
     try:
-        t = np.array(nums, dtype=np.int64).reshape(len(nums), f.degree)
-    except OverflowError:
-        t = None
-    if t is None or common >= INT64_SAFE or max_abs(t) >= INT64_SAFE:
+        names = [rec["name"] for rec in records]
+        r = [rec["r"] for rec in records]
+        t = [rec["t"] for rec in records]
+        den = [x["den"] for x in t]
+        num = [x["num"] for x in t]
+    except (KeyError, TypeError) as exc:
+        raise SchemaError(f"malformed tile record: {exc}") from None
+    if not all(type(x) is list and len(x) == f.degree for x in num):
+        raise SchemaError(f"numerators must be lists of {f.degree} integers")
+    _, index = prototile_ids(d)
+    ids = [index.get(x, -1) if type(x) is str else -1 for x in names]
+    num = _int64(list(itertools.chain.from_iterable(num)), "coefficients")
+    return (d, doc.get("manifest", {}), np.array(ids, dtype=np.int16),
+            _int64(r, "rotation exponents"), _int64(den, "denominators"),
+            num.reshape(len(records), f.degree))
+
+
+def _patch(d, ids, r, den, num):
+    """The Patch of the tile columns of a file, from either reader;
+    SchemaError unless every name is a prototile of d, every denominator
+    is positive and the translations over their common denominator stay
+    below INT64_SAFE."""
+    unknown = np.flatnonzero(ids < 0)
+    if len(unknown):
+        raise SchemaError(f"tile {unknown[0]}: unknown prototile for d={d}")
+    if (den <= 0).any():
+        raise SchemaError("denominators must be positive integers")
+    common = math.lcm(*np.unique(den).tolist())
+    if common >= INT64_SAFE or max_abs(num) >= INT64_SAFE:
         raise SchemaError("coefficients and denominators must be below 2**62")
-    return (Patch.from_columns(d, np.array(ids, dtype=np.int16),
-                               np.array(rs, dtype=np.int32), t, common),
-            doc.get("manifest", {}))
+    if common > 1:
+        scale = common // den
+        if (np.abs(num).max(axis=1, initial=0)
+                > (INT64_SAFE - 1) // scale).any():
+            raise SchemaError("coefficients over the common denominator "
+                              "must be below 2**62")
+        num = num * scale[:, None]
+    r = (r % conductor(d)).astype(np.int32)
+    return Patch.from_columns(d, ids, r, num, common)
+
+
+def import_patch(path):
+    """(patch, manifest) from a patch file; exact data only is trusted.
+
+    A file in the layout `export_patch` writes is read by
+    `_canonical_columns`, any other JSON by `_json_columns`; both hand
+    their columns to the same value checks.  Every malformed or unreadable
+    file raises SchemaError.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise SchemaError(f"cannot read {path}: {exc}") from None
+    columns = _canonical_columns(data)
+    if columns is None:
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"not UTF-8 text: {exc}") from None
+        columns = _json_columns(text)
+    d, manifest, *tiles = columns
+    return _patch(d, *tiles), manifest

@@ -4,6 +4,7 @@ import json
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -38,6 +39,17 @@ def reference_document(d, tiles, precision=12):
         shadow.append([[round(z.real, precision), round(z.imag, precision)]
                        for z in zs])
     return recs, shadow
+
+
+def read_canonically(text):
+    """The patch of an exported file's text, read by the canonical reader,
+    whose columns must be the json reader's."""
+    columns = patchio._canonical_columns(text.encode())
+    expect = patchio._json_columns(text)
+    assert columns[:2] == expect[:2]
+    for got, want in zip(columns[2:], expect[2:]):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    return patchio._patch(columns[0], *columns[2:])
 
 
 @st.composite
@@ -86,6 +98,7 @@ def test_columns_match_isometry_reference(case):
             written = fh.read()
     doc = patch_document(patch, manifest={"tiles": [], "corners": []})
     assert written == json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    assert read_canonically(written).tiles == ref
 
 
 def test_empty_patch_exports_renders_and_verifies(tmp_path):
@@ -111,8 +124,9 @@ def test_export_in_chunks_is_the_document(tmp_path, monkeypatch, chunk):
     monkeypatch.setattr(patchio, "CHUNK", chunk)
     export_patch(patch, tmp_path / "p.json", manifest={"n": 2})
     doc = patch_document(patch, manifest={"n": 2})
-    assert (tmp_path / "p.json").read_text() == \
-        json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    text = (tmp_path / "p.json").read_text()
+    assert text == json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    assert read_canonically(text).tiles == patch.tiles
 
 
 def test_int64_guard_raises_instead_of_wrapping():

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -60,6 +61,8 @@ def test_schema_errors(tmp_path):
             patchio.import_patch(q)
 
     corrupted(lambda b: b.update(version=99))
+    corrupted(lambda b: b.update(version=True))
+    corrupted(lambda b: b.update(field_order=84.0))
     corrupted(lambda b: b.update(format="something"))
     corrupted(lambda b: b.update(field_order=10))
     corrupted(lambda b: b["tiles"][0].pop("t"))
@@ -179,6 +182,47 @@ def test_cli_verify_rejects_malformed_patch(tmp_path, capsys, mutate):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "SchemaError" in err and "Traceback" not in err
+
+
+def _hostile(change):
+    """The bytes of an exported 9-tile patch file after change(its text),
+    which returns str or bytes."""
+    def edit(tmp_path):
+        patchio.export_patch(build(n=1), tmp_path / "p.json")
+        out = change((tmp_path / "p.json").read_text())
+        return out if isinstance(out, bytes) else out.encode()
+    return edit
+
+
+@pytest.mark.parametrize("edit, error", [
+    (_hostile(lambda s: s.replace('"manifest": {}', '"manifest": '
+                                  + "[" * 100_000)), "SchemaError"),
+    (_hostile(lambda s: s.replace('"tiles": [', '"tiles": ' + "[" * 100_000,
+                                  1)), "SchemaError"),
+    (_hostile(lambda s: s.replace('"manifest": {}', '"manifest": "\xff"')
+              .encode("latin-1")), "SchemaError"),
+    (_hostile(lambda s: s.replace('"r": ', '"r": ' + "7" * 5000, 1)),
+     "SchemaError"),
+    (_hostile(lambda s: s.replace('"d": 14', '"d": 1400000')), "SchemaError"),
+    (_hostile(lambda s: s[:len(s) // 2]), "SchemaError"),
+    (_hostile(lambda s: b""), "SchemaError"),
+    (_hostile(lambda s: re.sub(r'"num": \[\n     -?\d+',
+                               f'"num": [\n     {2 ** 62 - 1}', s, 1)),
+     "OverflowError"),
+], ids=["deep-manifest", "deep-tiles", "not-utf8", "r-5000-digits",
+        "d-without-its-field", "truncated", "empty",
+        "corners-beyond-int64"])
+def test_cli_verify_rejects_hostile_bytes(tmp_path, capsys, edit, error):
+    path = tmp_path / "bad.json"
+    path.write_bytes(edit(tmp_path))
+    if error == "SchemaError":
+        with pytest.raises(patchio.SchemaError):
+            patchio.import_patch(path)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: {error}" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory"])
@@ -306,12 +350,15 @@ def test_cli_config_sets_defaults_and_flags_win(tmp_path):
     assert (tmp_path / "patch_d8_T1t_n2.json").exists()
 
 
-@pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"],
-                         ids=["missing", "invalid", "not-object"])
+@pytest.mark.parametrize("content", [
+    None, "{not json", "[1, 2]", "[" * 50_000, '{"n": ' + "1" * 5000 + "}",
+    b'{"n": "\xff"}'], ids=["missing", "invalid", "not-object", "deep",
+                           "int-5000-digits", "not-utf8"])
 def test_cli_bad_config_exits_2(tmp_path, capsys, content):
     config = tmp_path / "c.json"
     if content is not None:
-        config.write_text(content)
+        config.write_bytes(content if isinstance(content, bytes)
+                           else content.encode())
     with pytest.raises(SystemExit) as exc:
         main(["--config", str(config), "tile", "--d", "8", "--p", "3",
               "--seed-tile", "T1t", "--out", str(tmp_path)])

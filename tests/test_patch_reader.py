@@ -1,0 +1,320 @@
+"""The two patch file readers: the canonical reader for the exact layout
+that export_patch writes, and the json reader for every other file."""
+
+import contextlib
+import io
+import json
+import re
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from deltiling import patchio
+from deltiling.cli import main
+from deltiling.field import field_for_order
+from deltiling.substitution import (Isometry, Patch, Tile, derive_rules,
+                                    prototile_ids)
+
+
+def canonical_text(doc):
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+@lru_cache(maxsize=None)
+def small_patch():
+    """The 9 tiles of (14, G, (3,+)), translated by 1/(1 + k % 5): the
+    file has denominators 1..5."""
+    f = field_for_order(14)
+    tiles = Patch.single(14, "G").inflate(derive_rules(14, 3, 1)).tiles
+    return Patch(14, [Tile(t.name, Isometry(t.iso.r, t.iso.t
+                                            + f.rational(1, 1 + k % 5)))
+                      for k, t in enumerate(tiles)])
+
+
+def small_document():
+    return patchio.patch_document(small_patch(), {"p": 3, "n": [1, None]})
+
+
+def same_columns(a, b):
+    """d, manifest and every column with its dtype are equal."""
+    return (a[0] == b[0] and json.dumps(a[1]) == json.dumps(b[1])
+            and all(x.dtype == y.dtype and x.shape == y.shape
+                    and np.array_equal(x, y) for x, y in zip(a[2:], b[2:])))
+
+
+def same_patch(a, b):
+    return all(np.asarray(x).dtype == np.asarray(y).dtype
+               and np.array_equal(x, y) for x, y in zip(a.columns, b.columns))
+
+
+def test_exported_file_is_read_canonically():
+    data = canonical_text(small_document()).encode()
+    columns = patchio._canonical_columns(data)
+    assert columns is not None
+    assert same_columns(columns, patchio._json_columns(data.decode()))
+    assert columns[4].tolist() == [1 + k % 5 for k in range(9)]
+
+
+def escape_first_name(text):
+    """The first tile name with its first letter as a JSON escape."""
+    return re.sub(r'"name": "(.)', lambda m: '"name": "\\u%04x' %
+                  ord(m.group(1)), text, count=1)
+
+
+def reversed_keys(text):
+    return json.dumps(json.loads(text, object_pairs_hook=lambda kv:
+                                 dict(kv[::-1])), indent=1) + "\n"
+
+
+def with_extra_keys(doc):
+    doc["comment"] = {"by": "hand"}
+    doc["tiles"][0]["note"] = [1, 2]
+    doc["tiles"][1]["t"]["unit"] = "zeta"
+    return canonical_text(doc)
+
+
+def with_nan_corner(doc):
+    doc["shadow"]["corners"][0][0][0] = float("nan")
+    return canonical_text(doc)
+
+
+def with_coefficient(manifest):
+    """(text, patch): the untranslated (14, G, (3,+)) patch file, all
+    denominators 1, with 2**61 for the first coefficient, and its patch."""
+    patch = Patch.single(14, "G").inflate(derive_rules(14, 3, 1))
+    doc = patchio.patch_document(patch, manifest)
+    doc["tiles"][0]["t"]["num"][0] = 2 ** 61
+    ids, r, t, den = patch.columns
+    t = t.copy()
+    t[0, 0] = 2 ** 61
+    return canonical_text(doc), Patch.from_columns(14, ids, r, t, den)
+
+
+@pytest.mark.parametrize("case", [
+    "reversed-keys", "extra-keys", "escaped-name", "compact",
+    "coefficient-2^61", "nan-shadow", "empty-tiles"])
+def test_non_canonical_files_import_to_the_same_patch(tmp_path, case):
+    doc, patch = small_document(), small_patch()
+    if case == "reversed-keys":
+        text = reversed_keys(canonical_text(doc))
+    elif case == "extra-keys":
+        text = with_extra_keys(doc)
+    elif case == "escaped-name":
+        text = escape_first_name(canonical_text(doc))
+        assert "\\u00" in text
+    elif case == "compact":
+        text = json.dumps(doc, separators=(",", ":"))
+    elif case == "coefficient-2^61":
+        text, patch = with_coefficient(doc["manifest"])
+    elif case == "nan-shadow":
+        text = with_nan_corner(doc)
+        assert "NaN" in text
+    else:
+        patch = Patch(14, [])
+        text = canonical_text(patchio.patch_document(patch, doc["manifest"]))
+    path = tmp_path / "p.json"
+    path.write_text(text)
+    assert patchio._canonical_columns(text.encode()) is None
+    loaded, manifest = patchio.import_patch(path)
+    assert same_patch(loaded, patch)
+    assert manifest == doc["manifest"]
+
+
+def tile_value(k, *path, value):
+    """An edit that sets tile k's value at path (keys below the record)."""
+    def edit(doc):
+        node = doc["tiles"][k]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("edits", [
+    [tile_value(3, "name", value="Zz")],
+    # read past the longest prototile name
+    [tile_value(0, "name", value="Fhtt")],
+    [tile_value(0, "t", "den", value=0)],
+    [tile_value(0, "t", "den", value=-3)],
+    # coprime denominators whose lcm passes 2**62
+    [tile_value(0, "t", "den", value=2 ** 31 - 1),
+     tile_value(1, "t", "den", value=2 ** 32)],
+    # a coefficient that passes 2**62 over the common denominator
+    [tile_value(0, "t", "den", value=2 ** 40),
+     tile_value(1, "t", "num", 0, value=2 ** 30)],
+], ids=["unknown-name", "name-extends-a-name", "den-zero", "den-negative",
+        "lcm-beyond-2^62", "scaled-beyond-2^62"])
+def test_canonical_layout_still_checks_values(tmp_path, edits):
+    doc = small_document()
+    for edit in edits:
+        edit(doc)
+    text = canonical_text(doc)
+    assert patchio._canonical_columns(text.encode()) is not None
+    path = tmp_path / "p.json"
+    path.write_text(text)
+    with pytest.raises(patchio.SchemaError):
+        patchio.import_patch(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda s: s + "x",
+    lambda s: re.sub(r"(\d)\.\d+", r"\1.", s, count=1),
+    lambda s: s.replace("     0,", "     00,", 1),
+    lambda s: s.replace("     0,", "     +0,", 1),
+    lambda s: s.replace('"r": ', '"r": --', 1),
+], ids=["trailing-text", "bare-point", "leading-zero", "plus-sign",
+        "double-minus"])
+def test_canonical_reader_rejects_what_json_rejects(tmp_path, edit):
+    text = edit(canonical_text(small_document()))
+    assert patchio._canonical_columns(text.encode()) is None
+    path = tmp_path / "p.json"
+    path.write_text(text)
+    with pytest.raises(patchio.SchemaError, match="not valid JSON"):
+        patchio.import_patch(path)
+
+
+# ---- fuzz: mutated files ----
+
+def check_readers(path, data):
+    """The canonical reader gives None or the json reader's columns;
+    import_patch raises only SchemaError; `deltiling verify` exits 0, 1
+    or 2 without an exception escaping."""
+    canonical = patchio._canonical_columns(data)
+    if canonical is not None:
+        assert same_columns(canonical, patchio._json_columns(data.decode()))
+    path.write_bytes(data)
+    try:
+        patchio.import_patch(path)
+    except patchio.SchemaError:
+        pass
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        try:
+            main(["verify", str(path)])
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
+DIGITS = st.sampled_from([bytes([c]) for c in b"0123456789-"])
+JSON_BYTES = st.lists(st.sampled_from(list(b'0123456789-+.eE ,\n[]{}":\\GN')),
+                      min_size=1, max_size=3).map(bytes)
+# (op, position, bytes): a digit overwritten by a digit or a sign, or
+# deleted, which keeps many files in the canonical layout; or a flip,
+# insert or delete of JSON punctuation or any bytes anywhere, at a position
+# counted from the start or the end of the file
+BYTE_EDITS = st.lists(st.one_of(
+    st.tuples(st.just("digit"), st.integers(min_value=0), DIGITS),
+    st.tuples(st.just("drop"), st.integers(min_value=0), st.just(b"0")),
+    st.tuples(st.sampled_from(["flip", "insert", "delete"]),
+              st.one_of(st.integers(min_value=0), st.integers(-12, -1)),
+              st.one_of(JSON_BYTES, st.binary(min_size=1, max_size=3)))),
+    min_size=1, max_size=3)
+
+
+def apply_byte_edits(data, edits):
+    """data after each (op, pos, chunk); "digit" overwrites and "drop"
+    deletes the digit numbered pos."""
+    for op, pos, chunk in edits:
+        if op in ("digit", "drop"):
+            digits = [m.start() for m in re.finditer(rb"[0-9]", data)]
+            pos = digits[pos % len(digits)] if digits else 0
+            op = "flip" if op == "digit" else "delete"
+        pos %= len(data) + 1
+        tail = data[pos + len(chunk):] if op != "insert" else data[pos:]
+        data = data[:pos] + (chunk if op != "delete" else b"") + tail
+    return data
+
+
+FUZZ = settings(max_examples=150, derandomize=True, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+@FUZZ
+@given(BYTE_EDITS)
+def test_byte_mutations(tmp_path_factory, edits):
+    data = apply_byte_edits(canonical_text(small_document()).encode(), edits)
+    check_readers(tmp_path_factory.mktemp("fuzz") / "p.json", data)
+
+
+def paths(node, prefix=()):
+    """The paths of every value in a JSON document."""
+    yield prefix
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield from paths(value, prefix + (key,))
+
+
+NAMES = st.deferred(lambda: st.sampled_from(prototile_ids(14)[0]))
+# prototile names, names with letters added (still told apart from the
+# names they extend?) and other short strings
+NEAR_NAMES = st.one_of(
+    NAMES, st.tuples(NAMES, st.text(alphabet="Ght1", min_size=1,
+                                    max_size=2)).map("".join),
+    st.text(alphabet="AEFGht1", min_size=1, max_size=5))
+# integers, which keep a file in the canonical layout up to 18 digits
+NEAR_INTS = st.one_of(
+    st.integers(-10 ** 18 + 1, 10 ** 18 - 1),
+    st.sampled_from([0, -1, 84, 10 ** 18, 10 ** 19 - 1, 2 ** 62, -2 ** 63]))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=3)
+    | st.integers(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4)
+
+
+@lru_cache(maxsize=None)
+def document_paths(kind):
+    """The paths of the small document's tile names ("name"), of its tile
+    rotations, denominators and coefficients ("value"), or of all its
+    values ("any")."""
+    found = sorted(paths(small_document()), key=repr)
+    tile = [p for p in found if len(p) >= 3 and p[0] == "tiles"]
+    return {"name": [p for p in tile if p[-1] == "name"],
+            "value": [p for p in tile if p[-1] in ("r", "den")
+                      or p[-2] == "num"],
+            "any": found}[kind]
+
+
+def path_edits(kind, delete, values):
+    paths_of_kind = st.deferred(lambda: st.sampled_from(document_paths(kind)))
+    return st.tuples(paths_of_kind, delete, values)
+
+
+# (path, delete, value): a tile name or value set to a near value, or any
+# value set to anything or deleted
+EDITS = st.one_of(path_edits("name", st.just(False), NEAR_NAMES),
+                  path_edits("value", st.just(False), NEAR_INTS),
+                  path_edits("any", st.booleans(),
+                             st.one_of(NEAR_INTS, NEAR_NAMES, JSON_VALUES)))
+
+
+@FUZZ
+@given(st.lists(EDITS, min_size=1, max_size=3),
+       st.sampled_from(["canonical", "compact"]))
+def test_json_edits(tmp_path_factory, edits, layout):
+    doc = small_document()
+    for path, delete, value in edits:
+        if not path:
+            doc = value
+            continue
+        parent = doc
+        try:
+            for key in path[:-1]:
+                parent = parent[key]
+            if delete:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier edit removed or replaced the path
+    text = (canonical_text(doc) if layout == "canonical"
+            else json.dumps(doc, separators=(",", ":")))
+    check_readers(tmp_path_factory.mktemp("fuzz") / "p.json", text.encode())
