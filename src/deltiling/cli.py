@@ -7,7 +7,7 @@ import json
 import os
 import sys
 
-from .field import field_for_order, inflation_factor
+from .field import MAX_ORDER, field_for_order, inflation_factor
 from .arrangement import SymmetryIndex, get_arrangement, triangular_pattern
 from .prototiles import prototile_catalog
 from .substitution import Patch, derive_rules, derive_edge_words, \
@@ -326,6 +326,11 @@ def main(argv=None):
         value = getattr(args, name, 0)
         if isinstance(value, bool) or not isinstance(value, int) or value < 0:
             _fail(f"--{name} must be a non-negative integer (got {value!r})")
+    # and the order, before anything of memory quadratic in it is built
+    d = getattr(args, "d", 5)
+    if isinstance(d, bool) or not isinstance(d, int) \
+            or not 5 <= d <= MAX_ORDER:
+        _fail(f"--d must be an integer from 5 to {MAX_ORDER} (got {d!r})")
     try:
         _check_seed_tile(args)
         args.fn(args)

@@ -134,18 +134,21 @@ class CycField:
         return (self.zeta(e) - self.zeta(-e)) * self._half_i * -1
 
     @cached_property
+    def powers(self):
+        """int64 rows of zeta^0 .. zeta^(n+D-2), reduced mod Phi_n."""
+        return np.array(self._red[:self.n + self.degree - 1], dtype=np.int64)
+
+    @cached_property
     def rotations(self):
         """int64 array R, R[k] the matrix of w -> zeta^k w on coefficient rows.
 
         A row x of power-basis coefficients times R[k] is the row of
         zeta^k * x: row j of R[k] is zeta^(j+k) reduced mod Phi_n.  R[k]
-        is rows k .. k+D-1 of one table of reduced powers, so R is a
-        read-only strided view of n + D - 1 rows, not n copies.
+        is rows k .. k+D-1 of `powers`, so R is a read-only strided view
+        of n + D - 1 rows, not n copies.
         """
-        D = self.degree
-        red = np.array(self._red[:self.n + D - 1], dtype=np.int64)
         return np.lib.stride_tricks.sliding_window_view(
-            red, D, axis=0).transpose(0, 2, 1)
+            self.powers, self.degree, axis=0).transpose(0, 2, 1)
 
     def mul_matrix(self, e):
         """(M, den): the row of x * e is (row of x) @ M / den.
@@ -458,11 +461,19 @@ def conductor(d):
     return 6 * d if d % 2 == 0 else 12 * d
 
 
+#: the largest symmetry order of a pattern.  Its field, arrangements and
+#: catalog take memory that grows quadratically with d, and the catalog
+#: decorates the order-d faces with the order-2d arrangement, so fields
+#: are built up to order 2 * MAX_ORDER.
+MAX_ORDER = 64
+
+
 @lru_cache(maxsize=None)
 def field_for_order(d):
-    """Field housing the order-d arrangement, of conductor `conductor(d)`."""
-    if d < 5:
-        raise ValueError("need d >= 5")
+    """Field housing the order-d arrangement, of conductor `conductor(d)`,
+    for 5 <= d <= 2 * MAX_ORDER."""
+    if not 5 <= d <= 2 * MAX_ORDER:
+        raise ValueError(f"need 5 <= d <= {2 * MAX_ORDER} (got {d})")
     return CycField(conductor(d))
 
 

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .field import conductor, field_for_order
+from .field import MAX_ORDER, conductor, field_for_order
 from .substitution import INT64_SAFE, Patch, max_abs, prototile_ids
 
 FORMAT = "deltoid-patch"
@@ -159,8 +159,9 @@ def export_patch(patch: Patch, path, manifest=None, precision=12):
 def _field(d, order, degree):
     """The field of symmetry order d; SchemaError unless the header's field
     order and degree are its own."""
-    if not _is_int(d) or d < 5:
-        raise SchemaError(f"bad symmetry order {d!r}")
+    if not _is_int(d) or not 5 <= d <= MAX_ORDER:
+        raise SchemaError(f"bad symmetry order {d!r} (need 5 <= d <= "
+                          f"{MAX_ORDER})")
     # checked before the field is built, which takes memory quadratic in d
     if not _is_int(order) or order != conductor(d):
         raise SchemaError("field parameters do not match the declared d")

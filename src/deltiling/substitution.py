@@ -91,7 +91,7 @@ def _congruent(f, a, b):
     zb = (b[..., 1, :] - b[..., 0, :]) @ z
     r = np.rint(np.angle(zb * za.conj()) * f.n / (2 * np.pi)).astype(
         np.int64) % f.n
-    a = a @ f.rotations[r]
+    a = _turn(f, a, r)
     ok = ((a - a[..., :1, :]) == (b - b[..., :1, :])).all(axis=(-2, -1))
     return r, ok, b[..., 0, :] - a[..., 0, :]
 
@@ -112,11 +112,32 @@ def match_triangles(src, dst):
 def _field_tables(f):
     """(z, bound): `rows @ z` are float values of coefficient rows (a
     pre-filter, not bit-equal to `Elem.cvalue`), and bound is the largest
-    |entry| of R = f.rotations: every row of every R[k] is a row of R[:, 0]
-    or of R[-1]."""
-    R = f.rotations
-    return (f.cvalues(np.eye(f.degree, dtype=np.int64)),
-            max(max_abs(R[:, 0]), max_abs(R[-1])))
+    |entry| of f.powers, so of every R[k] of R = f.rotations."""
+    return f.cvalues(np.eye(f.degree, dtype=np.int64)), max_abs(f.powers)
+
+
+def _turn(f, x, k):
+    """Rows of zeta^k * x(zeta) (int64) for coefficient rows x (..., w),
+    with one exponent k >= 0 per leading index, k + w < n + D: k has the
+    leading shape of x (a scalar turns every row).  The caller bounds
+    w * max |x| * bound below 2^62 (`_guard`, `_field_tables`).
+
+    The row of zeta^k x is x @ red[k:k + w], red = f.powers.  Blocks of
+    rows that share a k are grouped, and each group takes one product
+    with its slice of red, so no D x D matrix is gathered per row.
+    """
+    red = f.powers
+    w = x.shape[-1]
+    k = np.ravel(k)
+    blocks = x.reshape(len(k), -1, w)
+    out = np.empty(blocks.shape[:2] + (f.degree,), dtype=np.int64)
+    order = np.argsort(k, kind="stable")
+    k = k[order]
+    cut = [0, *(np.flatnonzero(k[1:] != k[:-1]) + 1).tolist(), len(k)]
+    for s, e in zip(cut, cut[1:]):
+        rows = order[s:e]
+        out[rows] = blocks[rows] @ red[k[s]:k[s] + w]
+    return out.reshape(x.shape[:-1] + (f.degree,))
 
 
 def _over(rows, den, L):
@@ -179,13 +200,17 @@ def _face_placements(d, kappa):
                            centroids=np.array([c for _, _, c in faces]))
 
 
-def _inside_mask(points, tri, margin=1e-9):
-    """Float test per point: inside the anticlockwise triangle tri, with
-    the cross product (b - a) x (p - a) at least `margin` for every side
-    ab of tri."""
-    a = np.asarray(tri)
-    cross = ((a[[1, 2, 0]] - a).conj() * (points[:, None] - a)).imag
-    return (cross >= margin).all(axis=1)
+def _inside_mask(points, tris, margin=1e-9):
+    """Float test of every point against every anticlockwise triangle:
+    for tris (..., 3) the mask (..., len(points)) is true where the cross
+    product (b - a) x (p - a) is at least `margin` for every side ab."""
+    a = np.asarray(tris)[..., None]
+    side = (a[..., [1, 2, 0], :] - a).conj()
+    inside = True
+    for j in range(3):
+        inside = inside & ((side[..., j, :] * (points - a[..., j, :])).imag
+                           >= margin)
+    return inside
 
 
 # -- locating the inflated triangle -------------------------------------
@@ -223,45 +248,78 @@ def locate_inflated(sym, tri, p, sign=1):
     rows, den = _common_den(corners, f.degree)
     M, mden = f.mul_matrix(inflation_factor(sym.d, p))
     _guard(f.degree * max_abs(rows) * max_abs(M), "inflated corners")
-    sym2, tri2, r, t, _, tden = _locate(sym, tri, rows @ M, den * mden, p,
-                                        sign)
-    return sym2, tri2, Isometry(r, Elem(f, t.tolist(), tden).normalized())
+    [(sym2, tri2)], r, t, _, tden = _locate([(sym, tri)], (rows @ M)[None],
+                                            den * mden, p, sign)
+    return sym2, tri2, Isometry(int(r[0]),
+                                Elem(f, t[0].tolist(), tden).normalized())
 
 
-def _locate(sym, tri, src, den, p, sign):
-    """(sym', tri', r, t, dst, den') with w -> zeta^r w + t mapping src to
-    the corners dst of tri' (in the target's cyclic order), all over den'.
-
-    src holds the rows over den of iota times the corners of tri, in any
-    cyclic order.  Candidates are tried in a fixed order, and the first
-    cyclic shift of src congruent to a candidate (`_congruent`) wins.
-    """
+def _targets(sym, tri, p, sign):
+    """The targets (sym', tri') tried for iota * tri, in order: the classes
+    of `_target_preference`, then kappa', then the label shift n with
+    3n = (kappa' + s) - sigma (mod d), keeping class-p triangles."""
     d = sym.d
-    f = field_for_order(d)
-    sigma = tri.sigma
     branch = tri.m_class if tri.m_class <= d // 2 else tri.m_class - d
     signed = _signed_triple(sym, tri.idx)
-
-    kappas = (0,) if d % 3 else (0, -2, 2)
     for s in _target_preference(d, p, branch, sign):
-        for k2 in kappas:
-            # need 3n = (kappa' + s) - sigma (mod d) for a label shift n
-            rhs = (k2 + s - sigma) % d
-            sols = [n for n in range(d) if (3 * n) % d == rhs]
-            for n in sols:
-                sym2 = SymmetryIndex(d, k2)
-                tri2 = _internal_tri(sym2, tuple(x + n for x in signed))
-                if tri2.p_class != p:
-                    continue
-                dst, dden = _common_den(
-                    get_arrangement(d, k2).corners(tri2)[0], f.degree)
-                L = math.lcm(den, dden)
-                dst = _over(dst, dden, L)
-                r, ok, t = _congruent(f, _over(src, den, L)[SHIFTS], dst)
-                if ok.any():
-                    k = int(np.argmax(ok))
-                    return sym2, tri2, int(r[k]), t[k], dst, L
-    raise AssertionError(f"no congruent inflated image for {tri} (p={p})")
+        for k2 in (0,) if d % 3 else (0, -2, 2):
+            sym2 = SymmetryIndex(d, k2)
+            rhs = (k2 + s - tri.sigma) % d
+            for n in range(d):
+                if (3 * n) % d == rhs:
+                    tri2 = _internal_tri(sym2, tuple(x + n for x in signed))
+                    if tri2.p_class == p:
+                        yield sym2, tri2
+
+
+def _locate(tris, src, den, p, sign):
+    """(targets, r, t, dst, den') for triangles tris = [(sym, tri), ...]
+    of one order d: w -> zeta^r[i] w + t[i] maps src[i] to the corners
+    dst[i] of targets[i] = (sym', tri') (in the target's cyclic order),
+    all over den'.
+
+    src holds the rows over den of iota times the corners of each
+    triangle, in any cyclic order.  Each triangle tries its `_targets`
+    in order, and the first cyclic shift of src congruent to a candidate
+    wins.  A round stacks the next candidate of every triangle not yet
+    located and tests every (triangle, shift) pair in one `_congruent`
+    call; the triangles without a match go to the next round.  In
+    practice the first candidate always matches, so one round places all.
+    """
+    d = tris[0][0].d
+    f = field_for_order(d)
+    search = [_targets(sym, tri, p, sign) for sym, tri in tris]
+    targets = [None] * len(tris)
+    found = []
+    todo = np.arange(len(tris))
+    while len(todo):
+        trial = [next(search[i], None) for i in todo.tolist()]
+        for i, target in zip(todo.tolist(), trial):
+            if target is None:
+                raise AssertionError("no congruent inflated image for "
+                                     f"{tris[i][1]} (p={p})")
+        dst, dden = _common_den(
+            [c for sym2, tri2 in trial
+             for c in get_arrangement(d, sym2.kappa).corners(tri2)[0]],
+            f.degree)
+        L = math.lcm(den, dden)
+        dst = _over(dst, dden, L).reshape(len(todo), 3, f.degree)
+        r, ok, t = _congruent(f, _over(src[todo], den, L)[:, SHIFTS],
+                              dst[:, None])
+        hit = ok.any(axis=1)
+        s = ok.argmax(axis=1)[hit]
+        for i, target in zip(todo[hit].tolist(),
+                             itertools.compress(trial, hit)):
+            targets[i] = target
+        found.append((todo[hit], r[hit, s], t[hit, s], dst[hit], L))
+        todo = todo[~hit]
+    L = math.lcm(*(x[-1] for x in found))
+    r = np.empty(len(tris), dtype=np.int64)
+    t = np.empty((len(tris), f.degree), dtype=np.int64)
+    dst = np.empty((len(tris), 3, f.degree), dtype=np.int64)
+    for i, ri, ti, di, Li in found:
+        r[i], t[i], dst[i] = ri, _over(ti, Li, L), _over(di, Li, L)
+    return targets, r, t, dst, L
 
 
 # -- rule derivation ----------------------------------------------------
@@ -369,11 +427,12 @@ def derive_rules(d, p, sign=1) -> RuleSet:
     """Children picked by an array centroid test, placed as integer
     columns, confirmed by exact area balance.
 
-    Each prototile's inflated image is located (`_locate`) as a triangle
-    of some A(d, kappa'); the faces of A(d, kappa') whose centroids lie
-    inside it are its children, pulled back by the inverse placement
+    Every prototile's inflated image is located at once (`_locate`) as a
+    triangle of some A(d, kappa'); per target kappa' one centroid test of
+    its triangles against the faces of A(d, kappa') gives the (prototile,
+    face) pairs of the children, pulled back by the inverse placement
     w -> zeta^-r (w - t): a child on a face placed by (r_f, t_f) is
-    placed by (r_f - r, zeta^-r (t_f - t)).
+    placed by (r_f - r, zeta^-r (t_f - t)), all children in one `_turn`.
     """
     f = field_for_order(d)
     n = f.n
@@ -382,34 +441,36 @@ def derive_rules(d, p, sign=1) -> RuleSet:
     corners, cden = _corner_rows(d)
     M, mden = f.mul_matrix(inflation_factor(d, p))
     _guard(f.degree * max_abs(corners) * max_abs(M), "inflated corners")
-    src = corners @ M
-    located = [_locate(proto.face.sym, proto.face.tri, src[k], cden * mden,
-                       p, sign) for k, proto in enumerate(cat.prototiles)]
-    faces = {k: _face_placements(d, k)
-             for k in {sym2.kappa for sym2, *_ in located}}
-    L = math.lcm(*(den for *_, den in located),
-                 *(face.den for face in faces.values()))
-    T = np.array([_over(t, den, L) for _, _, _, t, _, den in located])
-    kid_t = {k: _over(x.t, x.den, L) for k, x in faces.items()}
+    targets, r, T, dst, tden = _locate(
+        [(proto.face.sym, proto.face.tri) for proto in cat.prototiles],
+        corners @ M, cden * mden, p, sign)
+    kappa = np.array([sym2.kappa for sym2, _ in targets])
+    faces = {k: _face_placements(d, k) for k in set(kappa.tolist())}
+    L = math.lcm(tden, *(face.den for face in faces.values()))
     z, bound = _field_tables(f)
-    _guard(f.degree * bound * (max(map(max_abs, kid_t.values()))
-                               + max_abs(T)), "child placements")
+    tri = dst @ z / tden
     parts = []
-    for k, (sym2, _, r, _, dst, den) in enumerate(located):
-        face = faces[sym2.kappa]
-        sel = np.flatnonzero(_inside_mask(face.centroids, dst @ z / den))
-        assert len(sel), f"empty rule for {names[k]}"
-        parts.append((np.full(len(sel), k), face.ids[sel],
-                      (face.r[sel] - r) % n,
-                      (kid_t[sym2.kappa][sel] - T[k]) @ f.rotations[-r % n]))
-    owner, ids, r, t = (np.concatenate(col) for col in zip(*parts))
+    for k, face in faces.items():
+        sel = np.flatnonzero(kappa == k)
+        owner, kid = np.nonzero(_inside_mask(face.centroids, tri[sel]))
+        parts.append((sel[owner], face.ids[kid], face.r[kid],
+                      _over(face.t, face.den, L)[kid]))
+    owner, ids, r_face, t = map(np.concatenate, zip(*parts))
+    del parts  # copies of the columns: free them before the turn
+    count = np.bincount(owner, minlength=len(names))
+    assert count.all(), f"empty rule for {names[int(np.argmin(count))]}"
+    T = _over(T, tden, L)
+    _guard(f.degree * bound * (max_abs(t) + max_abs(T)), "child placements")
+    t -= T[owner]
+    t = _turn(f, t, -r[owner] % n)
+    r = (r_face - r[owner]) % n
     # sort each rule by (name, r, Elem.key()) of the normalised translation
     g = np.gcd(np.gcd.reduce(t, axis=1), L)
     rank = np.argsort(np.argsort(np.array(names)))
     order = np.lexsort((L // g, *(t // g[:, None]).T[::-1], r, rank[ids],
                         owner))
     out = RuleSet(d, p, sign, table=(
-        np.bincount(owner, minlength=len(names)),
+        count,
         Patch.from_columns(d, ids[order], r[order].astype(np.int32),
                            t[order], L)))
     check_area_balance(out)
@@ -418,14 +479,28 @@ def derive_rules(d, p, sign=1) -> RuleSet:
 
 @lru_cache(maxsize=None)
 def _area_rows(d):
-    """(rows, den): 2i times twice the area of every prototile, by id."""
-    names, _ = prototile_ids(d)
-    areas = []
-    for name in names:
-        a, b, c = tile_corners(d, name)
-        x = (b - a).conj() * (c - a)
-        areas.append(x - x.conj())
-    return _common_den(areas, field_for_order(d).degree)
+    """(rows, den): 2i times twice the area of every prototile, by id.
+
+    For corners a, b, c, u = b - a and w = c - a, that is conj(u) w -
+    u conj(w).  As conj(u) = zeta^-(D-1) u'(zeta) = -zeta^(n/2-D+1)
+    u'(zeta) for the reversed row u' of u, it is zeta^(n/2-D+1) times the
+    polynomial (w' u - u' w)(zeta), whose 2D - 1 coefficients `_turn`
+    reduces.
+    """
+    f = field_for_order(d)
+    D = f.degree
+    C, den = _corner_rows(d)
+    u, w = C[:, 1] - C[:, 0], C[:, 2] - C[:, 0]
+    # |poly| <= 2D (2 max |C|)^2, and the turn multiplies by (2D - 1) bound
+    _guard(4 * D * D * (2 * max_abs(C)) ** 2 * _field_tables(f)[1],
+           "prototile areas")
+    poly = np.zeros((len(C), 2 * D - 1), dtype=np.int64)
+    for j in range(D):
+        poly[:, j:j + D] += (w[:, D - 1 - j, None] * u
+                             - u[:, D - 1 - j, None] * w)
+    rows = _turn(f, poly, f.n // 2 - D + 1)
+    g = math.gcd(den * den, int(np.gcd.reduce(rows, axis=None)))
+    return rows // g, den * den // g
 
 
 def check_area_balance(rules: RuleSet):

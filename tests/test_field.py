@@ -10,8 +10,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from deltiling.field import (CycField, Elem, cyclotomic_poly, field_for_order,
-                             inflation_factor, sin_val, cos_val, unit_root)
+from deltiling.field import (MAX_ORDER, CycField, Elem, cyclotomic_poly,
+                             field_for_order, inflation_factor, sin_val,
+                             cos_val, unit_root)
 
 
 def test_cyclotomic_polynomials():
@@ -31,6 +32,14 @@ def test_field_conductor_choice():
     assert field_for_order(12).n == 72
     assert field_for_order(7).n == 84
     assert field_for_order(5).n == 60
+
+
+def test_field_order_is_bounded():
+    # fields go up to order 2 MAX_ORDER, which the catalog of a pattern of
+    # order MAX_ORDER decorates with; beyond it, or below 5, they are refused
+    for d in (4, 2 * MAX_ORDER + 1, 1_400_000):
+        with pytest.raises(ValueError, match="need 5 <= d"):
+            field_for_order(d)
 
 
 def test_ring_axioms_random():

@@ -4,11 +4,13 @@ import hashlib
 import json
 import os
 import re
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
+from deltiling.field import MAX_ORDER
 from deltiling.substitution import Patch, derive_rules, verify_face_to_face
 from deltiling import patchio, svg
 from deltiling.cli import main
@@ -223,6 +225,44 @@ def test_cli_verify_rejects_hostile_bytes(tmp_path, capsys, edit, error):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"error: {error}" in err and "Traceback" not in err
+
+
+def test_cli_verify_rejects_an_order_past_the_bound_at_once(tmp_path,
+                                                          capsys,
+                                                          monkeypatch):
+    # d = 1,400,000 with its own field order passes the field check; the
+    # bound on d rejects the file before a field quadratic in d is built,
+    # so no module of the package may reach `field_for_order` once the
+    # file is written
+    path = tmp_path / "bad.json"
+    path.write_bytes(_hostile(
+        lambda s: s.replace('"d": 14', '"d": 1400000')
+        .replace('"field_order": 84', '"field_order": 8400000'))(tmp_path))
+
+    def build(d):
+        raise AssertionError(f"field of order {d} built")
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("deltiling") and hasattr(mod, "field_for_order"):
+            monkeypatch.setattr(mod, "field_for_order", build)
+    with pytest.raises(patchio.SchemaError, match="symmetry order"):
+        patchio.import_patch(path)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: SchemaError" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("d", [str(MAX_ORDER + 1), "1400000", "4"])
+def test_cli_rejects_an_order_outside_the_bound(tmp_path, capsys, d):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["arrange", "--d", d, "--out", str(out)])
+    assert exc.value.code == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and "--d" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory"])

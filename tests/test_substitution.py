@@ -230,16 +230,18 @@ def test_area_balance_rejects_a_missing_or_extra_child():
 def test_derive_rules_confirms_float_children_exactly(monkeypatch, mutation):
     # a centroid verdict that drops one child, or admits one face whose
     # centroid lies just outside the inflated prototile, is caught by the
-    # exact area balance
+    # exact area balance; the mask is (prototile, face), and exactly one
+    # of its entries is flipped
     inside = substitution._inside_mask
     flipped = []
 
-    def verdict(points, tri):
-        ok = inside(points, tri)
+    def verdict(points, tris):
+        ok = inside(points, tris)
+        assert ok.shape == (len(tris), len(points))
         pick = (ok if mutation == "drop"
-                else inside(points, tri, margin=-0.5) & ~ok)
+                else inside(points, tris, margin=-0.5) & ~ok)
         if not flipped and pick.any():
-            k = int(np.flatnonzero(pick)[0])
+            k = tuple(np.argwhere(pick)[0])
             flipped.append(k)
             ok = ok.copy()
             ok[k] = not ok[k]
@@ -484,6 +486,115 @@ def test_column_derivation_equals_per_child_reference(d):
             for key, value in a.items():
                 assert np.array_equal(value, b[key]), (d, p, sign, key)
                 assert np.asarray(value).dtype == np.asarray(b[key]).dtype
+
+
+def locate_rounds(monkeypatch, d, p, sign):
+    """derive_rules(d, p, sign), uncached, and the number of `_congruent`
+    calls its `_locate` made (one per search round)."""
+    for kappa in ((0,) if d % 3 else (0, -2, 2)):
+        substitution._face_placements(d, kappa)  # cached: no match there
+    calls = []
+    congruent = substitution._congruent
+
+    def counted(*args):
+        calls.append(args)
+        return congruent(*args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(substitution, "_congruent", counted)
+        rules = derive_rules.__wrapped__(d, p, sign)
+    return rules, len(calls)
+
+
+def test_every_rule_set_is_located_in_one_round(monkeypatch):
+    # the first candidate of every prototile matches, for all 96 rule sets
+    # of d = 5..16, so one `_congruent` call locates them all
+    for d in range(5, 17):
+        for p in range(2, d // 2 + 1):
+            for sign in (1, -1):
+                assert locate_rounds(monkeypatch, d, p, sign)[1] == 1, \
+                    (d, p, sign)
+
+
+def decoy_targets(victim, keep):
+    """A `_targets` that tries victim's own triangle (never congruent to
+    its inflated image) first, then its real candidates if keep."""
+    targets = substitution._targets
+
+    def search(sym, tri, p, sign):
+        if tri == victim:
+            yield sym, tri
+            if not keep:
+                return
+        yield from targets(sym, tri, p, sign)
+    return search
+
+
+@pytest.mark.parametrize("d, p, sign", [(9, 2, -1), (14, 3, 1)])
+def test_locate_falls_through_to_the_next_candidate(monkeypatch, d, p,
+                                                    sign):
+    # one prototile's first candidate fails: a second round locates it at
+    # the next candidate, which `reference_locate` finds by trying them in
+    # turn, and the rules are the reference's
+    cat = prototile_catalog(d)
+    victim = cat.prototiles[len(cat.prototiles) // 2].face.tri
+    monkeypatch.setattr(substitution, "_targets", decoy_targets(victim, True))
+    got, rounds = locate_rounds(monkeypatch, d, p, sign)
+    assert rounds == 2
+    want = reference_rules(d, p, sign)
+    for name, children in want.rules.items():
+        assert [(n, h.r, h.t.key()) for n, h in got.rules[name]] == \
+            [(n, h.r, h.t.key()) for n, h in children], name
+    a, b = vars(got.columns()), vars(want.columns())
+    assert all(np.array_equal(a[key], b[key]) for key in b)
+
+
+def test_locate_raises_when_every_candidate_fails(monkeypatch):
+    proto = prototile_catalog(7).prototiles[3]
+    monkeypatch.setattr(substitution, "_targets",
+                        decoy_targets(proto.face.tri, False))
+    with pytest.raises(AssertionError, match="no congruent inflated image"):
+        derive_rules.__wrapped__(7, 2, 1)
+    with pytest.raises(AssertionError, match="no congruent inflated image"):
+        locate_inflated(proto.face.sym, proto.face.tri, 2)
+
+
+def test_turn_equals_the_rotation_matrices():
+    # zeta^k x for blocks of rows sharing k against the matrices
+    # f.rotations[k]; rows of width 2D - 1 against the sum of
+    # x_j zeta^(k + j) in the field
+    rng = np.random.default_rng(5)
+    for d in (7, 14, 13):
+        f = field_for_order(d)
+        D = f.degree
+        k = rng.integers(0, f.n, size=(2, 2))
+        k[1, 1] = k[0, 0]
+        x = rng.integers(-10 ** 6, 10 ** 6, size=(2, 2, 3, D))
+        want = np.einsum("abij,abjk->abik", x, f.rotations[k])
+        assert np.array_equal(substitution._turn(f, x, k), want)
+        wide = rng.integers(-50, 50, size=(4, 2 * D - 1))
+        for kk in (0, f.n // 2 - D + 1, f.n - D):
+            want = [sum((f.zeta(kk + j) * int(c) for j, c in enumerate(row)),
+                        f.zero).num for row in wide.tolist()]
+            assert substitution._turn(f, wide, kk).tolist() == \
+                [list(w) for w in want]
+
+
+@pytest.mark.parametrize("d", [5, 9, 13, 14])
+def test_area_rows_equal_the_field_products(d):
+    # 2i times twice the area, conj(b - a) (c - a) minus its conjugate,
+    # from integer rows equals the Elem products
+    substitution._area_rows.cache_clear()
+    rows, den = substitution._area_rows(d)
+    names, _ = substitution.prototile_ids(d)
+    areas = []
+    for name in names:
+        a, b, c = tile_corners(d, name)
+        x = (b - a).conj() * (c - a)
+        areas.append(x - x.conj())
+    want, wden = substitution._common_den(areas, field_for_order(d).degree)
+    assert den == wden and rows.dtype == want.dtype
+    assert np.array_equal(rows, want)
 
 
 # -- the dict/round T-junction search and np.unique pairing, kept as the
