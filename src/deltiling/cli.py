@@ -296,6 +296,41 @@ def _load_config(path):
     return config
 
 
+def _flag_value(action, value):
+    """value as the action's flag gives it: a JSON string, or an integer
+    as its text where the flag has a type, through that type and the
+    choices."""
+    if type(value) is int and action.type is not None:
+        value = str(value)
+    if type(value) is not str:
+        raise TypeError(f"{type(value).__name__} is not a flag value")
+    if action.type is not None:
+        value = action.type(value)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"{value!r} is not one of {list(action.choices)}")
+    return value
+
+
+def _config_value(action, value):
+    """A --config value for action, checked and converted as its flag
+    would be (argparse applies `type` to string defaults only); exit 2
+    unless it is valid.  A switch takes true or false and a flag of any
+    number of values a list."""
+    flag = "/".join(action.option_strings) or action.dest
+    try:
+        if action.nargs == 0:
+            if type(value) is not bool:
+                raise TypeError("a switch takes true or false")
+            return value
+        if action.nargs == "*":
+            if type(value) is not list:
+                raise TypeError("a flag of several values takes a list")
+            return [_flag_value(action, v) for v in value]
+        return _flag_value(action, value)
+    except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+        _fail(f"config value for {flag} is not valid: {exc}")
+
+
 def _check_seed_tile(args):
     """Default --seed-tile to the first prototile; reject unknown names."""
     if not hasattr(args, "seed_tile"):
@@ -315,21 +350,21 @@ def main(argv=None):
     known, _ = pre.parse_known_args(argv)
     if known.config:
         # config values become the subcommands' defaults, so an explicit
-        # flag still wins
+        # flag still wins; each is checked in every subcommand that has it
         config = _load_config(known.config)
         for sub in ap.subcommands.values():
-            dests = {a.dest for a in sub._actions}
-            sub.set_defaults(**{k: v for k, v in config.items() if k in dests})
+            sub.set_defaults(**{a.dest: _config_value(a, config[a.dest])
+                                for a in sub._actions if a.dest in config
+                                and a.default is not argparse.SUPPRESS})
     args = ap.parse_args(argv)
-    # argparse converts flags, not config values: check the merged counts
+    # flags and config values now have the flags' types: check the ranges
     for name in ("n", "steps"):
         value = getattr(args, name, 0)
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        if value < 0:
             _fail(f"--{name} must be a non-negative integer (got {value!r})")
     # and the order, before anything of memory quadratic in it is built
     d = getattr(args, "d", 5)
-    if isinstance(d, bool) or not isinstance(d, int) \
-            or not 5 <= d <= MAX_ORDER:
+    if not 5 <= d <= MAX_ORDER:
         _fail(f"--d must be an integer from 5 to {MAX_ORDER} (got {d!r})")
     try:
         _check_seed_tile(args)

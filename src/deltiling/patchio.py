@@ -12,7 +12,10 @@ Import has two readers.  A file in the exact layout `export_patch` writes
 (indent 1, sorted keys) is checked by patterns and its columns are read
 from the bytes by numpy, with no Python object per number or record; any
 other JSON file goes through `json`.  Both give the same columns and pass
-them to the same value checks.
+them to the same value checks.  The patterns check the layout, the
+header integers and the shadow numbers; the tile integers match a sign
+and 1 to 18 digits, and the numpy pass that parses them rejects leading
+zeros, the rest of the JSON integer grammar.
 """
 
 from __future__ import annotations
@@ -173,6 +176,10 @@ def _field(d, order, degree):
 
 #: a JSON integer of at most 18 digits, so below 10**18 < INT64_SAFE
 _INT = rb"-?(?:0|[1-9][0-9]{0,17})"
+#: the same without its leading-zero rule, which `_parse_ints` checks: a
+#: repeated alternation keeps a backtracking mark per number until the
+#: match of a whole chunk ends
+_DIGITS = rb"-?[0-9]{1,18}"
 #: a JSON number (the empty alternatives match faster than an optional group)
 _NUMBER = rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+|)(?:[eE][-+]?[0-9]+|)"
 _HEADER = (rb'\{\n "d": (' + _INT + rb'),\n "field_degree": (' + _INT
@@ -188,14 +195,20 @@ def _grammar(degree, chunk):
     triples, the text between the corners and the tiles, and up to `chunk`
     tile records of field degree `degree`, in the exact layout of
     `export_patch`.  Only standard `re` syntax: Python 3.10 has no
-    possessive quantifiers."""
+    possessive quantifiers.
+
+    The corners are checked against the whole JSON number grammar and the
+    precision against `_INT`.  The integers of a tile record match
+    `_DIGITS` only: a sign, then 1 to 18 digits; `_parse_ints` rejects
+    their leading zeros."""
     pair = rb"\[\n     " + _NUMBER + rb",\n     " + _NUMBER + rb"\n    \]"
     corner = (rb"   \[\n    " + pair + rb",\n    " + pair + rb",\n    "
               + pair + rb"\n   \]")
     # the coefficients are unrolled: a repeated group matches 3x slower
-    tile = (rb'  \{\n   "name": "[A-Za-z0-9]+",\n   "r": ' + _INT
-            + rb',\n   "t": \{\n    "den": ' + _INT
-            + rb',\n    "num": \[\n     ' + rb",\n     ".join([_INT] * degree)
+    tile = (rb'  \{\n   "name": "[A-Za-z0-9]+",\n   "r": ' + _DIGITS
+            + rb',\n   "t": \{\n    "den": ' + _DIGITS
+            + rb',\n    "num": \[\n     '
+            + rb",\n     ".join([_DIGITS] * degree)
             + rb"\n    \]\n   \}\n  \}")
     middle = rb'\n  \],\n  "precision": ' + _INT + rb'\n \},\n "tiles": \[\n'
     return tuple(re.compile(p) for p in (
@@ -217,12 +230,15 @@ def _chunk_spans(pattern, data, pos):
 
 def _parse_ints(b, first, last):
     """The integers written at b[first:last] (index arrays of one shape)
-    in the bytes b; every span must hold a JSON integer of at most 18
-    digits."""
+    in the bytes b, or None if one has a leading zero ("00", "-01"), which
+    JSON does not allow.  Every span must match `_DIGITS`: with that rule
+    checked here, each is a JSON integer of at most 18 digits."""
     shape, first, last = first.shape, first.ravel(), last.ravel()
     neg = b[first] == ord("-")
     first = first + neg
     width = last - first
+    if ((b[first] == ord("0")) & (width > 1)).any():
+        return None
     val = b[first].astype(np.int64) - ord("0")
     i = np.arange(len(val))
     for k in range(1, int(width.max(initial=1))):
@@ -233,9 +249,9 @@ def _parse_ints(b, first, last):
 
 def _read_tiles(b, degree, keys, order):
     """(ids, r, den, num) of the tile records in the bytes b (a match of
-    the tile pattern).  Each record is 9 + degree lines and each value
-    sits at a fixed column of its line; a name not in the sorted byte
-    strings `keys` gets id -1."""
+    the tile pattern), or None if an integer has a leading zero.  Each
+    record is 9 + degree lines and each value sits at a fixed column of
+    its line; a name not in the sorted byte strings `keys` gets id -1."""
     lines = np.concatenate([[-1], np.flatnonzero(b == ord("\n")), [len(b)]])
     start = (lines[:-1] + 1).reshape(-1, 9 + degree)
     stop = lines[1:].reshape(-1, 9 + degree)
@@ -246,6 +262,8 @@ def _read_tiles(b, degree, keys, order):
     values = _parse_ints(
         b, start[:, rows] + np.array([8, 11] + [5] * degree),
         stop[:, rows] - np.array([1] * (1 + degree) + [0]))
+    if values is None:
+        return None
     width = keys.itemsize
     at = first[:, None] + np.arange(width)
     inside = at < last[:, None]
@@ -262,11 +280,13 @@ def _canonical_columns(data):
     that `export_patch` writes, or None for any other bytes.
 
     The layout is checked by patterns, CHUNK records at a time, and the
-    values are read from the matched bytes in one array pass per chunk.
-    The shadow corners are checked against the JSON number grammar but
-    not decoded.  Every accepted file is valid JSON that `_json_columns`
-    reads to the same columns; ids, r, den and num are int16, int64,
-    int64 and an int64 N x degree array, r as written."""
+    values are read from the matched bytes in one array pass per chunk,
+    which also checks the one rule of the JSON integer grammar that the
+    tile pattern leaves out: no leading zero.  The shadow corners are
+    checked against the JSON number grammar but not decoded.  Every
+    accepted file is valid JSON that `_json_columns` reads to the same
+    columns; ids, r, den and num are int16, int64, int64 and an int64
+    N x degree array, r as written."""
     head = re.match(_HEADER, data) if data.isascii() else None
     if head is None:
         return None
@@ -294,8 +314,13 @@ def _canonical_columns(data):
     keys = np.array([n.encode() for n in prototile_ids(d)[0]])
     order = np.argsort(keys)
     keys = keys[order]
-    parts = [_read_tiles(np.frombuffer(data, np.uint8, b - a, a), degree,
-                         keys, order) for a, b in spans]
+    parts = []
+    for a, b in spans:
+        part = _read_tiles(np.frombuffer(data, np.uint8, b - a, a), degree,
+                           keys, order)
+        if part is None:
+            return None
+        parts.append(part)
     return (d, manifest) + tuple(np.concatenate(c) for c in zip(*parts))
 
 

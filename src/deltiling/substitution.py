@@ -254,6 +254,15 @@ def locate_inflated(sym, tri, p, sign=1):
                                 Elem(f, t[0].tolist(), tden).normalized())
 
 
+def _thirds(d, rhs):
+    """The n in range(d) with 3n = rhs (mod d), in increasing order."""
+    if d % 3:
+        return (rhs * pow(3, -1, d) % d,)
+    if rhs % 3:
+        return ()
+    return tuple(rhs // 3 + k * (d // 3) for k in range(3))
+
+
 def _targets(sym, tri, p, sign):
     """The targets (sym', tri') tried for iota * tri, in order: the classes
     of `_target_preference`, then kappa', then the label shift n with
@@ -264,12 +273,10 @@ def _targets(sym, tri, p, sign):
     for s in _target_preference(d, p, branch, sign):
         for k2 in (0,) if d % 3 else (0, -2, 2):
             sym2 = SymmetryIndex(d, k2)
-            rhs = (k2 + s - tri.sigma) % d
-            for n in range(d):
-                if (3 * n) % d == rhs:
-                    tri2 = _internal_tri(sym2, tuple(x + n for x in signed))
-                    if tri2.p_class == p:
-                        yield sym2, tri2
+            for n in _thirds(d, (k2 + s - tri.sigma) % d):
+                tri2 = _internal_tri(sym2, tuple(x + n for x in signed))
+                if tri2.p_class == p:
+                    yield sym2, tri2
 
 
 def _locate(tris, src, den, p, sign):

@@ -1,6 +1,9 @@
 """Patch interchange format, SVG rendering and the command line."""
 
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -9,10 +12,11 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from deltiling.field import MAX_ORDER
 from deltiling.substitution import Patch, derive_rules, verify_face_to_face
-from deltiling import patchio, svg
+from deltiling import cli, patchio, svg
 from deltiling.cli import main
 
 
@@ -432,3 +436,109 @@ def test_cli_rejects_bad_counts_before_any_output(tmp_path, capsys, command,
     stdout, err = capsys.readouterr()
     assert stdout == "" and f"--{name}" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config", [
+    (["tile", "--d", "8", "--p", "3", "--seed-tile", "T1t"], {"compose": 5}),
+    (["random", "--d", "8", "--mode", "subst"], {"cap": 2.5}),
+    (["rules", "--d", "8", "--p", "3"], {"out": 5}),
+    (["rules", "--d", "8", "--p", "3"], {"sign": 5}),
+    (["rules", "--d", "8", "--p", "3"], {"sign": 0}),
+    (["random", "--d", "8", "--mode", "subst"], {"p": 3.0}),
+    (["random", "--d", "8", "--mode", "subst"], {"rng_seed": 1.5}),
+    (["random", "--d", "8", "--mode", "subst"], {"mark_flips": 1}),
+    (["tile", "--d", "8", "--p", "3", "--seed-tile", "T1t"],
+     {"mode": "both"}),
+], ids=["compose-int", "cap-float", "out-int", "sign-5", "sign-0",
+        "p-float", "rng-seed-float", "switch-int", "mode-not-a-choice"])
+def test_cli_checks_config_values_as_flags(tmp_path, capsys, command,
+                                           config):
+    # argparse applies `type` to string defaults only
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(path)] + command + ["--out", str(out)])
+    assert exc.value.code == 2
+    stdout, err = capsys.readouterr()
+    flag = "--" + next(iter(config)).replace("_", "-")
+    assert stdout == "" and flag in err and "Traceback" not in err
+    assert not out.exists()
+
+
+# ---- fuzz: configs ----
+
+SUBCOMMANDS = cli.build_parser().subcommands
+#: one action per dest: a dest means the same in every subcommand
+ACTIONS = {a.dest: a for sub in SUBCOMMANDS.values() for a in sub._actions
+           if a.default is not argparse.SUPPRESS}
+COMMANDS = [["arrange", "--d", "8"], ["prototiles", "--d", "8"],
+            ["rules", "--d", "8", "--p", "3"],
+            ["tile", "--d", "8", "--p", "3", "--seed-tile", "T1t"],
+            ["random", "--d", "8", "--mode", "subst"], ["analyze", "--d", "8"],
+            ["verify", "p.json"]]
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=3)
+    | st.integers(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4)
+
+
+def flag_like(action):
+    """Values near those the action's flag takes."""
+    if action.nargs == 0:
+        return st.booleans()
+    if action.nargs == "*":
+        return st.lists(st.sampled_from(["3,+", "5,-", "x"]), max_size=2)
+    if action.choices is not None:
+        return st.sampled_from(sorted(action.choices))
+    if action.type is None:
+        return st.sampled_from(["T1t", "G", "out"])
+    return st.integers(-3, 9) | st.sampled_from(["+", "-", "1", "-1", "3"])
+
+
+# each value near a flag's or any JSON value
+CONFIGS = st.lists(st.one_of([
+    st.tuples(st.just(dest), flag_like(action) | ANY_JSON)
+    for dest, action in sorted(ACTIONS.items())]), max_size=4).map(dict)
+
+
+def flag_typed(action, value):
+    """value has the type that action's flag, or its default, gives."""
+    if value is action.default:
+        return True
+    if action.nargs == 0:
+        return type(value) is bool
+    if action.nargs == "*":
+        return type(value) is list and all(type(v) is str for v in value)
+    if action.type is None:
+        return type(value) is str and (action.choices is None
+                                       or value in action.choices)
+    return type(value) is int and value == action.type(str(value))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(CONFIGS, st.sampled_from(COMMANDS))
+def test_config_fuzz(tmp_path_factory, config, command):
+    # every subcommand function is a stub: main exits 2 or hands it args
+    # of the flags' types
+    path = tmp_path_factory.mktemp("config") / "c.json"
+    path.write_text(json.dumps(config))
+    ran = []
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, \
+            contextlib.redirect_stderr(err):
+        for name in SUBCOMMANDS:
+            mp.setattr(cli, f"cmd_{name}", ran.append)
+        try:
+            main(["--config", str(path)] + command)
+        except SystemExit as exc:
+            assert exc.code == 2 and not ran and "error:" in err.getvalue()
+            return
+    args, = ran
+    for action in SUBCOMMANDS[command[0]]._actions:
+        if action.default is not argparse.SUPPRESS:
+            value = getattr(args, action.dest)
+            assert flag_typed(action, value), (action.dest, value)

@@ -175,6 +175,65 @@ def test_canonical_reader_rejects_what_json_rejects(tmp_path, edit):
         patchio.import_patch(path)
 
 
+#: the integer fields of a tile record, by their path below the record:
+#: the last coefficient is the line without a comma
+INT_FIELDS = {"r": ("r",), "den": ("t", "den"),
+              "num-first": ("t", "num", 0), "num-last": ("t", "num", -1)}
+SENTINEL = 777777777
+
+
+def with_integer_text(field, text):
+    """The small document's file with the given integer field of tile 2
+    written as text."""
+    doc = small_document()
+    tile_value(2, *INT_FIELDS[field], value=SENTINEL)(doc)
+    out = canonical_text(doc)
+    assert out.count(str(SENTINEL)) == 1
+    return out.replace(str(SENTINEL), text)
+
+
+def import_result(path, text):
+    """The patch columns and manifest import_patch gives for text, or the
+    SchemaError message it raises."""
+    path.write_text(text)
+    try:
+        patch, manifest = patchio.import_patch(path)
+    except patchio.SchemaError as exc:
+        return str(exc)
+    return [np.asarray(c).tolist() for c in patch.columns], manifest
+
+
+@pytest.mark.parametrize("text", ["00", "-00", "01", "-01"])
+@pytest.mark.parametrize("field", sorted(INT_FIELDS))
+def test_leading_zeros_are_rejected_in_every_field(tmp_path, field, text):
+    data = with_integer_text(field, text)
+    assert patchio._canonical_columns(data.encode()) is None
+    path = tmp_path / "p.json"
+    path.write_text(data)
+    with pytest.raises(patchio.SchemaError, match="not valid JSON"):
+        patchio.import_patch(path)
+
+
+@pytest.mark.parametrize("text", ["-0", "1" + "0" * 17, "-" + "9" * 18])
+@pytest.mark.parametrize("field", sorted(INT_FIELDS))
+def test_integers_up_to_18_digits_are_read_canonically(field, text):
+    data = with_integer_text(field, text).encode()
+    columns = patchio._canonical_columns(data)
+    assert columns is not None
+    assert same_columns(columns, patchio._json_columns(data.decode()))
+
+
+@pytest.mark.parametrize("text", ["1" + "0" * 18, "-" + "9" * 19])
+@pytest.mark.parametrize("field", sorted(INT_FIELDS))
+def test_integers_of_19_digits_go_to_the_json_reader(tmp_path, field, text):
+    # the same result as the compact layout, which only json reads
+    data = with_integer_text(field, text)
+    assert patchio._canonical_columns(data.encode()) is None
+    compact = json.dumps(json.loads(data), separators=(",", ":"))
+    assert import_result(tmp_path / "a.json", data) == \
+        import_result(tmp_path / "b.json", compact)
+
+
 # ---- fuzz: mutated files ----
 
 def check_readers(path, data):

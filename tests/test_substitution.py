@@ -559,6 +559,14 @@ def test_locate_raises_when_every_candidate_fails(monkeypatch):
         locate_inflated(proto.face.sym, proto.face.tri, 2)
 
 
+@pytest.mark.parametrize("d", range(5, 31))
+def test_label_shifts_equal_the_scan(d):
+    # the closed form of 3n = rhs (mod d) against trying every n in order
+    for rhs in range(d):
+        assert substitution._thirds(d, rhs) == \
+            tuple(n for n in range(d) if (3 * n) % d == rhs), (d, rhs)
+
+
 def test_turn_equals_the_rotation_matrices():
     # zeta^k x for blocks of rows sharing k against the matrices
     # f.rotations[k]; rows of width 2D - 1 against the sum of
