@@ -18,7 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .field import field_for_order, sin_val
+import numpy as np
+
+from .field import Elem, field_for_order, sin_val
 
 #: sentinel returned by classify_triple for concurrent segment triples
 CONCURRENT = object()
@@ -221,22 +223,38 @@ class Arrangement:
         in [-4, 0]: every pair point is a vertex inside both chords.  Each
         chord is ordered from s = 0 towards s = -4 by the integer
         `_chord_key`.
+
+        The meet of the chords with direction exponents e_i and e_j is
+        zeta^(-2 e_i) + zeta^(-2 e_j) + zeta^(2 (e_i + e_j)), so the
+        integer row of every pair i < j is a sum of three rows of
+        `CycField.powers`, taken in one gather.  Equal rows are equal
+        points; each distinct row becomes one `Elem`, with no arithmetic.
+        The keys t = e_i + 2 e_j of the meets on chord i are integers whose
+        sums and differences are multiples of n / d (the angle numbers are
+        +-(3j + c0)), which is how `section_class` reads the length of
+        the piece between two of them.
         """
         d = self.sym.d
-        n = self.f.n
+        f = self.f
+        n = f.n
         es = [seg.e for seg in self.segments]
+        e = np.array(es)
+        ii, jj = np.triu_indices(d, 1)
+        rows = (f.powers[-2 * e[ii] % n] + f.powers[-2 * e[jj] % n]
+                + f.powers[2 * (e[ii] + e[jj]) % n])
         verts = {}
         pairs = {}
-        for i in range(d):
-            for j in range(i + 1, d):
-                z = pairs[i, j] = _tangent_meet(self.f, es[i], es[j])
-                k = z.key()
-                rec = verts.get(k)
-                if rec is None:
-                    rec = verts[k] = _Vertex(z)
-                rec.segs.update((i, j))
-                rec.params[i] = _chord_key(n, es[i], es[j])
-                rec.params[j] = _chord_key(n, es[j], es[i])
+        by_row = {}
+        for i, j, row in zip(ii.tolist(), jj.tolist(), rows):
+            key = row.tobytes()
+            rec = by_row.get(key)
+            if rec is None:
+                z = Elem(f, row.tolist(), 1)
+                rec = by_row[key] = verts[z.key()] = _Vertex(z)
+            pairs[i, j] = rec.z
+            rec.segs.update((i, j))
+            rec.params[i] = _chord_key(n, es[i], es[j])
+            rec.params[j] = _chord_key(n, es[j], es[i])
         self.vertices = verts
         # every pair point, keyed (i, j) with i < j
         self.pair_points = pairs
@@ -262,16 +280,47 @@ class Arrangement:
                 raise AssertionError(f"vertex of multiplicity {m} on segment {i}")
         return v2, v3
 
-    def subdivision_classes(self, i):
-        """Length classes of the pieces between consecutive vertices on segment i."""
+    def section_class(self, c, p, q):
+        """Length class of the piece of chord c between its meets with
+        chords p and q.
+
+        The meet with chord p sits at s = 2 cos(2 pi t_p / n) - 2 along
+        chord c, t_p = e_c + 2 e_p (see `_chord_key`), so the piece has
+        length |s_p - s_q| = 4 |sin(pi (t_p + t_q) / n)
+        sin(pi (t_p - t_q) / n)|.  The direction exponents are
+        e_i = u a_i with u = n / (6d) and a_i = +-(3i + c0), c0 in {0, 2},
+        the sign and c0 shared by all chords (`SymmetryIndex.angle_num`).
+        Hence t_p - t_q = +-6u (p - q) and t_p + t_q = +-6u (c + p + q
+        + c0) mod n, both multiples of n/d = 6u: each factor is
+        |sin(k pi / d)| = s_m for an integer k and m = `length_class`(d, k).
+        A piece between two vertices has length 4 s_1 s_m, so one factor
+        is s_1 and the other gives the class m.
+        """
         d = self.sym.d
+        n = self.f.n
+        e = self.segments[c].e
+        tp, tq = e + 2 * self.segments[p].e, e + 2 * self.segments[q].e
+        step = n // d
+        assert (tp + tq) % step == 0 and (tp - tq) % step == 0, \
+            f"piece on chord {c} between {p} and {q} is off the index grid"
+        a = length_class(d, (tp + tq) // step)
+        b = length_class(d, (tp - tq) // step)
+        assert min(a, b) == 1, \
+            f"piece on chord {c} between {p} and {q} is 4 s_{a} s_{b}"
+        return max(a, b)
+
+    def subdivision_classes(self, i):
+        """Length classes of the pieces between consecutive vertices on
+        segment i.
+
+        Consecutive vertices lie on further chords p and q, so the piece
+        between them has length 4 |sin(pi (t_p + t_q) / n)
+        sin(pi (t_p - t_q) / n)| with t_p +- t_q multiples of n / d, and
+        `section_class` reads its class from the chord indices.
+        """
         recs = self.seg_vertices[i]
-        out = []
-        for a, b in zip(recs, recs[1:]):
-            n = edge_class(d, b.z - a.z)
-            assert n is not None, f"piece on segment {i} is not an S_n length"
-            out.append(n)
-        return out
+        return [self.section_class(i, min(a.segs - {i}), min(b.segs - {i}))
+                for a, b in zip(recs, recs[1:])]
 
     def subdivision_sequence(self, i):
         """Piece sequence as ascending S-indices n, n+2, n+4, ... (1..d-1).

@@ -144,6 +144,7 @@ def cmd_random(args):
                         seed_tile=args.seed_tile)
         patch, flips = ensembles.rearrangement_run(patch, args.steps,
                                                    args.rng_seed)
+        manifest["flips"] = flips
         if flips < args.steps:
             print(f"note: no flip site left after {flips} of {args.steps} "
                   "steps", file=sys.stderr)

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .arrangement import (CONCURRENT, SymmetryIndex, TriangleId,
-                          classify_triple, edge_class, get_arrangement,
-                          length_class)
+                          classify_triple, get_arrangement, length_class)
 
 
 @dataclass(frozen=True)
@@ -78,12 +77,24 @@ def decorate(sym: SymmetryIndex, tri: TriangleId) -> DecoratedFace:
     parent corner between chords i and j is the meet of c(i) and c(j),
     and the inscribed corner on the side of chord i is the meet of the
     other two inner chords, a triple point with c(i).
+
+    The two sections of side k lie on chord c = c(i) of A(2d, -kappa),
+    between its meets with an outer chord and an inner one.  The meet
+    with chord p sits at s = 2 cos(2 pi t_p / n) - 2, t_p = e_c + 2 e_p,
+    so a section has length 4 |sin(pi (t_p + t_q) / n)
+    sin(pi (t_p - t_q) / n)|.  The angle numbers are +-(3i + c0), so
+    t_p - t_q = +-6u (p - q) and t_p + t_q = +-6u (c + p + q + c0) with
+    u = n / (12d): both are multiples of n / 2d, each factor is the sine
+    s_k of an integer k in order-2d units, one of them must be s_1, and
+    the other gives the class (`Arrangement.section_class`).  A side of
+    class a must split into sections of classes {2a - 1, 2a + 1}.
     """
     if not tri.elementary:
         raise ValueError(f"{tri} is not elementary")
     csym = child_symmetry(sym)
     d2 = csym.d
-    pairs = get_arrangement(d2, csym.kappa).pair_points
+    child = get_arrangement(d2, csym.kappa)
+    pairs = child.pair_points
     _, opposite = get_arrangement(sym.d, sym.kappa).corners(tri)
 
     # sigma - kappa is +1 for m_class 1 and -1 for m_class d - 1
@@ -109,17 +120,15 @@ def decorate(sym: SymmetryIndex, tri: TriangleId) -> DecoratedFace:
     assert child_tri.elementary, \
         f"{tri}: inscribed face {child_tri} is not elementary"
 
-    # section lengths in order-2d units
-    def section_class(v):
-        m = edge_class(d2, v)
-        assert m is not None, f"{tri}: section is not an elementary length"
-        return m
-
+    # side k lies on chord outer[k]: from the parent corner on outer[k-1]
+    # to the inscribed corner on inner[k+1], then on to the parent corner
+    # on outer[k+1]; section classes in order-2d units
     letters = []
     for k in range(3):
         a_cls = tri.side_classes[tri.idx.index(side_segs[k])]
-        first = section_class(inscribed[k] - pc[k])
-        second = section_class(pc[(k + 1) % 3] - inscribed[k])
+        c, mid = outer[k], inner[(k + 1) % 3]
+        first = child.section_class(c, outer[(k + 2) % 3], mid)
+        second = child.section_class(c, mid, outer[(k + 1) % 3])
         expect = {2 * a_cls - 1, length_class(d2, 2 * a_cls + 1)}
         assert {first, second} == expect, \
             f"{tri}: sections {first},{second} do not match class {a_cls}"

@@ -610,12 +610,13 @@ def _corner_rows(d):
 
 @lru_cache(maxsize=None)
 def _corner_table(d):
-    """(table, den): table[id, r] = rows of zeta^r * prototile corners."""
+    """(table, den, bound): table[id, r] = rows of zeta^r * prototile
+    corners, and bound = `max_abs`(table), reduced once with the table."""
     f = field_for_order(d)
     rows, den = _corner_rows(d)
     table = _rotated(f, rows.reshape(-1, f.degree)).reshape(
         len(rows), 3, f.n, f.degree)
-    return table.transpose(0, 2, 1, 3), den
+    return table.transpose(0, 2, 1, 3), den, max_abs(table)
 
 
 @lru_cache(maxsize=None)
@@ -727,10 +728,10 @@ class Patch:
         equal rows.  C has the narrowest integer dtype its bound allows.
         """
         ids, r, t, den = self.columns
-        table, tden = _corner_table(self.d)
+        table, tden, tmax = _corner_table(self.d)
         L = math.lcm(den, tden)
         s1, s2 = L // tden, L // den
-        bound = max_abs(table) * s1 + max_abs(t) * s2
+        bound = tmax * s1 + max_abs(t) * s2
         _guard(bound, "corner rows")
         dt = _int_dtype(max(bound, s1, s2))
         C = table[ids, r].astype(dt)

@@ -11,9 +11,9 @@ import pytest
 
 from deltiling.field import field_for_order, sin_val
 from deltiling.arrangement import (CONCURRENT, SymmetryIndex, TriangleId,
-                                   census_closed_form, classify_triple,
-                                   cross_sign, deltoid_point, edge_class,
-                                   get_arrangement,
+                                   _tangent_meet, census_closed_form,
+                                   classify_triple, cross_sign, deltoid_point,
+                                   edge_class, get_arrangement,
                                    intersect, subdivision_closed_form, on_deltoid,
                                    multiplicity_closed_form, triangular_pattern,
                                    vertex_multiplicities, subdivision_sequence)
@@ -280,6 +280,44 @@ def test_pair_points_are_the_line_meets(d):
             assert order == sorted(params[i], key=lambda k: -params[i][k])
             keys = [rec.params[i] for rec in arr.seg_vertices[i]]
             assert keys == sorted(set(keys))
+
+
+@pytest.mark.parametrize("d", range(5, 31))
+def test_pair_points_are_the_tangent_meets(d):
+    # the pair points built from gathered integer rows equal the sums of
+    # three roots of unity, in every arrangement a catalog of order d
+    # builds: A(d, kappa) and its refinement A(2d, -kappa)
+    for kappa in _kappas(d):
+        for arr in (get_arrangement(d, kappa), get_arrangement(2 * d, -kappa)):
+            es = [seg.e for seg in arr.segments]
+            n = len(es)
+            assert len(arr.pair_points) == n * (n - 1) // 2
+            for (i, j), z in arr.pair_points.items():
+                assert z == _tangent_meet(arr.f, es[i], es[j])
+                assert arr.vertices[z.key()].z == z
+                assert {i, j} <= arr.vertices[z.key()].segs
+
+
+@pytest.mark.parametrize("d", range(5, 31))
+def test_subdivision_classes_are_the_exact_piece_lengths(d):
+    # the classes read from chord indices equal the exact classifier on
+    # the differences of consecutive vertices
+    for kappa in _kappas(d):
+        arr = get_arrangement(d, kappa)
+        for i in range(d):
+            recs = arr.seg_vertices[i]
+            assert arr.subdivision_classes(i) == [
+                edge_class(d, b.z - a.z) for a, b in zip(recs, recs[1:])]
+
+
+def test_section_class_rejects_a_piece_of_zero_length():
+    # the meets of chord 0 with chord 1, taken twice, bound no piece: one
+    # sine factor vanishes, so no factor is the unit class
+    arr = get_arrangement(14, 0)
+    assert arr.section_class(0, 1, 2) == edge_class(
+        14, arr.pair_points[0, 2] - arr.pair_points[0, 1])
+    with pytest.raises(AssertionError, match="4 s_"):
+        arr.section_class(0, 1, 1)
 
 
 @pytest.mark.parametrize("d", [5, 6, 7, 8, 9, 12, 13, 14])

@@ -1,6 +1,7 @@
 """Column-wise patches against a per-tile Isometry reference."""
 
 import json
+import math
 import os
 import tempfile
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deltiling.field import Elem, field_for_order
-from deltiling import patchio
+from deltiling import patchio, substitution
 from deltiling.patchio import export_patch, patch_document
 from deltiling.prototiles import prototile_catalog
 from deltiling.substitution import (Isometry, Patch, RuleSet, Tile,
@@ -138,6 +139,48 @@ def test_int64_guard_raises_instead_of_wrapping():
     huge = f.from_coeffs([2 ** 62] + [0] * (f.degree - 1))
     with pytest.raises(OverflowError):
         Patch(14, [Tile("G", Isometry(0, huge))]).corner_rows()
+
+
+def reference_corner_rows(patch):
+    """`Patch.corner_rows` with the table's bound reduced on every call."""
+    ids, r, t, den = patch.columns
+    table, tden, _ = substitution._corner_table(patch.d)
+    L = math.lcm(den, tden)
+    s1, s2 = L // tden, L // den
+    bound = substitution.max_abs(table) * s1 + substitution.max_abs(t) * s2
+    C = table[ids, r].astype(np.int64) * s1 + t[:, None, :] * s2
+    return C.astype(substitution._int_dtype(max(bound, s1, s2))), L
+
+
+@pytest.mark.parametrize("d, stages, name, tiles", [
+    (23, [(5, 1), (5, 1)], "T1t", None),
+    (14, [(3, 1), (3, -1)] * 2 + [(3, 1)], "G", 45_070),
+], ids=["d23", "d14-45070"])
+def test_corner_rows_use_the_cached_table_bound(d, stages, name, tiles):
+    patch = Patch.single(d, name)
+    for p, sign in stages:
+        patch = patch.inflate(derive_rules(d, p, sign))
+    assert tiles is None or len(patch) == tiles
+    table, _, bound = substitution._corner_table(d)
+    assert bound == substitution.max_abs(table)
+    rows, den = patch.corner_rows()
+    expect, expect_den = reference_corner_rows(patch)
+    assert den == expect_den and rows.dtype == expect.dtype
+    assert np.array_equal(rows, expect)
+
+
+def test_corner_rows_guard_reads_the_cached_bound():
+    # a translation coefficient of 2**62 - bound just reaches the limit
+    f = field_for_order(23)
+    bound = substitution._corner_table(23)[2]
+    for c, fits in ((2 ** 62 - bound - 1, True), (2 ** 62 - bound, False)):
+        t = f.from_coeffs([c] + [0] * (f.degree - 1))
+        patch = Patch(23, [Tile("T1t", Isometry(0, t))])
+        if fits:
+            assert patch.corner_rows()[0].dtype == np.int64
+        else:
+            with pytest.raises(OverflowError, match="corner rows"):
+                patch.corner_rows()
 
 
 def test_tile_without_a_rule_is_a_key_error():

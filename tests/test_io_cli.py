@@ -341,9 +341,10 @@ CLI_DIGESTS = {
     "rules --d 13 --p 2 --sign +": {
         "rules_d13_p2_p.svg": "f2ed7886b1d63155257a24986c8293832a8fa0dc6a0868ae9c5f4fd1d0d7d5b3",
         "rules_d13_p2_p.txt": "527f3022a5ddd9b3912957fa29e7ff72e072fadf2da06b4e0df4d61ae1209698"},
-    # 678 tiles; the svg marks the 19 flip sites left after 50 steps
+    # 678 tiles; the svg marks the 19 flip sites left after 50 steps, and
+    # the manifest records the 50 flips made
     "random --d 14 --mode rearrange --seed-tile G --n 3 --mark-flips": {
-        "random_d14_rearrange_s0.json": "ed7d5680a13e36f9aa22607cf84f202a9553cb4ae39e1d3ca38b9004fdd64fe1",
+        "random_d14_rearrange_s0.json": "eb182f4152fadcbd1cbe2999619249642ab07f134a73d0f3850b659fc0ecec4c",
         "random_d14_rearrange_s0.svg": "c6cc4e743dcf10187fab88e1e20f5f5349ed87d9634ec92f59c6f15d5b0b0a8e"},
 }
 
@@ -359,15 +360,21 @@ def test_cli_notes_a_flip_chain_that_runs_out_of_sites(tmp_path, capsys):
     # the 678-tile (14, G) patch has 69 flip sites and each flip uses one
     args = ["random", "--d", "14", "--mode", "rearrange", "--seed-tile", "G",
             "--n", "3", "--out", str(tmp_path)]
-    # the svg draws the tiles only; the json manifest records --steps
+    # the svg draws the tiles only; the json manifest records --steps and
+    # the flips made
     path = tmp_path / "random_d14_rearrange_s0.svg"
+    doc = tmp_path / "random_d14_rearrange_s0.json"
     main(args + ["--steps", "69"])
     assert capsys.readouterr().err == ""
     full = path.read_bytes()
+    manifest = json.loads(doc.read_text())["manifest"]
+    assert (manifest["steps"], manifest["flips"]) == (69, 69)
     main(args + ["--steps", "100"])
     assert capsys.readouterr().err == \
         "note: no flip site left after 69 of 100 steps\n"
     assert path.read_bytes() == full
+    manifest = json.loads(doc.read_text())["manifest"]
+    assert (manifest["steps"], manifest["flips"]) == (100, 69)
 
 
 @pytest.mark.parametrize("command", [

@@ -1,13 +1,19 @@
 """Decorated prototiles: decorations, signatures, catalogs, naming."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
-from deltiling.arrangement import (SymmetryIndex, cross_sign, get_arrangement,
+from deltiling import prototiles
+from deltiling.arrangement import (Arrangement, SymmetryIndex, cross_sign,
+                                   edge_class, get_arrangement, length_class,
                                    triangular_pattern)
-from deltiling.prototiles import (EdgeLetter, LETTER_NAMES_14, canonical_rotation,
-                                  child_symmetry, decorate, hat_signature,
-                                  mirror_triple, prototile_catalog, signature,
+from deltiling.field import Elem
+from deltiling.prototiles import (Catalog, EdgeLetter, LETTER_NAMES_14,
+                                  canonical_rotation, child_symmetry, decorate,
+                                  hat_signature, mirror_triple,
+                                  prototile_catalog, signature,
                                   tilde_signature, undecorated_signature)
 from deltiling.substitution import _inside_mask
 
@@ -92,6 +98,47 @@ def test_decoration_equals_search(d):
             df = decorate(sym, tri)
             assert (df.corners, df.opposite, df.inscribed, df.child_tri) == \
                 search_decoration(sym, tri)
+
+
+@pytest.mark.parametrize("d", range(5, 31))
+def test_section_classes_are_the_exact_section_lengths(d):
+    # every side of every decorated face: the two section classes read
+    # from chord indices equal the exact classes of the point differences,
+    # and fix the side's letter
+    d2 = 2 * d
+    for (kappa, _), df in prototile_catalog(d).faces.items():
+        child = get_arrangement(d2, -kappa)
+        chord = [2 * i if kappa == 0 else (-2 * i - 2) % d2
+                 for i in df.opposite]
+        for k, letter in enumerate(df.letters):
+            c, p, q = chord[k], chord[(k + 2) % 3], chord[(k + 1) % 3]
+            mid = min(child.vertices[df.inscribed[k].key()].segs - {c})
+            first = edge_class(d2, df.inscribed[k] - df.corners[k])
+            second = edge_class(d2, df.corners[(k + 1) % 3] - df.inscribed[k])
+            assert child.section_class(c, p, mid) == first
+            assert child.section_class(c, mid, q) == second
+            a = letter.cls
+            assert {first, second} == {2 * a - 1, length_class(d2, 2 * a + 1)}
+            assert letter.orient == (first < second) - (first > second)
+
+
+def test_catalogs_build_without_field_products(monkeypatch):
+    # the order-13 and order-14 catalogs, with their arrangements built
+    # afresh, make no Elem x Elem product
+    products = []
+    mul = Elem.__mul__
+
+    def counted(self, other):
+        if isinstance(other, Elem):
+            products.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Elem, "__mul__", counted)
+    monkeypatch.setattr(prototiles, "get_arrangement", lru_cache(maxsize=None)(
+        lambda d, kappa=0: Arrangement(SymmetryIndex(d, kappa))))
+    for d in (14, 13):
+        Catalog(d)
+    assert len(products) == 0
 
 
 def test_named_prototile_signatures():
