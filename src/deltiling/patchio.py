@@ -8,6 +8,10 @@ corner coordinates for consumers that do not implement the field
 arithmetic; the shadow is derived data: import checks that it is valid
 JSON but does not decode it.
 
+Export prints the file without building the JSON document: each block of
+CHUNK tile records is one join of strings gathered from a small table of
+the integers that occur in it (`_tiles_block`).
+
 Import has two readers.  A file in the exact layout `export_patch` writes
 (indent 1, sorted keys) is checked by patterns and its columns are read
 from the bytes by numpy, with no Python object per number or record; any
@@ -15,7 +19,9 @@ other JSON file goes through `json`.  Both give the same columns and pass
 them to the same value checks.  The patterns check the layout, the
 header integers and the shadow numbers; the tile integers match a sign
 and 1 to 18 digits, and the numpy pass that parses them rejects leading
-zeros, the rest of the JSON integer grammar.
+zeros, the rest of the JSON integer grammar.  The patterns match MATCH
+records at a time, which bounds the match state `re` keeps; numpy reads
+up to CHUNK records at a time.
 """
 
 from __future__ import annotations
@@ -44,15 +50,25 @@ def _is_int(x):
 
 
 def _tile_columns(patch):
-    """(names, r, nums, dens) per tile, each translation normalised on its
-    own; nums is an int64 array, the rest are lists."""
-    names, _ = prototile_ids(patch.d)
+    """(ids, r, nums, dens) per tile as int arrays, each translation
+    normalised on its own."""
     ids, r, t, den = patch.columns
     dens = np.full(len(ids), den, dtype=np.int64)
     if den != 1:
         g = np.gcd(np.gcd.reduce(t, axis=1), den)
         t, dens = t // g[:, None], dens // g
-    return ([names[i] for i in ids.tolist()], r.tolist(), t, dens.tolist())
+    return ids, r, t, dens
+
+
+def _values(x):
+    """(values, index): the ascending list of ints `values` with
+    x == values[index]; every int from min to max when max - min is at
+    most x.size, else the distinct ones (by a sort)."""
+    lo, hi = int(x.min()), int(x.max())
+    if hi - lo <= x.size:
+        return list(range(lo, hi + 1)), x - lo
+    values, index = np.unique(x, return_inverse=True)
+    return values.tolist(), index.reshape(x.shape)
 
 
 def _distinct(values):
@@ -88,27 +104,47 @@ def _document(patch, manifest, precision, tiles, corners):
 
 
 def patch_document(patch: Patch, manifest=None, precision=12):
-    names, r, nums, dens = _tile_columns(patch)
-    tiles = [{"name": n, "r": rk, "t": {"num": num, "den": den}}
-             for n, rk, num, den in zip(names, r, nums.tolist(), dens)]
+    names, _ = prototile_ids(patch.d)
+    ids, r, nums, dens = _tile_columns(patch)
+    tiles = [{"name": names[i], "r": rk, "t": {"num": num, "den": den}}
+             for i, rk, num, den in zip(ids.tolist(), r.tolist(),
+                                        nums.tolist(), dens.tolist())]
     rounded, index = _shadow(patch, precision)
     corners = np.array(rounded)[index].reshape(len(patch), 3, 2).tolist()
     return _document(patch, manifest, precision, tiles, corners)
 
 
 def _tiles_block(patch):
-    """The "tiles" items as json.dumps(indent=1) prints them at depth 1."""
-    names, r, nums, dens = _tile_columns(patch)
-    uniq, index = np.unique(nums, return_inverse=True)
-    text = np.array([str(v) for v in uniq.tolist()],
-                    dtype=object)[index.reshape(nums.shape)].tolist()
-    head = ('  {\n   "name": %s,\n   "r": %d,\n   "t": {\n    "den": %d,\n'
-            '    "num": [\n     ')
-    sep = ",\n     "
-    tail = "\n    ]\n   }\n  }"
-    quoted = {n: json.dumps(n) for n in set(names)}
-    return ",\n".join(head % (quoted[n], rk, den) + sep.join(num) + tail
-                      for n, rk, den, num in zip(names, r, dens, text))
+    """The "tiles" items as json.dumps(indent=1) prints them at depth 1.
+
+    Each record is printed as D + 4 tokens: its name, r and den line
+    pieces, its D coefficients (each with the text that follows it) and
+    the ",\n" between records.  The pieces come from tables of the values
+    that occur (`_values`), so one join over a gather of a token matrix
+    prints every record."""
+    names, _ = prototile_ids(patch.d)
+    ids, r, nums, dens = _tile_columns(patch)
+    coef, ci = _values(nums)
+    name, ni = _values(ids)
+    rv, ri = _values(r)
+    denv, di = _values(dens)
+    vocab = ([f"{c},\n     " for c in coef]
+             + [f"{c}\n    ]\n   }}\n  }}" for c in coef]
+             + ['  {\n   "name": %s,\n   "r": ' % json.dumps(names[i])
+                for i in name]
+             + ['%d,\n   "t": {\n    "den": ' % x for x in rv]
+             + ['%d,\n    "num": [\n     ' % x for x in denv] + [",\n"])
+    k = len(coef)
+    offsets = np.cumsum([2 * k, len(name), len(rv), len(denv)])
+    tok = np.empty((len(ids), nums.shape[1] + 4), dtype=np.intp)
+    tok[:, 0] = ni + offsets[0]
+    tok[:, 1] = ri + offsets[1]
+    tok[:, 2] = di + offsets[2]
+    tok[:, 3:-2] = ci[:, :-1]
+    tok[:, -2] = ci[:, -1] + k
+    tok[:, -1] = offsets[3]
+    # the last record has no ",\n" after it
+    return "".join(np.array(vocab, dtype=object)[tok.ravel()[:-1]].tolist())
 
 
 def _corners_block(patch, precision):
@@ -139,9 +175,9 @@ def export_patch(patch: Patch, path, manifest=None, precision=12):
     """Write the patch file: the bytes of json.dumps(patch_document(patch),
     indent=1, sort_keys=True) + newline, without building the document.
 
-    The small header goes through json.dumps; the tiles and shadow corners
-    are printed from line templates, CHUNK tiles at a time, and written
-    between its parts.
+    The small header goes through json.dumps; the tiles (`_tiles_block`)
+    and shadow corners (`_corners_block`) are printed CHUNK tiles at a
+    time and written between its parts.
     """
     text = json.dumps(_document(patch, manifest, precision, [], []),
                       indent=1, sort_keys=True)
@@ -189,10 +225,15 @@ _SHADOW = b',\n "shadow": {\n  "corners": [\n'
 _END = b'\n ],\n "version": %d\n}\n' % VERSION
 
 
+#: records per match of the reader's patterns: `re` keeps backtracking
+#: state for every repetition inside one match until the match ends
+MATCH = 256
+
+
 @lru_cache(maxsize=None)
-def _grammar(degree, chunk):
-    """(corners, middle, tiles): patterns for up to `chunk` shadow corner
-    triples, the text between the corners and the tiles, and up to `chunk`
+def _grammar(degree, match):
+    """(corners, middle, tiles): patterns for up to `match` shadow corner
+    triples, the text between the corners and the tiles, and up to `match`
     tile records of field degree `degree`, in the exact layout of
     `export_patch`.  Only standard `re` syntax: Python 3.10 has no
     possessive quantifiers.
@@ -212,11 +253,11 @@ def _grammar(degree, chunk):
             + rb"\n    \]\n   \}\n  \}")
     middle = rb'\n  \],\n  "precision": ' + _INT + rb'\n \},\n "tiles": \[\n'
     return tuple(re.compile(p) for p in (
-        corner + rb"(?:,\n" + corner + rb"){0,%d}" % (chunk - 1), middle,
-        tile + rb"(?:,\n" + tile + rb"){0,%d}" % (chunk - 1)))
+        corner + rb"(?:,\n" + corner + rb"){0,%d}" % (match - 1), middle,
+        tile + rb"(?:,\n" + tile + rb"){0,%d}" % (match - 1)))
 
 
-def _chunk_spans(pattern, data, pos):
+def _match_spans(pattern, data, pos):
     """The spans of the matches of pattern from pos on, while they are
     joined by ",\\n"; None if the first does not match."""
     spans = []
@@ -279,8 +320,9 @@ def _canonical_columns(data):
     """(d, manifest, ids, r, den, num) of a patch file in the exact layout
     that `export_patch` writes, or None for any other bytes.
 
-    The layout is checked by patterns, CHUNK records at a time, and the
-    values are read from the matched bytes in one array pass per chunk,
+    The layout is checked by patterns, MATCH records at a time, and the
+    values are read from the matched bytes in one array pass per run of
+    matches of at most CHUNK records (of one match if MATCH > CHUNK),
     which also checks the one rule of the JSON integer grammar that the
     tile pattern leaves out: no leading zero.  The shadow corners are
     checked against the JSON number grammar but not decoded.  Every
@@ -305,17 +347,21 @@ def _canonical_columns(data):
         manifest, = json.loads("[%s]" % data[head.end():end].decode("ascii"))
     except (ValueError, RecursionError):
         return None
-    corners, middle, tiles = _grammar(degree, CHUNK)
-    spans = _chunk_spans(corners, data, end + len(_SHADOW))
+    corners, middle, tiles = _grammar(degree, MATCH)
+    spans = _match_spans(corners, data, end + len(_SHADOW))
     mid = spans and middle.match(data, spans[-1][1])
-    spans = mid and _chunk_spans(tiles, data, mid.end())
+    spans = mid and _match_spans(tiles, data, mid.end())
     if not spans or data[spans[-1][1]:] != _END:
         return None
     keys = np.array([n.encode() for n in prototile_ids(d)[0]])
     order = np.argsort(keys)
     keys = keys[order]
+    # the matches are joined by ",\n", as the records inside one are, so a
+    # run of them is read as one block; all but the last hold MATCH records
+    group = max(1, CHUNK // MATCH)
     parts = []
-    for a, b in spans:
+    for k in range(0, len(spans), group):
+        a, b = spans[k][0], spans[min(k + group, len(spans)) - 1][1]
         part = _read_tiles(np.frombuffer(data, np.uint8, b - a, a), degree,
                            keys, order)
         if part is None:

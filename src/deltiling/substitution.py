@@ -409,7 +409,8 @@ def _rule_table(d, members, iota):
     id, the rotation r, and `tidx`, the index of its translation among the
     distinct ones; `rot[tidx, s]` is that translation turned by zeta^s,
     for every s, over the common denominator `den`.  `M` is the matrix of
-    multiplication by iota (over `mden`).
+    multiplication by iota (over `mden`).  `M_max` and `rot_max` are
+    `max_abs` of `M` and `rot`, reduced once for `_inflate`'s guard.
     """
     f = field_for_order(d)
     tables = [m.table() for m in members]
@@ -420,13 +421,14 @@ def _rule_table(d, members, iota):
     # rule sets repeat few translations: turn each distinct one once
     tidx, first = row_ids(trans)
     M, mden = f.mul_matrix(iota)
+    rot = _rotated(f, trans[first])
     return SimpleNamespace(
         count=count,
         start=_rule_starts(count),
         ids=np.concatenate([k[0] for k in kids]),
         r=np.concatenate([k[1] for k in kids]),
-        tidx=tidx, rot=_rotated(f, trans[first]), den=den, M=M,
-        mden=mden)
+        tidx=tidx, rot=rot, den=den, M=M, mden=mden,
+        M_max=max_abs(M), rot_max=max_abs(rot))
 
 
 @lru_cache(maxsize=None)
@@ -780,8 +782,8 @@ def _inflate(patch, tab, key):
     pr = r[parent]
     L = math.lcm(den * tab.mden, tab.den)
     s1, s2 = L // (den * tab.mden), L // tab.den
-    _guard(f.degree * max_abs(t) * max_abs(tab.M) * s1
-           + max_abs(tab.rot) * s2, "inflation")
+    _guard(f.degree * max_abs(t) * tab.M_max * s1 + tab.rot_max * s2,
+           "inflation")
     new_t = (t @ tab.M)[parent]
     if s1 != 1:
         new_t *= s1

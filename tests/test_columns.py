@@ -112,10 +112,13 @@ def test_empty_patch_exports_renders_and_verifies(tmp_path):
     assert verify_face_to_face(patch).ok
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 8192])
-def test_export_in_chunks_is_the_document(tmp_path, monkeypatch, chunk):
+@pytest.mark.parametrize("chunk, match", [(1, 1), (7, 2), (8192, 256)],
+                         ids=["1", "7", "8192"])
+def test_export_in_chunks_is_the_document(tmp_path, monkeypatch, chunk,
+                                          match):
     # translations over several denominators, so a chunk's common
-    # denominator can differ from the patch's
+    # denominator can differ from the patch's; the reader matches `match`
+    # records at a time and reads up to `chunk` at once
     f = field_for_order(14)
     tiles = Patch.single(14, "G").inflate(derive_rules(14, 3, 1)).tiles
     patch = Patch(14, [Tile(t.name, Isometry(t.iso.r, t.iso.t
@@ -123,6 +126,7 @@ def test_export_in_chunks_is_the_document(tmp_path, monkeypatch, chunk):
                        for k, t in enumerate(tiles)])
     assert patch.columns[3] == 60
     monkeypatch.setattr(patchio, "CHUNK", chunk)
+    monkeypatch.setattr(patchio, "MATCH", match)
     export_patch(patch, tmp_path / "p.json", manifest={"n": 2})
     doc = patch_document(patch, manifest={"n": 2})
     text = (tmp_path / "p.json").read_text()
@@ -181,6 +185,28 @@ def test_corner_rows_guard_reads_the_cached_bound():
         else:
             with pytest.raises(OverflowError, match="corner rows"):
                 patch.corner_rows()
+
+
+def test_inflation_guard_reads_the_cached_table_bounds():
+    # one tile at (0, c), den 1: the guard bound is
+    # D * c * max|M| * s1 + max|rot| * s2, and it reaches 2**62 first at c
+    f = field_for_order(14)
+    rules = derive_rules(14, 3, 1)
+    tab = rules.columns()
+    assert tab.M_max == substitution.max_abs(tab.M)
+    assert tab.rot_max == substitution.max_abs(tab.rot)
+    L = math.lcm(tab.mden, tab.den)
+    s1, s2 = L // tab.mden, L // tab.den
+    step = f.degree * tab.M_max * s1
+    c = -(-(2 ** 62 - tab.rot_max * s2) // step)
+    for x, fits in ((c - 1, True), (c, False)):
+        t = f.from_coeffs([x] + [0] * (f.degree - 1))
+        patch = Patch(14, [Tile("G", Isometry(0, t))])
+        if fits:
+            assert len(patch.inflate(rules)) == len(rules.rules["G"])
+        else:
+            with pytest.raises(OverflowError, match="inflation"):
+                patch.inflate(rules)
 
 
 def test_tile_without_a_rule_is_a_key_error():

@@ -6,6 +6,7 @@ import io
 import json
 import re
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -120,6 +121,18 @@ def test_non_canonical_files_import_to_the_same_patch(tmp_path, case):
     loaded, manifest = patchio.import_patch(path)
     assert same_patch(loaded, patch)
     assert manifest == doc["manifest"]
+
+
+def test_wide_coefficients_export_as_the_document(tmp_path):
+    # one coefficient of 2**61: the values span far more than their count,
+    # so the writer's table of them is the distinct values, not a range
+    _, patch = with_coefficient({"p": 3})
+    nums = patch.columns[2]
+    assert int(nums.max()) - int(nums.min()) > nums.size
+    patchio.export_patch(patch, tmp_path / "p.json", {"p": 3})
+    text = (tmp_path / "p.json").read_text()
+    assert text == canonical_text(patchio.patch_document(patch, {"p": 3}))
+    assert '     2305843009213693952,\n' in text
 
 
 def tile_value(k, *path, value):
@@ -299,6 +312,19 @@ FUZZ = settings(max_examples=150, derandomize=True, deadline=None,
 def test_byte_mutations(tmp_path_factory, edits):
     data = apply_byte_edits(canonical_text(small_document()).encode(), edits)
     check_readers(tmp_path_factory.mktemp("fuzz") / "p.json", data)
+
+
+@FUZZ
+@given(BYTE_EDITS)
+def test_byte_mutations_across_matches(tmp_path_factory, edits):
+    # two records per match and four per array pass: the 9 records take
+    # five matches, read in three groups, so most edits land past the first
+    data = canonical_text(small_document()).encode()
+    with mock.patch.multiple(patchio, MATCH=2, CHUNK=5):
+        assert same_columns(patchio._canonical_columns(data),
+                            patchio._json_columns(data.decode()))
+        check_readers(tmp_path_factory.mktemp("fuzz") / "p.json",
+                      apply_byte_edits(data, edits))
 
 
 def paths(node, prefix=()):
