@@ -190,6 +190,9 @@ def cmd_analyze(args):
               f"Pisot={row['pisot']} ({row['reason']})")
     for p in ps:
         rules = derive_rules(args.d, p, 1)
+        if not analysis.is_primitive(rules.matrix()[0]):
+            print(f"matrix d={args.d} p={p}: not primitive")
+            continue
         lam, freq = analysis.tile_frequencies(rules)
         iota2 = abs(inflation_factor(args.d, p).cvalue()) ** 2
         top = sorted(freq.items(), key=lambda kv: -kv[1])[:4]

@@ -225,20 +225,21 @@ def _internal_tri(sym, signed):
 
 
 def _target_preference(d, p, branch, sign):
-    """Order in which the target classes +-p are tried.
+    """The target class (+-p) of the inflated image of a branch triangle.
 
     The positive-variant convention: negative branches inflate to class +p
     and positive branches to class -p, except that order-3q patterns with
     3 not dividing p send both +-1 branches to +p, and the 3 | p
     transitions across symmetry variants follow the explicit index-shift
     laws (class -p exactly for the smallest factor iota_3 on small q).
+    The sign -1 rule set takes the other class.
     """
     if d % 3 != 0 or p % 3 != 0:
         pref = p if branch < 0 else -p
     else:
         # m = p / 3 = 1 and q = d / 3 <= 3 swap the two classes
         pref = p if (branch > 0) != (p == 3 and d <= 9) else -p
-    return (pref, -pref) if sign > 0 else (-pref, pref)
+    return pref if sign > 0 else -pref
 
 
 def locate_inflated(sym, tri, p, sign=1):
@@ -254,29 +255,26 @@ def locate_inflated(sym, tri, p, sign=1):
                                 Elem(f, t[0].tolist(), tden).normalized())
 
 
-def _thirds(d, rhs):
-    """The n in range(d) with 3n = rhs (mod d), in increasing order."""
-    if d % 3:
-        return (rhs * pow(3, -1, d) % d,)
-    if rhs % 3:
-        return ()
-    return tuple(rhs // 3 + k * (d // 3) for k in range(3))
-
-
-def _targets(sym, tri, p, sign):
-    """The targets (sym', tri') tried for iota * tri, in order: the classes
-    of `_target_preference`, then kappa', then the label shift n with
-    3n = (kappa' + s) - sigma (mod d), keeping class-p triangles."""
+def _target(sym, tri, p, sign):
+    """The target (sym', tri') of iota * tri, in closed form: the class s
+    of `_target_preference`, the variant kappa' of 0, -2, 2 with
+    3 | kappa' + s - sigma (0 unless 3 | d), and tri's labels shifted by
+    the least n with 3n = kappa' + s - sigma (mod d).  This is the first
+    class-p candidate of the search over both classes, every kappa' and
+    every label shift that it replaces, and was the congruent one for
+    every prototile of every rule set with d = 5..64.
+    """
     d = sym.d
     branch = tri.m_class if tri.m_class <= d // 2 else tri.m_class - d
-    signed = _signed_triple(sym, tri.idx)
-    for s in _target_preference(d, p, branch, sign):
-        for k2 in (0,) if d % 3 else (0, -2, 2):
-            sym2 = SymmetryIndex(d, k2)
-            for n in _thirds(d, (k2 + s - tri.sigma) % d):
-                tri2 = _internal_tri(sym2, tuple(x + n for x in signed))
-                if tri2.p_class == p:
-                    yield sym2, tri2
+    s = _target_preference(d, p, branch, sign)
+    if d % 3:
+        k2, n = 0, (s - tri.sigma) * pow(3, -1, d) % d
+    else:
+        k2 = (0, -2, 2)[(tri.sigma - s) % 3]
+        n = (k2 + s - tri.sigma) % d // 3
+    sym2 = SymmetryIndex(d, k2)
+    return sym2, _internal_tri(
+        sym2, tuple(x + n for x in _signed_triple(sym, tri.idx)))
 
 
 def _locate(tris, src, den, p, sign):
@@ -286,47 +284,27 @@ def _locate(tris, src, den, p, sign):
     all over den'.
 
     src holds the rows over den of iota times the corners of each
-    triangle, in any cyclic order.  Each triangle tries its `_targets`
-    in order, and the first cyclic shift of src congruent to a candidate
-    wins.  A round stacks the next candidate of every triangle not yet
-    located and tests every (triangle, shift) pair in one `_congruent`
-    call; the triangles without a match go to the next round.  In
-    practice the first candidate always matches, so one round places all.
+    triangle, in any cyclic order.  Every triangle's target is
+    `_target`'s, and one `_congruent` call tests every (triangle, cyclic
+    shift) pair; the first shift that fits wins.
     """
     d = tris[0][0].d
     f = field_for_order(d)
-    search = [_targets(sym, tri, p, sign) for sym, tri in tris]
-    targets = [None] * len(tris)
-    found = []
-    todo = np.arange(len(tris))
-    while len(todo):
-        trial = [next(search[i], None) for i in todo.tolist()]
-        for i, target in zip(todo.tolist(), trial):
-            if target is None:
-                raise AssertionError("no congruent inflated image for "
-                                     f"{tris[i][1]} (p={p})")
-        dst, dden = _common_den(
-            [c for sym2, tri2 in trial
-             for c in get_arrangement(d, sym2.kappa).corners(tri2)[0]],
-            f.degree)
-        L = math.lcm(den, dden)
-        dst = _over(dst, dden, L).reshape(len(todo), 3, f.degree)
-        r, ok, t = _congruent(f, _over(src[todo], den, L)[:, SHIFTS],
-                              dst[:, None])
-        hit = ok.any(axis=1)
-        s = ok.argmax(axis=1)[hit]
-        for i, target in zip(todo[hit].tolist(),
-                             itertools.compress(trial, hit)):
-            targets[i] = target
-        found.append((todo[hit], r[hit, s], t[hit, s], dst[hit], L))
-        todo = todo[~hit]
-    L = math.lcm(*(x[-1] for x in found))
-    r = np.empty(len(tris), dtype=np.int64)
-    t = np.empty((len(tris), f.degree), dtype=np.int64)
-    dst = np.empty((len(tris), 3, f.degree), dtype=np.int64)
-    for i, ri, ti, di, Li in found:
-        r[i], t[i], dst[i] = ri, _over(ti, Li, L), _over(di, Li, L)
-    return targets, r, t, dst, L
+    targets = [_target(sym, tri, p, sign) for sym, tri in tris]
+    dst, dden = _common_den(
+        [c for sym2, tri2 in targets
+         for c in get_arrangement(d, sym2.kappa).corners(tri2)[0]],
+        f.degree)
+    L = math.lcm(den, dden)
+    dst = _over(dst, dden, L).reshape(len(tris), 3, f.degree)
+    r, ok, t = _congruent(f, _over(src, den, L)[:, SHIFTS], dst[:, None])
+    hit = ok.any(axis=1)
+    if not hit.all():
+        raise AssertionError("no congruent inflated image for "
+                             f"{tris[int(np.argmin(hit))][1]} (p={p})")
+    k = np.arange(len(tris))
+    s = ok.argmax(axis=1)
+    return targets, r[k, s], t[k, s], dst, L
 
 
 # -- rule derivation ----------------------------------------------------
@@ -436,8 +414,9 @@ def derive_rules(d, p, sign=1) -> RuleSet:
     """Children picked by an array centroid test, placed as integer
     columns, confirmed by exact area balance.
 
-    Every prototile's inflated image is located at once (`_locate`) as a
-    triangle of some A(d, kappa'); per target kappa' one centroid test of
+    Every prototile's inflated image is located at once (`_locate`) on
+    its closed-form target (`_target`), a triangle of some A(d, kappa'),
+    and confirmed exactly there; per target kappa' one centroid test of
     its triangles against the faces of A(d, kappa') gives the (prototile,
     face) pairs of the children, pulled back by the inverse placement
     w -> zeta^-r (w - t): a child on a face placed by (r_f, t_f) is
@@ -878,9 +857,11 @@ def verify_face_to_face(patch: Patch, decorated=True, max_problems=20):
     same = pair & (fwd[first] == fwd[side2])
     cls_bad = pair & ~same & (cls[first] != cls[side2])
     dec_bad = pair & ~same & ~cls_bad & (orient[first] + orient[side2] != 0)
-    bad = (count > 2) | same | cls_bad | (dec_bad & decorated)
+    bad = np.flatnonzero((count > 2) | same | cls_bad | (dec_bad & decorated))
     problems = []
-    for e in sorted(np.flatnonzero(bad).tolist(), key=first.__getitem__):
+    # format only the bad edges the report keeps: the first max_problems,
+    # in tile-edge order
+    for e in bad[np.argsort(first[bad])[:max_problems]].tolist():
         if count[e] > 2:
             problems.append(f"edge shared by {count[e]} tiles")
             continue
@@ -899,8 +880,9 @@ def verify_face_to_face(patch: Patch, decorated=True, max_problems=20):
                                  pid.ravel()[ends],
                                  pid[:, [1, 2, 0]].ravel()[ends],
                                  max_problems - len(problems))
-    return VerifyReport(not problems, len(patch), int(pair.sum()),
-                        len(boundary), problems[:max_problems])
+    return VerifyReport(not (len(bad) or problems), len(patch),
+                        int(pair.sum()), len(boundary),
+                        problems[:max_problems])
 
 
 def _cell_pairs(fl, pad, za, zb):

@@ -133,6 +133,18 @@ def test_cli_analyze(capsys):
     assert "all_match=True" in text
 
 
+def test_cli_analyze_reports_an_imprimitive_matrix(capsys):
+    # (9, 2, +) is imprimitive: its line says so and p = 3, 4 still print
+    main(["analyze", "--d", "9"])
+    text = capsys.readouterr().out
+    assert "matrix d=9 p=2: not primitive\n" in text
+    assert ("matrix d=9 p=3: lambda1=6.411474128 iota^2=6.411474128 "
+            "top frequencies T2:0.0887 T2t:0.0887 T2ht:0.0887 T2h:0.0887\n"
+            "matrix d=9 p=4: lambda1=8.290859369 iota^2=8.290859369 "
+            "top frequencies T2t:0.0887 T2:0.0887 T2ht:0.0887 T2h:0.0887\n"
+            ) in text
+
+
 @pytest.mark.parametrize("p", ["0", "1", "8"])
 def test_cli_analyze_rejects_bad_p_before_any_output(capsys, p):
     with pytest.raises(SystemExit) as exc:

@@ -2,6 +2,7 @@
 
 import cmath
 import collections
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -11,8 +12,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from deltiling.arrangement import (SymmetryIndex, classify_triple,
-                                   get_arrangement)
+from deltiling.arrangement import (SymmetryIndex, TriangleId,
+                                   classify_triple, get_arrangement)
 from deltiling.field import field_for_order, inflation_factor
 from deltiling import random as ensembles
 from deltiling import substitution
@@ -419,24 +420,33 @@ def reference_match(src, dst):
     return None
 
 
-def reference_locate(sym, tri, corners, p, sign):
+def reference_targets(sym, tri, p, sign):
+    """The targets the search tried for iota * tri, in order: the class of
+    `_target_preference` and then the other one, then kappa', then every
+    label shift n with 3n = (kappa' + s) - sigma (mod d), keeping
+    class-p triangles."""
     d = sym.d
-    src = tuple(c * inflation_factor(d, p) for c in corners)
     branch = tri.m_class if tri.m_class <= d // 2 else tri.m_class - d
     signed = substitution._signed_triple(sym, tri.idx)
-    for s in substitution._target_preference(d, p, branch, sign):
+    pref = substitution._target_preference(d, p, branch, sign)
+    for s in (pref, -pref):
         for k2 in ((0,) if d % 3 else (0, -2, 2)):
             rhs = (k2 + s - tri.sigma) % d
             for n in [n for n in range(d) if (3 * n) % d == rhs]:
                 sym2 = SymmetryIndex(d, k2)
                 tri2 = substitution._internal_tri(
                     sym2, tuple(x + n for x in signed))
-                if tri2.p_class != p:
-                    continue
-                dst, _ = get_arrangement(d, k2).corners(tri2)
-                g = reference_match(src, dst)
-                if g is not None:
-                    return sym2, g, dst
+                if tri2.p_class == p:
+                    yield sym2, tri2
+
+
+def reference_locate(sym, tri, corners, p, sign):
+    src = tuple(c * inflation_factor(sym.d, p) for c in corners)
+    for sym2, tri2 in reference_targets(sym, tri, p, sign):
+        dst, _ = get_arrangement(sym.d, sym2.kappa).corners(tri2)
+        g = reference_match(src, dst)
+        if g is not None:
+            return sym2, g, dst
     raise AssertionError("no congruent inflated image")
 
 
@@ -488,71 +498,31 @@ def test_column_derivation_equals_per_child_reference(d):
                 assert np.asarray(value).dtype == np.asarray(b[key]).dtype
 
 
-def locate_rounds(monkeypatch, d, p, sign):
-    """derive_rules(d, p, sign), uncached, and the number of `_congruent`
-    calls its `_locate` made (one per search round)."""
-    for kappa in ((0,) if d % 3 else (0, -2, 2)):
-        substitution._face_placements(d, kappa)  # cached: no match there
-    calls = []
-    congruent = substitution._congruent
-
-    def counted(*args):
-        calls.append(args)
-        return congruent(*args)
-
-    with monkeypatch.context() as mp:
-        mp.setattr(substitution, "_congruent", counted)
-        rules = derive_rules.__wrapped__(d, p, sign)
-    return rules, len(calls)
-
-
-def test_every_rule_set_is_located_in_one_round(monkeypatch):
-    # the first candidate of every prototile matches, for all 96 rule sets
-    # of d = 5..16, so one `_congruent` call locates them all
-    for d in range(5, 17):
-        for p in range(2, d // 2 + 1):
-            for sign in (1, -1):
-                assert locate_rounds(monkeypatch, d, p, sign)[1] == 1, \
-                    (d, p, sign)
-
-
-def decoy_targets(victim, keep):
-    """A `_targets` that tries victim's own triangle (never congruent to
-    its inflated image) first, then its real candidates if keep."""
-    targets = substitution._targets
-
-    def search(sym, tri, p, sign):
-        if tri == victim:
-            yield sym, tri
-            if not keep:
-                return
-        yield from targets(sym, tri, p, sign)
-    return search
-
-
-@pytest.mark.parametrize("d, p, sign", [(9, 2, -1), (14, 3, 1)])
-def test_locate_falls_through_to_the_next_candidate(monkeypatch, d, p,
-                                                    sign):
-    # one prototile's first candidate fails: a second round locates it at
-    # the next candidate, which `reference_locate` finds by trying them in
-    # turn, and the rules are the reference's
-    cat = prototile_catalog(d)
-    victim = cat.prototiles[len(cat.prototiles) // 2].face.tri
-    monkeypatch.setattr(substitution, "_targets", decoy_targets(victim, True))
-    got, rounds = locate_rounds(monkeypatch, d, p, sign)
-    assert rounds == 2
-    want = reference_rules(d, p, sign)
-    for name, children in want.rules.items():
-        assert [(n, h.r, h.t.key()) for n, h in got.rules[name]] == \
-            [(n, h.r, h.t.key()) for n, h in children], name
-    a, b = vars(got.columns()), vars(want.columns())
-    assert all(np.array_equal(a[key], b[key]) for key in b)
+def test_target_is_the_first_candidate():
+    # the closed-form target of every prototile of the 390 rule sets of
+    # d = 5..30 is the first class-p candidate of the search
+    for d in range(5, 31):
+        for proto in prototile_catalog(d).prototiles:
+            sym, tri = proto.face.sym, proto.face.tri
+            for p in range(2, d // 2 + 1):
+                for sign in (1, -1):
+                    assert substitution._target(sym, tri, p, sign) == \
+                        next(reference_targets(sym, tri, p, sign)), \
+                        (d, proto.name, p, sign)
 
 
 def test_locate_raises_when_every_candidate_fails(monkeypatch):
+    # a `_target` that sends one prototile to its own triangle, never
+    # congruent to its inflated image
     proto = prototile_catalog(7).prototiles[3]
-    monkeypatch.setattr(substitution, "_targets",
-                        decoy_targets(proto.face.tri, False))
+    target = substitution._target
+
+    def decoy(sym, tri, p, sign):
+        if tri == proto.face.tri:
+            return sym, tri
+        return target(sym, tri, p, sign)
+
+    monkeypatch.setattr(substitution, "_target", decoy)
     with pytest.raises(AssertionError, match="no congruent inflated image"):
         derive_rules.__wrapped__(7, 2, 1)
     with pytest.raises(AssertionError, match="no congruent inflated image"):
@@ -561,10 +531,28 @@ def test_locate_raises_when_every_candidate_fails(monkeypatch):
 
 @pytest.mark.parametrize("d", range(5, 31))
 def test_label_shifts_equal_the_scan(d):
-    # the closed form of 3n = rhs (mod d) against trying every n in order
-    for rhs in range(d):
-        assert substitution._thirds(d, rhs) == \
-            tuple(n for n in range(d) if (3 * n) % d == rhs), (d, rhs)
+    # the closed-form kappa' and label shift of `_target` against trying
+    # every kappa' and then every n in order, on triangles of every index
+    # sum 3..d + 2, so of every sigma and class
+    for kappa in ((0,) if d % 3 else (0, -2, 2)):
+        sym = SymmetryIndex(d, kappa)
+        for idx in [(0, 1, nu) for nu in range(2, d)] + \
+                [(1, 2, nu) for nu in range(3, d)]:
+            tri = TriangleId(sym, idx)
+            branch = tri.m_class if tri.m_class <= d // 2 else tri.m_class - d
+            signed = substitution._signed_triple(sym, tri.idx)
+            for p in range(2, d // 2 + 1):
+                for sign in (1, -1):
+                    s = substitution._target_preference(d, p, branch, sign)
+                    k2, n = next(
+                        (k2, n) for k2 in ((0,) if d % 3 else (0, -2, 2))
+                        for n in range(d)
+                        if (3 * n - k2 - s + tri.sigma) % d == 0)
+                    sym2 = SymmetryIndex(d, k2)
+                    assert substitution._target(sym, tri, p, sign) == (
+                        sym2, substitution._internal_tri(
+                            sym2, tuple(x + n for x in signed))), \
+                        (tri, p, sign)
 
 
 def test_turn_equals_the_rotation_matrices():
@@ -755,6 +743,36 @@ def test_problems_stop_at_max_problems():
         got = verify_face_to_face(patch, max_problems=m)
         assert len(got.problems) == min(m, len(rep.problems))
         assert got == reference_verify(patch, max_problems=m)
+
+
+def test_report_keeps_the_first_edge_problems():
+    # every tile doubled: each edge is bad, and the report keeps the first
+    # 20 problems of the full list
+    d = 5
+    patch = Patch.single(d, prototile_catalog(d).prototiles[0].name)
+    for _ in range(4):
+        patch = patch.inflate(derive_rules(d, 2, 1))
+    ids, r, t, den = patch.columns
+    doubled = Patch.from_columns(d, np.tile(ids, 2), np.tile(r, 2),
+                                 np.tile(t, (2, 1)), den)
+    full = verify_face_to_face(doubled, max_problems=10 ** 9)
+    assert len(full.problems) > 20
+    rep = verify_face_to_face(doubled)
+    assert rep == dataclasses.replace(full, problems=full.problems[:20])
+    assert rep == reference_verify(doubled)
+    # fewer edge problems than max_problems: the T-junctions are still
+    # searched for; the edge problems come in tile-edge order
+    f = field_for_order(d)
+    names = [p.name for p in prototile_catalog(d).prototiles]
+    b = t_junction_tile(d, names[0], 0, Fraction(1, 20), names[1], 2)
+    patch = Patch(d, [Tile(names[0], identity_isometry(f)), b, b])
+    rep = verify_face_to_face(patch)
+    letters = substitution.letter_table(d)[0][1]
+    assert rep.problems[:3] == [
+        f"edge traversed twice in the same direction ({l}, {l})"
+        for l in letters]
+    assert any("T-junction" in p for p in rep.problems[3:])
+    assert rep == reference_verify(patch)
 
 
 def moved(patch, x):
