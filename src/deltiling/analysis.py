@@ -14,7 +14,7 @@ from .arrangement import (SymmetryIndex, census_closed_form, get_arrangement,
                           subdivision_closed_form, multiplicity_closed_form,
                           triangular_pattern)
 from .prototiles import prototile_catalog, undecorated_signature
-from .substitution import RuleSet, prototile_ids, row_ids
+from .substitution import RuleSet, letter_table, prototile_ids, row_ids
 
 
 def substitution_matrix(rules: RuleSet):
@@ -90,15 +90,30 @@ def _shape_id(cat, name):
     return undecorated_signature(cat.by_name[name].signature)
 
 
+def corner_angles(d):
+    """Prototile angles, by id and corner, in units of pi/d, exactly.
+
+    Class c has length 4 s_1 s_c, so the angle at corner m, opposite side
+    m+1 (side k runs from corner k to k+1), is c = c_{m+1} or d - c.  The
+    angles sum to d: d - c only at the corner where 2c = c_0 + c_1 + c_2
+    != d.
+    """
+    c = letter_table(d)[1][:, [1, 2, 0]]  # c[:, m]: class opposite corner m
+    total = c.sum(axis=1, keepdims=True)
+    return np.where((2 * c == total) & (total != d), d - c, c)
+
+
 def vertex_configurations(patch):
     """Rotational symmetry of every interior vertex star of a patch.
 
-    Angles are in units of pi/d; a vertex is interior when its sectors
-    sum to 2 pi exactly.
+    Angles are in units of pi/d, exact from `corner_angles`; floats only
+    order the sectors around a vertex.  A vertex is interior when its
+    sectors sum to 2 pi exactly.
     """
     d = patch.d
     cat = prototile_catalog(d)
     names, _ = prototile_ids(d)
+    angles = corner_angles(d).tolist()
     rows, den = patch.corner_rows()
     pid, _ = row_ids(rows)
     stars = {}
@@ -106,14 +121,9 @@ def vertex_configurations(patch):
                            field_for_order(d).cvalues(rows, den).tolist()):
         shape = _shape_id(cat, names[i])
         for k in range(3):
-            u = fl[(k + 1) % 3] - fl[k]
-            w = fl[(k + 2) % 3] - fl[k]
-            ang = (cmath.phase(w) - cmath.phase(u)) % (2 * math.pi)
-            num = round(ang * d / math.pi)
-            assert abs(ang - num * math.pi / d) < 1e-9
-            start = cmath.phase(u)
+            start = cmath.phase(fl[(k + 1) % 3] - fl[k]) % (2 * math.pi)
             stars.setdefault(keys[k], (fl[k], []))[1].append(
-                (start % (2 * math.pi), shape, num))
+                (start, shape, angles[i][k]))
     out = []
     for z, sectors in stars.values():
         sectors.sort()

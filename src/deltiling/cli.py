@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -11,7 +12,7 @@ from .field import MAX_ORDER, field_for_order, inflation_factor
 from .arrangement import SymmetryIndex, get_arrangement, triangular_pattern
 from .prototiles import prototile_catalog
 from .substitution import Patch, derive_rules, derive_edge_words, \
-    verify_face_to_face
+    prototile_ids, verify_face_to_face
 from . import analysis, patchio, svg
 from . import random as ensembles
 
@@ -77,11 +78,18 @@ def cmd_prototiles(args):
     print(f"wrote {base}.txt and {base}.svg")
 
 
+def _rule_children(rules):
+    """(name, child names) of each prototile with a rule, by name."""
+    names, _ = prototile_ids(rules.d)
+    count, kids = rules.table()
+    it = iter(kids.columns[0].tolist())
+    return sorted((name, [names[k] for k in itertools.islice(it, c)])
+                  for name, c in zip(names, count.tolist()) if c >= 0)
+
+
 def _rules_listing(rules):
-    lines = []
-    for name in sorted(rules.rules):
-        body = " u ".join(n for n, _ in rules.rules[name])
-        lines.append(f"Phi({name}) = {body}")
+    lines = [f"Phi({name}) = {' u '.join(children)}"
+             for name, children in _rule_children(rules)]
     words = derive_edge_words(rules)
     for l in sorted(words, key=lambda l: (l.cls, -l.orient)):
         lines.append(f"phi({l}) = " + "".join(str(x) for x in words[l]))
@@ -101,12 +109,12 @@ def cmd_rules(args):
     iota = abs(rules.iota.cvalue())
     cell = 4.5 * iota
     cols = 6
-    for i, name in enumerate(sorted(rules.rules)):
+    for i, (name, kids) in enumerate(_rule_children(rules)):
         col, row = i % cols, i // cols
         shift = complex(col * cell, -row * cell)
         tile = Patch.single(args.d, name)
         children = tile.inflate(rules).corner_values() + shift
-        for (cname, _), pts in zip(rules.rules[name], children.tolist()):
+        for cname, pts in zip(kids, children.tolist()):
             cv.polygon(pts, fill=palette[cname], stroke="#222", width=0.02)
         rep = (tile.corner_values()[0] * iota + shift).tolist()
         cv.polygon(rep, fill="none", stroke="#000", width=0.05)

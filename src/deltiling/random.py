@@ -32,13 +32,14 @@ import numpy as np
 
 from .field import Elem, field_for_order
 from .arrangement import SymmetryIndex, get_arrangement, length_class
-from .prototiles import prototile_catalog
-from .substitution import (Isometry, Patch, RuleSet, Tile, derive_rules,
-                           derive_edge_words, letter_table, match_triangles,
-                           max_abs, mir, project, prototile_ids, row_ids,
-                           tile_corners, tile_edges, _common_den,
-                           _face_placements, _field_tables, _guard, _inflate,
-                           _rule_starts, _rule_table)
+# match_triangles is not called here: the benchmark's tracer wraps the name
+from .substitution import (SHIFTS, Isometry, Patch, RuleSet, Tile,
+                           derive_rules, derive_edge_words, letter_table,
+                           match_triangles, max_abs, mir, project,
+                           prototile_ids, row_ids, tile_edges, _congruent,
+                           _corner_rows, _face_placements, _field_tables,
+                           _guard, _inflate, _over, _rule_starts, _rule_table,
+                           _turn)
 
 
 # -- the inscribed polygon ----------------------------------------------
@@ -174,37 +175,14 @@ def enumerate_flips(d, kappa=0):
 
 # -- flips inside patches -----------------------------------------------
 
-@lru_cache(maxsize=None)
-def _shape_index(d):
-    """Sorted side-class multiset -> candidate prototile names."""
-    cat = prototile_catalog(d)
-    out = {}
-    for p in cat.prototiles:
-        out.setdefault(tuple(sorted(p.side_classes)), []).append(p.name)
-    return out
-
-
-def _match_shape(d, corners, classes):
-    """(name, Isometry, shift) of a prototile with side classes `classes`
-    (in any order) congruent (directly) to corners, or None: corner m of
-    the placed prototile is corners[(m - shift) % 3]."""
-    for name in _shape_index(d).get(tuple(sorted(classes)), ()):
-        g, shift = match_triangles(tile_corners(d, name), corners)
-        if g is not None:
-            return name, g, shift
-    return None
-
-
 class _Flip(NamedTuple):
     """One flip-table entry: the two replacements relative to tile i.
 
-    `placements` are their (name, Isometry); as columns, `ids`, `r` and
-    `t` are their prototile ids, rotations and translation rows over
-    `den`, and `bound` bounds the coefficients of every zeta^s * t.
-    corners[k][m] is the quadrilateral corner (0, 1, 2, 3 for u, v, w1,
-    w2) at corner m of replacement k.
+    `ids`, `r` and `t` are their prototile ids, rotations and translation
+    rows over `den`, and `bound` bounds the coefficients of every
+    zeta^s * t.  corners[k][m] is the quadrilateral corner (0, 1, 2, 3 for
+    u, v, w1, w2) at corner m of replacement k.
     """
-    placements: tuple
     ids: tuple
     r: tuple
     t: np.ndarray
@@ -232,32 +210,41 @@ def _flip_entry(d, edge_cls, diag_cls, key):
     every prototile runs anticlockwise.
     """
     id_i, k_i, id_j, k_j, s = key
-    names, index = prototile_ids(d)
-    ci = tile_corners(d, names[id_i])
-    cj = [c.mul_zeta(s) for c in tile_corners(d, names[id_j])]
-    u, v, w1 = (ci[(k_i + k) % 3] for k in range(3))
-    if cj[(k_j + 1) % 3] - cj[k_j] != u - v:
+    f = field_for_order(d)
+    bound = _field_tables(f)[1]
+    rows, den = _corner_rows(d)
+    # bounds the turned corners and w2, a sum of three corner rows
+    _guard(3 * f.degree * max_abs(rows) * bound, "flip corners")
+    cj = _turn(f, rows[id_j], s)
+    u, v, w1 = (rows[id_i, (k_i + k) % 3] for k in range(3))
+    if not np.array_equal(cj[(k_j + 1) % 3] - cj[k_j], u - v):
         return None
-    w2 = cj[(k_j + 2) % 3] + (v - cj[k_j])
-    corners = (u, v, w1, w2)
+    quad = np.array([u, v, w1, cj[(k_j + 2) % 3] + (v - cj[k_j])])
     cls = letter_table(d)[1]
+    shapes = np.sort(cls, axis=1)
     # (w1, u, w2) has sides w1 -> u of i and u -> w2 of j; (w2, v, w1) has
     # w2 -> v of j and v -> w1 of i; the diagonal closes both
     known = ((cls[id_i, (k_i + 2) % 3], cls[id_j, (k_j + 1) % 3]),
              (cls[id_j, (k_j + 2) % 3], cls[id_i, (k_i + 1) % 3]))
-    found = [_match_shape(d, [corners[c] for c in half],
-                          [int(c) for c in sides] + [diag_cls])
-             for half, sides in zip(_HALVES, known)]
-    if any(p is None for p in found):
-        return None
-    f = field_for_order(d)
-    rows, den = _common_den([g.t for _, g, _ in found], f.degree)
-    return _Flip(tuple((name, g) for name, g, _ in found),
-                 tuple(index[name] for name, _, _ in found),
-                 tuple(g.r for _, g, _ in found), rows, den,
-                 f.degree * max_abs(rows) * _field_tables(f)[1],
+    found = []
+    for half, sides in zip(_HALVES, known):
+        cand = np.flatnonzero((shapes == sorted((*sides, diag_cls))).all(1))
+        if not len(cand):
+            return None
+        # prototiles of equal side classes differ only in decoration: the
+        # first in catalog order, then in cyclic-shift order, is placed
+        r, ok, t = _congruent(f, rows[cand][:, SHIFTS], quad[list(half)])
+        if not ok.any():
+            return None
+        c, shift = divmod(int(np.argmax(ok)), 3)
+        found.append((int(cand[c]), int(r[c, shift]), t[c, shift], shift))
+    ids, r, t, shifts = zip(*found)
+    # the least common denominator, as the normalised translations give it
+    g = math.gcd(den, int(np.gcd.reduce(t, axis=None)))
+    t = np.array(t) // g
+    return _Flip(ids, r, t, den // g, f.degree * max_abs(t) * bound,
                  tuple(tuple(half[(m - shift) % 3] for m in range(3))
-                       for (_, _, shift), half in zip(found, _HALVES)))
+                       for shift, half in zip(shifts, _HALVES)))
 
 
 def _write_flip(d, ids, r, t, den, i, j, flip):
@@ -308,8 +295,8 @@ class FlipSite:
 
     Tile i's side `side % 3` (side = 3 i + k_i is the pair's first tile
     edge) is shared with tile j.  `old`, the two Tiles being replaced, and
-    `new`, their replacements, are built on each use from the flip-table
-    entry `flip` and the `scan` the site was found in.
+    `new`, their replacements, are views of the columns of the `scan` the
+    site was found in and the flip-table entry `flip`; no flip reads them.
     """
 
     __slots__ = ("i", "j", "side", "flip", "scan")
@@ -328,9 +315,11 @@ class FlipSite:
 
     @property
     def new(self):
-        iso = _tile_at(self.scan.patch, self.i).iso
-        return tuple(Tile(name, iso.compose(g))
-                     for name, g in self.flip.placements)
+        (ids, r, t, den), k = self.scan.patch.columns, [self.i, self.j]
+        cols = ids[k], r[k], t[k].astype(np.int64)
+        den = _write_flip(self.scan.patch.d, *cols, den, 0, 1, self.flip)
+        pair = Patch.from_columns(self.scan.patch.d, *cols, den)
+        return _tile_at(pair, 0), _tile_at(pair, 1)
 
 
 def find_flippable(patch: Patch, edge_class=None, diag_class=None):
@@ -383,16 +372,21 @@ def apply_flip(patch: Patch, site: FlipSite) -> Patch:
 
     The new patch's columns are a copy of the old ones with two rows
     overwritten.  Tiles i and j must be placed as in the patch the site
-    was found on.
+    was found on: equal d, name ids and rotations, and equal translation
+    rows over the common denominator.
     """
     for k in (site.i, site.j):
         if k >= len(patch):
             raise ValueError(f"stale flip site: tile {k} is past the end "
                              f"of a {len(patch)}-tile patch")
-    if site.scan.patch is not patch and site.old != (
-            _tile_at(patch, site.i), _tile_at(patch, site.j)):
-        raise ValueError("stale flip site: the patch has changed")
     ids, r, t, den = patch.columns
+    if site.scan.patch is not patch:
+        k, (ids0, r0, t0, den0) = [site.i, site.j], site.scan.patch.columns
+        L = math.lcm(den, den0)
+        if (site.scan.patch.d != patch.d or (ids[k] != ids0[k]).any()
+                or (r[k] != r0[k]).any()
+                or (_over(t[k], den, L) != _over(t0[k], den0, L)).any()):
+            raise ValueError("stale flip site: the patch has changed")
     ids, r, t = ids.copy(), r.copy(), t.astype(np.int64)
     den = _write_flip(patch.d, ids, r, t, den, site.i, site.j, site.flip)
     return Patch.from_columns(patch.d, ids, r, t, den)
@@ -581,25 +575,14 @@ def random_rule_family(d, cap=64, rng_seed=0):
     for w in words.values():
         assert project(w) == project(mir(w))
     sites = _site_groups(d, base)
-    chosen = []
-    for size in range(1, len(sites) + 1):
-        for combo in itertools.combinations(range(len(sites)), size):
-            used = set()
-            ok = True
-            for ci in combo:
-                name, site = sites[ci]
-                key = {(name, site.i), (name, site.j)}
-                if key & used:
-                    ok = False
-                    break
-                used |= key
-            if ok:
-                chosen.append(combo)
-                if len(chosen) >= cap:
-                    break
-        else:
-            continue
-        break
+    # the first cap subsets, smallest first, of sites sharing no tile
+    tiles = [{(name, site.i), (name, site.j)} for name, site in sites]
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(range(len(sites)), size)
+        for size in range(1, len(sites) + 1))
+    chosen = list(itertools.islice(
+        (c for c in subsets
+         if len(set().union(*(tiles[k] for k in c))) == 2 * len(c)), cap))
     rng = _stdrandom.Random(rng_seed)
     if len(chosen) > cap - 1:
         chosen = rng.sample(chosen, cap - 1)

@@ -337,13 +337,9 @@ class RuleSet:
 
     @cached_property
     def rules(self):
-        f = field_for_order(self.d)
         names, _ = prototile_ids(self.d)
         count, kids = self._table
-        ids, r, t, den = kids.columns
-        it = iter([(names[i], Isometry(rk, Elem(f, num, den).normalized()))
-                   for i, rk, num in zip(ids.tolist(), r.tolist(),
-                                         t.tolist())])
+        it = iter([(tile.name, tile.iso) for tile in kids.tiles])
         return {n: tuple(itertools.islice(it, c))
                 for n, c in zip(names, count.tolist()) if c >= 0}
 

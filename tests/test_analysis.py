@@ -1,16 +1,17 @@
 """Substitution matrices, frequencies, vertex stars, reports."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
-from deltiling.field import inflation_factor
-from deltiling.analysis import (census_report, empirical_convergence,
-                                is_primitive, pisot_table,
-                                substitution_matrix, tile_frequencies,
-                                vertex_configurations)
-from deltiling.substitution import Patch, derive_rules
+from deltiling.field import field_for_order, inflation_factor
+from deltiling.analysis import (census_report, corner_angles,
+                                empirical_convergence, is_primitive,
+                                pisot_table, substitution_matrix,
+                                tile_frequencies, vertex_configurations)
+from deltiling.substitution import Patch, _corner_rows, derive_rules
 
 
 def test_matrix_columns_match_rules():
@@ -112,6 +113,23 @@ def test_vertex_configurations():
     for star in stars:
         assert sum(num for _, num in star.sectors) == 2 * d
         assert len(star.sectors) % star.order == 0
+
+
+def test_corner_angles_match_float_corners():
+    """The side-class angles agree with the float phases of the corners
+    at all 8,148 prototile corners of d = 5..30."""
+    seen = 0
+    for d in range(5, 31):
+        corners = field_for_order(d).cvalues(*_corner_rows(d)).tolist()
+        for tri, angles in zip(corners, corner_angles(d).tolist()):
+            assert sum(angles) == d
+            for m in range(3):
+                u = tri[(m + 1) % 3] - tri[m]
+                w = tri[(m + 2) % 3] - tri[m]
+                ang = (cmath.phase(w) - cmath.phase(u)) % (2 * math.pi)
+                assert abs(ang - angles[m] * math.pi / d) < 1e-9, (d, m)
+                seen += 1
+    assert seen == 8148
 
 
 def test_census_report():

@@ -257,12 +257,16 @@ def test_column_rule_family_matches_dict_members(cap):
 
 # -- the incremental flip chain against full scans ---------------------------
 
+def flip_key(flip):
+    return flip.ids, flip.r, flip.t.tobytes(), flip.den
+
+
 def site_keys(sites):
-    return [(s.side, s.i, s.j, s.flip.placements) for s in sites]
+    return [(s.side, s.i, s.j, flip_key(s.flip)) for s in sites]
 
 
 def chain_keys(chain):
-    return [(x, *chain.sites[x][:2], chain.sites[x][2].placements)
+    return [(x, *chain.sites[x][:2], flip_key(chain.sites[x][2]))
             for x in chain.sides]
 
 
@@ -336,14 +340,26 @@ def place_shape(d, corners):
     return None
 
 
-@pytest.mark.parametrize("d, k", [(14, 0), (14, 2), (10, 0), (12, 0)])
-def test_flip_table_sites_match_place_shape(d, k):
+@pytest.mark.parametrize("d, k, inverse", [
+    (14, 0, False), (14, 2, False), (10, 0, False), (12, 0, False),
+    (8, 0, False),
+    # the inverse flips, class q-1 edge to class q diagonal, exist only
+    # where forward flips were made
+    (14, 0, True), (8, 0, True),
+], ids=["14-0", "14-2", "10-0", "12-0", "8-0", "14-0-inverse",
+        "8-0-inverse"])
+def test_flip_table_sites_match_place_shape(d, k, inverse):
     name = "G" if d == 14 else prototile_catalog(d).prototiles[0].name
     base = inflated(d, name, placements(d)[k], derive_rules(d, 3, 1), 3)
-    patches = [base, ensembles.rearrangement_sample(base, 5, 1)]
+    if inverse:
+        patches = [ensembles.rearrangement_sample(base, 50, 0)]
+        classes = {"edge_class": d // 2 - 1, "diag_class": d // 2}
+    else:
+        patches = [base, ensembles.rearrangement_sample(base, 5, 1)]
+        classes = {}
     seen = 0
     for patch in patches:
-        for site in ensembles.find_flippable(patch):
+        for site in ensembles.find_flippable(patch, **classes):
             u, v, w1, w2 = site_corners(d, site)
             for new, corners in zip(site.new, ((w1, u, w2), (w2, v, w1))):
                 assert place_shape(d, corners) == (new.name, new.iso)

@@ -2,17 +2,21 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
-from deltiling.field import sin_val
+from deltiling import random as ensembles, substitution
+from deltiling.cli import main
+from deltiling.field import Elem, field_for_order, sin_val
 from deltiling.arrangement import get_arrangement
 from deltiling.prototiles import prototile_catalog, decorate
-from deltiling.substitution import Patch, derive_rules, verify_face_to_face
+from deltiling.substitution import (Isometry, Patch, Tile, derive_rules,
+                                    verify_face_to_face)
 from deltiling.random import (apply_flip, enumerate_flips, find_flippable,
                               polygon_vertices, random_rule_family,
-                              random_substitution, rearrangement_sample,
-                              verify_template, _case_templates,
-                              _template_tris)
+                              random_substitution, rearrangement_run,
+                              rearrangement_sample, verify_template,
+                              _case_templates, _template_tris)
 
 
 def geometry(patch):
@@ -203,6 +207,66 @@ def test_apply_flip_rejects_sites_past_the_end():
     smaller = Patch.from_columns(14, ids[:k], r[:k], t[:k], den)
     with pytest.raises(ValueError, match="stale flip site"):
         apply_flip(smaller, site)
+
+
+def test_stale_check_compares_columns():
+    """Tiles i and j are compared as columns: a patch of another order is
+    stale, and an equal patch written over another denominator is not."""
+    rules = derive_rules(14, 5, 1)
+    patch = Patch.single(14, "G").inflate(rules).inflate(rules)
+    site = min(find_flippable(patch), key=lambda s: max(s.i, s.j))
+    other = Patch.single(10, prototile_catalog(10).prototiles[0].name)
+    for _ in range(2):
+        other = other.inflate(derive_rules(10, 3, 1))
+    assert len(other) > max(site.i, site.j)
+    with pytest.raises(ValueError, match="stale flip site: the patch has "
+                                         "changed"):
+        apply_flip(other, site)
+    f = field_for_order(14)
+    tripled = Patch(14, [Tile(t.name, Isometry(t.iso.r, Elem(
+        f, [3 * c for c in t.iso.t.num], 3 * t.iso.t.den)))
+        for t in patch.tiles])
+    assert tripled.columns[3] == 3 * patch.columns[3]
+    got, want = apply_flip(tripled, site), apply_flip(patch, site)
+    for a, b in zip(got.columns[:3], want.columns[:3]):
+        assert np.array_equal(a, b)
+    assert got.columns[3] == want.columns[3]
+
+
+def test_flips_build_no_placement_views(monkeypatch, tmp_path):
+    """Flips, rule families, random substitution, template audits and the
+    rules listing run on integer columns: with the flip table cold and
+    every builder of Elem placements, Isometries and Tiles raising, each
+    still runs."""
+    rules = derive_rules(14, 3, 1)
+    listed = derive_rules(14, 5, 1)
+    derive_rules(14, 7, 1)
+    patch = Patch.single(14, "G")
+    for _ in range(3):
+        patch = patch.inflate(rules)
+    ids, r, t, den = patch.columns
+    copy = Patch.from_columns(14, ids.copy(), r.copy(), t.copy(), den)
+    ensembles._flip_entry.cache_clear()
+    # the rules view is rebuilt, and so raises, if the listing reads it
+    monkeypatch.delitem(listed.__dict__, "rules", raising=False)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a placement view was built")
+
+    for module in (ensembles, substitution):
+        for name in ("match_triangles", "tile_corners", "Isometry", "Tile"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, boom)
+    monkeypatch.setattr(Elem, "mul_zeta", boom)
+    sites = find_flippable(patch)
+    assert sites
+    assert rearrangement_run(patch, 20, 1)[1] == 20
+    assert len(apply_flip(copy, sites[0])) == len(patch)
+    family = random_rule_family(14, cap=4)
+    assert len(random_substitution("G", family, family.uniform_pi(), 2, 3))
+    assert enumerate_flips(14)
+    main(["rules", "--d", "14", "--p", "5", "--out", str(tmp_path)])
+    assert (tmp_path / "rules_d14_p5_p.txt").read_text().startswith("Phi(")
 
 
 def test_flips_never_write_into_their_input():
