@@ -46,7 +46,7 @@ def cmd_arrange(args):
     sym = SymmetryIndex(args.d, args.kappa)
     arr = get_arrangement(args.d, args.kappa)
     base = os.path.join(out, f"arrangement_d{args.d}_k{args.kappa}")
-    with open(base + ".txt", "w") as fh:
+    with open(base + ".txt", "w", newline="\n") as fh:
         fh.write(f"deltoid tangent arrangement d={args.d} kappa={args.kappa}\n")
         fh.write(f"segments: {len(arr.segments)}\n")
         for mu in range(args.d):
@@ -68,7 +68,7 @@ def cmd_prototiles(args):
     out = _out_dir(args)
     cat = prototile_catalog(args.d)
     base = os.path.join(out, f"prototiles_d{args.d}")
-    with open(base + ".txt", "w") as fh:
+    with open(base + ".txt", "w", newline="\n") as fh:
         fh.write(f"prototile catalog d={args.d}: {len(cat.prototiles)} tiles\n")
         for p in cat.prototiles:
             sig = " ".join(str(l) for l in p.signature)
@@ -101,7 +101,7 @@ def cmd_rules(args):
     rules = derive_rules(args.d, args.p, args.sign)
     tag = "p" if args.sign > 0 else "m"
     base = os.path.join(out, f"rules_d{args.d}_p{args.p}_{tag}")
-    with open(base + ".txt", "w") as fh:
+    with open(base + ".txt", "w", newline="\n") as fh:
         fh.write(_rules_listing(rules))
     # sheet: every inflated prototile with its dissection
     cv = svg.Canvas()

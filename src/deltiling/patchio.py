@@ -19,13 +19,17 @@ other JSON file goes through `json`.  Both give the same columns and pass
 them to the same value checks.  The patterns check the layout, the
 header integers and the shadow numbers; the tile integers match a sign
 and 1 to 18 digits, and the numpy pass that parses them rejects leading
-zeros, the rest of the JSON integer grammar.  The patterns match MATCH
-records at a time, which bounds the match state `re` keeps; numpy reads
-up to CHUNK records at a time.
+zeros, the rest of the JSON integer grammar.  The canonical reader reads
+the file BLOCK bytes at a time and keeps only the bytes it has not
+matched yet, so it holds a block of the file and the columns, not the
+file.  The patterns match MATCH records at a time, which bounds the match
+state `re` keeps; numpy reads up to CHUNK records at a time.  A file that
+leaves the layout is read again, whole, by `json`.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import math
@@ -157,8 +161,9 @@ def _corners_block(patch, precision):
     return ",\n".join(tile % tuple(row) for row in text)
 
 
-#: tiles per block of text that `export_patch` writes at a time
-CHUNK = 8192
+#: tiles per block of text that `export_patch` writes at a time, and at
+#: most per array pass of the reader
+CHUNK = 2048
 
 
 def _write_blocks(fh, patch, block):
@@ -181,7 +186,7 @@ def export_patch(patch: Patch, path, manifest=None, precision=12):
     """
     text = json.dumps(_document(patch, manifest, precision, [], []),
                       indent=1, sort_keys=True)
-    with open(path, "w") as fh:
+    with open(path, "w", newline="\n") as fh:
         if len(patch):
             # "shadow" and "tiles" sort after "manifest": the last matches
             # are the top-level keys
@@ -218,9 +223,10 @@ _INT = rb"-?(?:0|[1-9][0-9]{0,17})"
 _DIGITS = rb"-?[0-9]{1,18}"
 #: a JSON number (the empty alternatives match faster than an optional group)
 _NUMBER = rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+|)(?:[eE][-+]?[0-9]+|)"
-_HEADER = (rb'\{\n "d": (' + _INT + rb'),\n "field_degree": (' + _INT
-           + rb'),\n "field_order": (' + _INT + rb'),\n "format": '
-           + json.dumps(FORMAT).encode() + rb',\n "manifest": ')
+_HEADER = re.compile(
+    rb'\{\n "d": (' + _INT + rb'),\n "field_degree": (' + _INT
+    + rb'),\n "field_order": (' + _INT + rb'),\n "format": '
+    + json.dumps(FORMAT).encode() + rb',\n "manifest": ')
 _SHADOW = b',\n "shadow": {\n  "corners": [\n'
 _END = b'\n ],\n "version": %d\n}\n' % VERSION
 
@@ -228,6 +234,56 @@ _END = b'\n ],\n "version": %d\n}\n' % VERSION
 #: records per match of the reader's patterns: `re` keeps backtracking
 #: state for every repetition inside one match until the match ends
 MATCH = 256
+
+#: bytes per read of a patch file
+BLOCK = 1 << 16
+
+#: line ends in one shadow corner triple and the ",\n" after it
+_CORNER_LINES = 14
+
+
+class _Off(Exception):
+    """The bytes leave the exact layout of `export_patch`."""
+
+
+class _Blocks:
+    """The unconsumed bytes buf[pos:] of a binary file, read BLOCK bytes
+    at a time; a read drops the consumed bytes."""
+
+    def __init__(self, fh):
+        self.fh, self.buf, self.pos, self.ends = fh, b"", 0, 0
+
+    def read(self):
+        """Append one block (b"" at the end of the file); _Off on a byte
+        that is not ASCII."""
+        block = self.fh.read(BLOCK)
+        if not block.isascii():
+            raise _Off
+        if block:
+            self.buf = self.buf[self.pos:] + block
+            self.pos = 0
+            self.ends += block.count(b"\n")
+        return block
+
+    def lines(self, n):
+        """Read until buf[pos:] holds n line ends or the rest of the file."""
+        while self.ends < n and self.read():
+            pass
+
+    def skip(self, end):
+        """Consume buf[pos:end]; the number of line ends in it."""
+        k = self.buf.count(b"\n", self.pos, end)
+        self.ends -= k
+        self.pos = end
+        return k
+
+
+def _match(pattern, src):
+    """The match of pattern at src.pos; _Off if there is none."""
+    m = pattern.match(src.buf, src.pos)
+    if m is None:
+        raise _Off
+    return m
 
 
 @lru_cache(maxsize=None)
@@ -255,18 +311,6 @@ def _grammar(degree, match):
     return tuple(re.compile(p) for p in (
         corner + rb"(?:,\n" + corner + rb"){0,%d}" % (match - 1), middle,
         tile + rb"(?:,\n" + tile + rb"){0,%d}" % (match - 1)))
-
-
-def _match_spans(pattern, data, pos):
-    """The spans of the matches of pattern from pos on, while they are
-    joined by ",\\n"; None if the first does not match."""
-    spans = []
-    while (m := pattern.match(data, pos)) is not None:
-        spans.append(m.span())
-        if not data.startswith(b",\n", m.end()):
-            return spans
-        pos = m.end() + 2
-    return None
 
 
 def _parse_ints(b, first, last):
@@ -316,58 +360,96 @@ def _read_tiles(b, degree, keys, order):
             values[:, 0], values[:, 1], values[:, 2:])
 
 
-def _canonical_columns(data):
+def _canonical_columns(fh):
     """(d, manifest, ids, r, den, num) of a patch file in the exact layout
-    that `export_patch` writes, or None for any other bytes.
+    that `export_patch` writes, read from the binary file object fh, or
+    None for any other bytes.
 
-    The layout is checked by patterns, MATCH records at a time, and the
-    values are read from the matched bytes in one array pass per run of
-    matches of at most CHUNK records (of one match if MATCH > CHUNK),
+    The file is read BLOCK bytes at a time, and only the bytes not yet
+    matched are kept.  The layout is checked by patterns, MATCH records at
+    a time.  No piece of a pattern reads past the end of its line, so a
+    match on a buffer that holds MATCH whole records of lines past the
+    match start, or the rest of the file, is the match on the whole file.
+    The values are read from the matched bytes in one array pass per run
+    of matches of at most CHUNK records (of one match if MATCH > CHUNK),
     which also checks the one rule of the JSON integer grammar that the
-    tile pattern leaves out: no leading zero.  The shadow corners are
-    checked against the JSON number grammar but not decoded.  Every
-    accepted file is valid JSON that `_json_columns` reads to the same
-    columns; ids, r, den and num are int16, int64, int64 and an int64
-    N x degree array, r as written."""
-    head = re.match(_HEADER, data) if data.isascii() else None
-    if head is None:
-        return None
-    d, degree, order = map(int, head.groups())
+    tile pattern leaves out: no leading zero.  Each run is written into
+    columns sized by the number of shadow corner triples; a file whose
+    shadow does not hold one triple per tile record goes to the json
+    reader.  The shadow corners are checked against the JSON number
+    grammar but not decoded.  Every accepted file is valid JSON that
+    `_json_columns` reads to the same columns; ids, r, den and num are
+    int16, int64, int64 and an int64 N x degree array, r as written."""
+    src = _Blocks(fh)
     try:
-        _field(d, order, degree)
-    except SchemaError:
+        src.lines(6)  # the header's lines
+        head = _match(_HEADER, src)
+        d, degree, order = map(int, head.groups())
+        try:
+            _field(d, order, degree)
+        except SchemaError:
+            raise _Off from None
+        src.skip(head.end())
+        at = 0
+        while (end := src.buf.find(_SHADOW, src.pos + at)) < 0:
+            at = max(0, len(src.buf) - src.pos - len(_SHADOW) + 1)
+            if not src.read():
+                raise _Off
+        try:
+            # in a list, the manifest nests as deep as in the whole
+            # document; a match of _SHADOW inside the manifest leaves an
+            # unclosed prefix, and text that is not one value does not
+            # unpack
+            manifest, = json.loads("[%s]" % src.buf[src.pos:end].decode())
+        except (ValueError, RecursionError):
+            raise _Off from None
+        src.skip(end + len(_SHADOW))
+        corners, middle, tiles = _grammar(degree, MATCH)
+        count = 0
+        while True:
+            src.lines(_CORNER_LINES * MATCH)
+            ends = src.skip(_match(corners, src).end())
+            count += (ends + 1) // _CORNER_LINES
+            if not src.buf.startswith(b",\n", src.pos):
+                break
+            src.skip(src.pos + 2)
+        src.lines(5)  # the middle's line ends
+        src.skip(_match(middle, src).end())
+        keys = np.array([n.encode() for n in prototile_ids(d)[0]])
+        order = np.argsort(keys)
+        keys = keys[order]
+        columns = (np.empty(count, np.int16), np.empty(count, np.int64),
+                   np.empty(count, np.int64),
+                   np.empty((count, degree), np.int64))
+        # the matches are joined by ",\n", as the records inside one are,
+        # so a run of them is read as one block; all but the last hold
+        # MATCH records
+        group = max(1, CHUNK // MATCH)
+        done, more = 0, True
+        while more:
+            src.lines(group * MATCH * (9 + degree))
+            start = src.pos
+            for _ in range(group):
+                end = _match(tiles, src).end()
+                more = src.buf.startswith(b",\n", end)
+                src.skip(end + 2 if more else end)
+                if not more:
+                    break
+            part = _read_tiles(np.frombuffer(src.buf, np.uint8, end - start,
+                                             start), degree, keys, order)
+            if part is None or done + len(part[0]) > count:
+                raise _Off
+            for column, values in zip(columns, part):
+                column[done:done + len(values)] = values
+            done += len(part[0])
+        # one line end more than _END holds: a buffer equal to _END is the
+        # rest of the file
+        src.lines(_END.count(b"\n") + 1)
+        if done != count or src.buf[src.pos:] != _END:
+            raise _Off
+    except _Off:
         return None
-    end = data.find(_SHADOW, head.end())
-    if end < 0:
-        return None
-    try:
-        # in a list, the manifest nests as deep as in the whole document; a
-        # match of _SHADOW inside the manifest leaves an unclosed prefix,
-        # and text that is not one value does not unpack
-        manifest, = json.loads("[%s]" % data[head.end():end].decode("ascii"))
-    except (ValueError, RecursionError):
-        return None
-    corners, middle, tiles = _grammar(degree, MATCH)
-    spans = _match_spans(corners, data, end + len(_SHADOW))
-    mid = spans and middle.match(data, spans[-1][1])
-    spans = mid and _match_spans(tiles, data, mid.end())
-    if not spans or data[spans[-1][1]:] != _END:
-        return None
-    keys = np.array([n.encode() for n in prototile_ids(d)[0]])
-    order = np.argsort(keys)
-    keys = keys[order]
-    # the matches are joined by ",\n", as the records inside one are, so a
-    # run of them is read as one block; all but the last hold MATCH records
-    group = max(1, CHUNK // MATCH)
-    parts = []
-    for k in range(0, len(spans), group):
-        a, b = spans[k][0], spans[min(k + group, len(spans)) - 1][1]
-        part = _read_tiles(np.frombuffer(data, np.uint8, b - a, a), degree,
-                           keys, order)
-        if part is None:
-            return None
-        parts.append(part)
-    return (d, manifest) + tuple(np.concatenate(c) for c in zip(*parts))
+    return (d, manifest) + columns
 
 
 def _int64(values, what):
@@ -446,16 +528,22 @@ def import_patch(path):
     """(patch, manifest) from a patch file; exact data only is trusted.
 
     A file in the layout `export_patch` writes is read by
-    `_canonical_columns`, any other JSON by `_json_columns`; both hand
-    their columns to the same value checks.  Every malformed or unreadable
-    file raises SchemaError.
+    `_canonical_columns` a block at a time; any other JSON is read again
+    from its start, whole, by `_json_columns`.  Both hand their columns to
+    the same value checks.  Every malformed or unreadable file raises
+    SchemaError.
     """
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            # the json reader reads the file again from its start, which a
+            # pipe cannot do: a pipe is read whole first
+            src = fh if fh.seekable() else io.BytesIO(fh.read())
+            columns = _canonical_columns(src)
+            if columns is None:
+                src.seek(0)
+                data = src.read()
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from None
-    columns = _canonical_columns(data)
     if columns is None:
         try:
             text = data.decode("utf-8")

@@ -18,8 +18,16 @@ def _fmt(x, precision=9):
     return s if s not in ("-0", "") else "0"
 
 
+#: polygons per block of text that `Canvas.write` formats at a time
+CHUNK = 2048
+
+
 class Canvas:
-    """Minimal SVG 1.1 string builder (y axis flipped to mathematical)."""
+    """Minimal SVG 1.1 writer (y axis flipped to mathematical).
+
+    Each part is a line of SVG text or, from `polygons`, a float array of
+    polygons with their fills and style, which `write` formats CHUNK
+    polygons at a time."""
 
     def __init__(self, precision=9):
         self.parts = []
@@ -38,25 +46,31 @@ class Canvas:
         self.polygons(np.array([pts], dtype=complex), [fill], stroke, width)
 
     def polygons(self, pts, fills, stroke="#000", width=0.01):
-        """One polygon per row of the complex array pts; each distinct
-        coordinate is formatted once."""
-        x, y = pts.real, -pts.imag
-        if x.size:
-            self.min_x = min(self.min_x, x.min())
-            self.max_x = max(self.max_x, x.max())
-            self.min_y = min(self.min_y, y.min())
-            self.max_y = max(self.max_y, y.max())
-        xy = np.stack([x, y], axis=-1).reshape(len(pts), 2 * pts.shape[1])
+        """One polygon per row of the complex array pts, kept as x, y
+        floats until `write`."""
+        if not len(pts):
+            return
+        xy = np.stack([pts.real, -pts.imag], axis=-1).reshape(
+            len(pts), 2 * pts.shape[1])
+        x, y = xy[:, 0::2], xy[:, 1::2]
+        self.min_x = min(self.min_x, x.min())
+        self.max_x = max(self.max_x, x.max())
+        self.min_y = min(self.min_y, y.min())
+        self.max_y = max(self.max_y, y.max())
+        self.parts.append((xy, fills, stroke, _fmt(width)))
+
+    def _polygon_lines(self, xy, fills, stroke, width):
+        """The <polygon> lines of the rows of xy; each distinct coordinate
+        is formatted once."""
         bits, index = np.unique(xy.view(np.int64), return_inverse=True)
         text = np.array([_fmt(v, self.precision)
                          for v in bits.view(np.float64).tolist()],
                         dtype=object)[index.reshape(xy.shape)].tolist()
-        body = " ".join(["%s,%s"] * pts.shape[1])
-        width = _fmt(width)
-        self.parts.extend(f'<polygon points="{body % tuple(row)}" '
-                          f'fill="{fill}" stroke="{stroke}" '
-                          f'stroke-width="{width}" stroke-linejoin="round"/>'
-                          for row, fill in zip(text, fills))
+        body = " ".join(["%s,%s"] * (xy.shape[1] // 2))
+        return "".join([f'<polygon points="{body % tuple(row)}" '
+                        f'fill="{fill}" stroke="{stroke}" '
+                        f'stroke-width="{width}" stroke-linejoin="round"/>\n'
+                        for row, fill in zip(text, fills)])
 
     def polyline(self, pts, stroke="#000", width=0.01):
         body = " ".join(self._pt(z) for z in pts)
@@ -85,10 +99,17 @@ class Canvas:
                 '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
                 f'viewBox="{_fmt(x0)} {_fmt(y0)} {_fmt(w)} {_fmt(h)}" '
                 'width="800" height="800">\n')
-        with open(path, "w") as fh:
+        with open(path, "w", newline="\n") as fh:
             fh.write(head)
-            for p in self.parts:
-                fh.write(p + "\n")
+            for part in self.parts:
+                if isinstance(part, str):
+                    fh.write(part + "\n")
+                    continue
+                xy, fills, stroke, width = part
+                for a in range(0, len(xy), CHUNK):
+                    fh.write(self._polygon_lines(xy[a:a + CHUNK],
+                                                 fills[a:a + CHUNK], stroke,
+                                                 width))
             fh.write("</svg>\n")
 
 
@@ -160,9 +181,11 @@ def render_patch(patch: Patch, path, decorations=False, labels=False,
     cv.polygons(outlines, [palette[n] for n in tile_names], stroke="#222",
                 width=stroke)
     if decorations:
-        for name, pts in zip(tile_names, outlines.tolist()):
-            inner = _decoration_overlay(d, name, pts)
-            cv.polygon(inner, fill="none", stroke="#555", width=stroke * 0.7)
+        inner = np.array([_decoration_overlay(d, name, pts)
+                          for name, pts in zip(tile_names, outlines.tolist())],
+                         dtype=complex)
+        cv.polygons(inner, ["none"] * len(inner), stroke="#555",
+                    width=stroke * 0.7)
     if labels:
         for name, pts in zip(tile_names, outlines.tolist()):
             cv.text(sum(pts) / 3, name, size=abs(pts[1] - pts[0]) * 0.25)

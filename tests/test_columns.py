@@ -1,5 +1,6 @@
 """Column-wise patches against a per-tile Isometry reference."""
 
+import io
 import json
 import math
 import os
@@ -45,7 +46,7 @@ def reference_document(d, tiles, precision=12):
 def read_canonically(text):
     """The patch of an exported file's text, read by the canonical reader,
     whose columns must be the json reader's."""
-    columns = patchio._canonical_columns(text.encode())
+    columns = patchio._canonical_columns(io.BytesIO(text.encode()))
     expect = patchio._json_columns(text)
     assert columns[:2] == expect[:2]
     for got, want in zip(columns[2:], expect[2:]):
@@ -112,13 +113,15 @@ def test_empty_patch_exports_renders_and_verifies(tmp_path):
     assert verify_face_to_face(patch).ok
 
 
-@pytest.mark.parametrize("chunk, match", [(1, 1), (7, 2), (8192, 256)],
-                         ids=["1", "7", "8192"])
+@pytest.mark.parametrize("chunk, match, block", [
+    (1, 1, 1), (7, 2, 7), (8192, 256, patchio.BLOCK), (2048, 256, 1),
+    (2048, 256, 7)], ids=["1", "7", "8192", "2048-block1", "2048-block7"])
 def test_export_in_chunks_is_the_document(tmp_path, monkeypatch, chunk,
-                                          match):
+                                          match, block):
     # translations over several denominators, so a chunk's common
-    # denominator can differ from the patch's; the reader matches `match`
-    # records at a time and reads up to `chunk` at once
+    # denominator can differ from the patch's; the reader reads the file
+    # `block` bytes at a time, matches `match` records at a time and reads
+    # up to `chunk` at once
     f = field_for_order(14)
     tiles = Patch.single(14, "G").inflate(derive_rules(14, 3, 1)).tiles
     patch = Patch(14, [Tile(t.name, Isometry(t.iso.r, t.iso.t
@@ -127,6 +130,7 @@ def test_export_in_chunks_is_the_document(tmp_path, monkeypatch, chunk,
     assert patch.columns[3] == 60
     monkeypatch.setattr(patchio, "CHUNK", chunk)
     monkeypatch.setattr(patchio, "MATCH", match)
+    monkeypatch.setattr(patchio, "BLOCK", block)
     export_patch(patch, tmp_path / "p.json", manifest={"n": 2})
     doc = patch_document(patch, manifest={"n": 2})
     text = (tmp_path / "p.json").read_text()

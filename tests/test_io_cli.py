@@ -10,6 +10,7 @@ import re
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -102,6 +103,37 @@ def test_svg_outputs(tmp_path):
     assert ET.parse(tmp_path / "arr.svg")
     svg.render_prototile_sheet(14, tmp_path / "sheet.svg")
     assert ET.parse(tmp_path / "sheet.svg")
+
+
+#: sha256 of the render of `build()` with decorations, labels and two
+#: highlighted edges, as written before polygons were formatted in blocks
+RENDER_DIGEST = ("4a8d53cd88d3bd05bab4209a3aa5b682"
+                 "14beb50be6731d587fb449941c930be4")
+
+
+@pytest.mark.parametrize("chunk", [1, 7, svg.CHUNK])
+def test_render_in_blocks_is_unchanged(tmp_path, monkeypatch, chunk):
+    patch = build()
+    z = patch.corner_values()
+    monkeypatch.setattr(svg, "CHUNK", chunk)
+    out = tmp_path / "p.svg"
+    svg.render_patch(patch, out, decorations=True, labels=True,
+                     highlight_edges=[(z[0, 0], z[0, 1]), (z[5, 1], z[5, 2])])
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == RENDER_DIGEST
+
+
+def test_files_are_written_with_unix_newlines(tmp_path):
+    # text mode writes os.linesep in place of "\n" unless newline is given
+    with mock.patch("builtins.open", wraps=open) as spy:
+        patchio.export_patch(build(n=1), tmp_path / "p.json")
+        svg.render_patch(build(n=1), tmp_path / "p.svg")
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(["prototiles", "--d", "8", "--out", str(tmp_path)])
+    writes = [c for c in spy.call_args_list
+              if "w" in (c.args[1:2] or (c.kwargs.get("mode", "r"),))[0]]
+    assert {Path(c.args[0]).suffix for c in writes} == {".json", ".svg",
+                                                        ".txt"}
+    assert all(c.kwargs.get("newline") == "\n" for c in writes)
 
 
 def test_cli_tile_and_verify(tmp_path, capsys):

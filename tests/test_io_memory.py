@@ -1,0 +1,52 @@
+"""Patch import and SVG rendering hold a block of the file at a time, not
+the file: their traced memory peaks stay below the file's size."""
+
+import tracemalloc
+
+import pytest
+
+from deltiling import patchio, svg
+from deltiling.substitution import Patch, derive_rules
+
+
+@pytest.fixture(scope="module")
+def big(tmp_path_factory):
+    """(patch, path): the 45,070-tile (14, G, (3,+)(3,-)(3,+)(3,-)(3,+))
+    patch and its exported file, with the caches that importing and
+    rendering a patch of d = 14 fill already filled."""
+    patch = Patch.single(14, "G")
+    for k in range(5):
+        patch = patch.inflate(derive_rules(14, 3, (-1) ** k))
+    assert len(patch) == 45_070
+    path = tmp_path_factory.mktemp("big") / "p.json"
+    patchio.export_patch(patch, path)
+    small = Patch.single(14, "G")
+    patchio.export_patch(small, path.with_name("small.json"))
+    patchio.import_patch(path.with_name("small.json"))
+    svg.render_patch(small, path.with_name("small.svg"))
+    return patch, path
+
+
+def traced_peak(fn, *args):
+    """The peak of the memory traced while fn(*args) runs, in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_import_peak_stays_below_the_file_size(big):
+    # the parent read the whole file and copied its columns: 41 MiB traced
+    # for a 20 MiB file
+    _, path = big
+    assert traced_peak(patchio.import_patch, path) < path.stat().st_size
+
+
+def test_render_peak_stays_below_one_and_a_half_svg_sizes(big):
+    # the parent held every polygon's text: 24 MiB traced for 7.3 MiB
+    patch, path = big
+    out = path.with_name("p.svg")
+    peak = traced_peak(svg.render_patch, patch, out)
+    assert peak < 1.5 * out.stat().st_size

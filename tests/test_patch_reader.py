@@ -4,7 +4,9 @@ that export_patch writes, and the json reader for every other file."""
 import contextlib
 import io
 import json
+import os
 import re
+import threading
 from functools import lru_cache
 from unittest import mock
 
@@ -38,6 +40,11 @@ def small_document():
     return patchio.patch_document(small_patch(), {"p": 3, "n": [1, None]})
 
 
+def canonical_columns(data):
+    """The canonical reader's columns of the bytes data."""
+    return patchio._canonical_columns(io.BytesIO(data))
+
+
 def same_columns(a, b):
     """d, manifest and every column with its dtype are equal."""
     return (a[0] == b[0] and json.dumps(a[1]) == json.dumps(b[1])
@@ -52,7 +59,7 @@ def same_patch(a, b):
 
 def test_exported_file_is_read_canonically():
     data = canonical_text(small_document()).encode()
-    columns = patchio._canonical_columns(data)
+    columns = canonical_columns(data)
     assert columns is not None
     assert same_columns(columns, patchio._json_columns(data.decode()))
     assert columns[4].tolist() == [1 + k % 5 for k in range(9)]
@@ -95,10 +102,17 @@ def with_coefficient(manifest):
 
 @pytest.mark.parametrize("case", [
     "reversed-keys", "extra-keys", "escaped-name", "compact",
-    "coefficient-2^61", "nan-shadow", "empty-tiles"])
+    "coefficient-2^61", "nan-shadow", "empty-tiles", "short-shadow",
+    "long-shadow"])
 def test_non_canonical_files_import_to_the_same_patch(tmp_path, case):
     doc, patch = small_document(), small_patch()
-    if case == "reversed-keys":
+    corners = doc["shadow"]["corners"]
+    if case in ("short-shadow", "long-shadow"):
+        # the canonical reader sizes its columns by the corner triples
+        doc["shadow"]["corners"] = (corners[:-1] if case == "short-shadow"
+                                    else corners + corners[:1])
+        text = canonical_text(doc)
+    elif case == "reversed-keys":
         text = reversed_keys(canonical_text(doc))
     elif case == "extra-keys":
         text = with_extra_keys(doc)
@@ -117,7 +131,7 @@ def test_non_canonical_files_import_to_the_same_patch(tmp_path, case):
         text = canonical_text(patchio.patch_document(patch, doc["manifest"]))
     path = tmp_path / "p.json"
     path.write_text(text)
-    assert patchio._canonical_columns(text.encode()) is None
+    assert canonical_columns(text.encode()) is None
     loaded, manifest = patchio.import_patch(path)
     assert same_patch(loaded, patch)
     assert manifest == doc["manifest"]
@@ -164,7 +178,7 @@ def test_canonical_layout_still_checks_values(tmp_path, edits):
     for edit in edits:
         edit(doc)
     text = canonical_text(doc)
-    assert patchio._canonical_columns(text.encode()) is not None
+    assert canonical_columns(text.encode()) is not None
     path = tmp_path / "p.json"
     path.write_text(text)
     with pytest.raises(patchio.SchemaError):
@@ -181,7 +195,7 @@ def test_canonical_layout_still_checks_values(tmp_path, edits):
         "double-minus"])
 def test_canonical_reader_rejects_what_json_rejects(tmp_path, edit):
     text = edit(canonical_text(small_document()))
-    assert patchio._canonical_columns(text.encode()) is None
+    assert canonical_columns(text.encode()) is None
     path = tmp_path / "p.json"
     path.write_text(text)
     with pytest.raises(patchio.SchemaError, match="not valid JSON"):
@@ -220,7 +234,7 @@ def import_result(path, text):
 @pytest.mark.parametrize("field", sorted(INT_FIELDS))
 def test_leading_zeros_are_rejected_in_every_field(tmp_path, field, text):
     data = with_integer_text(field, text)
-    assert patchio._canonical_columns(data.encode()) is None
+    assert canonical_columns(data.encode()) is None
     path = tmp_path / "p.json"
     path.write_text(data)
     with pytest.raises(patchio.SchemaError, match="not valid JSON"):
@@ -231,7 +245,7 @@ def test_leading_zeros_are_rejected_in_every_field(tmp_path, field, text):
 @pytest.mark.parametrize("field", sorted(INT_FIELDS))
 def test_integers_up_to_18_digits_are_read_canonically(field, text):
     data = with_integer_text(field, text).encode()
-    columns = patchio._canonical_columns(data)
+    columns = canonical_columns(data)
     assert columns is not None
     assert same_columns(columns, patchio._json_columns(data.decode()))
 
@@ -241,10 +255,63 @@ def test_integers_up_to_18_digits_are_read_canonically(field, text):
 def test_integers_of_19_digits_go_to_the_json_reader(tmp_path, field, text):
     # the same result as the compact layout, which only json reads
     data = with_integer_text(field, text)
-    assert patchio._canonical_columns(data.encode()) is None
+    assert canonical_columns(data.encode()) is None
     compact = json.dumps(json.loads(data), separators=(",", ":"))
     assert import_result(tmp_path / "a.json", data) == \
         import_result(tmp_path / "b.json", compact)
+
+
+def cut(text, where):
+    """text cut in the middle of the shadow corners, in the middle of the
+    first tile record, or right after the ",\\n" that ends it."""
+    tiles = text.index('"tiles": [')
+    if where == "mid-corner":
+        at = (text.index('"corners": [') + text.index('"precision"')) // 2
+    elif where == "mid-record":
+        at = text.index('"num"', tiles) + 20
+    else:
+        at = text.index("  },\n", tiles) + len("  },\n")
+    return text[:at]
+
+
+@pytest.mark.parametrize("block", [7, patchio.BLOCK])
+@pytest.mark.parametrize("where", ["mid-corner", "mid-record", "after-comma"])
+def test_cut_files_are_rejected(tmp_path, capsys, monkeypatch, where, block):
+    monkeypatch.setattr(patchio, "BLOCK", block)
+    text = cut(canonical_text(small_document()), where)
+    assert canonical_columns(text.encode()) is None
+    path = tmp_path / "cut.json"
+    path.write_text(text)
+    with pytest.raises(patchio.SchemaError, match="not valid JSON"):
+        patchio.import_patch(path)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: SchemaError" in err and "Traceback" not in err
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize("layout", ["canonical", "compact"])
+def test_a_pipe_is_read_in_either_layout(tmp_path, layout):
+    # a pipe cannot be read again from its start, as the json reader reads
+    # a file that leaves the canonical layout
+    doc = small_document()
+    text = (canonical_text(doc) if layout == "canonical"
+            else json.dumps(doc, separators=(",", ":")))
+    fifo = tmp_path / "p.fifo"
+    os.mkfifo(fifo)
+
+    def write():
+        with open(fifo, "w") as fh:
+            fh.write(text)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    patch, manifest = patchio.import_patch(fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert same_patch(patch, small_patch()) and manifest == doc["manifest"]
 
 
 # ---- fuzz: mutated files ----
@@ -253,7 +320,7 @@ def check_readers(path, data):
     """The canonical reader gives None or the json reader's columns;
     import_patch raises only SchemaError; `deltiling verify` exits 0, 1
     or 2 without an exception escaping."""
-    canonical = patchio._canonical_columns(data)
+    canonical = canonical_columns(data)
     if canonical is not None:
         assert same_columns(canonical, patchio._json_columns(data.decode()))
     path.write_bytes(data)
@@ -321,7 +388,7 @@ def test_byte_mutations_across_matches(tmp_path_factory, edits):
     # five matches, read in three groups, so most edits land past the first
     data = canonical_text(small_document()).encode()
     with mock.patch.multiple(patchio, MATCH=2, CHUNK=5):
-        assert same_columns(patchio._canonical_columns(data),
+        assert same_columns(canonical_columns(data),
                             patchio._json_columns(data.decode()))
         check_readers(tmp_path_factory.mktemp("fuzz") / "p.json",
                       apply_byte_edits(data, edits))
