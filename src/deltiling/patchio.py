@@ -20,11 +20,12 @@ them to the same value checks.  The patterns check the layout, the
 header integers and the shadow numbers; the tile integers match a sign
 and 1 to 18 digits, and the numpy pass that parses them rejects leading
 zeros, the rest of the JSON integer grammar.  The canonical reader reads
-the file BLOCK bytes at a time and keeps only the bytes it has not
-matched yet, so it holds a block of the file and the columns, not the
-file.  The patterns match MATCH records at a time, which bounds the match
-state `re` keeps; numpy reads up to CHUNK records at a time.  A file that
-leaves the layout is read again, whole, by `json`.
+the header's lines, at most _LINE bytes each, then the file BLOCK bytes
+at a time, and keeps only the bytes it has not matched yet, so it holds a
+block of the file and the columns, not the file.  The patterns match
+MATCH records at a time, which bounds the match state `re` keeps; numpy
+reads up to CHUNK records at a time.  A file that leaves the layout is
+read again, whole, by `json`.
 """
 
 from __future__ import annotations
@@ -238,6 +239,11 @@ MATCH = 256
 #: bytes per read of a patch file
 BLOCK = 1 << 16
 
+#: bytes read of each of the header's first lines: more than the longest
+#: line `_HEADER` matches, so a file in another layout is left after a few
+#: hundred bytes
+_LINE = 64
+
 #: line ends in one shadow corner triple and the ",\n" after it
 _CORNER_LINES = 14
 
@@ -247,28 +253,50 @@ class _Off(Exception):
 
 
 class _Blocks:
-    """The unconsumed bytes buf[pos:] of a binary file, read BLOCK bytes
-    at a time; a read drops the consumed bytes."""
+    """The unconsumed bytes buf[pos:] of a binary file, after the bytes
+    `head` that were read from it, and the number of line ends in them."""
 
-    def __init__(self, fh):
-        self.fh, self.buf, self.pos, self.ends = fh, b"", 0, 0
-
-    def read(self):
-        """Append one block (b"" at the end of the file); _Off on a byte
-        that is not ASCII."""
-        block = self.fh.read(BLOCK)
-        if not block.isascii():
+    def __init__(self, fh, head):
+        if not head.isascii():
             raise _Off
-        if block:
-            self.buf = self.buf[self.pos:] + block
-            self.pos = 0
+        self.fh, self.buf, self.pos = fh, head, 0
+        self.ends = head.count(b"\n")
+
+    def read(self, n=0):
+        """Read BLOCK bytes at a time until buf[pos:] holds n line ends
+        and more than twice its bytes, or the rest of the file; False if
+        the file had no bytes left.  The blocks are joined once to the
+        unconsumed bytes, which drops the consumed ones; the doubling
+        bounds the copies of each byte when reads repeat with pos in
+        place.  _Off on a byte that is not ASCII."""
+        blocks = [self.buf[self.pos:]]
+        size = len(blocks[0])
+        want = 2 * size + 1
+        while (size < want or self.ends < n) and (
+                block := self.fh.read(BLOCK)):
+            if not block.isascii():
+                raise _Off
+            blocks.append(block)
+            size += len(block)
             self.ends += block.count(b"\n")
-        return block
+        self.buf, self.pos = b"".join(blocks), 0
+        return len(blocks) > 1
 
     def lines(self, n):
         """Read until buf[pos:] holds n line ends or the rest of the file."""
-        while self.ends < n and self.read():
-            pass
+        if self.ends < n:
+            self.read(n)
+
+    def find(self, marker):
+        """The index in buf of the first marker in buf[pos:], read until
+        there is one; _Off if the file ends first."""
+        at = self.pos
+        while (end := self.buf.find(marker, at)) < 0:
+            # the read moves buf[pos:] to the start of buf
+            at = max(self.pos, len(self.buf) - len(marker) + 1) - self.pos
+            if not self.read():
+                raise _Off
+        return end
 
     def skip(self, end):
         """Consume buf[pos:end]; the number of line ends in it."""
@@ -365,24 +393,25 @@ def _canonical_columns(fh):
     that `export_patch` writes, read from the binary file object fh, or
     None for any other bytes.
 
-    The file is read BLOCK bytes at a time, and only the bytes not yet
-    matched are kept.  The layout is checked by patterns, MATCH records at
-    a time.  No piece of a pattern reads past the end of its line, so a
-    match on a buffer that holds MATCH whole records of lines past the
-    match start, or the rest of the file, is the match on the whole file.
-    The values are read from the matched bytes in one array pass per run
-    of matches of at most CHUNK records (of one match if MATCH > CHUNK),
-    which also checks the one rule of the JSON integer grammar that the
-    tile pattern leaves out: no leading zero.  Each run is written into
-    columns sized by the number of shadow corner triples; a file whose
-    shadow does not hold one triple per tile record goes to the json
-    reader.  The shadow corners are checked against the JSON number
-    grammar but not decoded.  Every accepted file is valid JSON that
-    `_json_columns` reads to the same columns; ids, r, den and num are
-    int16, int64, int64 and an int64 N x degree array, r as written."""
-    src = _Blocks(fh)
+    The header's six lines are read at most _LINE bytes each, so a file
+    in another layout is left after a few hundred bytes; the rest is read
+    BLOCK bytes at a time, and only the bytes not yet matched are kept.
+    The layout is checked by patterns, MATCH records at a time.  No piece
+    of a pattern reads past the end of its line, so a match on a buffer
+    that holds MATCH whole records of lines past the match start, or the
+    rest of the file, is the match on the whole file.  The values are
+    read from the matched bytes in one array pass per run of matches of at
+    most CHUNK records (of one match if MATCH > CHUNK), which also checks
+    the one rule of the JSON integer grammar that the tile pattern leaves
+    out: no leading zero.  Each run is written into columns sized by the
+    number of shadow corner triples; a file whose shadow does not hold one
+    triple per tile record goes to the json reader.  The shadow corners
+    are checked against the JSON number grammar but not decoded.  Every
+    accepted file is valid JSON that `_json_columns` reads to the same
+    columns; ids, r, den and num are int16, int64, int64 and an int64
+    N x degree array, r as written."""
     try:
-        src.lines(6)  # the header's lines
+        src = _Blocks(fh, b"".join([fh.readline(_LINE) for _ in range(6)]))
         head = _match(_HEADER, src)
         d, degree, order = map(int, head.groups())
         try:
@@ -390,11 +419,7 @@ def _canonical_columns(fh):
         except SchemaError:
             raise _Off from None
         src.skip(head.end())
-        at = 0
-        while (end := src.buf.find(_SHADOW, src.pos + at)) < 0:
-            at = max(0, len(src.buf) - src.pos - len(_SHADOW) + 1)
-            if not src.read():
-                raise _Off
+        end = src.find(_SHADOW)
         try:
             # in a list, the manifest nests as deep as in the whole
             # document; a match of _SHADOW inside the manifest leaves an

@@ -291,6 +291,34 @@ def test_cut_files_are_rejected(tmp_path, capsys, monkeypatch, where, block):
     assert "error: SchemaError" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("layout", ["canonical", "no-shadow", "compact"])
+def test_reads_copy_each_byte_a_bounded_number_of_times(monkeypatch, layout):
+    # each read joins its blocks to the unconsumed bytes once, and a read
+    # with no bytes consumed since the last one at least doubles them: a
+    # buffer regrown per 7-byte block copies this file 125 to 275 times
+    doc = small_document()
+    if layout == "no-shadow":
+        del doc["shadow"]
+    data = (json.dumps(doc, separators=(",", ":")) if layout == "compact"
+            else canonical_text(doc)).encode()
+    monkeypatch.setattr(patchio, "BLOCK", 7)
+    held = []
+    read = patchio._Blocks.read
+
+    def counted(self, *args):
+        more = read(self, *args)
+        held.append(len(self.buf))
+        return more
+
+    monkeypatch.setattr(patchio._Blocks, "read", counted)
+    fh = io.BytesIO(data)
+    assert (patchio._canonical_columns(fh) is None) == (layout != "canonical")
+    assert sum(held) <= 4 * len(data)
+    if layout == "compact":
+        # the header's lines are read at most _LINE bytes each
+        assert fh.tell() <= 6 * patchio._LINE
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
 @pytest.mark.parametrize("layout", ["canonical", "compact"])
 def test_a_pipe_is_read_in_either_layout(tmp_path, layout):
@@ -390,6 +418,17 @@ def test_byte_mutations_across_matches(tmp_path_factory, edits):
     with mock.patch.multiple(patchio, MATCH=2, CHUNK=5):
         assert same_columns(canonical_columns(data),
                             patchio._json_columns(data.decode()))
+        check_readers(tmp_path_factory.mktemp("fuzz") / "p.json",
+                      apply_byte_edits(data, edits))
+
+
+@FUZZ
+@given(BYTE_EDITS)
+def test_byte_mutations_across_blocks(tmp_path_factory, edits):
+    # 7-byte blocks: the reader matches on a buffer that ends inside a
+    # record or a number wherever an edit lands
+    data = canonical_text(small_document()).encode()
+    with mock.patch.multiple(patchio, BLOCK=7, MATCH=2, CHUNK=5):
         check_readers(tmp_path_factory.mktemp("fuzz") / "p.json",
                       apply_byte_edits(data, edits))
 
