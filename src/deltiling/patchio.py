@@ -40,7 +40,8 @@ from functools import lru_cache
 import numpy as np
 
 from .field import MAX_ORDER, conductor, field_for_order
-from .substitution import INT64_SAFE, Patch, max_abs, prototile_ids
+from .substitution import (INT64_SAFE, Patch, _int_dtype, max_abs,
+                           prototile_ids)
 
 FORMAT = "deltoid-patch"
 VERSION = 1
@@ -56,11 +57,11 @@ def _is_int(x):
 
 def _tile_columns(patch):
     """(ids, r, nums, dens) per tile as int arrays, each translation
-    normalised on its own."""
+    normalised on its own (in int64 when den > 1)."""
     ids, r, t, den = patch.columns
     dens = np.full(len(ids), den, dtype=np.int64)
     if den != 1:
-        g = np.gcd(np.gcd.reduce(t, axis=1), den)
+        g = np.gcd(np.gcd.reduce(t, axis=1).astype(np.int64), den)
         t, dens = t // g[:, None], dens // g
     return ids, r, t, dens
 
@@ -71,7 +72,8 @@ def _values(x):
     most x.size, else the distinct ones (by a sort)."""
     lo, hi = int(x.min()), int(x.max())
     if hi - lo <= x.size:
-        return list(range(lo, hi + 1)), x - lo
+        # x - lo can leave a narrow x's dtype
+        return list(range(lo, hi + 1)), np.subtract(x, lo, dtype=np.intp)
     values, index = np.unique(x, return_inverse=True)
     return values.tolist(), index.reshape(x.shape)
 
@@ -298,17 +300,19 @@ class _Blocks:
                 raise _Off
         return end
 
-    def skip(self, end):
-        """Consume buf[pos:end]; the number of line ends in it."""
-        k = self.buf.count(b"\n", self.pos, end)
+    def skip(self, end, k=None):
+        """Consume buf[pos:end], which holds k line ends (counted when k
+        is None); the number of line ends in it."""
+        if k is None:
+            k = self.buf.count(b"\n", self.pos, end)
         self.ends -= k
         self.pos = end
         return k
 
 
-def _match(pattern, src):
-    """The match of pattern at src.pos; _Off if there is none."""
-    m = pattern.match(src.buf, src.pos)
+def _match(pattern, src, at=None):
+    """The match of pattern at src.pos (or at); _Off if there is none."""
+    m = pattern.match(src.buf, src.pos if at is None else at)
     if m is None:
         raise _Off
     return m
@@ -408,8 +412,9 @@ def _canonical_columns(fh):
     triple per tile record goes to the json reader.  The shadow corners
     are checked against the JSON number grammar but not decoded.  Every
     accepted file is valid JSON that `_json_columns` reads to the same
-    columns; ids, r, den and num are int16, int64, int64 and an int64
-    N x degree array, r as written."""
+    columns; ids, r and den are int16, int64 and int64, r as written, and
+    num is an N x degree array in the narrowest dtype that holds it,
+    joined from the runs (`_join`)."""
     try:
         src = _Blocks(fh, b"".join([fh.readline(_LINE) for _ in range(6)]))
         head = _match(_HEADER, src)
@@ -444,8 +449,8 @@ def _canonical_columns(fh):
         order = np.argsort(keys)
         keys = keys[order]
         columns = (np.empty(count, np.int16), np.empty(count, np.int64),
-                   np.empty(count, np.int64),
-                   np.empty((count, degree), np.int64))
+                   np.empty(count, np.int64))
+        nums = []
         # the matches are joined by ",\n", as the records inside one are,
         # so a run of them is read as one block; all but the last hold
         # MATCH records
@@ -453,19 +458,23 @@ def _canonical_columns(fh):
         done, more = 0, True
         while more:
             src.lines(group * MATCH * (9 + degree))
-            start = src.pos
+            start = at = src.pos
             for _ in range(group):
-                end = _match(tiles, src).end()
+                end = _match(tiles, src, at).end()
                 more = src.buf.startswith(b",\n", end)
-                src.skip(end + 2 if more else end)
+                at = end + 2 if more else end
                 if not more:
                     break
             part = _read_tiles(np.frombuffer(src.buf, np.uint8, end - start,
                                              start), degree, keys, order)
             if part is None or done + len(part[0]) > count:
                 raise _Off
+            # a run of records is 9 + degree lines each, so its line ends
+            # are known without counting them again
+            src.skip(at, len(part[0]) * (9 + degree) - (not more))
             for column, values in zip(columns, part):
                 column[done:done + len(values)] = values
+            nums.append(part[3])
             done += len(part[0])
         # one line end more than _END holds: a buffer equal to _END is the
         # rest of the file
@@ -474,7 +483,15 @@ def _canonical_columns(fh):
             raise _Off
     except _Off:
         return None
-    return (d, manifest) + columns
+    return (d, manifest) + columns + (_join(nums, degree),)
+
+
+def _join(parts, degree):
+    """The rows of the integer arrays parts, stacked into one array of
+    the narrowest dtype that holds them.  Each part is narrowed first, so
+    no int64 array of all the rows is made."""
+    parts = [p.astype(_int_dtype(max_abs(p)), copy=False) for p in parts]
+    return np.concatenate(parts) if parts else np.zeros((0, degree), np.int8)
 
 
 def _int64(values, what):
@@ -519,10 +536,12 @@ def _json_columns(text):
         raise SchemaError(f"numerators must be lists of {f.degree} integers")
     _, index = prototile_ids(d)
     ids = [index.get(x, -1) if type(x) is str else -1 for x in names]
-    num = _int64(list(itertools.chain.from_iterable(num)), "coefficients")
+    num = _join([_int64(list(itertools.chain.from_iterable(num[a:a + CHUNK])),
+                        "coefficients").reshape(-1, f.degree)
+                 for a in range(0, len(num), CHUNK)], f.degree)
     return (d, doc.get("manifest", {}), np.array(ids, dtype=np.int16),
             _int64(r, "rotation exponents"), _int64(den, "denominators"),
-            num.reshape(len(records), f.degree))
+            num)
 
 
 def _patch(d, ids, r, den, num):
@@ -540,11 +559,13 @@ def _patch(d, ids, r, den, num):
         raise SchemaError("coefficients and denominators must be below 2**62")
     if common > 1:
         scale = common // den
-        if (np.abs(num).max(axis=1, initial=0)
-                > (INT64_SAFE - 1) // scale).any():
+        # |num| < 2**62: np.abs cannot wrap, and top * scale fits int64
+        top = np.abs(num).max(axis=1, initial=0)
+        if (top > (INT64_SAFE - 1) // scale).any():
             raise SchemaError("coefficients over the common denominator "
                               "must be below 2**62")
-        num = num * scale[:, None]
+        num = np.multiply(num, scale[:, None], dtype=_int_dtype(
+            int((top * scale).max(initial=0))))
     r = (r % conductor(d)).astype(np.int32)
     return Patch.from_columns(d, ids, r, num, common)
 

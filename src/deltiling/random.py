@@ -37,9 +37,9 @@ from .substitution import (SHIFTS, Isometry, Patch, RuleSet, Tile,
                            derive_rules, derive_edge_words, letter_table,
                            match_triangles, max_abs, mir, project,
                            prototile_ids, row_ids, tile_edges, _congruent,
-                           _corner_rows, _face_placements, _field_tables,
-                           _guard, _inflate, _over, _rule_starts, _rule_table,
-                           _turn)
+                           _corner_ids, _corner_rows, _face_placements,
+                           _field_tables, _guard, _inflate, _over,
+                           _rule_starts, _rule_table, _turn)
 
 
 # -- the inscribed polygon ----------------------------------------------
@@ -251,8 +251,11 @@ def _write_flip(d, ids, r, t, den, i, j, flip):
     """Overwrite tiles i and j of the columns with the flip's replacements,
     placed by tile i's isometry: (r_i + r_k, zeta^r_i t_k + t_i).
 
-    t (int64) is rescaled in place when the common denominator grows;
-    returns that denominator.
+    t must be an int64 copy of the translation rows, which a Patch stores
+    narrow: the rows are rescaled and written in place, in int64, behind
+    the guard, and the Patch made of them narrows them again.  Returns
+    the common denominator, which grows when the flip's does not divide
+    den.
     """
     L = math.lcm(den, flip.den)
     s1, s2 = L // den, L // flip.den
@@ -334,8 +337,7 @@ def find_flippable(patch: Patch, edge_class=None, diag_class=None):
     come in the order of their first tile edge; their replacements are
     composed only when read.
     """
-    rows, _ = patch.corner_rows()
-    return _flip_sites(patch, row_ids(rows)[0], edge_class, diag_class)
+    return _flip_sites(patch, _corner_ids(patch)[0], edge_class, diag_class)
 
 
 def _flip_sites(patch, pid, edge_class=None, diag_class=None):

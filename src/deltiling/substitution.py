@@ -141,11 +141,12 @@ def _turn(f, x, k):
 
 
 def _over(rows, den, L):
-    """Integer rows over den, rewritten over its multiple L."""
+    """Integer rows over den, rewritten over its multiple L (int64 once
+    rescaled: the rows may be stored narrow)."""
     if L == den:
         return rows
     _guard(max_abs(rows) * (L // den), "common denominator")
-    return rows * (L // den)
+    return _scaled(rows, L // den, np.int64)
 
 
 # -- prototile geometry in the order-d field ----------------------------
@@ -539,6 +540,13 @@ def _int_dtype(bound):
     return np.int64
 
 
+def _scaled(x, s, dt):
+    """x * s, computed in dt: the caller's bound on the product proves that
+    dt holds it and every x (x itself when s = 1).  numpy wraps narrow
+    integer products silently, so no rescaling is done in x's dtype."""
+    return x if s == 1 else np.multiply(x, s, dtype=dt)
+
+
 def _rotated(f, rows):
     """out[i, k] = row of zeta^k * (element with row rows[i]), for all k."""
     R = f.rotations
@@ -618,20 +626,39 @@ def row_ids(rows):
     index of the first row with id i.  Ids number the distinct rows in the
     byte order of their narrowest-dtype form, as `np.unique` numbers the
     rows viewed as bytes.  The key leaves out the columns that are zero
-    in every row, which change no comparison; its bytes, zero-padded to
-    whole 8-byte words read big-endian, compare as unsigned integers in
-    that byte order.  One argsort (a lexsort for keys of several words)
-    orders the keys, and sorted neighbours are compared a block at a
-    time, so no sorted copy of the keys is made.
+    in every row, which change no comparison (see `_block_ids`).
     """
     flat = rows.reshape(-1, rows.shape[-1])
-    used = np.flatnonzero(flat.any(axis=0))
-    dt = np.dtype(_int_dtype(max_abs(flat)))
-    key = np.zeros((len(flat), -(-max(len(used), 1) * dt.itemsize // 8)),
+    ids, first = _block_ids(len(flat), np.flatnonzero(flat.any(axis=0)),
+                            _int_dtype(max_abs(flat)),
+                            lambda s: flat[s:s + _ROW_BLOCK])
+    return ids.reshape(rows.shape[:-1]), first
+
+
+def _block_ids(n, used, dt, block):
+    """`row_ids` of n rows, read as blocks: block(s) is rows s, s + 1, ...
+    (at least one of them, at most the rest).
+
+    The key of a row is its columns `used` (a superset of the columns
+    that are nonzero in some row) in dtype dt (which holds every
+    coefficient); its bytes, zero-padded to whole 8-byte words read
+    big-endian, compare as unsigned integers.  That order is the byte
+    order of the rows in their narrowest dtype: a column that is zero in
+    every row adds equal bytes to every key, and a two's complement field
+    compares as unsigned in the same order at every width that holds it.
+    One argsort (a lexsort for keys of several words) orders the keys,
+    and sorted neighbours are compared a block at a time, so no sorted
+    copy of the keys is made, and the rows are never held whole.
+    """
+    dt = np.dtype(dt)
+    key = np.zeros((n, -(-max(len(used), 1) * dt.itemsize // 8)),
                    dtype=">u8")
     cols = key.view(dt)[:, :len(used)]
-    for s in range(0, len(flat), _ROW_BLOCK):
-        cols[s:s + _ROW_BLOCK] = flat[s:s + _ROW_BLOCK, used]
+    s = 0
+    while s < n:
+        rows = block(s)[:, used]
+        cols[s:s + len(rows)] = rows
+        s += len(rows)
     key = key.byteswap(inplace=True).view(key.dtype.newbyteorder())
     order = (np.argsort(key[:, 0]) if key.shape[1] == 1
              else np.lexsort(key.T[::-1]))
@@ -646,7 +673,31 @@ def row_ids(rows):
     # the argsort need not be stable: take each run's smallest index
     first = (np.minimum.reduceat(order, np.flatnonzero(new)) if len(order)
              else order)
-    return ids.reshape(rows.shape[:-1]), first
+    return ids, first
+
+
+def _corner_ids(patch):
+    """`row_ids(patch.corner_rows()[0])`, the corner ids (N x 3) and the
+    flat index (3 k + j) of each id's first corner.
+
+    The keys are filled from the corner rows of `_ROW_BLOCK` // 3 tiles
+    at a time, so the N x 3 x D corner matrix is never held beside them.
+    They take the columns that a table row the tiles use or a translation
+    row has nonzero, in the dtype of the corner rows' bound, which give
+    the ids of `row_ids` (see `_block_ids`).
+    """
+    ids, r, t, _ = patch.columns
+    table, _, _, _, dt = patch._corner_frame()
+    P, n, _, D = table.shape
+    taken = np.bincount(ids.astype(np.intp) * n + r, minlength=P * n) > 0
+    used = np.flatnonzero(table[np.divmod(np.flatnonzero(taken), n)]
+                          .any(axis=(0, 1)) | t.any(axis=0))
+    tiles = max(1, _ROW_BLOCK // 3)
+    pid, first = _block_ids(
+        3 * len(patch), used, dt,
+        lambda s: patch.corner_rows(slice(s // 3, s // 3 + tiles))[0]
+        .reshape(-1, D))
+    return pid.reshape(len(patch), 3), first
 
 
 class Patch:
@@ -654,17 +705,21 @@ class Patch:
 
     Tile k is prototile `names[ids[k]]` placed by w -> zeta^r[k] w +
     t[k] / den: name ids (int16), rotations (int32) and translation
-    numerators (int64, one row per tile) share one denominator.  A patch
-    made from `Tile`s converts them to these columns once; its `tiles`
-    list is a view of the columns, built only when asked.  Both are
-    read-only: make a new Patch to change tiles.  Every int64 product is
-    bounded first and raises OverflowError instead of wrapping.
+    numerators (one row per tile) share one denominator.  The numerators
+    are stored in the narrowest dtype that holds them, `_int_dtype` of
+    their largest |coefficient| `t_max`.  numpy wraps narrow integer
+    arithmetic silently, so nothing computes in that dtype: every reader
+    widens the rows first (to int64 or Python ints), or computes in the
+    dtype of a bound it has proved (`_scaled`); each such bound is checked
+    against INT64_SAFE and raises OverflowError instead of wrapping.  A
+    patch made from `Tile`s converts them to these columns once; its
+    `tiles` list is a view of the columns, built only when asked.  Both
+    are read-only: make a new Patch to change tiles.
     """
 
     def __init__(self, d, tiles):
-        self.d = d
-        self.columns = _placement_columns(
-            d, [(tile.name, tile.iso) for tile in tiles])
+        self._store(d, *_placement_columns(
+            d, [(tile.name, tile.iso) for tile in tiles]))
 
     @classmethod
     def single(cls, d, name):
@@ -672,18 +727,28 @@ class Patch:
         return cls.from_columns(
             d, np.array([prototile_ids(d)[1][name]], dtype=np.int16),
             np.zeros(1, dtype=np.int32),
-            np.zeros((1, field_for_order(d).degree), dtype=np.int64))
+            np.zeros((1, field_for_order(d).degree), dtype=np.int8))
 
     @classmethod
     def from_columns(cls, d, ids, r, t, den=1):
-        """A patch from name ids, rotations and translation numerators."""
+        """A patch from name ids, rotations and translation numerators of
+        any integer dtype, reduced to their least common denominator."""
         if den != 1 and len(t):
-            g = math.gcd(den, int(np.gcd.reduce(t, axis=None)))
-            t, den = t // g, den // g
+            tg = int(np.gcd.reduce(t, axis=None))
+            g = math.gcd(den, tg)
+            den //= g
+            if tg:  # g divides a coefficient, so t's dtype holds it
+                t = t // g
         self = cls.__new__(cls)
-        self.d = d
-        self.columns = (ids, r, t, den)
+        self._store(d, ids, r, t, den)
         return self
+
+    def _store(self, d, ids, r, t, den):
+        """Keep the columns, with t in the narrowest dtype."""
+        self.d = d
+        self.t_max = max_abs(t)
+        self.columns = (ids, r, t.astype(_int_dtype(self.t_max), copy=False),
+                        den)
 
     @cached_property
     def tiles(self):
@@ -697,27 +762,37 @@ class Patch:
     def __len__(self):
         return len(self.columns[0])
 
-    def corner_rows(self):
-        """(C, den): C[k, j] = numerators of corner j of tile k, over den.
+    def _corner_frame(self):
+        """(table, den, s1, s2, dt): corner j of tile k has the numerators
+        table[ids[k], r[k], j] * s1 + t[k] * s2 over den, and dt holds
+        every coefficient of them and s1, s2; the bound is guarded."""
+        table, tden, tmax = _corner_table(self.d)
+        den = self.columns[3]
+        L = math.lcm(den, tden)
+        s1, s2 = L // tden, L // den
+        bound = tmax * s1 + self.t_max * s2
+        _guard(bound, "corner rows")
+        return table, L, s1, s2, _int_dtype(max(bound, s1, s2))
+
+    def corner_rows(self, tiles=slice(None), corner=None):
+        """(C, den): C[k, j] = numerators of corner j of tile tiles[k],
+        over den (every tile by default); given corner, an array of corner
+        numbers 0..2 as long as the index array tiles, C[k] is the row of
+        corner corner[k] of tile tiles[k] alone.
 
         The one corner kernel: the rotated prototile corners are gathered
         from a per-d table and the translations added.  Equal corners have
         equal rows.  C has the narrowest integer dtype its bound allows.
         """
-        ids, r, t, den = self.columns
-        table, tden, tmax = _corner_table(self.d)
-        L = math.lcm(den, tden)
-        s1, s2 = L // tden, L // den
-        bound = tmax * s1 + max_abs(t) * s2
-        _guard(bound, "corner rows")
-        dt = _int_dtype(max(bound, s1, s2))
-        C = table[ids, r].astype(dt)
-        if s1 != 1:
-            C *= s1
-        tc = t.astype(dt)
-        if s2 != 1:
-            tc *= s2
-        C += tc[:, None, :]
+        ids, r, t, _ = self.columns
+        table, L, s1, s2, dt = self._corner_frame()
+        at, t = (ids[tiles], r[tiles]), t[tiles]
+        if corner is None:
+            t = t[:, None, :]
+        else:
+            at += (corner,)
+        C = np.multiply(table[at], s1, dtype=dt)
+        C += _scaled(t, s2, dt)
         return C, L
 
     def corner_values(self):
@@ -743,8 +818,10 @@ def _inflate(patch, tab, key):
 
     Child c of tile (r, t) is placed by (zeta^r * h_c.t + iota * t,
     r + h_c.r): a gather from the rule table plus one matrix product.
-    Returns (patch, parent, child): the inflated patch and, per new tile,
-    its parent tile and its child row in the table.
+    Every step computes in the dtype of the guarded bound, which also
+    bounds every partial sum of the product.  Returns (patch, parent,
+    child): the inflated patch and, per new tile, its parent tile and its
+    child row in the table.
     """
     f = field_for_order(patch.d)
     _, r, t, den = patch.columns
@@ -757,13 +834,13 @@ def _inflate(patch, tab, key):
     pr = r[parent]
     L = math.lcm(den * tab.mden, tab.den)
     s1, s2 = L // (den * tab.mden), L // tab.den
-    _guard(f.degree * max_abs(t) * tab.M_max * s1 + tab.rot_max * s2,
-           "inflation")
-    new_t = (t @ tab.M)[parent]
-    if s1 != 1:
-        new_t *= s1
-    rot = tab.rot[tab.tidx[child], pr]
-    new_t += rot.astype(np.int64) * s2 if s2 != 1 else rot
+    bound = f.degree * patch.t_max * tab.M_max * s1 + tab.rot_max * s2
+    _guard(bound, "inflation")
+    dt = _int_dtype(max(bound, tab.M_max * s1, s2))
+    # iota * t over L is t @ (M s1): the rescaling rides on the product
+    new_t = (t.astype(dt, copy=False) @ np.multiply(tab.M, s1, dtype=dt))[
+        parent]
+    new_t += _scaled(tab.rot[tab.tidx[child], pr], s2, dt)
     new_r = (pr + tab.r[child]) % f.n
     out = Patch.from_columns(patch.d, tab.ids[child], new_r.astype(np.int32),
                              new_t, L)
@@ -833,19 +910,18 @@ def verify_face_to_face(patch: Patch, decorated=True, max_problems=20):
     orientations (the interior decorations then match across the edge).
     Boundary edges are checked against T-junctions: no tile corner may lie
     strictly inside them.  Corners and edges are paired as exact
-    coefficient rows (`row_ids`, `tile_edges`).  Floats only pick the
+    coefficient rows (`_corner_ids`, `tile_edges`).  Floats only pick the
     T-junction candidates, from one sorted cell grid, with a filter
     widened by the proven float error of every corner, so no true
     T-junction is dropped; each candidate is confirmed exactly
-    (`_t_junctions`).  The corner rows are freed once the distinct
-    corners are read from them.
+    (`_t_junctions`).  The corner rows are never held whole: the keys are
+    built from blocks of them, and the distinct corners are gathered
+    again from the corner table and the translations.
     """
     d = patch.d
     ids = patch.columns[0]
-    rows, den = patch.corner_rows()
-    pid, pfirst = row_ids(rows)
-    points = rows.reshape(-1, rows.shape[-1])[pfirst]
-    del rows
+    pid, pfirst = _corner_ids(patch)
+    points, den = patch.corner_rows(*np.divmod(pfirst, 3))
     first, count, side2, fwd = tile_edges(pid)
     letters, cls, orient = letter_table(d)
     cls, orient = cls[ids].ravel(), orient[ids].ravel()

@@ -155,14 +155,21 @@ def render_arrangement(d, kappa, path, polygon=True, labels=False):
     cv.write(path)
 
 
-def _decoration_overlay(d, name, outline):
-    """Float inscribed-triangle corners of a placed tile."""
-    cat = prototile_catalog(d)
-    face = cat.by_name[name].face
-    rep = [c.cvalue() for c in face.corners]
+def _decorations(d):
+    """name -> (corners, inscribed): the float corners of each prototile's
+    catalog face and of its inscribed triangle, `cvalue`s read once."""
+    return {p.name: ([c.cvalue() for c in p.face.corners],
+                     [c.cvalue() for c in p.face.inscribed])
+            for p in prototile_catalog(d).prototiles}
+
+
+def _decoration_overlay(face, outline):
+    """Float inscribed-triangle corners of a tile placed with the float
+    outline, for face = (corners, inscribed) of its prototile."""
+    rep, inscribed = face
     alpha = (outline[1] - outline[0]) / (rep[1] - rep[0])
     beta = outline[0] - alpha * rep[0]
-    return [alpha * p.cvalue() + beta for p in face.inscribed]
+    return [alpha * p + beta for p in inscribed]
 
 
 def render_patch(patch: Patch, path, decorations=False, labels=False,
@@ -181,7 +188,8 @@ def render_patch(patch: Patch, path, decorations=False, labels=False,
     cv.polygons(outlines, [palette[n] for n in tile_names], stroke="#222",
                 width=stroke)
     if decorations:
-        inner = np.array([_decoration_overlay(d, name, pts)
+        faces = _decorations(d)
+        inner = np.array([_decoration_overlay(faces[name], pts)
                           for name, pts in zip(tile_names, outlines.tolist())],
                          dtype=complex)
         cv.polygons(inner, ["none"] * len(inner), stroke="#555",

@@ -15,8 +15,10 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from deltiling.field import MAX_ORDER
-from deltiling.substitution import Patch, derive_rules, verify_face_to_face
+from deltiling.field import MAX_ORDER, field_for_order
+from deltiling.prototiles import prototile_catalog
+from deltiling.substitution import (Isometry, Patch, Tile, derive_rules,
+                                    verify_face_to_face)
 from deltiling import cli, patchio, svg
 from deltiling.cli import main
 
@@ -120,6 +122,31 @@ def test_render_in_blocks_is_unchanged(tmp_path, monkeypatch, chunk):
     svg.render_patch(patch, out, decorations=True, labels=True,
                      highlight_edges=[(z[0, 0], z[0, 1]), (z[5, 1], z[5, 2])])
     assert hashlib.sha256(out.read_bytes()).hexdigest() == RENDER_DIGEST
+
+
+#: sha256 of decorated renders, as written when every tile read its
+#: prototile's face corners through `Elem.cvalue`
+DECORATED_DIGESTS = {
+    14: "8553def4db48325ccdaafae18b362644987e41935a6d74b80e7480f6b0011a3d",
+    9: "bb2be5881249d6002b0c9d93a136042c5e5890953087362398d994c04e127778",
+}
+
+
+@pytest.mark.parametrize("d, stages", [
+    (14, [(3, 1), (3, -1), (3, 1)]), (9, [(2, 1), (4, -1)])],
+    ids=["d14-678", "d9-21"])
+def test_decorated_render_is_pinned(tmp_path, d, stages):
+    # a seed turned and moved off the origin, so every overlay takes the
+    # float affine map of a placed tile; d = 9 has mirror prototiles
+    f = field_for_order(d)
+    name = "G" if d == 14 else prototile_catalog(d).prototiles[-1].name
+    patch = Patch(d, [Tile(name, Isometry(3, f.rational(2) + f.i * -3))])
+    for p, sign in stages:
+        patch = patch.inflate(derive_rules(d, p, sign))
+    out = tmp_path / "p.svg"
+    svg.render_patch(patch, out, decorations=True)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        DECORATED_DIGESTS[d]
 
 
 def test_files_are_written_with_unix_newlines(tmp_path):

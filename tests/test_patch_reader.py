@@ -95,7 +95,8 @@ def with_coefficient(manifest):
     doc = patchio.patch_document(patch, manifest)
     doc["tiles"][0]["t"]["num"][0] = 2 ** 61
     ids, r, t, den = patch.columns
-    t = t.copy()
+    # the stored rows are narrow: widen them before writing 2**61
+    t = t.astype(np.int64)
     t[0, 0] = 2 ** 61
     return canonical_text(doc), Patch.from_columns(14, ids, r, t, den)
 

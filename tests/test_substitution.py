@@ -657,10 +657,16 @@ def reference_t_junctions(f, points, den, starts, ends, max_problems):
     return problems
 
 
+def reference_corner_ids(patch):
+    """The corner ids of the whole corner matrix, by `np.unique`."""
+    rows, _ = patch.corner_rows()
+    return reference_row_ids(rows)
+
+
 def reference_verify(patch, **kw):
     """`verify_face_to_face` on the reference pairing and T-junctions."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(substitution, "row_ids", reference_row_ids)
+        mp.setattr(substitution, "_corner_ids", reference_corner_ids)
         mp.setattr(substitution, "tile_edges", reference_tile_edges)
         mp.setattr(substitution, "_t_junctions", reference_t_junctions)
         return verify_face_to_face(patch, **kw)
@@ -676,6 +682,8 @@ def assert_matches_reference(patch, **kw):
     rows, _ = patch.corner_rows()
     pid, first = substitution.row_ids(rows)
     assert_same_arrays((pid, first), reference_row_ids(rows))
+    # the keys built from blocks of corner rows number them alike
+    assert_same_arrays(substitution._corner_ids(patch), (pid, first))
     assert_same_arrays(substitution.tile_edges(pid),
                        reference_tile_edges(pid))
     assert verify_face_to_face(patch, **kw) == reference_verify(patch, **kw)
