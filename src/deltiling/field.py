@@ -197,17 +197,13 @@ class CycField:
             g = np.gcd(np.gcd.reduce(rows, axis=1), den)
             rows = rows // g[:, None]
             dens = den // g
-        re = np.zeros(len(rows))
-        im = np.zeros(len(rows))
+        # c * b multiplies (c + 0j) by b, as Python's int * complex does
+        out = np.zeros(len(rows), dtype=complex)
         for j, b in enumerate(self._basis_c):
-            col = rows[:, j]
-            re += col * b.real
-            im += col * b.imag
+            out += rows[:, j] * b
         if den != 1:
-            re /= dens
-            im /= dens
-        out = np.empty(len(rows), dtype=complex)
-        out.real, out.imag = re, im
+            out.real /= dens
+            out.imag /= dens
         return out.reshape(shape)
 
     def _basis_mpc(self, dps):

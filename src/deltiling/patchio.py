@@ -10,7 +10,10 @@ JSON but does not decode it.
 
 Export prints the file without building the JSON document: each block of
 CHUNK tile records is one join of strings gathered from a small table of
-the integers that occur in it (`_tiles_block`).
+the integers that occur in it (`_tiles_block`), and each block of CHUNK
+shadow corner triples one join gathered from the block's distinct
+rounded floats, each printed once, and the fixed layout pieces between
+them (`_corners_block`).
 
 Import has two readers.  A file in the exact layout `export_patch` writes
 (indent 1, sorted keys) is checked by patterns and its columns are read
@@ -154,14 +157,32 @@ def _tiles_block(patch):
     return "".join(np.array(vocab, dtype=object)[tok.ravel()[:-1]].tolist())
 
 
+#: the text around the six numbers of a shadow corner triple, as
+#: json.dumps(indent=1) prints it at depth 2: before x0, between x and y,
+#: between two corners and after y2
+_TRIPLE = ("   [\n    [\n     ", ",\n     ", "\n    ],\n    [\n     ",
+           "\n    ]\n   ]")
+
+
 def _corners_block(patch, precision):
     """The shadow "corners" items as json.dumps(indent=1) prints them at
-    depth 2."""
+    depth 2.
+
+    Each triple is printed as 14 tokens: its six numbers, the seven
+    layout pieces around them (from `_TRIPLE`) and the ",\n" between
+    triples.  The numbers come from the table of the distinct rounded
+    floats (`_shadow`), so, as in `_tiles_block`, one join over a gather
+    of a token matrix prints every triple."""
     rounded, index = _shadow(patch, precision)
-    text = np.array([repr(x) for x in rounded], dtype=object)[index].tolist()
-    corner = "    [\n     %s,\n     %s\n    ]"
-    tile = "   [\n" + ",\n".join([corner] * 3) + "\n   ]"
-    return ",\n".join(tile % tuple(row) for row in text)
+    k = len(rounded)
+    vocab = [repr(x) for x in rounded] + list(_TRIPLE) + [",\n"]
+    head, pair, turn, tail, comma = range(k, k + 5)
+    tok = np.empty((len(index), 14), dtype=np.intp)
+    tok[:, 1:13:2] = index
+    tok[:, 0:13:2] = [head, pair, turn, pair, turn, pair, tail]
+    tok[:, 13] = comma
+    # the last triple has no ",\n" after it
+    return "".join(np.array(vocab, dtype=object)[tok.ravel()[:-1]].tolist())
 
 
 #: tiles per block of text that `export_patch` writes at a time, and at

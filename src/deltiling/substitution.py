@@ -532,12 +532,31 @@ def max_abs(a):
     return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
+#: (dtype, largest value) of the narrow signed integer dtypes
+_NARROW = tuple((dt, int(np.iinfo(dt).max))
+                for dt in (np.int8, np.int16, np.int32))
+
+
 def _int_dtype(bound):
     """The narrowest signed integer dtype that holds every |x| <= bound."""
-    for dt in (np.int8, np.int16, np.int32):
-        if bound <= np.iinfo(dt).max:
+    for dt, top in _NARROW:
+        if bound <= top:
             return dt
     return np.int64
+
+
+def _stable_argsort(key):
+    """np.argsort(key, kind="stable") of non-negative int64 keys.
+
+    Stable sorts of 16-bit integers are radix sorts in numpy, so the keys
+    are sorted by their 16-bit digits, least significant first (one
+    `np.lexsort` of a uint16 view of the keys, which sorts one index
+    array in place); only the digits below key.max() are read.
+    """
+    key = np.ascontiguousarray(key, dtype="<i8")
+    top = int(key.max()) if key.size else 0
+    digits = key.view("<u2").reshape(-1, 4)
+    return np.lexsort(digits[:, :max(1, (top.bit_length() + 15) // 16)].T)
 
 
 def _scaled(x, s, dt):
@@ -883,7 +902,7 @@ def tile_edges(pid):
     and, per tile edge, whether it runs from the smaller to the larger
     corner id.  Edge ids number the distinct corner-id pairs in increasing
     order: one stable argsort of the pair keys, read at the starts of its
-    runs.
+    runs (`_stable_argsort`).
     """
     a = pid.ravel()
     b = pid[:, [1, 2, 0]].ravel()
@@ -891,15 +910,18 @@ def tile_edges(pid):
     key = np.minimum(a, b)
     key *= n
     key += np.maximum(a, b)
-    order = np.argsort(key, kind="stable")
+    fwd = a < b
+    # dropped before the sort, whose index buffers then reuse its memory
+    del b
+    order = _stable_argsort(key)
     key = key[order]
     new = np.ones(len(key), dtype=bool)
     new[1:] = key[1:] != key[:-1]
     start = np.flatnonzero(new)
-    count = np.diff(np.r_[start, len(key)])
+    count = np.diff(start, append=len(key))
     first = order[start]
     side2 = order[np.minimum(start + 1, len(order) - 1)]
-    return first, count, side2, a < b
+    return first, count, side2, fwd
 
 
 def verify_face_to_face(patch: Patch, decorated=True, max_problems=20):
@@ -978,7 +1000,7 @@ def _cell_pairs(fl, pad, za, zb):
     x0, x1, y0, y1 = cx.min(), cx.max(), cy.min(), cy.max()
     height = int(y1 - y0) + 1
     key = (cx - x0) * height + (cy - y0)
-    order = np.argsort(key, kind="stable")
+    order = _stable_argsort(key)
     key = key[order]
 
     def cells(a, b, floor, ceil):

@@ -1,4 +1,10 @@
-"""Hand-rolled SVG output for arrangements, prototile sheets and patches."""
+"""Hand-rolled SVG output for arrangements, prototile sheets and patches.
+
+Polygons are printed CHUNK at a time, as patch export prints its
+records: each distinct coordinate of a block is formatted once, and one
+join over a gather of a token matrix (coordinates, separators and one
+tail per fill) prints the block's <polygon> lines.
+"""
 
 from __future__ import annotations
 
@@ -26,8 +32,9 @@ class Canvas:
     """Minimal SVG 1.1 writer (y axis flipped to mathematical).
 
     Each part is a line of SVG text or, from `polygons`, a float array of
-    polygons with their fills and style, which `write` formats CHUNK
-    polygons at a time."""
+    polygons with a table of fills, each polygon's index into it, and a
+    style; `write` prints those CHUNK polygons at a time, one token
+    gather per block (`_polygon_lines`)."""
 
     def __init__(self, precision=9):
         self.parts = []
@@ -43,11 +50,13 @@ class Canvas:
         return f"{_fmt(z.real, self.precision)},{_fmt(-z.imag, self.precision)}"
 
     def polygon(self, pts, fill="none", stroke="#000", width=0.01):
-        self.polygons(np.array([pts], dtype=complex), [fill], stroke, width)
+        self.polygons(np.array([pts], dtype=complex), [fill], stroke=stroke,
+                      width=width)
 
-    def polygons(self, pts, fills, stroke="#000", width=0.01):
+    def polygons(self, pts, fills, which=None, stroke="#000", width=0.01):
         """One polygon per row of the complex array pts, kept as x, y
-        floats until `write`."""
+        floats until `write`; polygon k takes the fill fills[which[k]]
+        (fills[0] when which is None)."""
         if not len(pts):
             return
         xy = np.stack([pts.real, -pts.imag], axis=-1).reshape(
@@ -57,20 +66,34 @@ class Canvas:
         self.max_x = max(self.max_x, x.max())
         self.min_y = min(self.min_y, y.min())
         self.max_y = max(self.max_y, y.max())
-        self.parts.append((xy, fills, stroke, _fmt(width)))
+        if which is None:
+            which = np.zeros(len(pts), dtype=np.int8)
+        self.parts.append((xy, fills, which, stroke, _fmt(width)))
 
-    def _polygon_lines(self, xy, fills, stroke, width):
-        """The <polygon> lines of the rows of xy; each distinct coordinate
-        is formatted once."""
+    def _polygon_lines(self, xy, fills, which, stroke, width):
+        """The <polygon> lines of the rows of xy, polygon k filled with
+        fills[which[k]].
+
+        An m-gon is printed as 4 m + 1 tokens: the line's head, its 2 m
+        coordinates with the "," or " " between them, and the tail of its
+        fill.  Each distinct coordinate is formatted once, and one join
+        over a gather of the token matrix prints every line."""
         bits, index = np.unique(xy.view(np.int64), return_inverse=True)
-        text = np.array([_fmt(v, self.precision)
-                         for v in bits.view(np.float64).tolist()],
-                        dtype=object)[index.reshape(xy.shape)].tolist()
-        body = " ".join(["%s,%s"] * (xy.shape[1] // 2))
-        return "".join([f'<polygon points="{body % tuple(row)}" '
-                        f'fill="{fill}" stroke="{stroke}" '
-                        f'stroke-width="{width}" stroke-linejoin="round"/>\n'
-                        for row, fill in zip(text, fills)])
+        k = len(bits)
+        vocab = ([_fmt(v, self.precision)
+                  for v in bits.view(np.float64).tolist()]
+                 + ['<polygon points="', ",", " "]
+                 + [f'" fill="{fill}" stroke="{stroke}" '
+                    f'stroke-width="{width}" stroke-linejoin="round"/>\n'
+                    for fill in fills])
+        tok = np.empty((len(xy), 2 * xy.shape[1] + 1), dtype=np.intp)
+        tok[:, 0] = k
+        tok[:, 1:-1:2] = index.reshape(xy.shape)
+        tok[:, 2:-1:4] = k + 1
+        tok[:, 4:-1:4] = k + 2
+        tok[:, -1] = which
+        tok[:, -1] += k + 3
+        return "".join(np.array(vocab, dtype=object)[tok.ravel()].tolist())
 
     def polyline(self, pts, stroke="#000", width=0.01):
         body = " ".join(self._pt(z) for z in pts)
@@ -105,10 +128,10 @@ class Canvas:
                 if isinstance(part, str):
                     fh.write(part + "\n")
                     continue
-                xy, fills, stroke, width = part
+                xy, fills, which, stroke, width = part
                 for a in range(0, len(xy), CHUNK):
-                    fh.write(self._polygon_lines(xy[a:a + CHUNK],
-                                                 fills[a:a + CHUNK], stroke,
+                    fh.write(self._polygon_lines(xy[a:a + CHUNK], fills,
+                                                 which[a:a + CHUNK], stroke,
                                                  width))
             fh.write("</svg>\n")
 
@@ -156,11 +179,12 @@ def render_arrangement(d, kappa, path, polygon=True, labels=False):
 
 
 def _decorations(d):
-    """name -> (corners, inscribed): the float corners of each prototile's
-    catalog face and of its inscribed triangle, `cvalue`s read once."""
-    return {p.name: ([c.cvalue() for c in p.face.corners],
-                     [c.cvalue() for c in p.face.inscribed])
-            for p in prototile_catalog(d).prototiles}
+    """The float corners of each prototile's catalog face and of its
+    inscribed triangle, (corners, inscribed) by prototile id, `cvalue`s
+    read once."""
+    return [([c.cvalue() for c in p.face.corners],
+             [c.cvalue() for c in p.face.inscribed])
+            for p in prototile_catalog(d).prototiles]
 
 
 def _decoration_overlay(face, outline):
@@ -184,19 +208,18 @@ def render_patch(patch: Patch, path, decorations=False, labels=False,
     cv = Canvas(precision)
     outlines = patch.corner_values()
     names, _ = prototile_ids(d)
-    tile_names = [names[i] for i in patch.columns[0].tolist()]
-    cv.polygons(outlines, [palette[n] for n in tile_names], stroke="#222",
+    ids = patch.columns[0]
+    cv.polygons(outlines, [palette[n] for n in names], ids, stroke="#222",
                 width=stroke)
     if decorations:
         faces = _decorations(d)
-        inner = np.array([_decoration_overlay(faces[name], pts)
-                          for name, pts in zip(tile_names, outlines.tolist())],
+        inner = np.array([_decoration_overlay(faces[i], pts)
+                          for i, pts in zip(ids.tolist(), outlines.tolist())],
                          dtype=complex)
-        cv.polygons(inner, ["none"] * len(inner), stroke="#555",
-                    width=stroke * 0.7)
+        cv.polygons(inner, ["none"], stroke="#555", width=stroke * 0.7)
     if labels:
-        for name, pts in zip(tile_names, outlines.tolist()):
-            cv.text(sum(pts) / 3, name, size=abs(pts[1] - pts[0]) * 0.25)
+        for i, pts in zip(ids.tolist(), outlines.tolist()):
+            cv.text(sum(pts) / 3, names[i], size=abs(pts[1] - pts[0]) * 0.25)
     for a, b in highlight_edges:
         cv.line(a, b, stroke="#c00", width=stroke * 4)
     cv.write(path)

@@ -119,6 +119,30 @@ def test_cvalue_error_bounds_the_float_value():
             assert abs(x.cvalue() - complex(exact)) <= x.cvalue_error()
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int64])
+@pytest.mark.parametrize("den", [1, 6, 35])
+def test_cvalues_equal_cvalue_bit_for_bit(dtype, den):
+    # random rows of both signs, a zero row, single terms, and rows that a
+    # common factor with den shortens
+    rng = np.random.default_rng(den)
+    for n in (84, 108):
+        f = CycField(n)
+        top = min(np.iinfo(dtype).max, 10 ** 9)
+        rows = rng.integers(-top, top, (40, f.degree), endpoint=True)
+        rows[rng.random(rows.shape) < 0.4] = 0
+        rows[0] = 0
+        rows[1:5] = np.eye(f.degree, dtype=np.int64)[[0, 1, 7, 13]] * -top
+        rows[5:8] = rows[5:8] // 35 * 35
+        rows = rows.astype(dtype)
+        got = f.cvalues(rows, den)
+        want = np.array([f.from_coeffs(row, den).cvalue()
+                         for row in rows.tolist()], dtype=complex)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        # a leading shape is kept
+        assert np.array_equal(f.cvalues(rows.reshape(4, 10, -1), den),
+                              got.reshape(4, 10))
+
+
 def test_mpmath_loads_only_on_escalation():
     code = ("import sys, deltiling; "
             "from deltiling.analysis import pisot_table; "

@@ -1,5 +1,6 @@
-"""Patch import and SVG rendering hold a block of the file at a time, not
-the file: their traced memory peaks stay below the file's size."""
+"""Patch export, import and SVG rendering hold a block of the file at a
+time, not the file: their traced memory peaks stay below the file's
+size."""
 
 import tracemalloc
 
@@ -35,6 +36,15 @@ def traced_peak(fn, *args):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_export_peak_stays_below_a_fifth_of_the_file_size(big):
+    # one block of CHUNK records and its token matrix at a time: 1.9 MiB
+    # traced for a 20 MiB file
+    patch, path = big
+    out = path.with_name("again.json")
+    peak = traced_peak(patchio.export_patch, patch, out)
+    assert peak < out.stat().st_size / 5
 
 
 def test_import_peak_stays_below_the_file_size(big):

@@ -619,6 +619,25 @@ def reference_tile_edges(pid):
     return first, count, side2, a < b
 
 
+@pytest.mark.parametrize("top", [0, 1, 2 ** 16 - 1, 2 ** 16, 2 ** 32 + 5,
+                                 2 ** 48 + 1, 2 ** 63 - 1])
+@pytest.mark.parametrize("size", [0, 1, 3000])
+def test_stable_argsort_is_numpys(top, size):
+    # 1 to 4 digits of 16 bits: random keys up to top, every other one
+    # of a few values, so ties decide much of the order; top occurs
+    rng = np.random.default_rng(top % 1000 + size)
+    key = rng.integers(0, top, size, endpoint=True)
+    key[::2] = rng.choice([0, top // 3, top // 2, top], len(key[::2]))
+    if size:
+        key[-1] = top
+    got = substitution._stable_argsort(key)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, np.argsort(key, kind="stable"))
+    # all-equal keys keep their order
+    same = np.full(size, top, dtype=np.int64)
+    assert np.array_equal(substitution._stable_argsort(same), np.arange(size))
+
+
 def reference_t_junctions(f, points, den, starts, ends, max_problems):
     """Corners binned in a dict by two `round`s, each edge's cells walked
     in Python, a fixed 1e-6 filter, then the exact test."""
