@@ -512,11 +512,9 @@ def multiplicity_closed_form(d, kappa, mu):
         else:
             low = (mu % 2 == 1) or mu == 0
         return (1, (d - 2) // 2) if low else (3, (d - 4) // 2)
-    # kappa = -+2: d = 3q', q' = d/3 even here iff d even
-    q3 = d // 3
-    if q3 % 2 == 0:
-        return (1, (d - 2) // 2) if mu % 2 == 1 else (3, (d - 4) // 2)
-    return (2, (d - 3) // 2)
+    # kappa = -+2 needs 3 | d (`SymmetryIndex`): d = 3q' with d even, so
+    # q' = d/3 is even
+    return (1, (d - 2) // 2) if mu % 2 == 1 else (3, (d - 4) // 2)
 
 
 def subdivision_closed_form(d, kappa, mu):

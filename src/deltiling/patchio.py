@@ -5,8 +5,8 @@ as exact data only: the rotation exponent r of zeta_n^r and the
 translation as an integer coefficient vector over the cyclotomic power
 basis with a common denominator.  A parallel "shadow" block carries float
 corner coordinates for consumers that do not implement the field
-arithmetic; the shadow is derived data: import checks that it is valid
-JSON but does not decode it.
+arithmetic; the shadow is derived data: import uses none of its
+numbers.
 
 Export prints the file without building the JSON document: each block of
 CHUNK tile records is one join of strings gathered from a small table of
@@ -15,20 +15,15 @@ shadow corner triples one join gathered from the block's distinct
 rounded floats, each printed once, and the fixed layout pieces between
 them (`_corners_block`).
 
-Import has two readers.  A file in the exact layout `export_patch` writes
-(indent 1, sorted keys) is checked by patterns and its columns are read
-from the bytes by numpy, with no Python object per number or record; any
-other JSON file goes through `json`.  Both give the same columns and pass
-them to the same value checks.  The patterns check the layout, the
-header integers and the shadow numbers; the tile integers match a sign
-and 1 to 18 digits, and the numpy pass that parses them rejects leading
-zeros, the rest of the JSON integer grammar.  The canonical reader reads
-the header's lines, at most _LINE bytes each, then the file BLOCK bytes
-at a time, and keeps only the bytes it has not matched yet, so it holds a
-block of the file and the columns, not the file.  The patterns match
-MATCH records at a time, which bounds the match state `re` keeps; numpy
-reads up to CHUNK records at a time.  A file that leaves the layout is
-read again, whole, by `json`.
+Import reads a file without `json` only if it is, byte for byte, the
+export of what was read from it, so the layout is written down once, by
+the writer.  A first pass matches the header, loads the manifest, skips
+the shadow and reads each tile value at the column of its line where
+`export_patch` prints it, BLOCK bytes of the file at a time (`_read`); a
+second pass prints the export of that patch into a sink that compares
+each block with the file's next bytes (`_canonical_patch`).  Any other
+file is read again, whole, by `json`.  Both readers build the patch with
+the same value checks.
 """
 
 from __future__ import annotations
@@ -38,7 +33,6 @@ import itertools
 import json
 import math
 import re
-from functools import lru_cache
 
 import numpy as np
 
@@ -185,24 +179,24 @@ def _corners_block(patch, precision):
     return "".join(np.array(vocab, dtype=object)[tok.ravel()[:-1]].tolist())
 
 
-#: tiles per block of text that `export_patch` writes at a time, and at
-#: most per array pass of the reader
+#: tiles per block of text that `export_patch` writes at a time
 CHUNK = 2048
 
 
-def _write_blocks(fh, patch, block):
-    """Write block(part) for the consecutive parts of CHUNK tiles of the
+def _write_blocks(write, patch, block):
+    """write(block(part)) for the consecutive parts of CHUNK tiles of the
     patch, joined by commas."""
     ids, r, t, den = patch.columns
     for a in range(0, len(ids), CHUNK):
         s = slice(a, a + CHUNK)
         part = Patch.from_columns(patch.d, ids[s], r[s], t[s], den)
-        fh.write((",\n" if a else "") + block(part))
+        write((",\n" if a else "") + block(part))
 
 
-def export_patch(patch: Patch, path, manifest=None, precision=12):
-    """Write the patch file: the bytes of json.dumps(patch_document(patch),
-    indent=1, sort_keys=True) + newline, without building the document.
+def _write(write, patch, manifest, precision):
+    """Pass the text of json.dumps(patch_document(patch, manifest,
+    precision), indent=1, sort_keys=True) + newline to write(), a block at
+    a time, without building the document.
 
     The small header goes through json.dumps; the tiles (`_tiles_block`)
     and shadow corners (`_corners_block`) are printed CHUNK tiles at a
@@ -210,18 +204,24 @@ def export_patch(patch: Patch, path, manifest=None, precision=12):
     """
     text = json.dumps(_document(patch, manifest, precision, [], []),
                       indent=1, sort_keys=True)
+    if len(patch):
+        # "shadow" and "tiles" sort after "manifest": the last matches are
+        # the top-level keys
+        text, _, rest = text.rpartition('"tiles": []')
+        text, _, mid = text.rpartition('"corners": []')
+        write(text + '"corners": [\n')
+        _write_blocks(write, patch, lambda c: _corners_block(c, precision))
+        write("\n  ]" + mid + '"tiles": [\n')
+        _write_blocks(write, patch, _tiles_block)
+        text = "\n ]" + rest
+    write(text + "\n")
+
+
+def export_patch(patch: Patch, path, manifest=None, precision=12):
+    """Write the patch file: the bytes of json.dumps(patch_document(patch),
+    indent=1, sort_keys=True) + newline (`_write`)."""
     with open(path, "w", newline="\n") as fh:
-        if len(patch):
-            # "shadow" and "tiles" sort after "manifest": the last matches
-            # are the top-level keys
-            text, _, rest = text.rpartition('"tiles": []')
-            text, _, mid = text.rpartition('"corners": []')
-            fh.write(text + '"corners": [\n')
-            _write_blocks(fh, patch, lambda c: _corners_block(c, precision))
-            fh.write("\n  ]" + mid + '"tiles": [\n')
-            _write_blocks(fh, patch, _tiles_block)
-            text = "\n ]" + rest
-        fh.write(text + "\n")
+        _write(fh.write, patch, manifest, precision)
 
 
 def _field(d, order, degree):
@@ -239,160 +239,64 @@ def _field(d, order, degree):
     return f
 
 
-#: a JSON integer of at most 18 digits, so below 10**18 < INT64_SAFE
-_INT = rb"-?(?:0|[1-9][0-9]{0,17})"
-#: the same without its leading-zero rule, which `_parse_ints` checks: a
-#: repeated alternation keeps a backtracking mark per number until the
-#: match of a whole chunk ends
-_DIGITS = rb"-?[0-9]{1,18}"
-#: a JSON number (the empty alternatives match faster than an optional group)
-_NUMBER = rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+|)(?:[eE][-+]?[0-9]+|)"
+#: the header up to the manifest, with integers of at most 18 digits
 _HEADER = re.compile(
-    rb'\{\n "d": (' + _INT + rb'),\n "field_degree": (' + _INT
-    + rb'),\n "field_order": (' + _INT + rb'),\n "format": '
+    rb'\{\n "d": (\d{1,18}),\n "field_degree": (\d{1,18}),\n'
+    rb' "field_order": (\d{1,18}),\n "format": '
     + json.dumps(FORMAT).encode() + rb',\n "manifest": ')
 _SHADOW = b',\n "shadow": {\n  "corners": [\n'
-_END = b'\n ],\n "version": %d\n}\n' % VERSION
-
-
-#: records per match of the reader's patterns: `re` keeps backtracking
-#: state for every repetition inside one match until the match ends
-MATCH = 256
 
 #: bytes per read of a patch file
 BLOCK = 1 << 16
 
-#: bytes read of each of the header's first lines: more than the longest
-#: line `_HEADER` matches, so a file in another layout is left after a few
-#: hundred bytes
-_LINE = 64
-
-#: line ends in one shadow corner triple and the ",\n" after it
-_CORNER_LINES = 14
-
 
 class _Off(Exception):
-    """The bytes leave the exact layout of `export_patch`."""
+    """The bytes leave the layout of `export_patch`."""
 
 
-class _Blocks:
-    """The unconsumed bytes buf[pos:] of a binary file, after the bytes
-    `head` that were read from it, and the number of line ends in them."""
-
-    def __init__(self, fh, head):
-        if not head.isascii():
-            raise _Off
-        self.fh, self.buf, self.pos = fh, head, 0
-        self.ends = head.count(b"\n")
-
-    def read(self, n=0):
-        """Read BLOCK bytes at a time until buf[pos:] holds n line ends
-        and more than twice its bytes, or the rest of the file; False if
-        the file had no bytes left.  The blocks are joined once to the
-        unconsumed bytes, which drops the consumed ones; the doubling
-        bounds the copies of each byte when reads repeat with pos in
-        place.  _Off on a byte that is not ASCII."""
-        blocks = [self.buf[self.pos:]]
-        size = len(blocks[0])
-        want = 2 * size + 1
-        while (size < want or self.ends < n) and (
-                block := self.fh.read(BLOCK)):
-            if not block.isascii():
-                raise _Off
-            blocks.append(block)
-            size += len(block)
-            self.ends += block.count(b"\n")
-        self.buf, self.pos = b"".join(blocks), 0
-        return len(blocks) > 1
-
-    def lines(self, n):
-        """Read until buf[pos:] holds n line ends or the rest of the file."""
-        if self.ends < n:
-            self.read(n)
-
-    def find(self, marker):
-        """The index in buf of the first marker in buf[pos:], read until
-        there is one; _Off if the file ends first."""
-        at = self.pos
-        while (end := self.buf.find(marker, at)) < 0:
-            # the read moves buf[pos:] to the start of buf
-            at = max(self.pos, len(self.buf) - len(marker) + 1) - self.pos
-            if not self.read():
-                raise _Off
-        return end
-
-    def skip(self, end, k=None):
-        """Consume buf[pos:end], which holds k line ends (counted when k
-        is None); the number of line ends in it."""
-        if k is None:
-            k = self.buf.count(b"\n", self.pos, end)
-        self.ends -= k
-        self.pos = end
-        return k
-
-
-def _match(pattern, src, at=None):
-    """The match of pattern at src.pos (or at); _Off if there is none."""
-    m = pattern.match(src.buf, src.pos if at is None else at)
-    if m is None:
+def _more(fh, rest, lines=math.inf):
+    """rest joined to the blocks read from the binary file fh, BLOCK bytes
+    at a time, until it holds more than twice the bytes of rest, or the
+    blocks hold `lines` line ends, or the rest of the file; _Off if the
+    file has no bytes left.  The doubling bounds the copies of each byte,
+    and `lines` the line ends read after a long line."""
+    blocks, size, ends = [rest], len(rest), 0
+    while size <= 2 * len(rest) and ends < lines and (
+            block := fh.read(BLOCK)):
+        blocks.append(block)
+        size += len(block)
+        if size <= 2 * len(rest):
+            ends += block.count(b"\n")
+    if len(blocks) == 1:
         raise _Off
-    return m
-
-
-@lru_cache(maxsize=None)
-def _grammar(degree, match):
-    """(corners, middle, tiles): patterns for up to `match` shadow corner
-    triples, the text between the corners and the tiles, and up to `match`
-    tile records of field degree `degree`, in the exact layout of
-    `export_patch`.  Only standard `re` syntax: Python 3.10 has no
-    possessive quantifiers.
-
-    The corners are checked against the whole JSON number grammar and the
-    precision against `_INT`.  The integers of a tile record match
-    `_DIGITS` only: a sign, then 1 to 18 digits; `_parse_ints` rejects
-    their leading zeros."""
-    pair = rb"\[\n     " + _NUMBER + rb",\n     " + _NUMBER + rb"\n    \]"
-    corner = (rb"   \[\n    " + pair + rb",\n    " + pair + rb",\n    "
-              + pair + rb"\n   \]")
-    # the coefficients are unrolled: a repeated group matches 3x slower
-    tile = (rb'  \{\n   "name": "[A-Za-z0-9]+",\n   "r": ' + _DIGITS
-            + rb',\n   "t": \{\n    "den": ' + _DIGITS
-            + rb',\n    "num": \[\n     '
-            + rb",\n     ".join([_DIGITS] * degree)
-            + rb"\n    \]\n   \}\n  \}")
-    middle = rb'\n  \],\n  "precision": ' + _INT + rb'\n \},\n "tiles": \[\n'
-    return tuple(re.compile(p) for p in (
-        corner + rb"(?:,\n" + corner + rb"){0,%d}" % (match - 1), middle,
-        tile + rb"(?:,\n" + tile + rb"){0,%d}" % (match - 1)))
+    return b"".join(blocks)
 
 
 def _parse_ints(b, first, last):
-    """The integers written at b[first:last] (index arrays of one shape)
-    in the bytes b, or None if one has a leading zero ("00", "-01"), which
-    JSON does not allow.  Every span must match `_DIGITS`: with that rule
-    checked here, each is a JSON integer of at most 18 digits."""
-    shape, first, last = first.shape, first.ravel(), last.ravel()
-    neg = b[first] == ord("-")
-    first = first + neg
+    """The decimal integers written at b[first:last] (index arrays of one
+    shape) in the bytes b; _Off if a span is empty or wider than 19 bytes,
+    more than an int64 needs.  Bytes other than a sign and digits give
+    some integer: only the re-export checks the text."""
     width = last - first
-    if ((b[first] == ord("0")) & (width > 1)).any():
-        return None
+    if ((width < 1) | (width > 19)).any():
+        raise _Off
+    neg = b[first] == ord("-")
+    first, width = first + neg, width - neg
     val = b[first].astype(np.int64) - ord("0")
-    i = np.arange(len(val))
     for k in range(1, int(width.max(initial=1))):
-        i = i[width[i] > k]
-        val[i] = val[i] * 10 + b[first[i] + k] - ord("0")
-    return np.where(neg, -val, val).reshape(shape)
+        more = width > k
+        val[more] = val[more] * 10 + b[first[more] + k] - ord("0")
+    return np.where(neg, -val, val)
 
 
-def _read_tiles(b, degree, keys, order):
-    """(ids, r, den, num) of the tile records in the bytes b (a match of
-    the tile pattern), or None if an integer has a leading zero.  Each
-    record is 9 + degree lines and each value sits at a fixed column of
-    its line; a name not in the sorted byte strings `keys` gets id -1."""
-    lines = np.concatenate([[-1], np.flatnonzero(b == ord("\n")), [len(b)]])
-    start = (lines[:-1] + 1).reshape(-1, 9 + degree)
-    stop = lines[1:].reshape(-1, 9 + degree)
+def _read_tiles(b, ends, degree, keys, order):
+    """(ids, r, den, num) of the tile records whose lines end at `ends` in
+    the bytes b, which start with the first of them.  Each record is
+    9 + degree lines and each value is read at the column of its line
+    where `export_patch` prints it; a name not in the sorted byte strings
+    `keys` gets id -1, and num is in the narrowest dtype that holds it."""
+    stop = ends.reshape(-1, 9 + degree)
+    start = np.concatenate([[0], ends[:-1] + 1]).reshape(stop.shape)
     # '   "name": "G",' and the value lines '   "r": 3,', '    "den": 1,'
     # and '     0,' ... '     0'
     first, last = start[:, 1] + 12, stop[:, 1] - 2
@@ -400,8 +304,6 @@ def _read_tiles(b, degree, keys, order):
     values = _parse_ints(
         b, start[:, rows] + np.array([8, 11] + [5] * degree),
         stop[:, rows] - np.array([1] * (1 + degree) + [0]))
-    if values is None:
-        return None
     width = keys.itemsize
     at = first[:, None] + np.arange(width)
     inside = at < last[:, None]
@@ -409,102 +311,97 @@ def _read_tiles(b, degree, keys, order):
     name = name.view(f"S{width}").ravel()
     pos = np.minimum(np.searchsorted(keys, name), len(keys) - 1)
     known = (keys[pos] == name) & (last - first <= width)
+    num = values[:, 2:]
+    # copies: a view would keep every part's int64 values alive
     return (np.where(known, order[pos], -1).astype(np.int16),
-            values[:, 0], values[:, 1], values[:, 2:])
+            values[:, 0].copy(), values[:, 1].copy(),
+            num.astype(_int_dtype(max_abs(num))))
 
 
-def _canonical_columns(fh):
-    """(d, manifest, ids, r, den, num) of a patch file in the exact layout
-    that `export_patch` writes, read from the binary file object fh, or
-    None for any other bytes.
+def _read(fh):
+    """(patch, manifest, precision) read from a patch file in the layout of
+    `export_patch`, from the binary file object fh; _Off, or the
+    ValueError or RecursionError of a value, where the bytes leave it.
 
-    The header's six lines are read at most _LINE bytes each, so a file
-    in another layout is left after a few hundred bytes; the rest is read
-    BLOCK bytes at a time, and only the bytes not yet matched are kept.
-    The layout is checked by patterns, MATCH records at a time.  No piece
-    of a pattern reads past the end of its line, so a match on a buffer
-    that holds MATCH whole records of lines past the match start, or the
-    rest of the file, is the match on the whole file.  The values are
-    read from the matched bytes in one array pass per run of matches of at
-    most CHUNK records (of one match if MATCH > CHUNK), which also checks
-    the one rule of the JSON integer grammar that the tile pattern leaves
-    out: no leading zero.  Each run is written into columns sized by the
-    number of shadow corner triples; a file whose shadow does not hold one
-    triple per tile record goes to the json reader.  The shadow corners
-    are checked against the JSON number grammar but not decoded.  Every
-    accepted file is valid JSON that `_json_columns` reads to the same
-    columns; ids, r and den are int16, int64 and int64, r as written, and
-    num is an N x degree array in the narrowest dtype that holds it,
-    joined from the runs (`_join`)."""
-    try:
-        src = _Blocks(fh, b"".join([fh.readline(_LINE) for _ in range(6)]))
-        head = _match(_HEADER, src)
-        d, degree, order = map(int, head.groups())
-        try:
-            _field(d, order, degree)
-        except SchemaError:
-            raise _Off from None
-        src.skip(head.end())
-        end = src.find(_SHADOW)
-        try:
-            # in a list, the manifest nests as deep as in the whole
-            # document; a match of _SHADOW inside the manifest leaves an
-            # unclosed prefix, and text that is not one value does not
-            # unpack
-            manifest, = json.loads("[%s]" % src.buf[src.pos:end].decode())
-        except (ValueError, RecursionError):
-            raise _Off from None
-        src.skip(end + len(_SHADOW))
-        corners, middle, tiles = _grammar(degree, MATCH)
-        count = 0
-        while True:
-            src.lines(_CORNER_LINES * MATCH)
-            ends = src.skip(_match(corners, src).end())
-            count += (ends + 1) // _CORNER_LINES
-            if not src.buf.startswith(b",\n", src.pos):
-                break
-            src.skip(src.pos + 2)
-        src.lines(5)  # the middle's line ends
-        src.skip(_match(middle, src).end())
-        keys = np.array([n.encode() for n in prototile_ids(d)[0]])
-        order = np.argsort(keys)
-        keys = keys[order]
-        columns = (np.empty(count, np.int16), np.empty(count, np.int64),
-                   np.empty(count, np.int64))
-        nums = []
-        # the matches are joined by ",\n", as the records inside one are,
-        # so a run of them is read as one block; all but the last hold
-        # MATCH records
-        group = max(1, CHUNK // MATCH)
-        done, more = 0, True
-        while more:
-            src.lines(group * MATCH * (9 + degree))
-            start = at = src.pos
-            for _ in range(group):
-                end = _match(tiles, src, at).end()
-                more = src.buf.startswith(b",\n", end)
-                at = end + 2 if more else end
-                if not more:
-                    break
-            part = _read_tiles(np.frombuffer(src.buf, np.uint8, end - start,
-                                             start), degree, keys, order)
-            if part is None or done + len(part[0]) > count:
-                raise _Off
-            # a run of records is 9 + degree lines each, so its line ends
-            # are known without counting them again
-            src.skip(at, len(part[0]) * (9 + degree) - (not more))
-            for column, values in zip(columns, part):
-                column[done:done + len(values)] = values
-            nums.append(part[3])
-            done += len(part[0])
-        # one line end more than _END holds: a buffer equal to _END is the
-        # rest of the file
-        src.lines(_END.count(b"\n") + 1)
-        if done != count or src.buf[src.pos:] != _END:
+    The header's six lines are read at most 64 bytes each, more than the
+    longest line `_HEADER` matches, so a file in another layout is left
+    after a few hundred bytes.  The manifest is held until `_SHADOW`, the
+    shadow is skipped, and the tile values are read BLOCK bytes at a time
+    at their fixed columns (`_read_tiles`); the layout and the shadow are
+    left to the re-export that confirms the read."""
+    head = b"".join([fh.readline(64) for _ in range(6)])
+    m = _HEADER.match(head)
+    if m is None:
+        raise _Off
+    d, degree, order = map(int, m.groups())
+    _field(d, order, degree)
+    buf, at = head[m.end():], 0
+    while (end := buf.find(_SHADOW, at)) < 0:
+        at = max(0, len(buf) - len(_SHADOW) + 1)
+        buf = _more(fh, buf)
+    # in a list, the manifest nests as deep as in the whole document; text
+    # that is not one value does not unpack
+    manifest, = json.loads("[%s]" % buf[:end].decode())
+    marker = b'\n  ],\n  "precision": '
+    buf = buf[end:]
+    while (end := buf.find(marker)) < 0:
+        if not (block := fh.read(BLOCK)):
             raise _Off
-    except _Off:
+        buf = buf[1 - len(marker):] + block
+    buf = buf[end + len(marker):]
+    while buf.count(b"\n") < 3:
+        buf = _more(fh, buf)
+    # the precision's line, ' },' and ' "tiles": ['
+    line, _, _, buf = buf.split(b"\n", 3)
+    if len(line) > 19:
+        raise _Off
+    precision = int(line)
+    keys = np.array([n.encode() for n in prototile_ids(d)[0]])
+    order = np.argsort(keys)
+    keys = keys[order]
+    lines = 9 + degree
+    parts = []
+    while True:
+        b = np.frombuffer(buf, np.uint8)
+        ends = np.flatnonzero(b == ord("\n"))
+        # the whole records before the three lines that end the file
+        n = (len(ends) - 3) // lines * lines
+        if n > 0:
+            parts.append(_read_tiles(b, ends[:n], degree, keys, order))
+            buf = buf[ends[n - 1] + 1:]
+        try:
+            buf = _more(fh, buf, lines + 3)
+        except _Off:
+            break
+    if not parts:
+        raise _Off
+    ids, r, den, num = zip(*parts)
+    patch = _patch(d, np.concatenate(ids), np.concatenate(r),
+                   np.concatenate(den), _join(num, degree))
+    return patch, manifest, precision
+
+
+def _canonical_patch(fh):
+    """(patch, manifest) of a patch file that is, byte for byte, the export
+    of what `_read` reads from it, or None; fh is a binary file object
+    that can seek.  The re-export checks the layout, the shadow and each
+    value's text ("01", "-0" and a rotation past the field order print
+    otherwise); a value `_patch` refuses sends the file to the json
+    reader, which refuses it with the same error."""
+    def same(text):
+        data = text.encode()
+        if fh.read(len(data)) != data:
+            raise _Off
+
+    try:
+        patch, manifest, precision = _read(fh)
+        fh.seek(0)
+        _write(same, patch, manifest, precision)
+        if fh.read(1):
+            raise _Off
+    except (_Off, ValueError, OverflowError, RecursionError):
         return None
-    return (d, manifest) + columns + (_join(nums, degree),)
+    return patch, manifest
 
 
 def _join(parts, degree):
@@ -528,8 +425,8 @@ def _int64(values, what):
 
 def _json_columns(text):
     """(d, manifest, ids, r, den, num) of a patch document in any JSON
-    layout, as `_canonical_columns` gives them, with the types and shapes
-    checked; SchemaError if the document is not one."""
+    layout, with the types and shapes checked (num in the narrowest dtype
+    that holds it); SchemaError if the document is not one."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -594,28 +491,28 @@ def _patch(d, ids, r, den, num):
 def import_patch(path):
     """(patch, manifest) from a patch file; exact data only is trusted.
 
-    A file in the layout `export_patch` writes is read by
-    `_canonical_columns` a block at a time; any other JSON is read again
-    from its start, whole, by `_json_columns`.  Both hand their columns to
-    the same value checks.  Every malformed or unreadable file raises
-    SchemaError.
+    A file that is, byte for byte, the export of what is read from it is
+    read a block at a time and confirmed by a second pass
+    (`_canonical_patch`); any other file is read again from its start,
+    whole, by `_json_columns`.  Both build the patch with the same value
+    checks.  Every malformed or unreadable file raises SchemaError.
     """
     try:
         with open(path, "rb") as fh:
-            # the json reader reads the file again from its start, which a
-            # pipe cannot do: a pipe is read whole first
+            # both passes and the json reader read the file from its
+            # start, which a pipe cannot do: a pipe is read whole first
             src = fh if fh.seekable() else io.BytesIO(fh.read())
-            columns = _canonical_columns(src)
-            if columns is None:
+            read = _canonical_patch(src)
+            if read is None:
                 src.seek(0)
                 data = src.read()
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from None
-    if columns is None:
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise SchemaError(f"not UTF-8 text: {exc}") from None
-        columns = _json_columns(text)
-    d, manifest, *tiles = columns
+    if read is not None:
+        return read
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"not UTF-8 text: {exc}") from None
+    d, manifest, *tiles = _json_columns(text)
     return _patch(d, *tiles), manifest

@@ -44,14 +44,15 @@ def reference_document(d, tiles, precision=12):
 
 
 def read_canonically(text):
-    """The patch of an exported file's text, read by the canonical reader,
-    whose columns must be the json reader's."""
-    columns = patchio._canonical_columns(io.BytesIO(text.encode()))
-    expect = patchio._json_columns(text)
-    assert columns[:2] == expect[:2]
-    for got, want in zip(columns[2:], expect[2:]):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-    return patchio._patch(columns[0], *columns[2:])
+    """The patch of an exported file's text, read by the canonical pass,
+    which must give the json reader's patch and manifest."""
+    read = patchio._canonical_patch(io.BytesIO(text.encode()))
+    d, manifest, *tiles = patchio._json_columns(text)
+    assert read is not None and read[1] == manifest
+    for got, want in zip(read[0].columns, patchio._patch(d, *tiles).columns):
+        assert np.asarray(got).dtype == np.asarray(want).dtype
+        assert np.array_equal(got, want)
+    return read[0]
 
 
 @st.composite
@@ -113,15 +114,15 @@ def test_empty_patch_exports_renders_and_verifies(tmp_path):
     assert verify_face_to_face(patch).ok
 
 
-@pytest.mark.parametrize("chunk, match, block", [
-    (1, 1, 1), (7, 2, 7), (8192, 256, patchio.BLOCK), (2048, 256, 1),
-    (2048, 256, 7)], ids=["1", "7", "8192", "2048-block1", "2048-block7"])
+@pytest.mark.parametrize("chunk, block", [
+    (1, 1), (7, 7), (8192, patchio.BLOCK), (2048, 1), (2048, 7)],
+    ids=["1", "7", "8192", "2048-block1", "2048-block7"])
 def test_export_in_chunks_is_the_document(tmp_path, monkeypatch, chunk,
-                                          match, block):
+                                          block):
     # translations over several denominators, so a chunk's common
-    # denominator can differ from the patch's; the reader reads the file
-    # `block` bytes at a time, matches `match` records at a time and reads
-    # up to `chunk` at once
+    # denominator can differ from the patch's; the canonical pass reads
+    # the file `block` bytes at a time and re-exports it `chunk` records
+    # at a time
     f = field_for_order(14)
     tiles = Patch.single(14, "G").inflate(derive_rules(14, 3, 1)).tiles
     patch = Patch(14, [Tile(t.name, Isometry(t.iso.r, t.iso.t
@@ -129,7 +130,6 @@ def test_export_in_chunks_is_the_document(tmp_path, monkeypatch, chunk,
                        for k, t in enumerate(tiles)])
     assert patch.columns[3] == 60
     monkeypatch.setattr(patchio, "CHUNK", chunk)
-    monkeypatch.setattr(patchio, "MATCH", match)
     monkeypatch.setattr(patchio, "BLOCK", block)
     export_patch(patch, tmp_path / "p.json", manifest={"n": 2})
     doc = patch_document(patch, manifest={"n": 2})

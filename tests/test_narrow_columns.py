@@ -127,11 +127,12 @@ def test_rows_at_the_dtype_limit_match_elem_arithmetic(tmp_path, limit, dt):
     assert text == json.dumps(patchio.patch_document(patch), indent=1,
                               sort_keys=True) + "\n"
     with open(path, "rb") as fh:
-        fast = patchio._canonical_columns(fh)
-    slow = patchio._json_columns(text)
-    assert fast is not None and fast[-1].dtype == slow[-1].dtype == dt
-    for a, b in zip(fast[2:], slow[2:]):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
+        fast, _ = patchio._canonical_patch(fh)
+    d, _, *tiles = patchio._json_columns(text)
+    assert tiles[-1].dtype == dt
+    for a, b in zip(fast.columns, patchio._patch(d, *tiles).columns):
+        assert np.asarray(a).dtype == np.asarray(b).dtype
+        assert np.array_equal(a, b)
     imported, _ = patchio.import_patch(path)
     assert imported.tiles == patch.tiles
     assert imported.columns[2].dtype == dt
@@ -263,6 +264,35 @@ def test_rational_translations_match_elem_arithmetic(tmp_path):
     assert imported.columns[3] == 77 and imported.tiles == patch.tiles
 
 
+def test_a_rational_seed_inflates_and_flips_as_its_translate():
+    # G at (3, w), w over den 77, inflated three times by (14, 3, +): each
+    # level is the per-tile Elem inflation, the rule table rescaled by 77;
+    # a flip of the result is the flip of the patch grown from G at
+    # (3, 0), translated by iota^3 w, and rescales the flip's rows by 77
+    f = field_for_order(14)
+    w = witness_shift()
+    rules = derive_rules(14, 3, 1)
+    patch = Patch(14, [Tile("G", Isometry(3, w))])
+    base = Patch(14, [Tile("G", Isometry(3, f.zero))])
+    ref = patch.tiles
+    for _ in range(3):
+        patch, base = patch.inflate(rules), base.inflate(rules)
+        ref = reference_inflate(ref, rules)
+        assert patch.tiles == ref
+    assert len(patch) == 678 and patch.columns[3] == 77
+    shift = w * rules.iota * rules.iota * rules.iota
+    assert patch.tiles == moved(base, shift).tiles
+    sites, base_sites = find_flippable(patch), find_flippable(base)
+    assert len(sites) == 69
+    assert [(s.i, s.j) for s in sites] == [(s.i, s.j) for s in base_sites]
+    flipped = apply_flip(patch, sites[0])
+    base_flipped = apply_flip(base, base_sites[0])
+    assert flipped.columns[3] == 77
+    assert flipped.tiles == moved(base_flipped, shift).tiles
+    for out in (flipped, base_flipped):
+        assert verify_face_to_face(out, decorated=False).ok
+
+
 @pytest.mark.parametrize("block", [5, 64], ids=["block5", "block64"])
 def test_corner_ids_from_blocks_are_row_ids(monkeypatch, block):
     # blocks of corner rows that split tiles, over den 1 and 77, at the
@@ -289,8 +319,10 @@ def test_import_rescales_narrow_rows_to_the_common_denominator(tmp_path):
     patch = Patch(14, [Tile("G", Isometry(k, t)) for k, t in enumerate(shifts)])
     assert patch.columns[3] == 3 and patch.t_max == 381
     patchio.export_patch(patch, tmp_path / "p.json")
+    text = (tmp_path / "p.json").read_text()
+    assert patchio._json_columns(text)[-1].dtype == np.int8
     with open(tmp_path / "p.json", "rb") as fh:
-        assert patchio._canonical_columns(fh)[-1].dtype == np.int8
+        assert patchio._canonical_patch(fh)[0].tiles == patch.tiles
     imported, _ = patchio.import_patch(tmp_path / "p.json")
     assert imported.columns[3] == 3 and imported.tiles == patch.tiles
     assert imported.columns[2].dtype == np.int16

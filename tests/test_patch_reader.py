@@ -1,5 +1,6 @@
-"""The two patch file readers: the canonical reader for the exact layout
-that export_patch writes, and the json reader for every other file."""
+"""The two patch file readers: the canonical pass for a file that is, byte
+for byte, the export of what is read from it, and the json reader for
+every other file."""
 
 import contextlib
 import io
@@ -7,6 +8,7 @@ import json
 import os
 import re
 import threading
+import tracemalloc
 from functools import lru_cache
 from unittest import mock
 
@@ -40,16 +42,15 @@ def small_document():
     return patchio.patch_document(small_patch(), {"p": 3, "n": [1, None]})
 
 
-def canonical_columns(data):
-    """The canonical reader's columns of the bytes data."""
-    return patchio._canonical_columns(io.BytesIO(data))
+def canonical_patch(data):
+    """The canonical pass's (patch, manifest) of the bytes data, or None."""
+    return patchio._canonical_patch(io.BytesIO(data))
 
 
-def same_columns(a, b):
-    """d, manifest and every column with its dtype are equal."""
-    return (a[0] == b[0] and json.dumps(a[1]) == json.dumps(b[1])
-            and all(x.dtype == y.dtype and x.shape == y.shape
-                    and np.array_equal(x, y) for x, y in zip(a[2:], b[2:])))
+def json_read(data):
+    """The json reader's (patch, manifest) of the bytes data."""
+    d, manifest, *tiles = patchio._json_columns(data.decode())
+    return patchio._patch(d, *tiles), manifest
 
 
 def same_patch(a, b):
@@ -57,12 +58,39 @@ def same_patch(a, b):
                and np.array_equal(x, y) for x, y in zip(a.columns, b.columns))
 
 
+def same_read(a, b):
+    """Two (patch, manifest) pairs are equal, dtypes too."""
+    return same_patch(a[0], b[0]) and json.dumps(a[1]) == json.dumps(b[1])
+
+
+def check_rule(data):
+    """The canonical pass reads the bytes data exactly when they are the
+    export of the patch, manifest and precision that the json reader
+    reads from them, unless the patch is empty (its file has no blocks of
+    shadow corners and tiles), and then reads what json reads; its
+    result."""
+    read = canonical_patch(data)
+    out = io.StringIO()
+    try:
+        want = json_read(data)
+        precision = json.loads(data)["shadow"]["precision"]
+        if patchio._is_int(precision):
+            patchio._write(out.write, *want, precision)
+    except (patchio.SchemaError, UnicodeDecodeError, OverflowError,
+            KeyError, TypeError):
+        pass
+    again = out.getvalue().encode()
+    assert (read is not None) == (again == data and len(want[0]) > 0)
+    assert read is None or same_read(read, want)
+    return read
+
+
 def test_exported_file_is_read_canonically():
     data = canonical_text(small_document()).encode()
-    columns = canonical_columns(data)
-    assert columns is not None
-    assert same_columns(columns, patchio._json_columns(data.decode()))
-    assert columns[4].tolist() == [1 + k % 5 for k in range(9)]
+    read = check_rule(data)
+    assert read is not None and same_patch(read[0], small_patch())
+    # the file's denominators 1..5 over their common one
+    assert read[0].columns[3] == 60
 
 
 def escape_first_name(text):
@@ -132,10 +160,32 @@ def test_non_canonical_files_import_to_the_same_patch(tmp_path, case):
         text = canonical_text(patchio.patch_document(patch, doc["manifest"]))
     path = tmp_path / "p.json"
     path.write_text(text)
-    assert canonical_columns(text.encode()) is None
+    assert check_rule(text.encode()) is None
     loaded, manifest = patchio.import_patch(path)
     assert same_patch(loaded, patch)
     assert manifest == doc["manifest"]
+
+
+def test_an_edited_shadow_is_read_through_json(tmp_path, monkeypatch):
+    # one shadow digit changed: still valid JSON, but not the export of
+    # the exact data, so the canonical pass declines it and the json
+    # reader reads the same patch
+    text = canonical_text(small_document())
+    m = re.compile(r"[0-9]").search(text, text.index('"corners": ['))
+    text = text[:m.start()] + ("2" if m.group() == "1" else "1") \
+        + text[m.end():]
+    assert json.loads(text)["shadow"] != small_document()["shadow"]
+    assert canonical_patch(text.encode()) is None
+    calls = []
+    json_columns = patchio._json_columns
+    monkeypatch.setattr(patchio, "_json_columns",
+                        lambda text: calls.append(1) or json_columns(text))
+    path = tmp_path / "p.json"
+    path.write_text(text)
+    patch, manifest = patchio.import_patch(path)
+    assert calls == [1]
+    assert same_patch(patch, small_patch())
+    assert manifest == small_document()["manifest"]
 
 
 def test_wide_coefficients_export_as_the_document(tmp_path):
@@ -175,11 +225,15 @@ def tile_value(k, *path, value):
 ], ids=["unknown-name", "name-extends-a-name", "den-zero", "den-negative",
         "lcm-beyond-2^62", "scaled-beyond-2^62"])
 def test_canonical_layout_still_checks_values(tmp_path, edits):
+    # the canonical pass reads the values and refuses them with the json
+    # reader's error, before any re-export
     doc = small_document()
     for edit in edits:
         edit(doc)
     text = canonical_text(doc)
-    assert canonical_columns(text.encode()) is not None
+    with pytest.raises(patchio.SchemaError):
+        patchio._read(io.BytesIO(text.encode()))
+    assert check_rule(text.encode()) is None
     path = tmp_path / "p.json"
     path.write_text(text)
     with pytest.raises(patchio.SchemaError):
@@ -196,7 +250,7 @@ def test_canonical_layout_still_checks_values(tmp_path, edits):
         "double-minus"])
 def test_canonical_reader_rejects_what_json_rejects(tmp_path, edit):
     text = edit(canonical_text(small_document()))
-    assert canonical_columns(text.encode()) is None
+    assert canonical_patch(text.encode()) is None
     path = tmp_path / "p.json"
     path.write_text(text)
     with pytest.raises(patchio.SchemaError, match="not valid JSON"):
@@ -235,7 +289,7 @@ def import_result(path, text):
 @pytest.mark.parametrize("field", sorted(INT_FIELDS))
 def test_leading_zeros_are_rejected_in_every_field(tmp_path, field, text):
     data = with_integer_text(field, text)
-    assert canonical_columns(data.encode()) is None
+    assert canonical_patch(data.encode()) is None
     path = tmp_path / "p.json"
     path.write_text(data)
     with pytest.raises(patchio.SchemaError, match="not valid JSON"):
@@ -244,11 +298,27 @@ def test_leading_zeros_are_rejected_in_every_field(tmp_path, field, text):
 
 @pytest.mark.parametrize("text", ["-0", "1" + "0" * 17, "-" + "9" * 18])
 @pytest.mark.parametrize("field", sorted(INT_FIELDS))
-def test_integers_up_to_18_digits_are_read_canonically(field, text):
+def test_integers_up_to_18_digits_are_read_canonically(tmp_path, field,
+                                                       text):
+    # the edited file keeps the shadow of the sentinel, so it is not the
+    # export of what it holds; the export of what json reads from it is
+    # read canonically, an 18-digit coefficient included
     data = with_integer_text(field, text).encode()
-    columns = canonical_columns(data)
-    assert columns is not None
-    assert same_columns(columns, patchio._json_columns(data.decode()))
+    check_rule(data)
+    path = tmp_path / "p.json"
+    path.write_bytes(data)
+    try:
+        patch, manifest = patchio.import_patch(path)
+    except patchio.SchemaError:
+        # a denominator below 1, or a coefficient beyond 2**62 over the
+        # common denominator
+        assert field == "den" or text.startswith("-9")
+        return
+    patchio.export_patch(patch, path, manifest)
+    again = path.read_bytes()
+    assert same_read(check_rule(again), (patch, manifest))
+    if field.startswith("num") and len(text) == 18:
+        assert b"     %s" % text.encode() in again
 
 
 @pytest.mark.parametrize("text", ["1" + "0" * 18, "-" + "9" * 19])
@@ -256,7 +326,7 @@ def test_integers_up_to_18_digits_are_read_canonically(field, text):
 def test_integers_of_19_digits_go_to_the_json_reader(tmp_path, field, text):
     # the same result as the compact layout, which only json reads
     data = with_integer_text(field, text)
-    assert canonical_columns(data.encode()) is None
+    assert check_rule(data.encode()) is None
     compact = json.dumps(json.loads(data), separators=(",", ":"))
     assert import_result(tmp_path / "a.json", data) == \
         import_result(tmp_path / "b.json", compact)
@@ -280,7 +350,7 @@ def cut(text, where):
 def test_cut_files_are_rejected(tmp_path, capsys, monkeypatch, where, block):
     monkeypatch.setattr(patchio, "BLOCK", block)
     text = cut(canonical_text(small_document()), where)
-    assert canonical_columns(text.encode()) is None
+    assert canonical_patch(text.encode()) is None
     path = tmp_path / "cut.json"
     path.write_text(text)
     with pytest.raises(patchio.SchemaError, match="not valid JSON"):
@@ -294,9 +364,9 @@ def test_cut_files_are_rejected(tmp_path, capsys, monkeypatch, where, block):
 
 @pytest.mark.parametrize("layout", ["canonical", "no-shadow", "compact"])
 def test_reads_copy_each_byte_a_bounded_number_of_times(monkeypatch, layout):
-    # each read joins its blocks to the unconsumed bytes once, and a read
-    # with no bytes consumed since the last one at least doubles them: a
-    # buffer regrown per 7-byte block copies this file 125 to 275 times
+    # each read joins its blocks to the unconsumed bytes once and at least
+    # doubles them: a buffer regrown per 7-byte block copies this file
+    # 125 to 275 times
     doc = small_document()
     if layout == "no-shadow":
         del doc["shadow"]
@@ -304,20 +374,37 @@ def test_reads_copy_each_byte_a_bounded_number_of_times(monkeypatch, layout):
             else canonical_text(doc)).encode()
     monkeypatch.setattr(patchio, "BLOCK", 7)
     held = []
-    read = patchio._Blocks.read
+    more = patchio._more
 
-    def counted(self, *args):
-        more = read(self, *args)
-        held.append(len(self.buf))
-        return more
+    def counted(fh, rest, *lines):
+        buf = more(fh, rest, *lines)
+        held.append(len(buf))
+        return buf
 
-    monkeypatch.setattr(patchio._Blocks, "read", counted)
+    monkeypatch.setattr(patchio, "_more", counted)
     fh = io.BytesIO(data)
-    assert (patchio._canonical_columns(fh) is None) == (layout != "canonical")
+    assert (patchio._canonical_patch(fh) is None) == (layout != "canonical")
     assert sum(held) <= 4 * len(data)
     if layout == "compact":
-        # the header's lines are read at most _LINE bytes each
-        assert fh.tell() <= 6 * patchio._LINE
+        # the header's six lines are read at most 64 bytes each
+        assert fh.tell() <= 6 * 64
+
+
+def test_a_long_line_brings_in_a_bounded_read():
+    # a 1 MiB line where the tile records start, then 1 MiB of line ends:
+    # the reader reads on until it holds the lines of a record, not until
+    # it has doubled its bytes, so it indexes a block of line ends, not
+    # a million
+    data = canonical_text(small_document()).encode()
+    at = data.index(b'"tiles": [\n') + len(b'"tiles": [\n')
+    data = data[:at] + b"x" * 2 ** 20 + b"\n" * 2 ** 20
+    tracemalloc.start()
+    try:
+        assert canonical_patch(data) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(data)
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
@@ -346,12 +433,10 @@ def test_a_pipe_is_read_in_either_layout(tmp_path, layout):
 # ---- fuzz: mutated files ----
 
 def check_readers(path, data):
-    """The canonical reader gives None or the json reader's columns;
-    import_patch raises only SchemaError; `deltiling verify` exits 0, 1
-    or 2 without an exception escaping."""
-    canonical = canonical_columns(data)
-    if canonical is not None:
-        assert same_columns(canonical, patchio._json_columns(data.decode()))
+    """The canonical pass reads data exactly when it is the export of what
+    json reads (`check_rule`); import_patch raises only SchemaError;
+    `deltiling verify` exits 0, 1 or 2 without an exception escaping."""
+    check_rule(data)
     path.write_bytes(data)
     try:
         patchio.import_patch(path)
@@ -413,12 +498,12 @@ def test_byte_mutations(tmp_path_factory, edits):
 @FUZZ
 @given(BYTE_EDITS)
 def test_byte_mutations_across_matches(tmp_path_factory, edits):
-    # two records per match and four per array pass: the 9 records take
-    # five matches, read in three groups, so most edits land past the first
+    # five records per block of the re-export: the 9 records and their
+    # corners are compared in two blocks each, so most edits land past
+    # the first
     data = canonical_text(small_document()).encode()
-    with mock.patch.multiple(patchio, MATCH=2, CHUNK=5):
-        assert same_columns(canonical_columns(data),
-                            patchio._json_columns(data.decode()))
+    with mock.patch.multiple(patchio, CHUNK=5):
+        assert same_read(canonical_patch(data), json_read(data))
         check_readers(tmp_path_factory.mktemp("fuzz") / "p.json",
                       apply_byte_edits(data, edits))
 
@@ -426,10 +511,10 @@ def test_byte_mutations_across_matches(tmp_path_factory, edits):
 @FUZZ
 @given(BYTE_EDITS)
 def test_byte_mutations_across_blocks(tmp_path_factory, edits):
-    # 7-byte blocks: the reader matches on a buffer that ends inside a
-    # record or a number wherever an edit lands
+    # 7-byte blocks: the first pass reads from a buffer that ends inside
+    # a record or a number wherever an edit lands
     data = canonical_text(small_document()).encode()
-    with mock.patch.multiple(patchio, BLOCK=7, MATCH=2, CHUNK=5):
+    with mock.patch.multiple(patchio, BLOCK=7, CHUNK=5):
         check_readers(tmp_path_factory.mktemp("fuzz") / "p.json",
                       apply_byte_edits(data, edits))
 

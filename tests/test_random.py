@@ -128,6 +128,28 @@ def test_find_and_apply_flip():
     assert geometry(apply_flip(flipped, back[0])) == geometry(patch)
 
 
+def test_a_side_run_the_same_way_by_two_tiles_is_no_flip_site(monkeypatch):
+    # Et twice at one place: its class-7 side is shared by two tiles that
+    # run it the same way, so the flip table finds no quadrilateral there
+    # and the verifier reports the edge
+    tile = Patch.single(14, "Et").tiles[0]
+    patch = Patch(14, [tile, tile])
+    entries = []
+    entry = ensembles._flip_entry
+
+    def recorded(*args):
+        entries.append(entry(*args))
+        return entries[-1]
+
+    monkeypatch.setattr(ensembles, "_flip_entry", recorded)
+    assert find_flippable(patch) == []
+    assert entries == [None]
+    rep = verify_face_to_face(patch)
+    assert not rep.ok
+    assert any(p.startswith("edge traversed twice in the same direction")
+               for p in rep.problems)
+
+
 def test_stale_site_rejected():
     rules = derive_rules(14, 5, 1)
     patch = Patch.single(14, "G").inflate(rules).inflate(rules)
