@@ -12,8 +12,18 @@ Export prints the file without building the JSON document: each block of
 CHUNK tile records is one join of strings gathered from a small table of
 the integers that occur in it (`_tiles_block`), and each block of CHUNK
 shadow corner triples one join gathered from the block's distinct
-rounded floats, each printed once, and the fixed layout pieces between
-them (`_corners_block`).
+floats, each printed once, and the fixed layout pieces between them
+(`_corners_block`).  The distinct floats are printed as
+repr(round(x, precision)) by one numpy kernel, `floattext.round_reprs`:
+it rounds x * 10**precision half to even on the exact binary value, the
+error of the float product (Dekker's TwoProduct) deciding the ties, and
+writes the digits in uint8 arithmetic.  For 1e-4 <= |x| and
+|x| * 10**precision < 2**52 that is repr's text, since the rounded
+double's ulp is below 10**-precision, so no shorter text rounds to it
+(proved in the `floattext` docstring); every other value, and every
+precision outside 0..15, is printed by repr(round(x, precision)) one
+value at a time.  `patch_document`, the document the file equals,
+rounds with Python's `round` per distinct float.
 
 Import reads a file without `json` only if it is, byte for byte, the
 export of what was read from it, so the layout is written down once, by
@@ -37,6 +47,7 @@ import re
 import numpy as np
 
 from .field import MAX_ORDER, conductor, field_for_order
+from .floattext import round_reprs
 from .substitution import (INT64_SAFE, Patch, _int_dtype, max_abs,
                            prototile_ids)
 
@@ -75,22 +86,13 @@ def _values(x):
     return values.tolist(), index.reshape(x.shape)
 
 
-def _distinct(values):
-    """(uniq, index): the distinct floats of values, told apart by their
-    bits, with values = uniq[index]."""
-    bits, index = np.unique(np.ascontiguousarray(values).view(np.int64),
-                            return_inverse=True)
-    return bits.view(np.float64).tolist(), index.reshape(values.shape)
-
-
-def _shadow(patch, precision):
-    """(rounded, index): the N x 6 shadow floats (x, y of each corner) are
-    rounded[index]; Python `round` (np.round gives other digits) runs once
-    per distinct float."""
+def _shadow(patch):
+    """(uniq, index): the N x 6 shadow floats (x, y of each corner) are
+    uniq[index], the distinct floats told apart by their bits."""
     z = patch.corner_values()
-    uniq, index = _distinct(np.stack([z.real, z.imag], axis=-1)
-                            .reshape(len(z), 6))
-    return [round(x, precision) for x in uniq], index
+    values = np.stack([z.real, z.imag], axis=-1).reshape(len(z), 6)
+    bits, index = np.unique(values.view(np.int64), return_inverse=True)
+    return bits.view(np.float64), index.reshape(values.shape)
 
 
 def _document(patch, manifest, precision, tiles, corners):
@@ -113,8 +115,10 @@ def patch_document(patch: Patch, manifest=None, precision=12):
     tiles = [{"name": names[i], "r": rk, "t": {"num": num, "den": den}}
              for i, rk, num, den in zip(ids.tolist(), r.tolist(),
                                         nums.tolist(), dens.tolist())]
-    rounded, index = _shadow(patch, precision)
-    corners = np.array(rounded)[index].reshape(len(patch), 3, 2).tolist()
+    uniq, index = _shadow(patch)
+    # Python `round` (np.round gives other digits), once per distinct float
+    rounded = np.array([round(x, precision) for x in uniq.tolist()])
+    corners = rounded[index].reshape(len(patch), 3, 2).tolist()
     return _document(patch, manifest, precision, tiles, corners)
 
 
@@ -154,8 +158,8 @@ def _tiles_block(patch):
 #: the text around the six numbers of a shadow corner triple, as
 #: json.dumps(indent=1) prints it at depth 2: before x0, between x and y,
 #: between two corners and after y2
-_TRIPLE = ("   [\n    [\n     ", ",\n     ", "\n    ],\n    [\n     ",
-           "\n    ]\n   ]")
+_TRIPLE = (b"   [\n    [\n     ", b",\n     ", b"\n    ],\n    [\n     ",
+           b"\n    ]\n   ]")
 
 
 def _corners_block(patch, precision):
@@ -164,19 +168,21 @@ def _corners_block(patch, precision):
 
     Each triple is printed as 14 tokens: its six numbers, the seven
     layout pieces around them (from `_TRIPLE`) and the ",\n" between
-    triples.  The numbers come from the table of the distinct rounded
-    floats (`_shadow`), so, as in `_tiles_block`, one join over a gather
-    of a token matrix prints every triple."""
-    rounded, index = _shadow(patch, precision)
-    k = len(rounded)
-    vocab = [repr(x) for x in rounded] + list(_TRIPLE) + [",\n"]
+    triples.  The numbers come from the table of the block's distinct
+    floats (`_shadow`), each printed as repr(round(x, precision)) by one
+    numpy kernel (`floattext.round_reprs`), so, as in `_tiles_block`, one
+    join over a gather of a token matrix prints every triple."""
+    uniq, index = _shadow(patch)
+    k = len(uniq)
+    vocab = round_reprs(uniq, precision) + list(_TRIPLE) + [b",\n"]
     head, pair, turn, tail, comma = range(k, k + 5)
     tok = np.empty((len(index), 14), dtype=np.intp)
     tok[:, 1:13:2] = index
     tok[:, 0:13:2] = [head, pair, turn, pair, turn, pair, tail]
     tok[:, 13] = comma
     # the last triple has no ",\n" after it
-    return "".join(np.array(vocab, dtype=object)[tok.ravel()[:-1]].tolist())
+    return b"".join(np.array(vocab, dtype=object)[tok.ravel()[:-1]]
+                    .tolist()).decode()
 
 
 #: tiles per block of text that `export_patch` writes at a time
@@ -472,7 +478,13 @@ def _patch(d, ids, r, den, num):
         raise SchemaError(f"tile {unknown[0]}: unknown prototile for d={d}")
     if (den <= 0).any():
         raise SchemaError("denominators must be positive integers")
-    common = math.lcm(*np.unique(den).tolist())
+    # folded one denominator at a time and stopped at the bound, so each
+    # step takes numbers below 2**62 and the fold is linear in their count
+    common = 1
+    for x in np.unique(den).tolist():
+        common = math.lcm(common, x)
+        if common >= INT64_SAFE:
+            break
     if common >= INT64_SAFE or max_abs(num) >= INT64_SAFE:
         raise SchemaError("coefficients and denominators must be below 2**62")
     if common > 1:

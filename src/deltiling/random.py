@@ -38,8 +38,8 @@ from .substitution import (SHIFTS, Isometry, Patch, RuleSet, Tile,
                            match_triangles, max_abs, mir, project,
                            prototile_ids, row_ids, tile_edges, _congruent,
                            _corner_ids, _corner_rows, _face_placements,
-                           _field_tables, _guard, _inflate, _over,
-                           _rule_starts, _rule_table, _turn)
+                           _field_tables, _guard, _inflate, _int_dtype,
+                           _over, _rule_starts, _rule_table, _turn)
 
 
 # -- the inscribed polygon ----------------------------------------------
@@ -251,16 +251,22 @@ def _write_flip(d, ids, r, t, den, i, j, flip):
     """Overwrite tiles i and j of the columns with the flip's replacements,
     placed by tile i's isometry: (r_i + r_k, zeta^r_i t_k + t_i).
 
-    t must be an int64 copy of the translation rows, which a Patch stores
-    narrow: the rows are rescaled and written in place, in int64, behind
-    the guard, and the Patch made of them narrows them again.  Returns
-    the common denominator, which grows when the flip's does not divide
-    den.
+    The guard bound of the new rows (of every row, when they are
+    rescaled) is taken first; ids and r are written in place, and so is
+    t when its dtype holds that bound, else t is copied into the
+    narrowest dtype that does.  A Patch stores its translation rows
+    narrow, so callers pass a copy of them in their stored dtype, never a
+    widened one.  Returns (t, the common denominator), which grows when
+    the flip's does not divide den.
     """
     L = math.lcm(den, flip.den)
     s1, s2 = L // den, L // flip.den
     ri = int(r[i])
-    _guard(max_abs(t if s1 != 1 else t[i]) * s1 + flip.bound * s2, "flip")
+    bound = max_abs(t if s1 != 1 else t[i]) * s1 + flip.bound * s2
+    _guard(bound, "flip")
+    # s1 as well: the rescaling multiplies by it in t's dtype
+    t = t.astype(np.promote_types(t.dtype, _int_dtype(max(bound, s1))),
+                 copy=False)
     if s1 != 1:
         t *= s1
     rotations = field_for_order(d).rotations
@@ -273,7 +279,7 @@ def _write_flip(d, ids, r, t, den, i, j, flip):
         ids[row] = flip.ids[k]
         r[row] = (ri + flip.r[k]) % n
         t[row] = new[k]
-    return L
+    return t, L
 
 
 class _Scan(NamedTuple):
@@ -319,9 +325,10 @@ class FlipSite:
     @property
     def new(self):
         (ids, r, t, den), k = self.scan.patch.columns, [self.i, self.j]
-        cols = ids[k], r[k], t[k].astype(np.int64)
-        den = _write_flip(self.scan.patch.d, *cols, den, 0, 1, self.flip)
-        pair = Patch.from_columns(self.scan.patch.d, *cols, den)
+        ids, r = ids[k], r[k]
+        t, den = _write_flip(self.scan.patch.d, ids, r, t[k], den, 0, 1,
+                             self.flip)
+        pair = Patch.from_columns(self.scan.patch.d, ids, r, t, den)
         return _tile_at(pair, 0), _tile_at(pair, 1)
 
 
@@ -389,8 +396,9 @@ def apply_flip(patch: Patch, site: FlipSite) -> Patch:
                 or (r[k] != r0[k]).any()
                 or (_over(t[k], den, L) != _over(t0[k], den0, L)).any()):
             raise ValueError("stale flip site: the patch has changed")
-    ids, r, t = ids.copy(), r.copy(), t.astype(np.int64)
-    den = _write_flip(patch.d, ids, r, t, den, site.i, site.j, site.flip)
+    ids, r = ids.copy(), r.copy()
+    t, den = _write_flip(patch.d, ids, r, t.copy(), den, site.i, site.j,
+                         site.flip)
     return Patch.from_columns(patch.d, ids, r, t, den)
 
 
@@ -417,7 +425,7 @@ class _FlipChain:
         self.edge_class, self.diag_class = scan.edge_class, scan.diag_class
         self.side_class = letter_table(d)[1].tolist()
         ids, r, t, self.den = scan.patch.columns
-        self.ids, self.r, self.t = ids.copy(), r.copy(), t.astype(np.int64)
+        self.ids, self.r, self.t = ids.copy(), r.copy(), t.copy()
         self.start = scan.pid.ravel().tolist()
         self.inc = [set() for _ in range(max(self.start) + 1)]
         for x, c in enumerate(self.start):
@@ -457,8 +465,8 @@ class _FlipChain:
             edge = self._edge(a, b)
             if edge and self.sites.pop(edge[0], None) is not None:
                 del self.sides[bisect.bisect_left(self.sides, edge[0])]
-        self.den = _write_flip(self.d, self.ids, self.r, self.t, self.den,
-                               i, j, flip)
+        self.t, self.den = _write_flip(self.d, self.ids, self.r, self.t,
+                                       self.den, i, j, flip)
         for tile, at in zip((i, j), flip.corners):
             for m in range(3):
                 x = 3 * tile + m
@@ -595,15 +603,14 @@ def random_rule_family(d, cap=64, rng_seed=0):
     start = _rule_starts(count).tolist()
     members = [RuleSet(d, q, 1, table=(count, kids))]
     for combo in chosen:
-        cols = [ids.copy(), r.copy(), t.astype(np.int64)]
-        mden = den
+        mids, mr, mt, mden = ids.copy(), r.copy(), t.copy(), den
         for ci in combo:
             name, site = sites[ci]
             at = start[index[name]]
-            mden = _write_flip(d, *cols, mden, at + site.i, at + site.j,
-                               site.flip)
+            mt, mden = _write_flip(d, mids, mr, mt, mden, at + site.i,
+                                   at + site.j, site.flip)
         members.append(RuleSet(d, q, 1, table=(
-            count, Patch.from_columns(d, *cols, mden))))
+            count, Patch.from_columns(d, mids, mr, mt, mden))))
     return RandomRuleFamily(d, members)
 
 

@@ -637,6 +637,9 @@ def letter_table(d):
 #: rows compared per block when `row_ids` looks for runs of equal keys
 _ROW_BLOCK = 1 << 16
 
+#: tiles per block of corner rows that `Patch.corner_values` converts
+_VALUE_BLOCK = 1 << 12
+
 
 def row_ids(rows):
     """(ids, first): equal coefficient rows get equal ids.
@@ -815,9 +818,16 @@ class Patch:
         return C, L
 
     def corner_values(self):
-        """Complex corners, N x 3, equal to `Elem.cvalue()` bit for bit."""
-        C, den = self.corner_rows()
-        return field_for_order(self.d).cvalues(C, den)
+        """Complex corners, N x 3, equal to `Elem.cvalue()` bit for bit.
+
+        They are converted from the corner rows of `_VALUE_BLOCK` tiles at
+        a time, so the N x 3 x D corner matrix is never held."""
+        f = field_for_order(self.d)
+        out = np.empty((len(self), 3), dtype=complex)
+        for a in range(0, len(self), _VALUE_BLOCK):
+            C, den = self.corner_rows(slice(a, a + _VALUE_BLOCK))
+            out[a:a + _VALUE_BLOCK] = f.cvalues(C, den)
+        return out
 
     def inflate(self, rules: RuleSet):
         """Replace every tile by the children of its rule, scaled by iota."""

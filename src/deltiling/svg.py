@@ -3,7 +3,12 @@
 Polygons are printed CHUNK at a time, as patch export prints its
 records: each distinct coordinate of a block is formatted once, and one
 join over a gather of a token matrix (coordinates, separators and one
-tail per fill) prints the block's <polygon> lines.
+tail per fill) prints the block's <polygon> lines.  The coordinates are
+formatted as `_fmt` (`floattext.fixed`) formats them, with `precision`
+decimals and the trailing zeros stripped, by the numpy kernel that
+prints patch shadows (`floattext.fixed_texts`); a value of magnitude
+2**52 / 10**precision or more, a non-finite one and a precision outside
+1..15 go through `_fmt` one value at a time.
 """
 
 from __future__ import annotations
@@ -15,13 +20,9 @@ import math
 import numpy as np
 
 from .arrangement import get_arrangement, deltoid_point
+from .floattext import fixed as _fmt, fixed_texts
 from .prototiles import prototile_catalog, undecorated_signature
 from .substitution import Patch, prototile_ids
-
-
-def _fmt(x, precision=9):
-    s = f"{x:.{precision}f}".rstrip("0").rstrip(".")
-    return s if s not in ("-0", "") else "0"
 
 
 #: polygons per block of text that `Canvas.write` formats at a time
@@ -76,16 +77,16 @@ class Canvas:
 
         An m-gon is printed as 4 m + 1 tokens: the line's head, its 2 m
         coordinates with the "," or " " between them, and the tail of its
-        fill.  Each distinct coordinate is formatted once, and one join
-        over a gather of the token matrix prints every line."""
+        fill.  Each distinct coordinate is formatted once, all of them by
+        one numpy kernel (`floattext.fixed_texts`), and one join over a
+        gather of the token matrix prints every line."""
         bits, index = np.unique(xy.view(np.int64), return_inverse=True)
         k = len(bits)
-        vocab = ([_fmt(v, self.precision)
-                  for v in bits.view(np.float64).tolist()]
-                 + ['<polygon points="', ",", " "]
+        vocab = (fixed_texts(bits.view(np.float64), self.precision)
+                 + [b'<polygon points="', b",", b" "]
                  + [f'" fill="{fill}" stroke="{stroke}" '
                     f'stroke-width="{width}" stroke-linejoin="round"/>\n'
-                    for fill in fills])
+                    .encode() for fill in fills])
         tok = np.empty((len(xy), 2 * xy.shape[1] + 1), dtype=np.intp)
         tok[:, 0] = k
         tok[:, 1:-1:2] = index.reshape(xy.shape)
@@ -93,7 +94,8 @@ class Canvas:
         tok[:, 4:-1:4] = k + 2
         tok[:, -1] = which
         tok[:, -1] += k + 3
-        return "".join(np.array(vocab, dtype=object)[tok.ravel()].tolist())
+        return b"".join(np.array(vocab, dtype=object)[tok.ravel()]
+                        .tolist()).decode()
 
     def polyline(self, pts, stroke="#000", width=0.01):
         body = " ".join(self._pt(z) for z in pts)

@@ -60,3 +60,11 @@ def test_render_peak_stays_below_one_and_a_half_svg_sizes(big):
     out = path.with_name("p.svg")
     peak = traced_peak(svg.render_patch, patch, out)
     assert peak < 1.5 * out.stat().st_size
+
+
+def test_corner_values_peak_stays_below_twice_the_result(big):
+    # the corner rows are converted a block of tiles at a time: the parent
+    # held the whole N x 3 x D matrix, 7.35 MiB traced for 2.06 MiB
+    patch, _ = big
+    peak = traced_peak(patch.corner_values)
+    assert peak < 2 * patch.corner_values().nbytes

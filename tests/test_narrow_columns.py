@@ -215,6 +215,33 @@ def test_flip_guard_and_rescaling_at_a_narrow_dtype():
                                    scaled_flip(site.flip, k), site.scan))
 
 
+def test_flips_copy_rows_in_their_stored_dtype():
+    # at the int8 edge: a flip copies the rows into the dtype of its guard
+    # bound, and one whose new rows need int16 gives the rows of the int64
+    # copy flips used to write
+    from deltiling.random import _write_flip
+    _, _, patch = at_limit(127)
+    ids, r, t, den = patch.columns
+    assert t.dtype == np.int8
+    crossing = 0
+    for site in find_flippable(patch):
+        wide = t.astype(np.int64)
+        want, _ = _write_flip(14, ids.copy(), r.copy(), wide, den, site.i,
+                              site.j, site.flip)
+        assert want is wide
+        narrow = t.copy()
+        got, got_den = _write_flip(14, ids.copy(), r.copy(), narrow, den,
+                                   site.i, site.j, site.flip)
+        assert got_den == den and np.array_equal(got, want)
+        bound = substitution.max_abs(t[site.i]) + site.flip.bound
+        assert got.dtype == max(np.dtype(np.int8),
+                                np.dtype(substitution._int_dtype(bound)))
+        assert (got is narrow) == (bound <= 127)
+        crossing += substitution.max_abs(want) > 127
+        assert np.array_equal(apply_flip(patch, site).columns[2], want)
+    assert crossing and t.dtype == np.int8
+
+
 def witness_shift():
     """1/7 + zeta/11 (zeta = zeta_28 = zeta_84^3), the shift of an
     overlap witness."""

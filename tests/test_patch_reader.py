@@ -407,6 +407,26 @@ def test_a_long_line_brings_in_a_bounded_read():
     assert peak < 2 * len(data)
 
 
+def test_common_denominator_stops_at_the_bound(monkeypatch):
+    # 4,000 distinct 18-digit denominators: their lcm passes 2**62 at the
+    # second one, so the columns are refused after at most two folds, not
+    # after an lcm of them all
+    n, degree = 4000, field_for_order(14).degree
+    den = 10 ** 17 + 2 * np.arange(n, dtype=np.int64) + 1
+    folds = []
+    lcm = patchio.math.lcm
+
+    def counted(*args):
+        folds.append(args)
+        return lcm(*args)
+
+    monkeypatch.setattr(patchio.math, "lcm", counted)
+    with pytest.raises(patchio.SchemaError, match="below 2"):
+        patchio._patch(14, np.zeros(n, np.int16), np.zeros(n, np.int64),
+                       den, np.zeros((n, degree), np.int8))
+    assert 1 <= len(folds) <= 2
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
 @pytest.mark.parametrize("layout", ["canonical", "compact"])
 def test_a_pipe_is_read_in_either_layout(tmp_path, layout):
