@@ -66,10 +66,12 @@ def _quads():
 
 
 def fixed(x, precision=9):
-    """x with `precision` decimals, its trailing zeros and point stripped;
-    "0" for a value that prints as -0."""
-    s = f"{x:.{precision}f}".rstrip("0").rstrip(".")
-    return s if s not in ("-0", "") else "0"
+    """x with `precision` decimals, the trailing zeros after its point and
+    a bare point stripped; "0" for a value that prints as -0."""
+    s = f"{x:.{precision}f}"
+    if "." in s:
+        s = s.rstrip("0").rstrip(".")
+    return s if s != "-0" else "0"
 
 
 def _split(a):
@@ -151,9 +153,7 @@ def _kernel(x, precision, point):
     expression outside it."""
     x = np.asarray(x, dtype=np.float64).ravel()
     reference = _round_repr if point else fixed
-    # at precision 0 `fixed` strips the zeros of whole numbers ("10" -> "1")
-    lowest = 0 if point else 1
-    if not (isinstance(precision, int) and lowest <= precision <= 15):
+    if not (isinstance(precision, int) and 0 <= precision <= 15):
         return [reference(v, precision).encode() for v in x.tolist()]
     a = np.abs(x)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -185,6 +185,6 @@ def round_reprs(x, precision):
 
 def fixed_texts(x, precision):
     """The bytes of fixed(v, precision) for each v of the float64 array x,
-    by the kernel for 1 <= precision <= 15 and |v| * 10**precision < 2**52
+    by the kernel for 0 <= precision <= 15 and |v| * 10**precision < 2**52
     (the digits of k are format's, so no repr argument is needed)."""
     return _kernel(x, precision, False)

@@ -42,6 +42,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import re
 
 import numpy as np
@@ -225,7 +226,9 @@ def _write(write, patch, manifest, precision):
 
 def export_patch(patch: Patch, path, manifest=None, precision=12):
     """Write the patch file: the bytes of json.dumps(patch_document(patch),
-    indent=1, sort_keys=True) + newline (`_write`)."""
+    indent=1, sort_keys=True) + newline (`_write`).  A precision that is
+    not an integer raises TypeError before the file is opened."""
+    precision = operator.index(precision)
     with open(path, "w", newline="\n") as fh:
         _write(fh.write, patch, manifest, precision)
 

@@ -15,11 +15,20 @@ Flips drive two ensembles:
 
 Both work on undecorated tiles; the base factor iota_{d,q} has palindromic
 edge subdivisions, so edge matching does not need the decorations.
+
+Default flip sites share no tile, and a flip creates none.  A side of
+class m has length 4 s_1 s_m, s_m = sin(m pi / d), and the angle opposite
+it is m pi / d or its supplement; as s_q = 1, a class-q side faces a right
+angle.  No triangle has two, so a prototile has at most one class-q side
+and a tile lies in at most one site.  The halves of a flip have the
+class-(q-1) diagonal and one other side of each flipped tile, so no
+class-q side.  A flip thus takes its own site out of the site list and
+leaves the others as they were: the sites are independent switches
+(Henley, "Random tiling models", 1991).
 """
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import itertools
 import math
@@ -283,12 +292,8 @@ def _write_flip(d, ids, r, t, den, i, j, flip):
 
 
 class _Scan(NamedTuple):
-    """What one `find_flippable` call searched: the patch, the corner ids
-    of its tiles (N x 3) and the edge and diagonal classes."""
+    """What one `find_flippable` call searched: the patch."""
     patch: Patch
-    pid: np.ndarray
-    edge_class: int
-    diag_class: int
 
 
 def _tile_at(patch, k):
@@ -306,6 +311,7 @@ class FlipSite:
     edge) is shared with tile j.  `old`, the two Tiles being replaced, and
     `new`, their replacements, are views of the columns of the `scan` the
     site was found in and the flip-table entry `flip`; no flip reads them.
+    Default sites share no tile (module docstring).
     """
 
     __slots__ = ("i", "j", "side", "flip", "scan")
@@ -366,7 +372,7 @@ def _flip_sites(patch, pid, edge_class=None, diag_class=None):
     tj, kj = np.divmod(side2[cand], 3)
     keys = zip(ids[ti].tolist(), ki.tolist(), ids[tj].tolist(), kj.tolist(),
                ((r[tj] - r[ti]) % n).tolist())
-    scan = _Scan(patch, pid, edge_class, diag_class)
+    scan = _Scan(patch)
     sites = []
     for side, a, b, key in zip(first[cand].tolist(), ti.tolist(),
                                tj.tolist(), keys):
@@ -402,109 +408,40 @@ def apply_flip(patch: Patch, site: FlipSite) -> Patch:
     return Patch.from_columns(patch.d, ids, r, t, den)
 
 
-#: offset from tile edge 3 k + m to the tile edge starting where it ends
-_NEXT = (1, 1, -2)
-
-
-class _FlipChain:
-    """The flip sites of a patch, kept current under flips.
-
-    Built from one `find_flippable` result, on its own copy of the
-    columns.  It keeps the corner id at the start of every tile edge
-    (3 k + m runs from corner m to corner m+1 of tile k) and, per corner
-    id, the set of tile edges starting there.  A flip keeps its
-    quadrilateral's four corners, so only the six edges among them change:
-    their sites are dropped and re-decided.  `sides` lists the sites'
-    first tile edges in ascending order, which is `find_flippable` order.
-    """
-
-    def __init__(self, sites):
-        scan = sites[0].scan
-        d = self.d = scan.patch.d
-        self.n = field_for_order(d).n
-        self.edge_class, self.diag_class = scan.edge_class, scan.diag_class
-        self.side_class = letter_table(d)[1].tolist()
-        ids, r, t, self.den = scan.patch.columns
-        self.ids, self.r, self.t = ids.copy(), r.copy(), t.copy()
-        self.start = scan.pid.ravel().tolist()
-        self.inc = [set() for _ in range(max(self.start) + 1)]
-        for x, c in enumerate(self.start):
-            self.inc[c].add(x)
-        self.sides = [s.side for s in sites]
-        self.sites = {s.side: (s.i, s.j, s.flip) for s in sites}
-
-    def _edge(self, a, b):
-        """The tile edges between corners a and b, ascending."""
-        st = self.start
-        return sorted([x for x in self.inc[a] if st[x + _NEXT[x % 3]] == b]
-                      + [x for x in self.inc[b] if st[x + _NEXT[x % 3]] == a])
-
-    def _decide(self, edge):
-        """Record the site on one edge's tile edges, if it flips."""
-        if len(edge) != 2:
-            return
-        (ti, ki), (tj, kj) = divmod(edge[0], 3), divmod(edge[1], 3)
-        a, b = int(self.ids[ti]), int(self.ids[tj])
-        if self.side_class[a][ki] != self.edge_class:
-            return
-        key = (a, ki, b, kj, int(self.r[tj] - self.r[ti]) % self.n)
-        flip = _flip_entry(self.d, self.edge_class, self.diag_class, key)
-        if flip is not None:
-            self.sites[edge[0]] = (ti, tj, flip)
-            bisect.insort(self.sides, edge[0])
-
-    def flip(self, side):
-        """Apply the site whose first tile edge is `side`."""
-        i, j, flip = self.sites[side]
-        st = self.start
-        u, v, w1 = (st[side - side % 3 + (side + m) % 3] for m in range(3))
-        (w2,) = [c for c in st[3 * j:3 * j + 3] if c != u and c != v]
-        quad = (u, v, w1, w2)
-        pairs = ((u, v), (w1, w2), (u, w1), (v, w1), (u, w2), (v, w2))
-        for a, b in pairs:
-            edge = self._edge(a, b)
-            if edge and self.sites.pop(edge[0], None) is not None:
-                del self.sides[bisect.bisect_left(self.sides, edge[0])]
-        self.t, self.den = _write_flip(self.d, self.ids, self.r, self.t,
-                                       self.den, i, j, flip)
-        for tile, at in zip((i, j), flip.corners):
-            for m in range(3):
-                x = 3 * tile + m
-                self.inc[st[x]].discard(x)
-                st[x] = quad[at[m]]
-                self.inc[st[x]].add(x)
-        for a, b in pairs:
-            self._decide(self._edge(a, b))
-
-    def patch(self):
-        return Patch.from_columns(self.d, self.ids.copy(), self.r.copy(),
-                                  self.t.copy(), self.den)
-
-
 def rearrangement_sample(patch: Patch, steps, rng_seed=0):
     """Sequential random single-flip dynamics (uniform over current sites).
 
-    One full `find_flippable` scan; after it a `_FlipChain` keeps the site
-    list in scan order, so every step's `rng.choice` sees the list a
-    rescan would give, and each flip re-decides only the edges of its two
-    tiles.  The chain stops early when no flip site is left.
+    One full `find_flippable` scan; default flip sites share no tile and
+    a flip creates none (module docstring), so the sites left after a
+    flip are those of the scan less the one flipped, in scan order.  Each
+    step's `rng.choice` thus sees the list a rescan would give.  The run
+    stops early when no flip site is left.
     """
     return rearrangement_run(patch, steps, rng_seed)[0]
 
 
 def rearrangement_run(patch: Patch, steps, rng_seed=0):
     """(sample, flips): `rearrangement_sample` and the number of flips it
-    made, fewer than steps when the chain ran out of flip sites."""
+    made, fewer than steps when the run ran out of flip sites."""
     rng = _stdrandom.Random(rng_seed)
-    sites = find_flippable(patch) if steps > 0 else None
+    if steps <= 0:
+        return patch, 0
+    sites = find_flippable(patch)
+    d = patch.d
+    if (letter_table(d)[1] == d // 2).sum(axis=1).max() > 1:
+        raise AssertionError(f"d = {d}: a prototile has two class-{d // 2} "
+                             "sides, so flip sites may share a tile")
     if not sites:
         return patch, 0
-    chain = _FlipChain(sites)
-    for made in range(steps):
-        if not chain.sides:
-            return chain.patch(), made
-        chain.flip(rng.choice(chain.sides))
-    return chain.patch(), steps
+    ids, r, t, den = patch.columns
+    ids, r, t = ids.copy(), r.copy(), t.copy()
+    made = 0
+    while made < steps and sites:
+        site = rng.choice(sites)
+        sites.remove(site)
+        t, den = _write_flip(d, ids, r, t, den, site.i, site.j, site.flip)
+        made += 1
+    return Patch.from_columns(d, ids, r, t, den), made
 
 
 # -- random substitution ------------------------------------------------
@@ -560,9 +497,7 @@ def _site_groups(d, base):
         a = int(start[k])
         if k not in scans:
             s = slice(a, a + int(count[k]))
-            scans[k] = site.scan._replace(
-                patch=Patch.from_columns(d, ids[s], r[s], t[s], den),
-                pid=pid[s])
+            scans[k] = _Scan(Patch.from_columns(d, ids[s], r[s], t[s], den))
         groups.append((names[k], FlipSite(site.i - a, site.j - a,
                                           site.side - 3 * a, site.flip,
                                           scans[k])))
@@ -585,14 +520,11 @@ def random_rule_family(d, cap=64, rng_seed=0):
     for w in words.values():
         assert project(w) == project(mir(w))
     sites = _site_groups(d, base)
-    # the first cap subsets, smallest first, of sites sharing no tile
-    tiles = [{(name, site.i), (name, site.j)} for name, site in sites]
+    # the first cap subsets, smallest first; the sites share no tile
     subsets = itertools.chain.from_iterable(
         itertools.combinations(range(len(sites)), size)
         for size in range(1, len(sites) + 1))
-    chosen = list(itertools.islice(
-        (c for c in subsets
-         if len(set().union(*(tiles[k] for k in c))) == 2 * len(c)), cap))
+    chosen = list(itertools.islice(subsets, cap))
     rng = _stdrandom.Random(rng_seed)
     if len(chosen) > cap - 1:
         chosen = rng.sample(chosen, cap - 1)

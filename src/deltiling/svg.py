@@ -8,7 +8,7 @@ formatted as `_fmt` (`floattext.fixed`) formats them, with `precision`
 decimals and the trailing zeros stripped, by the numpy kernel that
 prints patch shadows (`floattext.fixed_texts`); a value of magnitude
 2**52 / 10**precision or more, a non-finite one and a precision outside
-1..15 go through `_fmt` one value at a time.
+0..15 go through `_fmt` one value at a time.
 """
 
 from __future__ import annotations

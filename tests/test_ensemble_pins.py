@@ -255,7 +255,7 @@ def test_column_rule_family_matches_dict_members(cap):
         assert np.array_equal(got.rot[:, s], got.rot[:, 0] @ f.rotations[s])
 
 
-# -- the incremental flip chain against full scans ---------------------------
+# -- rearrangement runs against full scans ----------------------------------
 
 def flip_key(flip):
     return flip.ids, flip.r, flip.t.tobytes(), flip.den
@@ -265,50 +265,33 @@ def site_keys(sites):
     return [(s.side, s.i, s.j, flip_key(s.flip)) for s in sites]
 
 
-def chain_keys(chain):
-    return [(x, *chain.sites[x][:2], flip_key(chain.sites[x][2]))
-            for x in chain.sides]
-
-
-@pytest.mark.parametrize("d, p, n, classes, prior", [
-    (14, 3, 3, {}, 0),
-    (14, 3, 4, {}, 0),
-    # inverse flips exist only where forward flips were made
-    (14, 3, 4, {"edge_class": 6, "diag_class": 7}, 600),
-    # 66 flips end the chain of 70 sites: flips drop neighbouring sites
-    (8, 3, 4, {"edge_class": 3, "diag_class": 4}, 0),
-], ids=["678-tiles", "5577-tiles", "5577-tiles-inverse", "697-tiles-d8"])
-def test_chain_sites_match_full_scans(d, p, n, classes, prior):
-    """After every step of a chain of up to 300 steps the kept site list
-    equals a full find_flippable of the chain's patch, the patch equals
-    the one apply_flip makes from the full scan's site, and the kept
-    corner ids pair one to one with those of the scan."""
-    name = "G" if d == 14 else prototile_catalog(d).prototiles[0].name
-    patch = inflated(d, name, placements(d)[1], derive_rules(d, p, 1), n)
-    patch = ensembles.rearrangement_sample(patch, prior, 2)
-    sites = ensembles.find_flippable(patch, **classes)
-    chain = ensembles._FlipChain(sites)
+@pytest.mark.parametrize("n", [3, 4], ids=["678-tiles", "5577-tiles"])
+def test_chain_sites_match_full_scans(n):
+    """The flip chain of rearrangement_run against full rescans: after
+    every step k <= 300, a run of k steps equals k rescans, each flipping
+    by apply_flip the site that the same rng.choice picks from a full
+    find_flippable; and each rescan finds the first scan's sites less the
+    ones flipped, in the same order."""
+    patch = inflated(14, "G", placements(14)[1], derive_rules(14, 3, 1), n)
+    ref, sites = patch, ensembles.find_flippable(patch)
+    left = site_keys(sites)
     rng = random.Random(n)
-    steps = 0
-    while chain.sides and steps < 300:
-        pick = rng.randrange(len(chain.sides))
-        ref = ensembles.apply_flip(patch, sites[pick])
-        chain.flip(chain.sides[pick])
-        patch = chain.patch()
-        assert_same_columns(patch, ref)
-        sites = ensembles.find_flippable(patch, **classes)
-        assert chain_keys(chain) == site_keys(sites)
-        if sites:
-            pid = sites[0].scan.pid.ravel().tolist()
-            assert (len(set(zip(chain.start, pid))) == len(set(pid))
-                    == len(set(chain.start)))
-        steps += 1
-    assert steps >= 66
-    starts = {}
-    for x, c in enumerate(chain.start):
-        starts.setdefault(c, set()).add(x)
-    assert all(chain.inc[c] == starts.get(c, set())
-               for c in range(len(chain.inc)))
+    k = 0
+    while sites and k < 300:
+        site = rng.choice(sites)
+        left.remove(site_keys([site])[0])
+        ref = ensembles.apply_flip(ref, site)
+        sites = ensembles.find_flippable(ref)
+        assert site_keys(sites) == left
+        k += 1
+        got, made = ensembles.rearrangement_run(patch, k, n)
+        assert made == k
+        assert_same_columns(got, ref)
+    assert k == min(300, {3: 69, 4: 566}[n])
+    if not sites:
+        got, made = ensembles.rearrangement_run(patch, k + 10, n)
+        assert made == k
+        assert_same_columns(got, ref)
 
 
 # -- the flip table against placement on exact corners ----------------------

@@ -88,6 +88,14 @@ def test_precisions_outside_the_kernel(p):
         assert floattext.fixed_texts(x, p) == fmts(x, p)
 
 
+@pytest.mark.parametrize("v, text", [(10.0, "10"), (250.0, "250"),
+                                     (-0.4, "0"), (-1.5, "-2")])
+def test_whole_numbers_at_precision_0(v, text):
+    # the zeros of a whole number are digits, not trailing decimals
+    assert floattext.fixed(v, 0) == text
+    assert floattext.fixed_texts(np.array([v]), 0) == [text.encode()]
+
+
 def test_empty():
     assert floattext.round_reprs(np.zeros(0), 12) == []
     assert floattext.fixed_texts(np.zeros(0), 9) == []

@@ -88,6 +88,13 @@ def test_shadow_matches_exact(tmp_path):
             assert abs(c.cvalue() - complex(x, y)) < 1e-9
 
 
+def test_export_rejects_a_float_precision_before_writing(tmp_path):
+    path = tmp_path / "p.json"
+    with pytest.raises(TypeError):
+        patchio.export_patch(build(n=1), path, precision=12.0)
+    assert not path.exists()
+
+
 def test_svg_outputs(tmp_path):
     patch = build(n=1)
     out = tmp_path / "patch.svg"

@@ -273,7 +273,7 @@ def test_rational_translations_match_elem_arithmetic(tmp_path):
     inflated = patch.inflate(shifted)
     assert inflated.columns[3] == 231
     assert inflated.tiles == reference_inflate(patch.tiles, shifted)
-    # flips and the flip chain act as on the translate
+    # flips and rearrangement runs act as on the translate
     sites, base_sites = find_flippable(patch), find_flippable(base)
     assert len(sites) == len(base_sites) == 53
     for site, base_site in list(zip(sites, base_sites))[:5]:

@@ -173,6 +173,30 @@ def test_rearrangement_sample():
     assert rearrangement_sample(patch, 0, rng_seed=1).tiles == patch.tiles
 
 
+@pytest.mark.parametrize("d", range(6, 31, 2))
+def test_a_prototile_has_at_most_one_class_q_side(d):
+    # a class-q side faces a right angle, so default flip sites share no
+    # tile (the random module docstring)
+    assert (substitution.letter_table(d)[1] == d // 2).sum(axis=1).max() <= 1
+
+
+def test_rearrangement_checks_that_sites_share_no_tile(monkeypatch):
+    letters, cls, orient = substitution.letter_table(14)
+    cls = cls.copy()
+    k = int(np.flatnonzero((cls == 7).any(axis=1))[0])
+    cls[k, np.flatnonzero(cls[k] != 7)[0]] = 7
+    monkeypatch.setattr(ensembles, "letter_table",
+                        lambda d: (letters, cls, orient))
+    rules = derive_rules(14, 5, 1)
+    patch = Patch.single(14, "G").inflate(rules).inflate(rules)
+    try:
+        with pytest.raises(AssertionError, match="d = 14"):
+            rearrangement_run(patch, 5)
+    finally:
+        # flip-table entries made in the run read the altered classes
+        ensembles._flip_entry.cache_clear()
+
+
 def test_random_rule_family():
     family = random_rule_family(14, cap=8)
     assert 2 <= len(family) <= 8
