@@ -8,13 +8,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import field_for_order, inflation_factor
+from .field import inflation_factor
 from .algebraic import pisot_check
 from .arrangement import (SymmetryIndex, census_closed_form, get_arrangement,
                           subdivision_closed_form, multiplicity_closed_form,
                           triangular_pattern)
 from .prototiles import prototile_catalog, undecorated_signature
-from .substitution import RuleSet, letter_table, prototile_ids, row_ids
+from .substitution import RuleSet, letter_table, prototile_ids, _corner_ids
 
 
 def substitution_matrix(rules: RuleSet):
@@ -114,11 +114,10 @@ def vertex_configurations(patch):
     cat = prototile_catalog(d)
     names, _ = prototile_ids(d)
     angles = corner_angles(d).tolist()
-    rows, den = patch.corner_rows()
-    pid, _ = row_ids(rows)
     stars = {}
-    for i, keys, fl in zip(patch.columns[0].tolist(), pid.tolist(),
-                           field_for_order(d).cvalues(rows, den).tolist()):
+    for i, keys, fl in zip(patch.columns[0].tolist(),
+                           _corner_ids(patch)[0].tolist(),
+                           patch.corner_values().tolist()):
         shape = _shape_id(cat, names[i])
         for k in range(3):
             start = cmath.phase(fl[(k + 1) % 3] - fl[k]) % (2 * math.pi)

@@ -39,16 +39,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .field import Elem, field_for_order
+from .field import field_for_order
 from .arrangement import SymmetryIndex, get_arrangement, length_class
 # match_triangles is not called here: the benchmark's tracer wraps the name
-from .substitution import (SHIFTS, Isometry, Patch, RuleSet, Tile,
-                           derive_rules, derive_edge_words, letter_table,
-                           match_triangles, max_abs, mir, project,
-                           prototile_ids, row_ids, tile_edges, _congruent,
-                           _corner_ids, _corner_rows, _face_placements,
-                           _field_tables, _guard, _inflate, _int_dtype,
-                           _over, _rule_starts, _rule_table, _turn)
+from .substitution import (SHIFTS, Patch, RuleSet, derive_rules,
+                           derive_edge_words, letter_table, match_triangles,
+                           max_abs, mir, project, prototile_ids, row_ids,
+                           tile_edges, _congruent, _corner_ids, _corner_rows,
+                           _face_placements, _field_tables, _guard, _inflate,
+                           _int_dtype, _over, _rule_table, _turn)
 
 
 # -- the inscribed polygon ----------------------------------------------
@@ -189,15 +188,13 @@ class _Flip(NamedTuple):
 
     `ids`, `r` and `t` are their prototile ids, rotations and translation
     rows over `den`, and `bound` bounds the coefficients of every
-    zeta^s * t.  corners[k][m] is the quadrilateral corner (0, 1, 2, 3 for
-    u, v, w1, w2) at corner m of replacement k.
+    zeta^s * t.
     """
     ids: tuple
     r: tuple
     t: np.ndarray
     den: int
     bound: int
-    corners: tuple
 
 
 #: the flipped halves (w1, u, w2) and (w2, v, w1), by index in (u, v, w1, w2)
@@ -246,14 +243,12 @@ def _flip_entry(d, edge_cls, diag_cls, key):
         if not ok.any():
             return None
         c, shift = divmod(int(np.argmax(ok)), 3)
-        found.append((int(cand[c]), int(r[c, shift]), t[c, shift], shift))
-    ids, r, t, shifts = zip(*found)
+        found.append((int(cand[c]), int(r[c, shift]), t[c, shift]))
+    ids, r, t = zip(*found)
     # the least common denominator, as the normalised translations give it
     g = math.gcd(den, int(np.gcd.reduce(t, axis=None)))
     t = np.array(t) // g
-    return _Flip(ids, r, t, den // g, f.degree * max_abs(t) * bound,
-                 tuple(tuple(half[(m - shift) % 3] for m in range(3))
-                       for shift, half in zip(shifts, _HALVES)))
+    return _Flip(ids, r, t, den // g, f.degree * max_abs(t) * bound)
 
 
 def _write_flip(d, ids, r, t, den, i, j, flip):
@@ -291,51 +286,37 @@ def _write_flip(d, ids, r, t, den, i, j, flip):
     return t, L
 
 
-class _Scan(NamedTuple):
-    """What one `find_flippable` call searched: the patch."""
-    patch: Patch
-
-
-def _tile_at(patch, k):
-    """Tile k of a patch, built from its columns alone."""
-    ids, r, t, den = patch.columns
-    f = field_for_order(patch.d)
-    return Tile(prototile_ids(patch.d)[0][ids[k]],
-                Isometry(int(r[k]), Elem(f, t[k].tolist(), den).normalized()))
-
-
 class FlipSite:
     """A flippable pair of tiles inside a patch.
 
     Tile i's side `side % 3` (side = 3 i + k_i is the pair's first tile
     edge) is shared with tile j.  `old`, the two Tiles being replaced, and
-    `new`, their replacements, are views of the columns of the `scan` the
+    `new`, their replacements, are views of the columns of the `patch` the
     site was found in and the flip-table entry `flip`; no flip reads them.
     Default sites share no tile (module docstring).
     """
 
-    __slots__ = ("i", "j", "side", "flip", "scan")
+    __slots__ = ("i", "j", "side", "flip", "patch")
 
-    def __init__(self, i, j, side, flip, scan):
+    def __init__(self, i, j, side, flip, patch):
         self.i, self.j, self.side = i, j, side
-        self.flip, self.scan = flip, scan
+        self.flip, self.patch = flip, patch
 
     def __repr__(self):
         return f"FlipSite(i={self.i}, j={self.j})"
 
     @property
     def old(self):
-        return _tile_at(self.scan.patch, self.i), _tile_at(self.scan.patch,
-                                                           self.j)
+        (ids, r, t, den), k = self.patch.columns, [self.i, self.j]
+        return tuple(Patch.from_columns(self.patch.d, ids[k], r[k], t[k],
+                                        den).tiles)
 
     @property
     def new(self):
-        (ids, r, t, den), k = self.scan.patch.columns, [self.i, self.j]
+        (ids, r, t, den), k = self.patch.columns, [self.i, self.j]
         ids, r = ids[k], r[k]
-        t, den = _write_flip(self.scan.patch.d, ids, r, t[k], den, 0, 1,
-                             self.flip)
-        pair = Patch.from_columns(self.scan.patch.d, ids, r, t, den)
-        return _tile_at(pair, 0), _tile_at(pair, 1)
+        t, den = _write_flip(self.patch.d, ids, r, t[k], den, 0, 1, self.flip)
+        return tuple(Patch.from_columns(self.patch.d, ids, r, t, den).tiles)
 
 
 def find_flippable(patch: Patch, edge_class=None, diag_class=None):
@@ -372,13 +353,12 @@ def _flip_sites(patch, pid, edge_class=None, diag_class=None):
     tj, kj = np.divmod(side2[cand], 3)
     keys = zip(ids[ti].tolist(), ki.tolist(), ids[tj].tolist(), kj.tolist(),
                ((r[tj] - r[ti]) % n).tolist())
-    scan = _Scan(patch)
     sites = []
     for side, a, b, key in zip(first[cand].tolist(), ti.tolist(),
                                tj.tolist(), keys):
         flip = _flip_entry(d, edge_class, diag_class, key)
         if flip is not None:
-            sites.append(FlipSite(a, b, side, flip, scan))
+            sites.append(FlipSite(a, b, side, flip, patch))
     return sites
 
 
@@ -395,10 +375,10 @@ def apply_flip(patch: Patch, site: FlipSite) -> Patch:
             raise ValueError(f"stale flip site: tile {k} is past the end "
                              f"of a {len(patch)}-tile patch")
     ids, r, t, den = patch.columns
-    if site.scan.patch is not patch:
-        k, (ids0, r0, t0, den0) = [site.i, site.j], site.scan.patch.columns
+    if site.patch is not patch:
+        k, (ids0, r0, t0, den0) = [site.i, site.j], site.patch.columns
         L = math.lcm(den, den0)
-        if (site.scan.patch.d != patch.d or (ids[k] != ids0[k]).any()
+        if (site.patch.d != patch.d or (ids[k] != ids0[k]).any()
                 or (r[k] != r0[k]).any()
                 or (_over(t[k], den, L) != _over(t0[k], den0, L)).any()):
             raise ValueError("stale flip site: the patch has changed")
@@ -475,32 +455,21 @@ class RandomRuleFamily:
 
 
 def _site_groups(d, base):
-    """Per-prototile flip sites inside the inflated prototiles, by name.
+    """(parent name, site) of every flip site inside the inflated
+    prototiles, sorted by name and then side.
 
     One search covers the whole base table: each child's corners are
-    tagged with its parent prototile, so no edge joins two rules.  Each
-    site is then re-indexed into its prototile's children, sliced from
-    the table as a patch.
+    tagged with its parent prototile, so no edge joins two rules.  The
+    sites index the rows of the table.
     """
     names, _ = prototile_ids(d)
     count, kids = base.table()
-    ids, r, t, den = kids.columns
-    start = _rule_starts(count)
     parent = np.repeat(np.arange(len(count)), np.maximum(count, 0))
     rows, _ = kids.corner_rows()
     pid = row_ids(np.concatenate(
         [rows, np.broadcast_to(parent[:, None, None], (len(rows), 3, 1))],
         axis=-1))[0]
-    scans, groups = {}, []
-    for site in _flip_sites(kids, pid):
-        k = int(parent[site.i])
-        a = int(start[k])
-        if k not in scans:
-            s = slice(a, a + int(count[k]))
-            scans[k] = _Scan(Patch.from_columns(d, ids[s], r[s], t[s], den))
-        groups.append((names[k], FlipSite(site.i - a, site.j - a,
-                                          site.side - 3 * a, site.flip,
-                                          scans[k])))
+    groups = [(names[parent[site.i]], site) for site in _flip_sites(kids, pid)]
     groups.sort(key=lambda g: (g[0], g[1].side))
     return groups
 
@@ -529,18 +498,15 @@ def random_rule_family(d, cap=64, rng_seed=0):
     if len(chosen) > cap - 1:
         chosen = rng.sample(chosen, cap - 1)
     # every member is the base table with its flipped rows overwritten
-    _, index = prototile_ids(d)
     count, kids = base.table()
     ids, r, t, den = kids.columns
-    start = _rule_starts(count).tolist()
     members = [RuleSet(d, q, 1, table=(count, kids))]
     for combo in chosen:
         mids, mr, mt, mden = ids.copy(), r.copy(), t.copy(), den
         for ci in combo:
-            name, site = sites[ci]
-            at = start[index[name]]
-            mt, mden = _write_flip(d, mids, mr, mt, mden, at + site.i,
-                                   at + site.j, site.flip)
+            site = sites[ci][1]
+            mt, mden = _write_flip(d, mids, mr, mt, mden, site.i, site.j,
+                                   site.flip)
         members.append(RuleSet(d, q, 1, table=(
             count, Patch.from_columns(d, mids, mr, mt, mden))))
     return RandomRuleFamily(d, members)

@@ -938,8 +938,10 @@ def verify_face_to_face(patch: Patch, decorated=True, max_problems=20):
     """Exact adjacency audit of a patch.
 
     Every shared edge must be traversed once in each direction; with
-    `decorated` the two letters must carry the same class and opposite
-    orientations (the interior decorations then match across the edge).
+    `decorated` the two letters must have opposite orientations (the
+    interior decorations then match across the edge).  Their classes need
+    no check: a letter's class is the length class of its side, and both
+    sides of a shared edge have its exact length.
     Boundary edges are checked against T-junctions: no tile corner may lie
     strictly inside them.  Corners and edges are paired as exact
     coefficient rows (`_corner_ids`, `tile_edges`).  Floats only pick the
@@ -955,13 +957,12 @@ def verify_face_to_face(patch: Patch, decorated=True, max_problems=20):
     pid, pfirst = _corner_ids(patch)
     points, den = patch.corner_rows(*np.divmod(pfirst, 3))
     first, count, side2, fwd = tile_edges(pid)
-    letters, cls, orient = letter_table(d)
-    cls, orient = cls[ids].ravel(), orient[ids].ravel()
+    letters, _, orient = letter_table(d)
+    orient = orient[ids].ravel()
     pair = count == 2
     same = pair & (fwd[first] == fwd[side2])
-    cls_bad = pair & ~same & (cls[first] != cls[side2])
-    dec_bad = pair & ~same & ~cls_bad & (orient[first] + orient[side2] != 0)
-    bad = np.flatnonzero((count > 2) | same | cls_bad | (dec_bad & decorated))
+    dec_bad = pair & ~same & (orient[first] + orient[side2] != 0)
+    bad = np.flatnonzero((count > 2) | same | (dec_bad & decorated))
     problems = []
     # format only the bad edges the report keeps: the first max_problems,
     # in tile-edge order
@@ -973,8 +974,6 @@ def verify_face_to_face(patch: Patch, decorated=True, max_problems=20):
         if same[e]:
             problems.append("edge traversed twice in the same direction "
                             f"({l1}, {l2})")
-        elif cls_bad[e]:
-            problems.append(f"edge class mismatch {l1} vs {l2}")
         else:
             problems.append(f"decoration mismatch {l1} vs {l2}")
     boundary = np.flatnonzero(count == 1)

@@ -23,7 +23,8 @@ from deltiling.patchio import export_patch
 from deltiling.prototiles import prototile_catalog
 from deltiling.substitution import (Isometry, Patch, RuleSet, Tile,
                                     derive_rules, identity_isometry,
-                                    match_triangles, tile_corners)
+                                    match_triangles, tile_corners,
+                                    _rule_starts)
 
 
 def placements(d):
@@ -44,10 +45,12 @@ def document_bytes(patch):
             return fh.read()
 
 
-def site_listing(sites):
-    """Exact, order-preserving text of flip sites."""
-    return repr([(s.i, s.j, [(t.name, t.iso.r, t.iso.t.key())
-                             for t in s.old + s.new]) for s in sites])
+def site_listing(sites, start=0):
+    """Exact, order-preserving text of flip sites, their tile indices
+    taken from row start."""
+    return repr([(s.i - start, s.j - start,
+                  [(t.name, t.iso.r, t.iso.t.key()) for t in s.old + s.new])
+                 for s in sites])
 
 
 def inflated(d, name, iso, rules, n):
@@ -79,9 +82,19 @@ def substitution_digest():
     return h.hexdigest()
 
 
+def rule_starts(d, rules):
+    """Row of the first child of every prototile in the rule set's
+    table, by name: the rule family's sites index that table."""
+    names, _ = ensembles.prototile_ids(d)
+    return dict(zip(names, _rule_starts(rules.table()[0]).tolist()))
+
+
 def site_group_digest():
-    groups = ensembles._site_groups(14, derive_rules(14, 7, 1))
-    text = repr([(name, site_listing([site])) for name, site in groups])
+    rules = derive_rules(14, 7, 1)
+    start = rule_starts(14, rules)
+    groups = ensembles._site_groups(14, rules)
+    text = repr([(name, site_listing([site], start[name]))
+                 for name, site in groups])
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -208,12 +221,14 @@ def dict_family(d, cap, rng_seed=0):
     pair replaced by its `new` Tiles (the per-site construction)."""
     q = d // 2
     base = derive_rules(d, q, 1)
-    sites = ensembles._site_groups(d, base)
+    start = rule_starts(d, base)
+    sites = [(name, (s.i - start[name], s.j - start[name]), s.new)
+             for name, s in ensembles._site_groups(d, base)]
     chosen = []
     for size in range(1, len(sites) + 1):
         for combo in itertools.combinations(range(len(sites)), size):
-            keys = [(name, k) for name, s in (sites[c] for c in combo)
-                    for k in (s.i, s.j)]
+            keys = [(name, k) for name, ij, _ in (sites[c] for c in combo)
+                    for k in ij]
             if len(set(keys)) == len(keys):
                 chosen.append(combo)
                 if len(chosen) >= cap:
@@ -227,8 +242,8 @@ def dict_family(d, cap, rng_seed=0):
     for combo in chosen:
         rules = {n: list(ch) for n, ch in base.rules.items()}
         for c in combo:
-            name, site = sites[c]
-            for k, new in zip((site.i, site.j), site.new):
+            name, ij, news = sites[c]
+            for k, new in zip(ij, news):
                 rules[name][k] = (new.name, new.iso)
         members.append(RuleSet(d, q, 1, {n: tuple(ch)
                                          for n, ch in rules.items()}))

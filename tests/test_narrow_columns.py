@@ -206,13 +206,13 @@ def test_flip_guard_and_rescaling_at_a_narrow_dtype():
     want = apply_flip(patch, site).tiles
     for scale in (3, k - 1):
         again = FlipSite(site.i, site.j, site.side,
-                         scaled_flip(site.flip, scale), site.scan)
+                         scaled_flip(site.flip, scale), site.patch)
         got = apply_flip(patch, again)
         assert got.columns[3] == 1 and got.tiles == want
         assert again.new == site.new
     with pytest.raises(OverflowError, match="flip"):
         apply_flip(patch, FlipSite(site.i, site.j, site.side,
-                                   scaled_flip(site.flip, k), site.scan))
+                                   scaled_flip(site.flip, k), site.patch))
 
 
 def test_flips_copy_rows_in_their_stored_dtype():

@@ -244,6 +244,25 @@ def test_random_substitution():
     assert geometry(det) == geometry(base)
 
 
+def test_flip_argument_guards():
+    """kappa = +-2 flips without 3 | q, default flips at odd d, a run on a
+    patch without flip sites, and a pi missing a family member."""
+    with pytest.raises(ValueError, match="q divisible by 3"):
+        enumerate_flips(8, 2)
+    with pytest.raises(ValueError, match="edge flips need even d"):
+        enumerate_flips(7)
+    odd = Patch.single(7, prototile_catalog(7).prototiles[0].name)
+    with pytest.raises(ValueError, match="default flips need even d"):
+        find_flippable(odd)
+    single = Patch.single(14, "G")
+    got, made = rearrangement_run(single, 5)
+    assert got is single and made == 0
+    family = random_rule_family(14, cap=2)
+    assert len(family) == 2
+    with pytest.raises(ValueError, match="every family member"):
+        random_substitution("G", family, [1.0], 1)
+
+
 def test_apply_flip_rejects_sites_past_the_end():
     rules = derive_rules(14, 5, 1)
     patch = Patch.single(14, "G").inflate(rules).inflate(rules)

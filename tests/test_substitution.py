@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from deltiling.arrangement import (SymmetryIndex, TriangleId,
-                                   classify_triple, get_arrangement)
+                                   classify_triple, edge_class,
+                                   get_arrangement)
 from deltiling.field import field_for_order, inflation_factor
 from deltiling import random as ensembles
 from deltiling import substitution
@@ -800,6 +801,18 @@ def test_report_keeps_the_first_edge_problems():
         for l in letters]
     assert any("T-junction" in p for p in rep.problems[3:])
     assert rep == reference_verify(patch)
+
+
+@pytest.mark.parametrize("d", range(5, 17))
+def test_letter_classes_are_exact_side_classes(d):
+    # the verifier compares no letter classes across a shared edge: both
+    # sides have its exact length, so its class
+    names, _ = substitution.prototile_ids(d)
+    classes = substitution.letter_table(d)[1]
+    for name, cls in zip(names, classes.tolist()):
+        c = tile_corners(d, name)
+        assert [edge_class(d, c[(k + 1) % 3] - c[k])
+                for k in range(3)] == cls, name
 
 
 def moved(patch, x):
