@@ -180,10 +180,7 @@ def cmd_random(args):
 
 
 def cmd_analyze(args):
-    ps = range(2, args.d // 2 + 1)
-    if args.p is not None:
-        inflation_factor(args.d, args.p)  # ValueError for p outside ps
-        ps = [args.p]
+    ps = range(2, args.d // 2 + 1) if args.p is None else [args.p]
     rep = analysis.census_report(args.d)
     print(f"census d={args.d}: all_match={rep['all_match']}")
     for v in rep["variants"]:
@@ -355,6 +352,18 @@ def _check_seed_tile(args):
                          f"d={args.d}; valid names: {' '.join(names)}")
 
 
+def _check_orders(args):
+    """Every inflation index p the command takes, --p and each --compose
+    stage, is one of 2..floor(d/2), whether or not the command reaches
+    it."""
+    ps = [] if getattr(args, "p", None) is None else [args.p]
+    ps += [_stage(e)[0] for e in getattr(args, "compose", None) or []]
+    for p in ps:
+        if not 2 <= p <= args.d // 2:
+            raise ValueError(f"inflation index p={p} outside "
+                             f"2..floor(d/2)={args.d // 2}")
+
+
 def main(argv=None):
     ap = build_parser()
     pre = argparse.ArgumentParser(add_help=False)
@@ -379,6 +388,7 @@ def main(argv=None):
     if not 5 <= d <= MAX_ORDER:
         _fail(f"--d must be an integer from 5 to {MAX_ORDER} (got {d!r})")
     try:
+        _check_orders(args)
         _check_seed_tile(args)
         args.fn(args)
     except (ValueError, OverflowError, patchio.SchemaError) as exc:

@@ -567,9 +567,10 @@ def _scaled(x, s, dt):
 
 
 def _rotated(f, rows):
-    """out[i, k] = row of zeta^k * (element with row rows[i]), for all k."""
+    """out[i, k] = rows of zeta^k * (elements with rows rows[i]), for all
+    k; rows[i] is one row or an array of them."""
     R = f.rotations
-    out = np.empty((len(rows), f.n, f.degree),
+    out = np.empty((len(rows), f.n) + rows.shape[1:],
                    _int_dtype(f.degree * max_abs(rows) * max_abs(R)))
     for k in range(f.n):
         out[:, k] = rows @ R[k]
@@ -618,9 +619,8 @@ def _corner_table(d):
     corners, and bound = `max_abs`(table), reduced once with the table."""
     f = field_for_order(d)
     rows, den = _corner_rows(d)
-    table = _rotated(f, rows.reshape(-1, f.degree)).reshape(
-        len(rows), 3, f.n, f.degree)
-    return table.transpose(0, 2, 1, 3), den, max_abs(table)
+    table = _rotated(f, rows)
+    return table, den, max_abs(table)
 
 
 @lru_cache(maxsize=None)
@@ -634,66 +634,103 @@ def letter_table(d):
                      dtype=np.int64))
 
 
-#: rows compared per block when `row_ids` looks for runs of equal keys
+#: corner rows per block whose keys `_corner_ids` sums at once
 _ROW_BLOCK = 1 << 16
 
 #: tiles per block of corner rows that `Patch.corner_values` converts
 _VALUE_BLOCK = 1 << 12
 
 
+def _packing(bounds):
+    """(W, off): the packing of integer rows x with lo[j] <= x[j] <= hi[j]
+    (exact bounds, bounds[j] = (lo[j], hi[j])) into keys of uint64 words.
+
+    Column j takes b_j = (hi[j] - lo[j]).bit_length() bits.  Consecutive
+    columns share a word while their widths sum to at most 64, and the
+    first column of a word takes its most significant bits.  Word w of
+    the key of x is sum_j x[j] * W[w, j] - off[w], with W[w, j] = 2**s_j
+    for the columns j of word w (0 for the others) and off[w] = sum_j
+    lo[j] * W[w, j], all modulo 2**64 (`_packed`).  A new word starts
+    only at a column that does not fit in the last one, so the key is
+    one word when the widths sum to at most 64.
+
+    The keys are exact, injective and ordered.  Each offset v_j = x[j] -
+    lo[j] satisfies 0 <= v_j < 2**b_j, so the fields v_j * 2**s_j of a
+    word hold disjoint bits below 2**64, and the word sum_j v_j * 2**s_j
+    lies in [0, 2**64).  uint64 arithmetic is exact modulo 2**64, so it
+    computes that word itself, whatever the signs of x and lo.  Equal
+    keys have equal fields, so equal v and equal rows (a column with b_j
+    = 0 is lo[j] in every row): the packing is injective on the box of
+    the bounds.  Comparing keys word by word, most significant first,
+    compares the fields in column order, so the key order is the
+    lexicographic order of the signed rows.
+    """
+    words, off, room = [], [], 0
+    for j, (a, b) in enumerate(bounds):
+        width = (b - a).bit_length()
+        if width > room:
+            words.append([0] * len(bounds))
+            off.append(0)
+            room = 64
+        if width:
+            room -= width
+            words[-1][j] = 1 << room
+            off[-1] += a << room
+    return (np.array(words or [[0] * len(bounds)], dtype=np.uint64),
+            np.array([o % 2 ** 64 for o in off] or [0], dtype=np.uint64))
+
+
+def _packed(x, W, subscripts="ij,wj->wi"):
+    """The einsum of an integer array x and uint64 weights W, modulo 2**64.
+
+    x is cast to uint64 (two's complement, so modulo 2**64 too) a buffer
+    at a time: no widened copy of x is made."""
+    return np.einsum(subscripts, x, W, dtype=np.uint64, casting="unsafe",
+                     order="C")
+
+
 def row_ids(rows):
     """(ids, first): equal coefficient rows get equal ids.
 
     ids has the shape of rows without its last axis; first[i] is the flat
-    index of the first row with id i.  Ids number the distinct rows in the
-    byte order of their narrowest-dtype form, as `np.unique` numbers the
-    rows viewed as bytes.  The key leaves out the columns that are zero
-    in every row, which change no comparison (see `_block_ids`).
+    index of the first row with id i.  Ids number the distinct rows in
+    the lexicographic order of their signed values, as `np.unique(rows,
+    axis=0)` numbers them.  The keys pack the rows by the bounds of their
+    own columns (`_packing`), which are exact and keep that order.
     """
     flat = rows.reshape(-1, rows.shape[-1])
-    ids, first = _block_ids(len(flat), np.flatnonzero(flat.any(axis=0)),
-                            _int_dtype(max_abs(flat)),
-                            lambda s: flat[s:s + _ROW_BLOCK])
+    W, off = _packing(list(zip(flat.min(axis=0).tolist(),
+                               flat.max(axis=0).tolist()))
+                      if len(flat) else [(0, 0)] * flat.shape[1])
+    keys = _packed(flat, W)
+    keys -= off[:, None]
+    ids, first = _block_ids(keys)
     return ids.reshape(rows.shape[:-1]), first
 
 
-def _block_ids(n, used, dt, block):
-    """`row_ids` of n rows, read as blocks: block(s) is rows s, s + 1, ...
-    (at least one of them, at most the rest).
+def _block_ids(keys):
+    """`row_ids` of the rows with keys (words x rows, C-contiguous
+    uint64, the most significant word first); the keys are overwritten.
 
-    The key of a row is its columns `used` (a superset of the columns
-    that are nonzero in some row) in dtype dt (which holds every
-    coefficient); its bytes, zero-padded to whole 8-byte words read
-    big-endian, compare as unsigned integers.  That order is the byte
-    order of the rows in their narrowest dtype: a column that is zero in
-    every row adds equal bytes to every key, and a two's complement field
-    compares as unsigned in the same order at every width that holds it.
     One argsort (a lexsort for keys of several words) orders the keys,
-    and sorted neighbours are compared a block at a time, so no sorted
-    copy of the keys is made, and the rows are never held whole.
+    and sorted neighbours are compared one word at a time, so no sorted
+    copy of the whole keys is made.  The run numbers then take the
+    memory of the first word.
     """
-    dt = np.dtype(dt)
-    key = np.zeros((n, -(-max(len(used), 1) * dt.itemsize // 8)),
-                   dtype=">u8")
-    cols = key.view(dt)[:, :len(used)]
-    s = 0
-    while s < n:
-        rows = block(s)[:, used]
-        cols[s:s + len(rows)] = rows
-        s += len(rows)
-    key = key.byteswap(inplace=True).view(key.dtype.newbyteorder())
-    order = (np.argsort(key[:, 0]) if key.shape[1] == 1
-             else np.lexsort(key.T[::-1]))
-    new = np.ones(len(key), dtype=bool)
-    for s in range(1, len(key), _ROW_BLOCK):
-        k = key[order[s - 1:s + _ROW_BLOCK]]
-        new[s:s + len(k) - 1] = (k[1:] != k[:-1]).any(axis=1)
-    run = np.cumsum(new)
+    order = (np.argsort(keys[0]) if len(keys) == 1
+             else np.lexsort(keys[::-1]))
+    new = np.zeros(len(order), dtype=bool)
+    for word in keys:
+        word = word[order]
+        new[1:] |= word[1:] != word[:-1]
+    del word
+    new[:1] = True
+    run = np.cumsum(new, out=keys[0].view(np.int64))
     run -= 1
     ids = np.empty_like(order)
     ids[order] = run
     # the argsort need not be stable: take each run's smallest index
-    first = (np.minimum.reduceat(order, np.flatnonzero(new)) if len(order)
+    first = (np.minimum.reduceat(order, new.nonzero()[0]) if len(order)
              else order)
     return ids, first
 
@@ -702,23 +739,39 @@ def _corner_ids(patch):
     """`row_ids(patch.corner_rows()[0])`, the corner ids (N x 3) and the
     flat index (3 k + j) of each id's first corner.
 
-    The keys are filled from the corner rows of `_ROW_BLOCK` // 3 tiles
-    at a time, so the N x 3 x D corner matrix is never held beside them.
-    They take the columns that a table row the tiles use or a translation
-    row has nonzero, in the dtype of the corner rows' bound, which give
-    the ids of `row_ids` (see `_block_ids`).
+    Corner j of tile k has the coefficients table[ids[k], r[k], j] * s1 +
+    t[k] * s2 (`Patch._corner_frame`), and its key is linear in them: the
+    key of the table row, packed once for each (id, r) that a tile takes,
+    plus the key of the translation row.  The bounds come from those
+    table rows and the translation rows, so the keys are exact and
+    ordered as in `row_ids` (see `_packing`).  The keys are summed for
+    `_ROW_BLOCK` // 3 tiles at a time, and no corner row is built.
     """
     ids, r, t, _ = patch.columns
-    table, _, _, _, dt = patch._corner_frame()
+    table, _, s1, s2, _ = patch._corner_frame()
     P, n, _, D = table.shape
-    taken = np.bincount(ids.astype(np.intp) * n + r, minlength=P * n) > 0
-    used = np.flatnonzero(table[np.divmod(np.flatnonzero(taken), n)]
-                          .any(axis=(0, 1)) | t.any(axis=0))
+    row = np.ravel_multi_index((ids, r), (P, n))
+    taken = np.bincount(row, minlength=P * n).nonzero()[0]
+    rows = table.reshape(P * n, 3, D)[taken]
+    bounds = [(0, 0)] * D
+    if len(patch):
+        flat = rows.reshape(-1, D)
+        bounds = [(a * s1 + c * s2, b * s1 + e * s2) for a, b, c, e in zip(
+            np.minimum.reduce(flat).tolist(), np.maximum.reduce(flat).tolist(),
+            np.minimum.reduce(t).tolist(), np.maximum.reduce(t).tolist())]
+    W, off = _packing(bounds)
+    # s1, s2 < 2**62 by the guard of the corner bound: uint64 holds them
+    corner = _packed(rows, W * s1, "mcj,wj->wmc")
+    corner -= off[:, None, None]
+    W *= s2
+    keys = np.empty((len(off), len(patch), 3), dtype=np.uint64)
     tiles = max(1, _ROW_BLOCK // 3)
-    pid, first = _block_ids(
-        3 * len(patch), used, dt,
-        lambda s: patch.corner_rows(slice(s // 3, s // 3 + tiles))[0]
-        .reshape(-1, D))
+    for a in range(0, len(patch), tiles):
+        k = keys[:, a:a + tiles]
+        k[...] = corner[:, np.searchsorted(taken, row[a:a + tiles])]
+        k += _packed(t[a:a + tiles], W)[:, :, None]
+    del row
+    pid, first = _block_ids(keys.reshape(len(keys), -1))
     return pid.reshape(len(patch), 3), first
 
 
@@ -927,8 +980,9 @@ def tile_edges(pid):
     key = key[order]
     new = np.ones(len(key), dtype=bool)
     new[1:] = key[1:] != key[:-1]
+    del key  # freed before the per-edge arrays are made
     start = np.flatnonzero(new)
-    count = np.diff(start, append=len(key))
+    count = np.diff(start, append=len(order))
     first = order[start]
     side2 = order[np.minimum(start + 1, len(order) - 1)]
     return first, count, side2, fwd
@@ -958,7 +1012,7 @@ def verify_face_to_face(patch: Patch, decorated=True, max_problems=20):
     points, den = patch.corner_rows(*np.divmod(pfirst, 3))
     first, count, side2, fwd = tile_edges(pid)
     letters, _, orient = letter_table(d)
-    orient = orient[ids].ravel()
+    orient = orient.astype(np.int8)[ids].ravel()  # each is -1, 0 or +1
     pair = count == 2
     same = pair & (fwd[first] == fwd[side2])
     dec_bad = pair & ~same & (orient[first] + orient[side2] != 0)
@@ -979,9 +1033,10 @@ def verify_face_to_face(patch: Patch, decorated=True, max_problems=20):
     boundary = np.flatnonzero(count == 1)
     if len(problems) < max_problems and len(boundary):
         ends = np.sort(first[boundary])
+        # tile edge 3 k + j runs from corner j to corner j + 1 of tile k
         problems += _t_junctions(field_for_order(d), points, den,
                                  pid.ravel()[ends],
-                                 pid[:, [1, 2, 0]].ravel()[ends],
+                                 pid.ravel()[ends - ends % 3 + (ends + 1) % 3],
                                  max_problems - len(problems))
     return VerifyReport(not (len(bad) or problems), len(patch),
                         int(pair.sum()), len(boundary),

@@ -370,6 +370,26 @@ def test_cli_tile_rejects_malformed_compose(tmp_path, capsys, entry):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["tile", "--d", "14", "--p", "3", "--seed-tile", "G", "--n", "2",
+     "--compose", "3,+", "9,-"],
+    ["tile", "--d", "14", "--p", "1", "--seed-tile", "G"],
+    ["random", "--d", "14", "--mode", "subst", "--p", "9"],
+    ["rules", "--d", "14", "--p", "8"],
+], ids=["unreached-compose-stage", "tile-p", "subst-p", "rules-p"])
+def test_cli_rejects_p_outside_the_inflation_indices(tmp_path, capsys, argv):
+    # every p is checked before any output, also one that the command
+    # would never reach (the third stage of two) or never read (subst)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and "Traceback" not in err
+    assert "p=" in err and "outside 2..floor(d/2)" in err
+    assert not out.exists()
+
+
 def test_cli_tile_compose_cycles_stages(tmp_path):
     # --p 3 --sign + --compose 3,- --n 2 is (3,+) then (3,-)
     main(["tile", "--d", "14", "--p", "3", "--seed-tile", "G", "--n", "2",

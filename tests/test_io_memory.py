@@ -6,8 +6,9 @@ import tracemalloc
 
 import pytest
 
-from deltiling import patchio, svg
-from deltiling.substitution import Patch, derive_rules
+from deltiling import patchio, substitution, svg
+from deltiling.field import field_for_order
+from deltiling.substitution import Isometry, Patch, Tile, derive_rules
 
 
 @pytest.fixture(scope="module")
@@ -68,3 +69,15 @@ def test_corner_values_peak_stays_below_twice_the_result(big):
     patch, _ = big
     peak = traced_peak(patch.corner_values)
     assert peak < 2 * patch.corner_values().nbytes
+
+
+def test_corner_ids_peak_stays_below_6_mib():
+    # 135,210 corners of the rotated level-5 patch, over 18 of 24 columns:
+    # one packed 8-byte word per corner key.  The parent sorted 40-byte
+    # keys of the corners' bytes: 12.7 MiB traced
+    f = field_for_order(14)
+    patch = Patch(14, [Tile("G", Isometry(5, f.rational(2) + f.i * -3))])
+    for k in range(5):
+        patch = patch.inflate(derive_rules(14, 3, (-1) ** k))
+    substitution._corner_ids(patch)
+    assert traced_peak(substitution._corner_ids, patch) <= 6 * 2 ** 20

@@ -320,21 +320,78 @@ def test_a_rational_seed_inflates_and_flips_as_its_translate():
         assert verify_face_to_face(out, decorated=False).ok
 
 
+def unique_ids(rows):
+    """The ids and first indices of `np.unique` over the int64 rows: the
+    signed lexicographic order."""
+    flat = rows.reshape(-1, rows.shape[-1]).astype(np.int64)
+    _, first, inv = np.unique(flat, axis=0, return_index=True,
+                              return_inverse=True)
+    return inv.reshape(rows.shape[:-1]), first
+
+
+def assert_corner_ids_are_unique_ids(patch):
+    rows, _ = patch.corner_rows()
+    got = substitution._corner_ids(patch)
+    for a, b in zip(got, unique_ids(rows)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    for a, b in zip(got, row_ids(rows)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    points, _ = patch.corner_rows(*np.divmod(got[1], 3))
+    assert np.array_equal(points, rows.reshape(-1, rows.shape[-1])[got[1]])
+
+
+def near_guard():
+    """Two tiles of d = 14 whose corner coefficients come within 1 of the
+    guard 2**62, one near +2**62 and one near -2**62: column 0 of the
+    corner rows spans more than 2**62, 63 bits."""
+    x = 2 ** 62 - 1 - substitution._corner_table(14)[2]
+    t = np.zeros((2, D14), dtype=np.int64)
+    t[:, 0] = x, -x
+    t[:, 3] = 5, 0
+    return Patch.from_columns(14, np.zeros(2, np.int16),
+                              np.array([0, 7], np.int32), t)
+
+
+def test_corner_ids_near_the_guard():
+    patch = near_guard()
+    rows, _ = patch.corner_rows()
+    flat = rows.reshape(-1, rows.shape[-1])
+    assert max(flat.max(axis=0).astype(object)
+               - flat.min(axis=0).astype(object)).bit_length() == 63
+    assert_corner_ids_are_unique_ids(patch)
+
+
 @pytest.mark.parametrize("block", [5, 64], ids=["block5", "block64"])
 def test_corner_ids_from_blocks_are_row_ids(monkeypatch, block):
-    # blocks of corner rows that split tiles, over den 1 and 77, at the
-    # int8 limit and beyond it
+    # keys summed for blocks of 1 and 21 tiles, over den 1 and 77 (keys of
+    # two words), at the int8 limit and beyond it, near the int64 guard,
+    # with columns that are zero in every corner row, and for no tile
     patches = [flip_patch(), moved(flip_patch(), witness_shift()),
-               at_limit(127)[2], at_limit(32767)[2], Patch(14, [])]
+               at_limit(127)[2], at_limit(32767)[2], near_guard(),
+               Patch.single(14, "G"), Patch(14, [])]
     monkeypatch.setattr(substitution, "_ROW_BLOCK", block)
     for patch in patches:
-        rows, _ = patch.corner_rows()
-        pid, first = substitution._corner_ids(patch)
-        want_pid, want_first = row_ids(rows)
-        assert np.array_equal(pid, want_pid.reshape(len(patch), 3))
-        assert np.array_equal(first, want_first)
-        points, _ = patch.corner_rows(*np.divmod(first, 3))
-        assert np.array_equal(points, rows.reshape(-1, D14)[first])
+        assert_corner_ids_are_unique_ids(patch)
+
+
+def test_corner_ids_from_keys_of_several_words(monkeypatch):
+    # the bench's seed-1 placement spans 76 bits at level 5, and the flip
+    # patch over 77 spans 80 bits: keys of two words each
+    f = field_for_order(14)
+    patch = Patch(14, [Tile("G", Isometry(45, f.rational(-7) + f.i * -8))])
+    for k in range(5):
+        patch = patch.inflate(derive_rules(14, 3, (-1) ** k))
+    patches = [patch, moved(flip_patch(), witness_shift())]
+    words = []
+    block_ids = substitution._block_ids
+    with monkeypatch.context() as mp:
+        mp.setattr(substitution, "_block_ids",
+                   lambda keys: words.append(len(keys)) or block_ids(keys))
+        for p in patches:
+            substitution._corner_ids(p)
+    assert words == [2, 2]
+    for p in patches:
+        assert_corner_ids_are_unique_ids(p)
 
 
 def test_import_rescales_narrow_rows_to_the_common_denominator(tmp_path):

@@ -598,11 +598,9 @@ def test_area_rows_equal_the_field_products(d):
 # -- references for the sorted cell grid and the one-sort pairing --------
 
 def reference_row_ids(rows):
-    flat = rows.reshape(-1, rows.shape[-1])
-    flat = np.ascontiguousarray(
-        flat.astype(substitution._int_dtype(substitution.max_abs(flat))))
-    keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1])))
-    _, first, inv = np.unique(keys.ravel(), return_index=True,
+    """Ids in the lexicographic order of the signed rows, by `np.unique`."""
+    flat = rows.reshape(-1, rows.shape[-1]).astype(np.int64)
+    _, first, inv = np.unique(flat, axis=0, return_index=True,
                               return_inverse=True)
     return inv.reshape(rows.shape[:-1]), first
 
@@ -741,10 +739,9 @@ def test_large_patches_match_reference(k):
     assert_matches_reference(patch, decorated=False)
 
 
-def test_row_ids_number_rows_in_byte_order():
-    # negative coefficients have high bytes of 0x80 and above; a zero
-    # column in every row and the int16 width exercise the dropped
-    # columns and the two-word keys
+def test_row_ids_number_rows_in_value_order():
+    # negative and positive coefficients, a zero column in every row, and
+    # ranges that pack into one word and into several
     rng = np.random.default_rng(3)
     for hi, width in [(3, 4), (40, 6), (300, 9), (2 ** 40, 3)]:
         rows = rng.integers(-hi, hi, size=(500, 2, width))
@@ -755,6 +752,20 @@ def test_row_ids_number_rows_in_byte_order():
                   np.zeros((4, 3, 5), dtype=np.int16)):
         assert_same_arrays(substitution.row_ids(zeros),
                            reference_row_ids(zeros))
+
+
+def test_row_ids_pack_a_column_of_64_bits():
+    # a column over the whole int64 range fills one word, whose keys are
+    # ordered only as unsigned integers; the next columns take a second
+    top = np.iinfo(np.int64)
+    rows = np.array([[top.max, 0, 1], [top.min, 5, 1], [0, 5, -1],
+                     [top.min, 5, 1], [-1, 0, 1], [top.max, 0, 0],
+                     [top.min + 1, 0, 0]], dtype=np.int64)
+    W, off = substitution._packing(list(zip(rows.min(axis=0).tolist(),
+                                            rows.max(axis=0).tolist())))
+    assert W.tolist() == [[1, 0, 0], [0, 2 ** 61, 2 ** 59]]
+    assert off.tolist() == [2 ** 63, 2 ** 64 - 2 ** 59]
+    assert_same_arrays(substitution.row_ids(rows), reference_row_ids(rows))
 
 
 def test_problems_stop_at_max_problems():
