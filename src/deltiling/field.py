@@ -99,8 +99,11 @@ class CycField:
         self.one = Elem(self, self._red[0], 1)
         self.i = self.zeta(n // 4)
         self._half_i = Elem(self, self._red[n // 4], 2)
-        # complex float embedding of the power basis
+        # complex float embedding of the power basis; `rows @ basis` are
+        # float values of coefficient rows, a pre-filter (`cvalues` gives
+        # the values of `Elem.cvalue` bit for bit)
         self._basis_c = [cmath.exp(2j * math.pi * k / n) for k in range(D)]
+        self.basis = np.array(self._basis_c)
         self._basis_mp = {}
 
     def __repr__(self):
@@ -139,29 +142,56 @@ class CycField:
         return np.array(self._red[:self.n + self.degree - 1], dtype=np.int64)
 
     @cached_property
-    def rotations(self):
-        """int64 array R, R[k] the matrix of w -> zeta^k w on coefficient rows.
+    def power_bound(self):
+        """The largest |entry| of `powers`: a turn of rows of width w
+        bounds its result by w * max |x| * power_bound."""
+        return int(np.abs(self.powers).max())
 
-        A row x of power-basis coefficients times R[k] is the row of
-        zeta^k * x: row j of R[k] is zeta^(j+k) reduced mod Phi_n.  R[k]
-        is rows k .. k+D-1 of `powers`, so R is a read-only strided view
-        of n + D - 1 rows, not n copies.
+    def turn(self, x, k):
+        """Rows of zeta^k * x(zeta) (int64) for coefficient rows x (..., w),
+        with one exponent k >= 0 per leading index, k + w < n + D: k has the
+        leading shape of x (a scalar turns every row).  The caller bounds
+        w * max |x| * power_bound below 2^62.
+
+        The row of zeta^k x is x @ powers[k:k + w].  Blocks of rows that
+        share a k are grouped, and each group takes one product with its
+        slice of `powers`, so no D x D matrix is gathered per row.
         """
-        return np.lib.stride_tricks.sliding_window_view(
-            self.powers, self.degree, axis=0).transpose(0, 2, 1)
+        red = self.powers
+        w = x.shape[-1]
+        if np.ndim(k) == 0:
+            return x @ red[k:k + w]
+        k = np.ravel(k)
+        blocks = x.reshape(len(k), -1, w)
+        out = np.empty(blocks.shape[:2] + (self.degree,), dtype=np.int64)
+        order = np.argsort(k, kind="stable")
+        k = k[order]
+        cut = [0, *(np.flatnonzero(k[1:] != k[:-1]) + 1).tolist(), len(k)]
+        for s, e in zip(cut, cut[1:]):
+            rows = order[s:e]
+            out[rows] = blocks[rows] @ red[k[s]:k[s] + w]
+        return out.reshape(x.shape[:-1] + (self.degree,))
+
+    def turns(self, x, dtype):
+        """out[i, k] = `turn`(x[i], k) for every k mod n, in dtype: x[i] is
+        one row or an array of them, and the caller's bound shows that
+        dtype holds every turn."""
+        out = np.empty((len(x), self.n) + x.shape[1:], dtype)
+        for k in range(self.n):
+            out[:, k] = self.turn(x, k)
+        return out
 
     def mul_matrix(self, e):
         """(M, den): the row of x * e is (row of x) @ M / den.
 
-        M = sum of e_j * R[j] over the nonzero coefficients of e (R as in
-        `rotations`, whose n matrices are not built here).
+        M = sum of e_j * powers[j:j + D] over the nonzero coefficients of
+        e: rows j .. j + D - 1 of `powers` are the matrix of w -> zeta^j w.
         """
         D = self.degree
-        red = np.array(self._red[:2 * D - 1], dtype=np.int64)
         M = np.zeros((D, D), dtype=np.int64)
         for j, c in enumerate(e.num):
             if c:
-                M += c * red[j:j + D]
+                M += c * self.powers[j:j + D]
         return M, e.den
 
     def conjugate_rows(self, x):
@@ -174,9 +204,9 @@ class CycField:
         """
         n = self.n
         ks = np.array([k for k in range(1, n) if math.gcd(k, n) == 1])
-        red = np.array(self._red[:n], dtype=np.int64)
-        bound = sum(abs(c) for c in x.num) * int(np.abs(red).max())
-        red = red.astype(np.int64 if bound < 2 ** 62 else object)
+        red = self.powers[:n]
+        if sum(abs(c) for c in x.num) * self.power_bound >= 2 ** 62:
+            red = red.astype(object)
         rows = np.zeros((len(ks), self.degree), dtype=red.dtype)
         for j, c in enumerate(x.num):
             if c:
@@ -267,8 +297,7 @@ class Elem:
                         self.den * other.denominator).normalized()
         if not isinstance(other, Elem):
             return NotImplemented
-        f = self.f
-        D = f.degree
+        D = self.f.degree
         a, b = self.num, other.num
         conv = [0] * (2 * D - 1)
         for i_, x in enumerate(a):
@@ -276,53 +305,40 @@ class Elem:
                 for j, y in enumerate(b):
                     if y:
                         conv[i_ + j] += x * y
-        out = list(conv[:D])
-        red = f._red
-        for k in range(D, 2 * D - 1):
-            c = conv[k]
-            if c:
-                rv = red[k]
-                for j in range(D):
-                    if rv[j]:
-                        out[j] += c * rv[j]
-        return Elem(f, out, self.den * other.den).normalized()
+        return self._sum_powers(enumerate(conv), self.den * other.den)
 
     __rmul__ = __mul__
 
     def mul_zeta(self, k):
         """Multiply by zeta_n^k (cheap: shift + reduction)."""
-        f = self.f
-        k %= f.n
+        k %= self.f.n
         if k == 0:
             return self
+        return self._sum_powers(((j + k, c) for j, c in enumerate(self.num)),
+                                self.den)
+
+    def conj(self):
+        n = self.f.n
+        return self._sum_powers((((n - j) % n, c)
+                                 for j, c in enumerate(self.num)), self.den)
+
+    def _sum_powers(self, terms, den):
+        """The normalised element sum of c * zeta^e / den over the (e, c)
+        of terms, 0 <= e <= D + n: e < D is a basis power, and every other
+        zeta^e adds c times its reduced row."""
+        f = self.f
         D = f.degree
         out = [0] * D
         red = f._red
-        for j, c in enumerate(self.num):
+        for e, c in terms:
             if c:
-                e = j + k
                 if e < D:
                     out[e] += c
                 else:
-                    rv = red[e]
-                    for t in range(D):
-                        if rv[t]:
-                            out[t] += c * rv[t]
-        return Elem(f, out, self.den).normalized()
-
-    def conj(self):
-        f = self.f
-        D = f.degree
-        out = [0] * D
-        red = f._red
-        n = f.n
-        for j, c in enumerate(self.num):
-            if c:
-                rv = red[(n - j) % n]
-                for t in range(D):
-                    if rv[t]:
-                        out[t] += c * rv[t]
-        return Elem(f, out, self.den).normalized()
+                    for j, v in enumerate(red[e]):
+                        if v:
+                            out[j] += c * v
+        return Elem(f, out, den).normalized()
 
     def inv(self):
         """Multiplicative inverse: the product of the other conjugates

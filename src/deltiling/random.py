@@ -46,8 +46,8 @@ from .substitution import (SHIFTS, Patch, RuleSet, derive_rules,
                            derive_edge_words, letter_table, match_triangles,
                            max_abs, mir, project, prototile_ids, row_ids,
                            tile_edges, _congruent, _corner_ids, _corner_rows,
-                           _face_placements, _field_tables, _guard, _inflate,
-                           _int_dtype, _over, _rule_table, _turn)
+                           _face_placements, _guard, _inflate, _int_dtype,
+                           _over, _rule_table)
 
 
 # -- the inscribed polygon ----------------------------------------------
@@ -217,11 +217,10 @@ def _flip_entry(d, edge_cls, diag_cls, key):
     """
     id_i, k_i, id_j, k_j, s = key
     f = field_for_order(d)
-    bound = _field_tables(f)[1]
     rows, den = _corner_rows(d)
     # bounds the turned corners and w2, a sum of three corner rows
-    _guard(3 * f.degree * max_abs(rows) * bound, "flip corners")
-    cj = _turn(f, rows[id_j], s)
+    _guard(3 * f.degree * max_abs(rows) * f.power_bound, "flip corners")
+    cj = f.turn(rows[id_j], s)
     u, v, w1 = (rows[id_i, (k_i + k) % 3] for k in range(3))
     if not np.array_equal(cj[(k_j + 1) % 3] - cj[k_j], u - v):
         return None
@@ -248,7 +247,7 @@ def _flip_entry(d, edge_cls, diag_cls, key):
     # the least common denominator, as the normalised translations give it
     g = math.gcd(den, int(np.gcd.reduce(t, axis=None)))
     t = np.array(t) // g
-    return _Flip(ids, r, t, den // g, f.degree * max_abs(t) * bound)
+    return _Flip(ids, r, t, den // g, f.degree * max_abs(t) * f.power_bound)
 
 
 def _write_flip(d, ids, r, t, den, i, j, flip):
@@ -273,15 +272,14 @@ def _write_flip(d, ids, r, t, den, i, j, flip):
                  copy=False)
     if s1 != 1:
         t *= s1
-    rotations = field_for_order(d).rotations
-    new = flip.t @ rotations[ri]
+    f = field_for_order(d)
+    new = f.turn(flip.t, ri)
     if s2 != 1:
         new *= s2
     new += t[i]
-    n = len(rotations)
     for k, row in enumerate((i, j)):
         ids[row] = flip.ids[k]
-        r[row] = (ri + flip.r[k]) % n
+        r[row] = (ri + flip.r[k]) % f.n
         t[row] = new[k]
     return t, L
 

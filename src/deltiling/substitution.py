@@ -83,15 +83,14 @@ def _congruent(f, a, b):
     No field division: the float phase of the first sides picks the only
     possible r, and equal integer rows of both sides decide.
     """
-    z, bound = _field_tables(f)
     # differences of rows bounded by B are bounded by 2B
-    _guard(2 * max(f.degree * max_abs(a) * bound, max_abs(b)),
+    _guard(2 * max(f.degree * max_abs(a) * f.power_bound, max_abs(b)),
            "triangle match")
-    za = (a[..., 1, :] - a[..., 0, :]) @ z
-    zb = (b[..., 1, :] - b[..., 0, :]) @ z
+    za = (a[..., 1, :] - a[..., 0, :]) @ f.basis
+    zb = (b[..., 1, :] - b[..., 0, :]) @ f.basis
     r = np.rint(np.angle(zb * za.conj()) * f.n / (2 * np.pi)).astype(
         np.int64) % f.n
-    a = _turn(f, a, r)
+    a = f.turn(a, r)
     ok = ((a - a[..., :1, :]) == (b - b[..., :1, :])).all(axis=(-2, -1))
     return r, ok, b[..., 0, :] - a[..., 0, :]
 
@@ -106,38 +105,6 @@ def match_triangles(src, dst):
         return None, None
     s = int(np.argmax(ok))
     return Isometry(int(r[s]), Elem(f, t[s].tolist(), den).normalized()), s
-
-
-@lru_cache(maxsize=None)
-def _field_tables(f):
-    """(z, bound): `rows @ z` are float values of coefficient rows (a
-    pre-filter, not bit-equal to `Elem.cvalue`), and bound is the largest
-    |entry| of f.powers, so of every R[k] of R = f.rotations."""
-    return f.cvalues(np.eye(f.degree, dtype=np.int64)), max_abs(f.powers)
-
-
-def _turn(f, x, k):
-    """Rows of zeta^k * x(zeta) (int64) for coefficient rows x (..., w),
-    with one exponent k >= 0 per leading index, k + w < n + D: k has the
-    leading shape of x (a scalar turns every row).  The caller bounds
-    w * max |x| * bound below 2^62 (`_guard`, `_field_tables`).
-
-    The row of zeta^k x is x @ red[k:k + w], red = f.powers.  Blocks of
-    rows that share a k are grouped, and each group takes one product
-    with its slice of red, so no D x D matrix is gathered per row.
-    """
-    red = f.powers
-    w = x.shape[-1]
-    k = np.ravel(k)
-    blocks = x.reshape(len(k), -1, w)
-    out = np.empty(blocks.shape[:2] + (f.degree,), dtype=np.int64)
-    order = np.argsort(k, kind="stable")
-    k = k[order]
-    cut = [0, *(np.flatnonzero(k[1:] != k[:-1]) + 1).tolist(), len(k)]
-    for s, e in zip(cut, cut[1:]):
-        rows = order[s:e]
-        out[rows] = blocks[rows] @ red[k[s]:k[s] + w]
-    return out.reshape(x.shape[:-1] + (f.degree,))
 
 
 def _over(rows, den, L):
@@ -395,8 +362,10 @@ def _rule_table(d, members, iota):
     trans = np.concatenate([_over(k[2], k[3], den) for k in kids])
     # rule sets repeat few translations: turn each distinct one once
     tidx, first = row_ids(trans)
+    distinct = trans[first]
     M, mden = f.mul_matrix(iota)
-    rot = _rotated(f, trans[first])
+    rot = f.turns(distinct, _int_dtype(f.degree * max_abs(distinct)
+                                       * f.power_bound))
     return SimpleNamespace(
         count=count,
         start=_rule_starts(count),
@@ -417,7 +386,8 @@ def derive_rules(d, p, sign=1) -> RuleSet:
     its triangles against the faces of A(d, kappa') gives the (prototile,
     face) pairs of the children, pulled back by the inverse placement
     w -> zeta^-r (w - t): a child on a face placed by (r_f, t_f) is
-    placed by (r_f - r, zeta^-r (t_f - t)), all children in one `_turn`.
+    placed by (r_f - r, zeta^-r (t_f - t)), all children in one
+    `CycField.turn`.
     """
     f = field_for_order(d)
     n = f.n
@@ -432,8 +402,7 @@ def derive_rules(d, p, sign=1) -> RuleSet:
     kappa = np.array([sym2.kappa for sym2, _ in targets])
     faces = {k: _face_placements(d, k) for k in set(kappa.tolist())}
     L = math.lcm(tden, *(face.den for face in faces.values()))
-    z, bound = _field_tables(f)
-    tri = dst @ z / tden
+    tri = dst @ f.basis / tden
     parts = []
     for k, face in faces.items():
         sel = np.flatnonzero(kappa == k)
@@ -445,9 +414,10 @@ def derive_rules(d, p, sign=1) -> RuleSet:
     count = np.bincount(owner, minlength=len(names))
     assert count.all(), f"empty rule for {names[int(np.argmin(count))]}"
     T = _over(T, tden, L)
-    _guard(f.degree * bound * (max_abs(t) + max_abs(T)), "child placements")
+    _guard(f.degree * f.power_bound * (max_abs(t) + max_abs(T)),
+           "child placements")
     t -= T[owner]
-    t = _turn(f, t, -r[owner] % n)
+    t = f.turn(t, -r[owner] % n)
     r = (r_face - r[owner]) % n
     # sort each rule by (name, r, Elem.key()) of the normalised translation
     g = np.gcd(np.gcd.reduce(t, axis=1), L)
@@ -469,21 +439,21 @@ def _area_rows(d):
     For corners a, b, c, u = b - a and w = c - a, that is conj(u) w -
     u conj(w).  As conj(u) = zeta^-(D-1) u'(zeta) = -zeta^(n/2-D+1)
     u'(zeta) for the reversed row u' of u, it is zeta^(n/2-D+1) times the
-    polynomial (w' u - u' w)(zeta), whose 2D - 1 coefficients `_turn`
-    reduces.
+    polynomial (w' u - u' w)(zeta), whose 2D - 1 coefficients
+    `CycField.turn` reduces.
     """
     f = field_for_order(d)
     D = f.degree
     C, den = _corner_rows(d)
     u, w = C[:, 1] - C[:, 0], C[:, 2] - C[:, 0]
     # |poly| <= 2D (2 max |C|)^2, and the turn multiplies by (2D - 1) bound
-    _guard(4 * D * D * (2 * max_abs(C)) ** 2 * _field_tables(f)[1],
+    _guard(4 * D * D * (2 * max_abs(C)) ** 2 * f.power_bound,
            "prototile areas")
     poly = np.zeros((len(C), 2 * D - 1), dtype=np.int64)
     for j in range(D):
         poly[:, j:j + D] += (w[:, D - 1 - j, None] * u
                              - u[:, D - 1 - j, None] * w)
-    rows = _turn(f, poly, f.n // 2 - D + 1)
+    rows = f.turn(poly, f.n // 2 - D + 1)
     g = math.gcd(den * den, int(np.gcd.reduce(rows, axis=None)))
     return rows // g, den * den // g
 
@@ -566,17 +536,6 @@ def _scaled(x, s, dt):
     return x if s == 1 else np.multiply(x, s, dtype=dt)
 
 
-def _rotated(f, rows):
-    """out[i, k] = rows of zeta^k * (elements with rows rows[i]), for all
-    k; rows[i] is one row or an array of them."""
-    R = f.rotations
-    out = np.empty((len(rows), f.n) + rows.shape[1:],
-                   _int_dtype(f.degree * max_abs(rows) * max_abs(R)))
-    for k in range(f.n):
-        out[:, k] = rows @ R[k]
-    return out
-
-
 def _common_den(elems, degree):
     """(rows, den): numerators of field elements over their common den."""
     den = math.lcm(*(e.den for e in elems)) if elems else 1
@@ -619,7 +578,8 @@ def _corner_table(d):
     corners, and bound = `max_abs`(table), reduced once with the table."""
     f = field_for_order(d)
     rows, den = _corner_rows(d)
-    table = _rotated(f, rows)
+    table = f.turns(rows, _int_dtype(f.degree * max_abs(rows)
+                                     * f.power_bound))
     return table, den, max_abs(table)
 
 
@@ -689,6 +649,26 @@ def _packed(x, W, subscripts="ij,wj->wi"):
                      order="C")
 
 
+def _column_bounds(rows):
+    """(lo, hi): the least and greatest entry of every column of the
+    integer rows (N x D, N >= 1), as lists of ints.
+
+    numpy reduces axis 0 of D-wide rows with a D-wide inner loop, so the
+    first 64 (N // 64) rows are reduced as rows 64 D wide, and then their
+    64 blocks of D columns with the remaining rows.
+    """
+    N, D = rows.shape
+    cut = N - N % 64
+    out = []
+    for ufunc in (np.minimum, np.maximum):
+        part = rows[cut:]
+        if cut:
+            wide = ufunc.reduce(rows[:cut].reshape(-1, 64 * D))
+            part = np.concatenate([wide.reshape(64, D), part])
+        out.append(ufunc.reduce(part).tolist())
+    return out
+
+
 def row_ids(rows):
     """(ids, first): equal coefficient rows get equal ids.
 
@@ -699,9 +679,8 @@ def row_ids(rows):
     own columns (`_packing`), which are exact and keep that order.
     """
     flat = rows.reshape(-1, rows.shape[-1])
-    W, off = _packing(list(zip(flat.min(axis=0).tolist(),
-                               flat.max(axis=0).tolist()))
-                      if len(flat) else [(0, 0)] * flat.shape[1])
+    W, off = _packing(list(zip(*_column_bounds(flat))) if len(flat)
+                      else [(0, 0)] * flat.shape[1])
     keys = _packed(flat, W)
     keys -= off[:, None]
     ids, first = _block_ids(keys)
@@ -755,10 +734,8 @@ def _corner_ids(patch):
     rows = table.reshape(P * n, 3, D)[taken]
     bounds = [(0, 0)] * D
     if len(patch):
-        flat = rows.reshape(-1, D)
         bounds = [(a * s1 + c * s2, b * s1 + e * s2) for a, b, c, e in zip(
-            np.minimum.reduce(flat).tolist(), np.maximum.reduce(flat).tolist(),
-            np.minimum.reduce(t).tolist(), np.maximum.reduce(t).tolist())]
+            *_column_bounds(rows.reshape(-1, D)), *_column_bounds(t))]
     W, off = _packing(bounds)
     # s1, s2 < 2**62 by the guard of the corner bound: uint64 holds them
     corner = _packed(rows, W * s1, "mcj,wj->wmc")

@@ -259,7 +259,8 @@ def test_column_rule_family_matches_dict_members(cap):
     want = ensembles.RandomRuleFamily(d, members).columns()
     for key in ("count", "start", "ids", "r"):
         assert np.array_equal(getattr(got, key), getattr(want, key)), key
-    # rot[tidx, s] = (translation row) @ R[s] on both sides, for every s
+    # rot[tidx, s] = (translation row) @ R[s] on both sides, for every s,
+    # row j of R[s] the row of zeta^(s + j)
     rows = [h.t for m in members for name in ensembles.prototile_ids(d)[0]
             for _, h in m.rules.get(name, ())]
     den = math.lcm(*(e.den for e in rows))
@@ -267,7 +268,8 @@ def test_column_rule_family_matches_dict_members(cap):
     trans = np.array([[c * (den // e.den) for c in e.num] for e in rows])
     assert np.array_equal(got.rot[got.tidx, 0], trans)
     for s in range(f.n):
-        assert np.array_equal(got.rot[:, s], got.rot[:, 0] @ f.rotations[s])
+        R = np.array([f.zeta(s + j).num for j in range(f.degree)])
+        assert np.array_equal(got.rot[:, s], got.rot[:, 0] @ R)
 
 
 # -- rearrangement runs against full scans ----------------------------------

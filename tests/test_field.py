@@ -141,6 +141,9 @@ def test_cvalues_equal_cvalue_bit_for_bit(dtype, den):
         # a leading shape is kept
         assert np.array_equal(f.cvalues(rows.reshape(4, 10, -1), den),
                               got.reshape(4, 10))
+        # the pre-filter's basis floats are the values of the unit rows
+        unit = f.cvalues(np.eye(f.degree, dtype=dtype))
+        assert np.array_equal(f.basis.view(np.int64), unit.view(np.int64))
 
 
 def test_mpmath_loads_only_on_escalation():
@@ -209,7 +212,8 @@ def test_unit_root():
 @pytest.mark.parametrize("d", [14, 13])
 def test_mul_matrix_is_multiplication(d):
     # the row of x * e is (row of x) @ M / den, and M holds the first D
-    # rotation matrices weighted by the coefficients of e
+    # rotation matrices weighted by the coefficients of e (row i of the
+    # matrix of w -> zeta^j w is the row of zeta^(j + i))
     f = field_for_order(d)
     rng = random.Random(d)
 
@@ -219,9 +223,60 @@ def test_mul_matrix_is_multiplication(d):
 
     for e in (inflation_factor(d, 3) * inflation_factor(d, 3), elem()):
         M, den = f.mul_matrix(e)
-        assert (M == np.tensordot(np.array(e.num), f.rotations[:f.degree],
-                                  axes=1)).all()
+        assert (M == sum(c * np.array([f.zeta(j + i).num
+                                       for i in range(f.degree)])
+                         for j, c in enumerate(e.num))).all()
         for _ in range(3):
             x = elem()
             row = np.array(x.num, dtype=np.int64) @ M
             assert f.from_coeffs(row.tolist(), x.den * den) == x * e
+
+
+@pytest.mark.parametrize("d", [13, 14, 23])
+def test_mul_zeta_and_conj_agree_with_products(d):
+    # mul_zeta, conj and products share one reduction: zeta^k x against
+    # the product with zeta^k for every k (the top coefficient is nonzero,
+    # so j + k >= D for every k > 0), conj against sigma_{-1} of
+    # conjugate_rows, and conjugation against products
+    f = field_for_order(d)
+    rng = random.Random(d)
+
+    def elem():
+        nums = [rng.randint(-9, 9) for _ in range(f.degree)]
+        nums[-1] = rng.choice((-7, 5))
+        return f.from_coeffs(nums, rng.choice((2, 3, 10)))
+
+    x, y = elem(), elem()
+    assert x.den != 1 and min(x.num) < 0
+    for k in range(f.n):
+        assert x.mul_zeta(k) == x * f.zeta(k), k
+    assert x.conj() == f.from_coeffs(f.conjugate_rows(x)[-1].tolist(), x.den)
+    assert (x * y).conj() == x.conj() * y.conj()
+    assert x.conj().conj() == x
+
+
+def test_field_edge_cases():
+    with pytest.raises(ValueError, match="divisible by 4"):
+        CycField(30)
+    f = field_for_order(14)
+    assert repr(f) == "CycField(84)"
+    with pytest.raises(ValueError, match="length mismatch"):
+        f.from_coeffs([1, 2])
+    x = Elem(f, [-2] + [0] * (f.degree - 1), -4).normalized()
+    assert (x.num[0], x.den) == (1, 2) and x == Fraction(1, 2)
+    assert x.__mul__(1.5) is NotImplemented
+    with pytest.raises(TypeError):
+        x * 1.5
+    with pytest.raises(ZeroDivisionError):
+        f.zero.inv()
+    # conjugates beyond the int64 range are summed as Python ints
+    big = f.from_coeffs([10 ** 18, -1] + [0] * (f.degree - 2))
+    assert big * big.inv() == 1
+    assert x / Fraction(1, 4) == 2
+    assert not f.zero and f.one
+    assert f.one != "1" and f.one != CycField(60).one
+    with pytest.raises(TypeError, match="cannot combine"):
+        x + 1.5
+    assert repr(x) == "<Elem n=84 ~ 0.5+0j>"
+    with pytest.raises(ValueError, match="need d >= 5"):
+        sin_val(4, 1)

@@ -557,24 +557,30 @@ def test_label_shifts_equal_the_scan(d):
 
 
 def test_turn_equals_the_rotation_matrices():
-    # zeta^k x for blocks of rows sharing k against the matrices
-    # f.rotations[k]; rows of width 2D - 1 against the sum of
-    # x_j zeta^(k + j) in the field
+    # zeta^k x for blocks of rows sharing k against the matrices R[k] of
+    # w -> zeta^k w, row j of R[k] the row of zeta^(k + j); rows of width
+    # 2D - 1 against the sum of x_j zeta^(k + j) in the field; every turn
+    # at once, written into a narrow dtype
     rng = np.random.default_rng(5)
     for d in (7, 14, 13):
         f = field_for_order(d)
         D = f.degree
+        R = np.array([[f.zeta(k + j).num for j in range(D)]
+                      for k in range(f.n)])
         k = rng.integers(0, f.n, size=(2, 2))
         k[1, 1] = k[0, 0]
         x = rng.integers(-10 ** 6, 10 ** 6, size=(2, 2, 3, D))
-        want = np.einsum("abij,abjk->abik", x, f.rotations[k])
-        assert np.array_equal(substitution._turn(f, x, k), want)
+        want = np.einsum("abij,abjk->abik", x, R[k])
+        assert np.array_equal(f.turn(x, k), want)
         wide = rng.integers(-50, 50, size=(4, 2 * D - 1))
         for kk in (0, f.n // 2 - D + 1, f.n - D):
             want = [sum((f.zeta(kk + j) * int(c) for j, c in enumerate(row)),
                         f.zero).num for row in wide.tolist()]
-            assert substitution._turn(f, wide, kk).tolist() == \
-                [list(w) for w in want]
+            assert f.turn(wide, kk).tolist() == [list(w) for w in want]
+        small = rng.integers(-3, 4, size=(5, 3, D))
+        every = f.turns(small, np.int16)
+        assert every.dtype == np.int16
+        assert np.array_equal(every, np.einsum("ijl,klm->ikjm", small, R))
 
 
 @pytest.mark.parametrize("d", [5, 9, 13, 14])
@@ -766,6 +772,20 @@ def test_row_ids_pack_a_column_of_64_bits():
     assert W.tolist() == [[1, 0, 0], [0, 2 ** 61, 2 ** 59]]
     assert off.tolist() == [2 ** 63, 2 ** 64 - 2 ** 59]
     assert_same_arrays(substitution.row_ids(rows), reference_row_ids(rows))
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int64])
+def test_column_bounds_are_the_axis_0_extremes(dtype):
+    # row counts below, at and past multiples of 64, with extremes in the
+    # last row, which a count past a multiple of 64 reduces apart
+    rng = np.random.default_rng(8)
+    top = np.iinfo(dtype)
+    for n in (1, 63, 64, 65, 200):
+        rows = rng.integers(top.min // 2, top.max // 2, size=(n, 5),
+                            dtype=dtype)
+        rows[-1, :2] = top.max, top.min
+        assert substitution._column_bounds(rows) == [
+            rows.min(axis=0).tolist(), rows.max(axis=0).tolist()]
 
 
 def test_problems_stop_at_max_problems():
