@@ -9,7 +9,8 @@ report the Perron eigenvalue and the limiting tile frequencies.
 import argparse
 
 from deltiling.analysis import (is_primitive, pisot_table,
-                                substitution_matrix, tile_frequencies)
+                                substitution_matrix, tile_frequencies,
+                                top_frequencies)
 from deltiling.substitution import derive_rules
 
 
@@ -32,8 +33,8 @@ def main():
                   "cycle); frequencies undefined")
             continue
         lam, freq = tile_frequencies(rules)
-        top = sorted(freq.items(), key=lambda kv: -kv[1])[:4]
-        shown = ", ".join(f"{name} {value:.4f}" for name, value in top)
+        shown = ", ".join(f"{name} {value:.4f}"
+                          for name, value in top_frequencies(freq))
         print(f"  p={p}: lambda = {lam:.6f} = iota^2; "
               f"top frequencies {shown}")
 

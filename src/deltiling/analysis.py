@@ -62,6 +62,14 @@ def tile_frequencies(rules: RuleSet):
     return lam, dict(zip(order, v))
 
 
+def top_frequencies(freq):
+    """The four largest (name, frequency) pairs of freq, in the order they
+    print to four decimals: by the value rounded to four decimals, larger
+    first, then by name.  Equal frequencies then print in one order,
+    whatever the rounding of the eigenvector that gave them."""
+    return sorted(freq.items(), key=lambda kv: (-round(kv[1], 4), kv[0]))[:4]
+
+
 def empirical_convergence(rules: RuleSet, seed_name, depth=4):
     """l1 distance of tile fractions in Phi^n(seed) to the Perron vector."""
     _, freq = tile_frequencies(rules)

@@ -200,8 +200,8 @@ def cmd_analyze(args):
             continue
         lam, freq = analysis.tile_frequencies(rules)
         iota2 = abs(inflation_factor(args.d, p).cvalue()) ** 2
-        top = sorted(freq.items(), key=lambda kv: -kv[1])[:4]
-        head = " ".join(f"{n}:{v:.4f}" for n, v in top)
+        head = " ".join(f"{n}:{v:.4f}"
+                        for n, v in analysis.top_frequencies(freq))
         print(f"matrix d={args.d} p={p}: lambda1={lam:.9f} "
               f"iota^2={iota2:.9f} top frequencies {head}")
 

@@ -217,11 +217,17 @@ class CycField:
         """Complex embeddings of integer coefficient rows over a common den.
 
         Each value equals `Elem.cvalue()` of the normalised element bit for
-        bit: the terms are summed in basis order, as cvalue sums them.
+        bit: the terms are summed in basis order, as cvalue sums them.  The
+        columns that are 0 in every row are left out, as cvalue leaves out
+        0 coefficients: the sum starts at +0 and is never -0.0, so a term
+        of +0 or -0 would change no bit.
         """
         rows = np.asarray(rows)
         shape = rows.shape[:-1]
         rows = rows.reshape(-1, self.degree)
+        used = np.flatnonzero(reduce_columns(np.bitwise_or, rows))
+        basis = [self._basis_c[j] for j in used.tolist()]
+        rows = rows[:, used]
         if den != 1:
             rows = rows.astype(np.int64)
             g = np.gcd(np.gcd.reduce(rows, axis=1), den)
@@ -229,7 +235,7 @@ class CycField:
             dens = den // g
         # c * b multiplies (c + 0j) by b, as Python's int * complex does
         out = np.zeros(len(rows), dtype=complex)
-        for j, b in enumerate(self._basis_c):
+        for j, b in enumerate(basis):
             out += rows[:, j] * b
         if den != 1:
             out.real /= dens
@@ -463,6 +469,23 @@ class Elem:
 
     def __repr__(self):
         return f"<Elem n={self.f.n} ~ {self.cvalue():.6g}>"
+
+
+def reduce_columns(ufunc, rows):
+    """ufunc.reduce(rows, axis=0) of integer rows (N x D; N >= 1 unless
+    ufunc has an identity).
+
+    numpy reduces axis 0 of D-wide rows with a D-wide inner loop, so the
+    first 64 (N // 64) rows are reduced as rows 64 D wide, and then their
+    64 blocks of D columns with the remaining rows.
+    """
+    N, D = rows.shape
+    cut = N - N % 64
+    part = rows[cut:]
+    if cut:
+        wide = ufunc.reduce(rows[:cut].reshape(-1, 64 * D))
+        part = np.concatenate([wide.reshape(64, D), part])
+    return ufunc.reduce(part)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .field import Elem, field_for_order, inflation_factor
+from .field import Elem, field_for_order, inflation_factor, reduce_columns
 from .arrangement import SymmetryIndex, TriangleId, get_arrangement
 from .prototiles import canonical_rotation, prototile_catalog
 
@@ -516,17 +516,44 @@ def _int_dtype(bound):
 
 
 def _stable_argsort(key):
-    """np.argsort(key, kind="stable") of non-negative int64 keys.
+    """np.argsort(key, kind="stable") of non-negative keys, a C-contiguous
+    int64 array, which is sorted in place.
 
-    Stable sorts of 16-bit integers are radix sorts in numpy, so the keys
-    are sorted by their 16-bit digits, least significant first (one
-    `np.lexsort` of a uint16 view of the keys, which sorts one index
-    array in place); only the digits below key.max() are read.
+    When the bits of key.max() and of the largest index fit in 64, the
+    keys shifted left by the index bits are sorted with their indices
+    (`_index_sort`).  Wider keys are sorted by their 16-bit digits, least
+    significant first: stable sorts of 16-bit integers are radix sorts in
+    numpy (one `np.lexsort` of a uint16 view of the keys, which sorts one
+    index array in place); only the digits below key.max() are read.
     """
-    key = np.ascontiguousarray(key, dtype="<i8")
     top = int(key.max()) if key.size else 0
+    b = max(len(key) - 1, 0).bit_length()
+    if top.bit_length() + b <= 64:
+        word = key.view(np.uint64)
+        word <<= b
+        return _index_sort(word, b)
     digits = key.view("<u2").reshape(-1, 4)
-    return np.lexsort(digits[:, :max(1, (top.bit_length() + 15) // 16)].T)
+    order = np.lexsort(digits[:, :max(1, (top.bit_length() + 15) // 16)].T)
+    key[...] = key[order]
+    return order
+
+
+def _index_sort(word, b):
+    """The stable argsort of uint64 words whose low b bits are 0, where b
+    is at least the bit length of the largest index; word becomes the
+    sorted words shifted right by b.
+
+    The words word | index are distinct, so sorting them by value in place
+    sorts the words stably: the low b bits are the order, and the high
+    bits the sorted words.  One value sort of 64-bit integers costs a
+    third to a half of an argsort of them.
+    """
+    order = np.arange(len(word))
+    word |= order.view(np.uint64)
+    word.sort()
+    np.bitwise_and(word, (1 << b) - 1, out=order.view(np.uint64))
+    word >>= b
+    return order
 
 
 def _scaled(x, s, dt):
@@ -602,8 +629,9 @@ _VALUE_BLOCK = 1 << 12
 
 
 def _packing(bounds):
-    """(W, off): the packing of integer rows x with lo[j] <= x[j] <= hi[j]
-    (exact bounds, bounds[j] = (lo[j], hi[j])) into keys of uint64 words.
+    """(W, off, free): the packing of integer rows x with lo[j] <= x[j] <=
+    hi[j] (exact bounds, bounds[j] = (lo[j], hi[j])) into keys of uint64
+    words.
 
     Column j takes b_j = (hi[j] - lo[j]).bit_length() bits.  Consecutive
     columns share a word while their widths sum to at most 64, and the
@@ -612,7 +640,8 @@ def _packing(bounds):
     for the columns j of word w (0 for the others) and off[w] = sum_j
     lo[j] * W[w, j], all modulo 2**64 (`_packed`).  A new word starts
     only at a column that does not fit in the last one, so the key is
-    one word when the widths sum to at most 64.
+    one word when the widths sum to at most 64.  No column takes the free
+    least significant bits of the last word, so they are 0 in every key.
 
     The keys are exact, injective and ordered.  Each offset v_j = x[j] -
     lo[j] satisfies 0 <= v_j < 2**b_j, so the fields v_j * 2**s_j of a
@@ -637,7 +666,8 @@ def _packing(bounds):
             words[-1][j] = 1 << room
             off[-1] += a << room
     return (np.array(words or [[0] * len(bounds)], dtype=np.uint64),
-            np.array([o % 2 ** 64 for o in off] or [0], dtype=np.uint64))
+            np.array([o % 2 ** 64 for o in off] or [0], dtype=np.uint64),
+            room if words else 64)
 
 
 def _packed(x, W, subscripts="ij,wj->wi"):
@@ -651,22 +681,9 @@ def _packed(x, W, subscripts="ij,wj->wi"):
 
 def _column_bounds(rows):
     """(lo, hi): the least and greatest entry of every column of the
-    integer rows (N x D, N >= 1), as lists of ints.
-
-    numpy reduces axis 0 of D-wide rows with a D-wide inner loop, so the
-    first 64 (N // 64) rows are reduced as rows 64 D wide, and then their
-    64 blocks of D columns with the remaining rows.
-    """
-    N, D = rows.shape
-    cut = N - N % 64
-    out = []
-    for ufunc in (np.minimum, np.maximum):
-        part = rows[cut:]
-        if cut:
-            wide = ufunc.reduce(rows[:cut].reshape(-1, 64 * D))
-            part = np.concatenate([wide.reshape(64, D), part])
-        out.append(ufunc.reduce(part).tolist())
-    return out
+    integer rows (N x D, N >= 1), as lists of ints."""
+    return [reduce_columns(ufunc, rows).tolist()
+            for ufunc in (np.minimum, np.maximum)]
 
 
 def row_ids(rows):
@@ -679,38 +696,49 @@ def row_ids(rows):
     own columns (`_packing`), which are exact and keep that order.
     """
     flat = rows.reshape(-1, rows.shape[-1])
-    W, off = _packing(list(zip(*_column_bounds(flat))) if len(flat)
-                      else [(0, 0)] * flat.shape[1])
+    W, off, free = _packing(list(zip(*_column_bounds(flat))) if len(flat)
+                            else [(0, 0)] * flat.shape[1])
     keys = _packed(flat, W)
     keys -= off[:, None]
-    ids, first = _block_ids(keys)
+    ids, first = _block_ids(keys, free)
     return ids.reshape(rows.shape[:-1]), first
 
 
-def _block_ids(keys):
+def _block_ids(keys, free):
     """`row_ids` of the rows with keys (words x rows, C-contiguous
-    uint64, the most significant word first); the keys are overwritten.
+    uint64, the most significant word first), whose last word has its
+    low free bits 0 in every key (`_packing`); the keys are overwritten.
 
-    One argsort (a lexsort for keys of several words) orders the keys,
-    and sorted neighbours are compared one word at a time, so no sorted
-    copy of the whole keys is made.  The run numbers then take the
-    memory of the first word.
+    A key of one word whose free bits hold the bits of every index is
+    sorted by value with its index (`_index_sort`), so a run of equal keys
+    starts at its least index.  Other keys take one argsort (a lexsort
+    for keys of several words), and sorted neighbours are compared one
+    word at a time, so no sorted copy of the whole keys is made.  The run
+    numbers then take the memory of the first word.
     """
-    order = (np.argsort(keys[0]) if len(keys) == 1
-             else np.lexsort(keys[::-1]))
-    new = np.zeros(len(order), dtype=bool)
-    for word in keys:
-        word = word[order]
-        new[1:] |= word[1:] != word[:-1]
-    del word
+    N = keys.shape[1]
+    b = max(N - 1, 0).bit_length()
+    new = np.zeros(N, dtype=bool)
+    stable = len(keys) == 1 and b <= free
+    if stable:
+        order = _index_sort(keys[0], b)
+        new[1:] = keys[0, 1:] != keys[0, :-1]
+    else:
+        order = (np.argsort(keys[0]) if len(keys) == 1
+                 else np.lexsort(keys[::-1]))
+        for word in keys:
+            word = word[order]
+            new[1:] |= word[1:] != word[:-1]
+        del word
     new[:1] = True
+    start = new.nonzero()[0]
     run = np.cumsum(new, out=keys[0].view(np.int64))
     run -= 1
     ids = np.empty_like(order)
     ids[order] = run
-    # the argsort need not be stable: take each run's smallest index
-    first = (np.minimum.reduceat(order, new.nonzero()[0]) if len(order)
-             else order)
+    # an argsort need not be stable: take each run's smallest index
+    first = (order[start] if stable or not N
+             else np.minimum.reduceat(order, start))
     return ids, first
 
 
@@ -720,35 +748,43 @@ def _corner_ids(patch):
 
     Corner j of tile k has the coefficients table[ids[k], r[k], j] * s1 +
     t[k] * s2 (`Patch._corner_frame`), and its key is linear in them: the
-    key of the table row, packed once for each (id, r) that a tile takes,
-    plus the key of the translation row.  The bounds come from those
-    table rows and the translation rows, so the keys are exact and
-    ordered as in `row_ids` (see `_packing`).  The keys are summed for
-    `_ROW_BLOCK` // 3 tiles at a time, and no corner row is built.
+    key of the table row, packed once for each (id, r) that a tile takes
+    and found through a dense index of those, plus the key of the
+    translation row.  The bounds come from those table rows and the
+    translation rows, so the keys are exact and ordered as in `row_ids`
+    (see `_packing`); only the columns that vary enter them.  The keys
+    are summed for `_ROW_BLOCK` // 3 tiles at a time, and no corner row
+    is built.
     """
     ids, r, t, _ = patch.columns
     table, _, s1, s2, _ = patch._corner_frame()
     P, n, _, D = table.shape
     row = np.ravel_multi_index((ids, r), (P, n))
     taken = np.bincount(row, minlength=P * n).nonzero()[0]
+    # at[row]: the place of a taken (id, r) among the rows taken
+    at = np.empty(P * n, dtype=np.intp)
+    at[taken] = np.arange(len(taken))
     rows = table.reshape(P * n, 3, D)[taken]
     bounds = [(0, 0)] * D
     if len(patch):
         bounds = [(a * s1 + c * s2, b * s1 + e * s2) for a, b, c, e in zip(
             *_column_bounds(rows.reshape(-1, D)), *_column_bounds(t))]
-    W, off = _packing(bounds)
+    W, off, free = _packing(bounds)
+    # a column with one value in every corner has no weight
+    var = [j for j, (lo, hi) in enumerate(bounds) if lo != hi]
+    W = W[:, var]
     # s1, s2 < 2**62 by the guard of the corner bound: uint64 holds them
-    corner = _packed(rows, W * s1, "mcj,wj->wmc")
+    corner = _packed(rows[..., var], W * s1, "mcj,wj->wmc")
     corner -= off[:, None, None]
     W *= s2
     keys = np.empty((len(off), len(patch), 3), dtype=np.uint64)
     tiles = max(1, _ROW_BLOCK // 3)
     for a in range(0, len(patch), tiles):
         k = keys[:, a:a + tiles]
-        k[...] = corner[:, np.searchsorted(taken, row[a:a + tiles])]
-        k += _packed(t[a:a + tiles], W)[:, :, None]
+        np.take(corner, at[row[a:a + tiles]], 1, out=k)
+        k += _packed(t[a:a + tiles, var], W)[:, :, None]
     del row
-    pid, first = _block_ids(keys.reshape(len(keys), -1))
+    pid, first = _block_ids(keys.reshape(len(keys), -1), free)
     return pid.reshape(len(patch), 3), first
 
 
@@ -838,12 +874,15 @@ class Patch:
         """
         ids, r, t, _ = self.columns
         table, L, s1, s2, dt = self._corner_frame()
-        at, t = (ids[tiles], r[tiles]), t[tiles]
+        P, n, _, D = table.shape
+        # np.take gathers rows several times faster than fancy indexing
+        at = ids[tiles].astype(np.intp) * n + r[tiles]
+        t = t[tiles] if isinstance(tiles, slice) else np.take(t, tiles, 0)
         if corner is None:
-            t = t[:, None, :]
+            table, t = table.reshape(P * n, 3, D), t[:, None, :]
         else:
-            at += (corner,)
-        C = np.multiply(table[at], s1, dtype=dt)
+            table, at = table.reshape(P * n * 3, D), at * 3 + corner
+        C = np.multiply(np.take(table, at, 0), s1, dtype=dt)
         C += _scaled(t, s2, dt)
         return C, L
 
@@ -945,7 +984,9 @@ def tile_edges(pid):
     runs (`_stable_argsort`).
     """
     a = pid.ravel()
-    b = pid[:, [1, 2, 0]].ravel()
+    # corner j + 1 of tile k, and corner 0 after corner 2
+    b = np.concatenate((a[1:], a[:1]))
+    b[2::3] = a[::3]
     n = int(pid.max()) + 1 if pid.size else 0
     key = np.minimum(a, b)
     key *= n
@@ -954,7 +995,6 @@ def tile_edges(pid):
     # dropped before the sort, whose index buffers then reuse its memory
     del b
     order = _stable_argsort(key)
-    key = key[order]
     new = np.ones(len(key), dtype=bool)
     new[1:] = key[1:] != key[:-1]
     del key  # freed before the per-edge arrays are made
@@ -989,7 +1029,8 @@ def verify_face_to_face(patch: Patch, decorated=True, max_problems=20):
     points, den = patch.corner_rows(*np.divmod(pfirst, 3))
     first, count, side2, fwd = tile_edges(pid)
     letters, _, orient = letter_table(d)
-    orient = orient.astype(np.int8)[ids].ravel()  # each is -1, 0 or +1
+    # each is -1, 0 or +1
+    orient = np.take(orient.astype(np.int8), ids, 0).ravel()
     pair = count == 2
     same = pair & (fwd[first] == fwd[side2])
     dec_bad = pair & ~same & (orient[first] + orient[side2] != 0)
@@ -1042,7 +1083,6 @@ def _cell_pairs(fl, pad, za, zb):
     height = int(y1 - y0) + 1
     key = (cx - x0) * height + (cy - y0)
     order = _stable_argsort(key)
-    key = key[order]
 
     def cells(a, b, floor, ceil):
         return (np.maximum(np.rint((np.minimum(a, b) - pad) / s)
@@ -1129,7 +1169,9 @@ def _t_junctions(f, points, den, starts, ends, max_problems):
     tau = 2^-44 (|w| + 2h)^2 and keeps such a corner.
     """
     fl = f.cvalues(points, den)
-    err = np.abs(points).sum(axis=1, dtype=float) * (
+    # columns that are 0 in every corner add nothing to the bounds
+    used = np.flatnonzero(reduce_columns(np.bitwise_or, points))
+    err = np.abs(points[:, used]).sum(axis=1, dtype=float) * (
         (f.degree + 8) * 2.0 ** -50 / den)
     edge, c = _candidates(fl, err, starts, ends)
     a, b = starts[edge], ends[edge]

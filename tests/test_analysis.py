@@ -10,7 +10,8 @@ from deltiling.field import field_for_order, inflation_factor
 from deltiling.analysis import (census_report, corner_angles,
                                 empirical_convergence, is_primitive,
                                 pisot_table, substitution_matrix,
-                                tile_frequencies, vertex_configurations)
+                                tile_frequencies, top_frequencies,
+                                vertex_configurations)
 from deltiling.substitution import Patch, _corner_rows, derive_rules
 
 
@@ -83,6 +84,16 @@ def test_perron_eigenvalue_is_iota_squared():
                 vals = np.array(list(freq.values()))
                 assert (vals > 0).all()
                 assert abs(vals.sum() - 1) < 1e-12
+
+
+def test_top_frequencies_break_printed_ties_by_name():
+    # values equal to four decimals tie whatever their last bits; a value
+    # that prints larger comes first
+    freq = {"Gt": 0.04140000001, "G": 0.0414, "H": 0.03889999999,
+            "Ht": 0.0389, "P": 0.0416, "Q": 0.001}
+    assert top_frequencies(freq) == [
+        ("P", 0.0416), ("G", 0.0414), ("Gt", 0.04140000001),
+        ("H", 0.03889999999)]
 
 
 def test_composed_factor():

@@ -13,6 +13,7 @@ import pytest
 from deltiling.field import (MAX_ORDER, CycField, Elem, cyclotomic_poly,
                              field_for_order, inflation_factor, sin_val,
                              cos_val, unit_root)
+from deltiling.substitution import Isometry, Patch, Tile, derive_rules
 
 
 def test_cyclotomic_polynomials():
@@ -123,8 +124,18 @@ def test_cvalue_error_bounds_the_float_value():
 @pytest.mark.parametrize("den", [1, 6, 35])
 def test_cvalues_equal_cvalue_bit_for_bit(dtype, den):
     # random rows of both signs, a zero row, single terms, and rows that a
-    # common factor with den shortens
+    # common factor with den shortens; then the same rows with columns
+    # that are 0 in every row, which cvalues leaves out, an all-zero
+    # matrix, and the corner rows of a d = 14 patch (16 of 24 columns 0)
     rng = np.random.default_rng(den)
+
+    def assert_bits_match(f, rows, den):
+        got = f.cvalues(rows, den)
+        want = np.array([f.from_coeffs(row, den).cvalue()
+                         for row in rows.tolist()], dtype=complex)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        return got
+
     for n in (84, 108):
         f = CycField(n)
         top = min(np.iinfo(dtype).max, 10 ** 9)
@@ -134,16 +145,27 @@ def test_cvalues_equal_cvalue_bit_for_bit(dtype, den):
         rows[1:5] = np.eye(f.degree, dtype=np.int64)[[0, 1, 7, 13]] * -top
         rows[5:8] = rows[5:8] // 35 * 35
         rows = rows.astype(dtype)
-        got = f.cvalues(rows, den)
-        want = np.array([f.from_coeffs(row, den).cvalue()
-                         for row in rows.tolist()], dtype=complex)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        got = assert_bits_match(f, rows, den)
         # a leading shape is kept
         assert np.array_equal(f.cvalues(rows.reshape(4, 10, -1), den),
                               got.reshape(4, 10))
+        sparse = rows.copy()
+        sparse[:, rng.random(f.degree) < 0.6] = 0
+        sparse[:, [1, 7]] = 0
+        assert_bits_match(f, sparse, den)
+        assert_bits_match(f, sparse[:1], den)
+        zeros = assert_bits_match(f, np.zeros((5, f.degree), dtype), den)
+        assert not np.signbit(zeros.view(float)).any()
         # the pre-filter's basis floats are the values of the unit rows
         unit = f.cvalues(np.eye(f.degree, dtype=dtype))
         assert np.array_equal(f.basis.view(np.int64), unit.view(np.int64))
+    patch = Patch(14, [Tile("G", Isometry(0, field_for_order(14).zero))])
+    for _ in range(3):
+        patch = patch.inflate(derive_rules(14, 3, 1))
+    C, L = patch.corner_rows()
+    C = C.reshape(-1, C.shape[-1])
+    assert np.count_nonzero(C.any(axis=0)) == 8
+    assert_bits_match(field_for_order(14), C, L * den)
 
 
 def test_mpmath_loads_only_on_escalation():

@@ -200,14 +200,15 @@ def test_cli_analyze(capsys):
 
 
 def test_cli_analyze_reports_an_imprimitive_matrix(capsys):
-    # (9, 2, +) is imprimitive: its line says so and p = 3, 4 still print
+    # (9, 2, +) is imprimitive: its line says so and p = 3, 4 still print;
+    # frequencies equal to four decimals print by name
     main(["analyze", "--d", "9"])
     text = capsys.readouterr().out
     assert "matrix d=9 p=2: not primitive\n" in text
     assert ("matrix d=9 p=3: lambda1=6.411474128 iota^2=6.411474128 "
-            "top frequencies T2:0.0887 T2t:0.0887 T2ht:0.0887 T2h:0.0887\n"
+            "top frequencies T2:0.0887 T2h:0.0887 T2ht:0.0887 T2t:0.0887\n"
             "matrix d=9 p=4: lambda1=8.290859369 iota^2=8.290859369 "
-            "top frequencies T2t:0.0887 T2:0.0887 T2ht:0.0887 T2h:0.0887\n"
+            "top frequencies T2:0.0887 T2h:0.0887 T2ht:0.0887 T2t:0.0887\n"
             ) in text
 
 

@@ -385,8 +385,8 @@ def test_corner_ids_from_keys_of_several_words(monkeypatch):
     words = []
     block_ids = substitution._block_ids
     with monkeypatch.context() as mp:
-        mp.setattr(substitution, "_block_ids",
-                   lambda keys: words.append(len(keys)) or block_ids(keys))
+        mp.setattr(substitution, "_block_ids", lambda keys, free: (
+            words.append(len(keys)) or block_ids(keys, free)))
         for p in patches:
             substitution._corner_ids(p)
     assert words == [2, 2]

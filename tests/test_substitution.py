@@ -625,22 +625,36 @@ def reference_tile_edges(pid):
 
 
 @pytest.mark.parametrize("top", [0, 1, 2 ** 16 - 1, 2 ** 16, 2 ** 32 + 5,
-                                 2 ** 48 + 1, 2 ** 63 - 1])
-@pytest.mark.parametrize("size", [0, 1, 3000])
-def test_stable_argsort_is_numpys(top, size):
+                                 2 ** 48 + 1, 2 ** 51, 2 ** 52 - 1, 2 ** 52,
+                                 2 ** 63 - 1])
+@pytest.mark.parametrize("size", [0, 1, 3000, 4096, 4097])
+def test_stable_argsort_is_numpys(top, size, monkeypatch):
     # 1 to 4 digits of 16 bits: random keys up to top, every other one
-    # of a few values, so ties decide much of the order; top occurs
+    # of a few values, so ties decide much of the order; top occurs.
+    # Keys of 52 bits and indices of 12 (4,096 keys) fill 64 bits, so they
+    # are sorted with their indices; one bit more takes the digit sort
     rng = np.random.default_rng(top % 1000 + size)
     key = rng.integers(0, top, size, endpoint=True)
     key[::2] = rng.choice([0, top // 3, top // 2, top], len(key[::2]))
     if size:
         key[-1] = top
+    want = np.argsort(key, kind="stable")
+    ordered = key[want]
+    index_sorts = []
+    index_sort = substitution._index_sort
+    monkeypatch.setattr(substitution, "_index_sort", lambda word, b: (
+        index_sorts.append(b) or index_sort(word, b)))
     got = substitution._stable_argsort(key)
     assert got.dtype == np.intp
-    assert np.array_equal(got, np.argsort(key, kind="stable"))
+    assert np.array_equal(got, want)
+    # the keys are sorted in place
+    assert np.array_equal(key, ordered)
+    bits = top.bit_length() + max(size - 1, 0).bit_length()
+    assert len(index_sorts) == (bits <= 64)
     # all-equal keys keep their order
     same = np.full(size, top, dtype=np.int64)
     assert np.array_equal(substitution._stable_argsort(same), np.arange(size))
+    assert np.array_equal(same, np.full(size, top))
 
 
 def reference_t_junctions(f, points, den, starts, ends, max_problems):
@@ -767,11 +781,33 @@ def test_row_ids_pack_a_column_of_64_bits():
     rows = np.array([[top.max, 0, 1], [top.min, 5, 1], [0, 5, -1],
                      [top.min, 5, 1], [-1, 0, 1], [top.max, 0, 0],
                      [top.min + 1, 0, 0]], dtype=np.int64)
-    W, off = substitution._packing(list(zip(rows.min(axis=0).tolist(),
-                                            rows.max(axis=0).tolist())))
+    W, off, free = substitution._packing(list(zip(
+        rows.min(axis=0).tolist(), rows.max(axis=0).tolist())))
     assert W.tolist() == [[1, 0, 0], [0, 2 ** 61, 2 ** 59]]
     assert off.tolist() == [2 ** 63, 2 ** 64 - 2 ** 59]
+    assert free == 59
     assert_same_arrays(substitution.row_ids(rows), reference_row_ids(rows))
+
+
+@pytest.mark.parametrize("width", [54, 55])
+def test_row_ids_at_the_packing_limit(width, monkeypatch):
+    # 1,000 rows take 10 index bits: keys of 54 bits fill one word with
+    # them and are sorted with their indices, keys of 55 bits take the
+    # argsort; both number the rows as np.unique does
+    rng = np.random.default_rng(width)
+    lo, hi = -2 ** (width - 4), 2 ** (width - 4) - 1
+    rows = np.zeros((1000, 4), dtype=np.int64)
+    rows[:, 0] = rng.integers(-4, 3, 1000, endpoint=True)
+    rows[:, 1] = rng.integers(lo, hi, 1000, endpoint=True)
+    rows[:, 2] = 5
+    rows[:2, :2] = [[-4, lo], [3, hi]]
+    rows[::7] = rows[3]
+    index_sorts = []
+    index_sort = substitution._index_sort
+    monkeypatch.setattr(substitution, "_index_sort", lambda word, b: (
+        index_sorts.append(b) or index_sort(word, b)))
+    assert_same_arrays(substitution.row_ids(rows), reference_row_ids(rows))
+    assert index_sorts == ([10] if width + 10 <= 64 else [])
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int64])
