@@ -207,10 +207,6 @@ class Prototile:
     def side_classes(self):
         return tuple(l.cls for l in self.signature)
 
-    @property
-    def corners(self):
-        return self.face.corners
-
     def __repr__(self):
         sig = " ".join(str(l) for l in self.signature)
         return f"Prototile({self.name}: {sig})"

@@ -160,8 +160,7 @@ def verify_template(tpl: FlipTemplate):
         f"{tpl}: a target is not elementary"
     at = _face_placements(d, tpl.kappa)
     k = [faces[tri] for tri in src]
-    sites = find_flippable(Patch.from_columns(d, at.ids[k], at.r[k], at.t[k],
-                                              at.den))
+    sites = find_flippable(Patch.from_columns(d, at.ids[k], at.r[k], at.t[k]))
     assert len(sites) == 1, f"{tpl}: the sources do not flip"
     cls = letter_table(d)[1]
     assert (sorted(tuple(sorted(cls[i].tolist())) for i in sites[0].flip.ids)
@@ -186,14 +185,13 @@ def enumerate_flips(d, kappa=0):
 class _Flip(NamedTuple):
     """One flip-table entry: the two replacements relative to tile i.
 
-    `ids`, `r` and `t` are their prototile ids, rotations and translation
-    rows over `den`, and `bound` bounds the coefficients of every
+    `ids`, `r` and `t` are their prototile ids, rotations and (integral)
+    translation rows, and `bound` bounds the coefficients of every
     zeta^s * t.
     """
     ids: tuple
     r: tuple
     t: np.ndarray
-    den: int
     bound: int
 
 
@@ -217,7 +215,7 @@ def _flip_entry(d, edge_cls, diag_cls, key):
     """
     id_i, k_i, id_j, k_j, s = key
     f = field_for_order(d)
-    rows, den = _corner_rows(d)
+    rows = _corner_rows(d)
     # bounds the turned corners and w2, a sum of three corner rows
     _guard(3 * f.degree * max_abs(rows) * f.power_bound, "flip corners")
     cj = f.turn(rows[id_j], s)
@@ -244,44 +242,33 @@ def _flip_entry(d, edge_cls, diag_cls, key):
         c, shift = divmod(int(np.argmax(ok)), 3)
         found.append((int(cand[c]), int(r[c, shift]), t[c, shift]))
     ids, r, t = zip(*found)
-    # the least common denominator, as the normalised translations give it
-    g = math.gcd(den, int(np.gcd.reduce(t, axis=None)))
-    t = np.array(t) // g
-    return _Flip(ids, r, t, den // g, f.degree * max_abs(t) * f.power_bound)
+    t = np.array(t)
+    return _Flip(ids, r, t, f.degree * max_abs(t) * f.power_bound)
 
 
 def _write_flip(d, ids, r, t, den, i, j, flip):
-    """Overwrite tiles i and j of the columns with the flip's replacements,
-    placed by tile i's isometry: (r_i + r_k, zeta^r_i t_k + t_i).
+    """Overwrite tiles i and j of the columns, translation rows t over den,
+    with the flip's replacements placed by tile i's isometry: (r_i + r_k,
+    zeta^r_i t_k + t_i), the flip's integral rows scaled by den.
 
-    The guard bound of the new rows (of every row, when they are
-    rescaled) is taken first; ids and r are written in place, and so is
-    t when its dtype holds that bound, else t is copied into the
-    narrowest dtype that does.  A Patch stores its translation rows
-    narrow, so callers pass a copy of them in their stored dtype, never a
-    widened one.  Returns (t, the common denominator), which grows when
-    the flip's does not divide den.
+    The guard bound of the new rows is taken first; ids and r are written
+    in place, and so is t when its dtype holds that bound, else t is
+    copied into the narrowest dtype that does.  A Patch stores its
+    translation rows narrow, so callers pass a copy of them in their
+    stored dtype, never a widened one.  Returns t.
     """
-    L = math.lcm(den, flip.den)
-    s1, s2 = L // den, L // flip.den
     ri = int(r[i])
-    bound = max_abs(t if s1 != 1 else t[i]) * s1 + flip.bound * s2
+    bound = max_abs(t[i]) + flip.bound * den
     _guard(bound, "flip")
-    # s1 as well: the rescaling multiplies by it in t's dtype
-    t = t.astype(np.promote_types(t.dtype, _int_dtype(max(bound, s1))),
-                 copy=False)
-    if s1 != 1:
-        t *= s1
+    t = t.astype(np.promote_types(t.dtype, _int_dtype(bound)), copy=False)
     f = field_for_order(d)
-    new = f.turn(flip.t, ri)
-    if s2 != 1:
-        new *= s2
+    new = f.turn(flip.t, ri) * den
     new += t[i]
     for k, row in enumerate((i, j)):
         ids[row] = flip.ids[k]
         r[row] = (ri + flip.r[k]) % f.n
         t[row] = new[k]
-    return t, L
+    return t
 
 
 class FlipSite:
@@ -313,7 +300,7 @@ class FlipSite:
     def new(self):
         (ids, r, t, den), k = self.patch.columns, [self.i, self.j]
         ids, r = ids[k], r[k]
-        t, den = _write_flip(self.patch.d, ids, r, t[k], den, 0, 1, self.flip)
+        t = _write_flip(self.patch.d, ids, r, t[k], den, 0, 1, self.flip)
         return tuple(Patch.from_columns(self.patch.d, ids, r, t, den).tiles)
 
 
@@ -344,7 +331,7 @@ def _flip_sites(patch, pid, edge_class=None, diag_class=None):
     n = field_for_order(d).n
     ids, r, _, _ = patch.columns
     first, count, side2, _ = tile_edges(pid)
-    classes = letter_table(d)[1][ids].ravel()
+    classes = np.take(letter_table(d)[1], ids, 0).ravel()
     cand = np.flatnonzero((count == 2) & (classes[first] == edge_class))
     cand = cand[np.argsort(first[cand])]
     ti, ki = np.divmod(first[cand], 3)
@@ -381,8 +368,7 @@ def apply_flip(patch: Patch, site: FlipSite) -> Patch:
                 or (_over(t[k], den, L) != _over(t0[k], den0, L)).any()):
             raise ValueError("stale flip site: the patch has changed")
     ids, r = ids.copy(), r.copy()
-    t, den = _write_flip(patch.d, ids, r, t.copy(), den, site.i, site.j,
-                         site.flip)
+    t = _write_flip(patch.d, ids, r, t.copy(), den, site.i, site.j, site.flip)
     return Patch.from_columns(patch.d, ids, r, t, den)
 
 
@@ -417,7 +403,7 @@ def rearrangement_run(patch: Patch, steps, rng_seed=0):
     while made < steps and sites:
         site = rng.choice(sites)
         sites.remove(site)
-        t, den = _write_flip(d, ids, r, t, den, site.i, site.j, site.flip)
+        t = _write_flip(d, ids, r, t, den, site.i, site.j, site.flip)
         made += 1
     return Patch.from_columns(d, ids, r, t, den), made
 
@@ -497,16 +483,15 @@ def random_rule_family(d, cap=64, rng_seed=0):
         chosen = rng.sample(chosen, cap - 1)
     # every member is the base table with its flipped rows overwritten
     count, kids = base.table()
-    ids, r, t, den = kids.columns
+    ids, r, t, _ = kids.columns
     members = [RuleSet(d, q, 1, table=(count, kids))]
     for combo in chosen:
-        mids, mr, mt, mden = ids.copy(), r.copy(), t.copy(), den
+        mids, mr, mt = ids.copy(), r.copy(), t.copy()
         for ci in combo:
             site = sites[ci][1]
-            mt, mden = _write_flip(d, mids, mr, mt, mden, site.i, site.j,
-                                   site.flip)
+            mt = _write_flip(d, mids, mr, mt, 1, site.i, site.j, site.flip)
         members.append(RuleSet(d, q, 1, table=(
-            count, Patch.from_columns(d, mids, mr, mt, mden))))
+            count, Patch.from_columns(d, mids, mr, mt))))
     return RandomRuleFamily(d, members)
 
 
@@ -518,7 +503,8 @@ def _draw(rng_seed, path, step, pi):
     tag = f"{rng_seed}|{path}|{step}".encode()
     u = int.from_bytes(hashlib.sha256(tag).digest()[:8], "big") / 2.0 ** 64
     acc = 0.0
-    for k, w in enumerate(pi):
+    # the last member also takes the u that rounding leaves above sum(pi)
+    for k, w in enumerate(pi[:-1]):
         acc += w
         if u < acc:
             return k

@@ -116,6 +116,16 @@ def _over(rows, den, L):
     return _scaled(rows, L // den, np.int64)
 
 
+def _integral(rows, den):
+    """rows, the numerators over den of algebraic integers: den is 1.
+
+    Every table derived from the arrangement is integral: its corners are
+    sums of powers of zeta (chord meets) and iota_{d,p} is a sum of powers
+    of zeta_2d, so only a Patch carries a denominator."""
+    assert den == 1, f"a derived table has denominator {den}"
+    return rows
+
+
 # -- prototile geometry in the order-d field ----------------------------
 
 @lru_cache(maxsize=None)
@@ -141,10 +151,10 @@ def tile_corners(d, name, iso=None):
 def _face_placements(d, kappa):
     """Every face of A(d, kappa) placed as a prototile, as columns.
 
-    (ids, r, t, den, centroids): face k is prototile ids[k] placed by
-    w -> zeta^r[k] w + t[k] / den, the catalog corner order going to the
-    face corners turned by the classifying rotation (`_congruent`);
-    centroids are the float face centroids.
+    (ids, r, t, centroids): face k is prototile ids[k] placed by
+    w -> zeta^r[k] w + t[k], the catalog corner order going to the face
+    corners turned by the classifying rotation (`_congruent`); centroids
+    are the float face centroids.
     """
     f = field_for_order(d)
     cat = prototile_catalog(d)
@@ -155,16 +165,13 @@ def _face_placements(d, kappa):
         proto, r = cat.classify(cat.faces[kappa, tri.idx].letters)
         ids.append(index[proto.name])
         corners += [cs[(k + r) % 3] for k in range(3)]
-    B, bden = _common_den(corners, f.degree)
-    A, aden = _corner_rows(d)
-    den = math.lcm(bden, aden)
-    r, ok, t = _congruent(f, _over(A[ids], aden, den),
-                          _over(B, bden, den).reshape(len(ids), 3, f.degree))
+    B = _integral(*_common_den(corners, f.degree))
+    r, ok, t = _congruent(f, _corner_rows(d)[ids],
+                          B.reshape(len(ids), 3, f.degree))
     bad = int(np.argmin(ok))
     assert ok[bad], (f"cannot place {faces[bad][0]} as "
                      f"{cat.prototiles[ids[bad]].name}")
     return SimpleNamespace(ids=np.array(ids, dtype=np.int16), r=r, t=t,
-                           den=den,
                            centroids=np.array([c for _, _, c in faces]))
 
 
@@ -214,13 +221,12 @@ def locate_inflated(sym, tri, p, sign=1):
     """Target (sym', tri', psi) with psi(iota * tri corners) = tri' corners."""
     f = field_for_order(sym.d)
     corners, _ = get_arrangement(sym.d, sym.kappa).corners(tri)
-    rows, den = _common_den(corners, f.degree)
-    M, mden = f.mul_matrix(inflation_factor(sym.d, p))
+    rows = _integral(*_common_den(corners, f.degree))
+    M = _integral(*f.mul_matrix(inflation_factor(sym.d, p)))
     _guard(f.degree * max_abs(rows) * max_abs(M), "inflated corners")
-    [(sym2, tri2)], r, t, _, tden = _locate([(sym, tri)], (rows @ M)[None],
-                                            den * mden, p, sign)
-    return sym2, tri2, Isometry(int(r[0]),
-                                Elem(f, t[0].tolist(), tden).normalized())
+    [(sym2, tri2)], r, t, _ = _locate([(sym, tri)], (rows @ M)[None], p,
+                                      sign)
+    return sym2, tri2, Isometry(int(r[0]), Elem(f, t[0].tolist(), 1))
 
 
 def _target(sym, tri, p, sign):
@@ -245,34 +251,32 @@ def _target(sym, tri, p, sign):
         sym2, tuple(x + n for x in _signed_triple(sym, tri.idx)))
 
 
-def _locate(tris, src, den, p, sign):
-    """(targets, r, t, dst, den') for triangles tris = [(sym, tri), ...]
-    of one order d: w -> zeta^r[i] w + t[i] maps src[i] to the corners
-    dst[i] of targets[i] = (sym', tri') (in the target's cyclic order),
-    all over den'.
+def _locate(tris, src, p, sign):
+    """(targets, r, t, dst) for triangles tris = [(sym, tri), ...] of one
+    order d: w -> zeta^r[i] w + t[i] maps src[i] to the corners dst[i] of
+    targets[i] = (sym', tri') (in the target's cyclic order), all integer
+    rows.
 
-    src holds the rows over den of iota times the corners of each
-    triangle, in any cyclic order.  Every triangle's target is
+    src holds the rows of iota times the corners of each triangle, in any
+    cyclic order.  Every triangle's target is
     `_target`'s, and one `_congruent` call tests every (triangle, cyclic
     shift) pair; the first shift that fits wins.
     """
     d = tris[0][0].d
     f = field_for_order(d)
     targets = [_target(sym, tri, p, sign) for sym, tri in tris]
-    dst, dden = _common_den(
+    dst = _integral(*_common_den(
         [c for sym2, tri2 in targets
          for c in get_arrangement(d, sym2.kappa).corners(tri2)[0]],
-        f.degree)
-    L = math.lcm(den, dden)
-    dst = _over(dst, dden, L).reshape(len(tris), 3, f.degree)
-    r, ok, t = _congruent(f, _over(src, den, L)[:, SHIFTS], dst[:, None])
+        f.degree)).reshape(len(tris), 3, f.degree)
+    r, ok, t = _congruent(f, src[:, SHIFTS], dst[:, None])
     hit = ok.any(axis=1)
     if not hit.all():
         raise AssertionError("no congruent inflated image for "
                              f"{tris[int(np.argmin(hit))][1]} (p={p})")
     k = np.arange(len(tris))
     s = ok.argmax(axis=1)
-    return targets, r[k, s], t[k, s], dst, L
+    return targets, r[k, s], t[k, s], dst
 
 
 # -- rule derivation ----------------------------------------------------
@@ -284,7 +288,10 @@ class RuleSet:
     number of children (-1 for a prototile without a rule), and a Patch of
     every child in prototile id order.  A RuleSet made from `rules` (name
     -> tuple of (child name, Isometry)) builds that table once; `rules` is
-    a view of the table, built on first use.
+    a view of the table, built on first use.  Child translations are
+    integral, as every derived rule's are: a rational one raises
+    ValueError, and a table written over an unreduced denominator is
+    reduced.
     """
 
     def __init__(self, d, p, sign, rules=None, table=None):
@@ -298,7 +305,13 @@ class RuleSet:
             table = (np.array([len(rules[n]) if n in rules else -1
                                for n in names], dtype=np.int64),
                      Patch.from_columns(d, *_placement_columns(d, kids)))
-        self._table = table
+        count, kids = table
+        if kids.columns[3] != 1:  # a Patch(d, tiles) keeps its den unreduced
+            kids = Patch.from_columns(d, *kids.columns)
+        if kids.columns[3] != 1:
+            raise ValueError("rule children need integral translations, "
+                             f"not over {kids.columns[3]}")
+        self._table = (count, kids)
 
     def table(self):
         return self._table
@@ -350,20 +363,19 @@ def _rule_table(d, members, iota):
     count (-1 for a prototile without a rule).  Per child row: the name
     id, the rotation r, and `tidx`, the index of its translation among the
     distinct ones; `rot[tidx, s]` is that translation turned by zeta^s,
-    for every s, over the common denominator `den`.  `M` is the matrix of
-    multiplication by iota (over `mden`).  `M_max` and `rot_max` are
-    `max_abs` of `M` and `rot`, reduced once for `_inflate`'s guard.
+    for every s.  `M` is the matrix of multiplication by iota.  `M_max`
+    and `rot_max` are `max_abs` of `M` and `rot`, reduced once for
+    `_inflate`'s guard.
     """
     f = field_for_order(d)
     tables = [m.table() for m in members]
     kids = [k.columns for _, k in tables]
-    den = math.lcm(*(k[3] for k in kids))
     count = np.concatenate([c for c, _ in tables])
-    trans = np.concatenate([_over(k[2], k[3], den) for k in kids])
+    trans = np.concatenate([k[2] for k in kids])
     # rule sets repeat few translations: turn each distinct one once
     tidx, first = row_ids(trans)
     distinct = trans[first]
-    M, mden = f.mul_matrix(iota)
+    M = _integral(*f.mul_matrix(iota))
     rot = f.turns(distinct, _int_dtype(f.degree * max_abs(distinct)
                                        * f.power_bound))
     return SimpleNamespace(
@@ -371,8 +383,7 @@ def _rule_table(d, members, iota):
         start=_rule_starts(count),
         ids=np.concatenate([k[0] for k in kids]),
         r=np.concatenate([k[1] for k in kids]),
-        tidx=tidx, rot=rot, den=den, M=M, mden=mden,
-        M_max=max_abs(M), rot_max=max_abs(rot))
+        tidx=tidx, rot=rot, M=M, M_max=max_abs(M), rot_max=max_abs(rot))
 
 
 @lru_cache(maxsize=None)
@@ -393,48 +404,43 @@ def derive_rules(d, p, sign=1) -> RuleSet:
     n = f.n
     cat = prototile_catalog(d)
     names, _ = prototile_ids(d)
-    corners, cden = _corner_rows(d)
-    M, mden = f.mul_matrix(inflation_factor(d, p))
+    corners = _corner_rows(d)
+    M = _integral(*f.mul_matrix(inflation_factor(d, p)))
     _guard(f.degree * max_abs(corners) * max_abs(M), "inflated corners")
-    targets, r, T, dst, tden = _locate(
+    targets, r, T, dst = _locate(
         [(proto.face.sym, proto.face.tri) for proto in cat.prototiles],
-        corners @ M, cden * mden, p, sign)
+        corners @ M, p, sign)
     kappa = np.array([sym2.kappa for sym2, _ in targets])
     faces = {k: _face_placements(d, k) for k in set(kappa.tolist())}
-    L = math.lcm(tden, *(face.den for face in faces.values()))
-    tri = dst @ f.basis / tden
+    tri = dst @ f.basis
     parts = []
     for k, face in faces.items():
         sel = np.flatnonzero(kappa == k)
         owner, kid = np.nonzero(_inside_mask(face.centroids, tri[sel]))
-        parts.append((sel[owner], face.ids[kid], face.r[kid],
-                      _over(face.t, face.den, L)[kid]))
+        parts.append((sel[owner], face.ids[kid], face.r[kid], face.t[kid]))
     owner, ids, r_face, t = map(np.concatenate, zip(*parts))
     del parts  # copies of the columns: free them before the turn
     count = np.bincount(owner, minlength=len(names))
     assert count.all(), f"empty rule for {names[int(np.argmin(count))]}"
-    T = _over(T, tden, L)
     _guard(f.degree * f.power_bound * (max_abs(t) + max_abs(T)),
            "child placements")
     t -= T[owner]
     t = f.turn(t, -r[owner] % n)
     r = (r_face - r[owner]) % n
-    # sort each rule by (name, r, Elem.key()) of the normalised translation
-    g = np.gcd(np.gcd.reduce(t, axis=1), L)
+    # sort each rule by (name, r, Elem.key()) of the integral translation
     rank = np.argsort(np.argsort(np.array(names)))
-    order = np.lexsort((L // g, *(t // g[:, None]).T[::-1], r, rank[ids],
-                        owner))
+    order = np.lexsort((*t.T[::-1], r, rank[ids], owner))
     out = RuleSet(d, p, sign, table=(
         count,
         Patch.from_columns(d, ids[order], r[order].astype(np.int32),
-                           t[order], L)))
+                           t[order])))
     check_area_balance(out)
     return out
 
 
 @lru_cache(maxsize=None)
 def _area_rows(d):
-    """(rows, den): 2i times twice the area of every prototile, by id.
+    """Rows of 2i times twice the area of every prototile, by id.
 
     For corners a, b, c, u = b - a and w = c - a, that is conj(u) w -
     u conj(w).  As conj(u) = zeta^-(D-1) u'(zeta) = -zeta^(n/2-D+1)
@@ -444,7 +450,7 @@ def _area_rows(d):
     """
     f = field_for_order(d)
     D = f.degree
-    C, den = _corner_rows(d)
+    C = _corner_rows(d)
     u, w = C[:, 1] - C[:, 0], C[:, 2] - C[:, 0]
     # |poly| <= 2D (2 max |C|)^2, and the turn multiplies by (2D - 1) bound
     _guard(4 * D * D * (2 * max_abs(C)) ** 2 * f.power_bound,
@@ -453,9 +459,7 @@ def _area_rows(d):
     for j in range(D):
         poly[:, j:j + D] += (w[:, D - 1 - j, None] * u
                              - u[:, D - 1 - j, None] * w)
-    rows = f.turn(poly, f.n // 2 - D + 1)
-    g = math.gcd(den * den, int(np.gcd.reduce(rows, axis=None)))
-    return rows // g, den * den // g
+    return f.turn(poly, f.n // 2 - D + 1)
 
 
 def check_area_balance(rules: RuleSet):
@@ -465,12 +469,12 @@ def check_area_balance(rules: RuleSet):
     the matrix of multiplication by iota^2, as integer coefficient rows.
     """
     f = field_for_order(rules.d)
-    A, _ = _area_rows(rules.d)
+    A = _area_rows(rules.d)
     count, _ = rules.matrix()
-    M, mden = f.mul_matrix(rules.iota * rules.iota)
-    _guard(f.degree * max_abs(A) * max_abs(M)
-           + int(count.sum(axis=0).max()) * max_abs(A) * mden, "area balance")
-    bad = ~(count.T @ A * mden == A @ M).all(axis=1)
+    M = _integral(*f.mul_matrix(rules.iota * rules.iota))
+    _guard((f.degree * max_abs(M) + int(count.sum(axis=0).max()))
+           * max_abs(A), "area balance")
+    bad = ~(count.T @ A == A @ M).all(axis=1)
     if bad.any():
         names, _ = prototile_ids(rules.d)
         raise AssertionError("children do not fill the inflated prototile: "
@@ -591,23 +595,23 @@ def prototile_ids(d):
 
 @lru_cache(maxsize=None)
 def _corner_rows(d):
-    """(rows, den): rows[id] = the three prototile corners, by id."""
+    """rows[id] = the three prototile corners, by id."""
     f = field_for_order(d)
     names, _ = prototile_ids(d)
-    rows, den = _common_den([c for n in names for c in tile_corners(d, n)],
-                            f.degree)
-    return rows.reshape(len(names), 3, f.degree), den
+    rows = _integral(*_common_den(
+        [c for n in names for c in tile_corners(d, n)], f.degree))
+    return rows.reshape(len(names), 3, f.degree)
 
 
 @lru_cache(maxsize=None)
 def _corner_table(d):
-    """(table, den, bound): table[id, r] = rows of zeta^r * prototile
-    corners, and bound = `max_abs`(table), reduced once with the table."""
+    """(table, bound): table[id, r] = rows of zeta^r * prototile corners,
+    and bound = `max_abs`(table), reduced once with the table."""
     f = field_for_order(d)
-    rows, den = _corner_rows(d)
+    rows = _corner_rows(d)
     table = f.turns(rows, _int_dtype(f.degree * max_abs(rows)
                                      * f.power_bound))
-    return table, den, max_abs(table)
+    return table, max_abs(table)
 
 
 @lru_cache(maxsize=None)
@@ -746,8 +750,8 @@ def _corner_ids(patch):
     """`row_ids(patch.corner_rows()[0])`, the corner ids (N x 3) and the
     flat index (3 k + j) of each id's first corner.
 
-    Corner j of tile k has the coefficients table[ids[k], r[k], j] * s1 +
-    t[k] * s2 (`Patch._corner_frame`), and its key is linear in them: the
+    Corner j of tile k has the coefficients table[ids[k], r[k], j] * den
+    + t[k] (`Patch._corner_frame`), and its key is linear in them: the
     key of the table row, packed once for each (id, r) that a tile takes
     and found through a dense index of those, plus the key of the
     translation row.  The bounds come from those table rows and the
@@ -756,8 +760,8 @@ def _corner_ids(patch):
     are summed for `_ROW_BLOCK` // 3 tiles at a time, and no corner row
     is built.
     """
-    ids, r, t, _ = patch.columns
-    table, _, s1, s2, _ = patch._corner_frame()
+    ids, r, t, den = patch.columns
+    table, _ = patch._corner_frame()
     P, n, _, D = table.shape
     row = np.ravel_multi_index((ids, r), (P, n))
     taken = np.bincount(row, minlength=P * n).nonzero()[0]
@@ -767,16 +771,15 @@ def _corner_ids(patch):
     rows = table.reshape(P * n, 3, D)[taken]
     bounds = [(0, 0)] * D
     if len(patch):
-        bounds = [(a * s1 + c * s2, b * s1 + e * s2) for a, b, c, e in zip(
+        bounds = [(a * den + c, b * den + e) for a, b, c, e in zip(
             *_column_bounds(rows.reshape(-1, D)), *_column_bounds(t))]
     W, off, free = _packing(bounds)
     # a column with one value in every corner has no weight
     var = [j for j, (lo, hi) in enumerate(bounds) if lo != hi]
     W = W[:, var]
-    # s1, s2 < 2**62 by the guard of the corner bound: uint64 holds them
-    corner = _packed(rows[..., var], W * s1, "mcj,wj->wmc")
+    # den < 2**62 by the guard of the corner bound: uint64 holds it
+    corner = _packed(rows[..., var], W * den, "mcj,wj->wmc")
     corner -= off[:, None, None]
-    W *= s2
     keys = np.empty((len(off), len(patch), 3), dtype=np.uint64)
     tiles = max(1, _ROW_BLOCK // 3)
     for a in range(0, len(patch), tiles):
@@ -851,16 +854,14 @@ class Patch:
         return len(self.columns[0])
 
     def _corner_frame(self):
-        """(table, den, s1, s2, dt): corner j of tile k has the numerators
-        table[ids[k], r[k], j] * s1 + t[k] * s2 over den, and dt holds
-        every coefficient of them and s1, s2; the bound is guarded."""
-        table, tden, tmax = _corner_table(self.d)
+        """(table, dt): corner j of tile k has the numerators
+        table[ids[k], r[k], j] * den + t[k] over the patch's den, and dt
+        holds every coefficient of them and den; the bound is guarded."""
+        table, tmax = _corner_table(self.d)
         den = self.columns[3]
-        L = math.lcm(den, tden)
-        s1, s2 = L // tden, L // den
-        bound = tmax * s1 + self.t_max * s2
+        bound = tmax * den + self.t_max
         _guard(bound, "corner rows")
-        return table, L, s1, s2, _int_dtype(max(bound, s1, s2))
+        return table, _int_dtype(max(bound, den))
 
     def corner_rows(self, tiles=slice(None), corner=None):
         """(C, den): C[k, j] = numerators of corner j of tile tiles[k],
@@ -872,8 +873,8 @@ class Patch:
         from a per-d table and the translations added.  Equal corners have
         equal rows.  C has the narrowest integer dtype its bound allows.
         """
-        ids, r, t, _ = self.columns
-        table, L, s1, s2, dt = self._corner_frame()
+        ids, r, t, den = self.columns
+        table, dt = self._corner_frame()
         P, n, _, D = table.shape
         # np.take gathers rows several times faster than fancy indexing
         at = ids[tiles].astype(np.intp) * n + r[tiles]
@@ -882,9 +883,9 @@ class Patch:
             table, t = table.reshape(P * n, 3, D), t[:, None, :]
         else:
             table, at = table.reshape(P * n * 3, D), at * 3 + corner
-        C = np.multiply(np.take(table, at, 0), s1, dtype=dt)
-        C += _scaled(t, s2, dt)
-        return C, L
+        C = np.multiply(np.take(table, at, 0), den, dtype=dt)
+        C += t
+        return C, den
 
     def corner_values(self):
         """Complex corners, N x 3, equal to `Elem.cvalue()` bit for bit.
@@ -915,7 +916,8 @@ def _inflate(patch, tab, key):
     key[k] (see `_rule_table`).
 
     Child c of tile (r, t) is placed by (zeta^r * h_c.t + iota * t,
-    r + h_c.r): a gather from the rule table plus one matrix product.
+    r + h_c.r): a gather from the rule table plus one matrix product, over
+    the patch's den (the table is integral).
     Every step computes in the dtype of the guarded bound, which also
     bounds every partial sum of the product.  Returns (patch, parent,
     child): the inflated patch and, per new tile, its parent tile and its
@@ -930,18 +932,14 @@ def _inflate(patch, tab, key):
     parent, child = _runs(count)
     child += tab.start[key][parent]
     pr = r[parent]
-    L = math.lcm(den * tab.mden, tab.den)
-    s1, s2 = L // (den * tab.mden), L // tab.den
-    bound = f.degree * patch.t_max * tab.M_max * s1 + tab.rot_max * s2
+    bound = f.degree * patch.t_max * tab.M_max + tab.rot_max * den
     _guard(bound, "inflation")
-    dt = _int_dtype(max(bound, tab.M_max * s1, s2))
-    # iota * t over L is t @ (M s1): the rescaling rides on the product
-    new_t = (t.astype(dt, copy=False) @ np.multiply(tab.M, s1, dtype=dt))[
-        parent]
-    new_t += _scaled(tab.rot[tab.tidx[child], pr], s2, dt)
+    dt = _int_dtype(max(bound, tab.M_max, den))
+    new_t = (t.astype(dt, copy=False) @ tab.M.astype(dt, copy=False))[parent]
+    new_t += _scaled(tab.rot[tab.tidx[child], pr], den, dt)
     new_r = (pr + tab.r[child]) % f.n
     out = Patch.from_columns(patch.d, tab.ids[child], new_r.astype(np.int32),
-                             new_t, L)
+                             new_t, den)
     return out, parent, child
 
 
@@ -1234,15 +1232,15 @@ def derive_edge_words(rules: RuleSet):
     f = field_for_order(d)
     names, index = prototile_ids(d)
     letters = letter_table(d)[0]
-    base = f.cvalues(*_corner_rows(d))  # prototile corners, by id
+    base = f.cvalues(_corner_rows(d))  # prototile corners, by id
     count, kids = rules.table()
-    ids, r, t, den = kids.columns
+    ids, r, t, _ = kids.columns
     have = count >= 0
     parents = [n for n, h in zip(names, have) if h]
     owner = np.repeat(np.cumsum(have) - 1, np.maximum(count, 0))
     ids = ids.astype(np.int64)
     turn = np.exp(2j * np.pi / f.n * r)
-    corners = turn[:, None] * base[ids] + f.cvalues(t, den)[:, None]
+    corners = turn[:, None] * base[ids] + f.cvalues(t)[:, None]
     big = base[have] * rules.iota.cvalue()
     side = big[:, [1, 2, 0]] - big
     ln2 = (abs(side) ** 2)[owner][:, None, :]

@@ -79,6 +79,20 @@ def test_polynomial_repr():
     assert repr(IntPolynomial([1, 3, -4, 1])) == "x^3 - 4x^2 + 3x + 1"
 
 
+def test_polynomial_normal_form():
+    # trailing zeros are dropped and zero terms are not printed; the
+    # primitive form divides out the content and makes the leading
+    # coefficient positive, and equal polynomials hash alike
+    p = IntPolynomial([4, 0, -6, 0, 0])
+    assert p.degree == 2 and repr(p) == "-6x^2 + 4"
+    assert p.content() == 2
+    q = p.primitive()
+    assert q == IntPolynomial([-2, 0, 3]) and q != p
+    assert hash(q) == hash(IntPolynomial([-2, 0, 3]))
+    with pytest.raises(ValueError, match="zero polynomial"):
+        IntPolynomial([0, 0])
+
+
 # -- the echelon and root-isolation classification, as a reference -------
 
 def reference_minimal_polynomial(x):

@@ -131,7 +131,7 @@ def test_corner_angles_match_float_corners():
     at all 8,148 prototile corners of d = 5..30."""
     seen = 0
     for d in range(5, 31):
-        corners = field_for_order(d).cvalues(*_corner_rows(d)).tolist()
+        corners = field_for_order(d).cvalues(_corner_rows(d)).tolist()
         for tri, angles in zip(corners, corner_angles(d).tolist()):
             assert sum(angles) == d
             for m in range(3):

@@ -28,8 +28,16 @@ def test_symmetry_index_validation():
         SymmetryIndex(14, 2)  # 3 does not divide 14
     with pytest.raises(ValueError):
         SymmetryIndex(4, 0)
+    with pytest.raises(ValueError, match="kappa must be"):
+        SymmetryIndex(9, 1)
+    with pytest.raises(ValueError, match="bad index triple"):
+        TriangleId(SymmetryIndex(9, 0), (2, 1, 0))
+    with pytest.raises(ValueError, match="needs 3"):
+        census_closed_form(14, 2)
     assert SymmetryIndex(9, -2).q == 5
     assert SymmetryIndex(14, 0).q == 7
+    assert [str(SymmetryIndex(9, k)) for k in (-2, 0, 2)] == \
+        ["A(9,-2)", "A(9,0)", "A(9,+2)"]
 
 
 def test_segments_are_tangent_chords():

@@ -2,7 +2,6 @@
 
 import io
 import json
-import math
 import os
 import tempfile
 
@@ -152,12 +151,10 @@ def test_int64_guard_raises_instead_of_wrapping():
 def reference_corner_rows(patch):
     """`Patch.corner_rows` with the table's bound reduced on every call."""
     ids, r, t, den = patch.columns
-    table, tden, _ = substitution._corner_table(patch.d)
-    L = math.lcm(den, tden)
-    s1, s2 = L // tden, L // den
-    bound = substitution.max_abs(table) * s1 + substitution.max_abs(t) * s2
-    C = table[ids, r].astype(np.int64) * s1 + t[:, None, :] * s2
-    return C.astype(substitution._int_dtype(max(bound, s1, s2))), L
+    table, _ = substitution._corner_table(patch.d)
+    bound = substitution.max_abs(table) * den + substitution.max_abs(t)
+    C = table[ids, r].astype(np.int64) * den + t[:, None, :]
+    return C.astype(substitution._int_dtype(max(bound, den))), den
 
 
 @pytest.mark.parametrize("d, stages, name, tiles", [
@@ -169,7 +166,7 @@ def test_corner_rows_use_the_cached_table_bound(d, stages, name, tiles):
     for p, sign in stages:
         patch = patch.inflate(derive_rules(d, p, sign))
     assert tiles is None or len(patch) == tiles
-    table, _, bound = substitution._corner_table(d)
+    table, bound = substitution._corner_table(d)
     assert bound == substitution.max_abs(table)
     rows, den = patch.corner_rows()
     expect, expect_den = reference_corner_rows(patch)
@@ -180,7 +177,7 @@ def test_corner_rows_use_the_cached_table_bound(d, stages, name, tiles):
 def test_corner_rows_guard_reads_the_cached_bound():
     # a translation coefficient of 2**62 - bound just reaches the limit
     f = field_for_order(23)
-    bound = substitution._corner_table(23)[2]
+    bound = substitution._corner_table(23)[1]
     for c, fits in ((2 ** 62 - bound - 1, True), (2 ** 62 - bound, False)):
         t = f.from_coeffs([c] + [0] * (f.degree - 1))
         patch = Patch(23, [Tile("T1t", Isometry(0, t))])
@@ -193,16 +190,14 @@ def test_corner_rows_guard_reads_the_cached_bound():
 
 def test_inflation_guard_reads_the_cached_table_bounds():
     # one tile at (0, c), den 1: the guard bound is
-    # D * c * max|M| * s1 + max|rot| * s2, and it reaches 2**62 first at c
+    # D * c * max|M| + max|rot|, and it reaches 2**62 first at c
     f = field_for_order(14)
     rules = derive_rules(14, 3, 1)
     tab = rules.columns()
     assert tab.M_max == substitution.max_abs(tab.M)
     assert tab.rot_max == substitution.max_abs(tab.rot)
-    L = math.lcm(tab.mden, tab.den)
-    s1, s2 = L // tab.mden, L // tab.den
-    step = f.degree * tab.M_max * s1
-    c = -(-(2 ** 62 - tab.rot_max * s2) // step)
+    step = f.degree * tab.M_max
+    c = -(-(2 ** 62 - tab.rot_max) // step)
     for x, fits in ((c - 1, True), (c, False)):
         t = f.from_coeffs([x] + [0] * (f.degree - 1))
         patch = Patch(14, [Tile("G", Isometry(0, t))])
@@ -219,3 +214,5 @@ def test_tile_without_a_rule_is_a_key_error():
     assert len(Patch.single(14, "G").inflate(only_g)) == len(rules.rules["G"])
     with pytest.raises(KeyError, match="F"):
         Patch.single(14, "F").inflate(only_g)
+    with pytest.raises(KeyError, match="F"):
+        only_g.matrix(["G", "F"])

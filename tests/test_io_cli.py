@@ -7,6 +7,7 @@ import io
 import json
 import os
 import re
+import runpy
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -108,8 +109,10 @@ def test_svg_outputs(tmp_path):
     z = patch.tiles[0].corners(14)[0].cvalue()
     x, y = map(float, first[0].split(","))
     assert abs(complex(x, -y) - z) < 1e-9
-    svg.render_arrangement(14, 0, tmp_path / "arr.svg")
-    assert ET.parse(tmp_path / "arr.svg")
+    svg.render_arrangement(14, 0, tmp_path / "arr.svg", labels=True)
+    texts = [e.text for e in ET.parse(tmp_path / "arr.svg").getroot().iter()
+             if e.tag.endswith("text")]
+    assert texts == [str(i) for i in range(14)]
     svg.render_prototile_sheet(14, tmp_path / "sheet.svg")
     assert ET.parse(tmp_path / "sheet.svg")
 
@@ -197,6 +200,15 @@ def test_cli_analyze(capsys):
     text = capsys.readouterr().out
     assert "iota_{14,5}" in text and "Pisot=True" in text
     assert "all_match=True" in text
+
+
+@pytest.mark.filterwarnings("ignore:'deltiling.cli' found in sys.modules")
+def test_cli_runs_as_a_module(capsys, monkeypatch):
+    # python -m deltiling.cli reads sys.argv as the console script does
+    monkeypatch.setattr(sys, "argv", ["deltiling", "analyze", "--d", "14",
+                                      "--p", "5"])
+    runpy.run_module("deltiling.cli", run_name="__main__")
+    assert "iota_{14,5}" in capsys.readouterr().out
 
 
 def test_cli_analyze_reports_an_imprimitive_matrix(capsys):

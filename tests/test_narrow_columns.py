@@ -8,7 +8,6 @@ the same bounds as they do for int64 rows.
 """
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -144,7 +143,7 @@ def test_corner_guard_at_a_narrow_dtype(tmp_path):
     # the bound of test_corner_rows_guard_reads_the_cached_bound, reached
     # by the denominator: the stored rows stay int8
     f = field_for_order(23)
-    bound = substitution._corner_table(23)[2]
+    bound = substitution._corner_table(23)[1]
     den = (2 ** 62 - 100) // bound
     c = 2 ** 62 - 1 - bound * den
     assert c + 1 <= 127
@@ -168,11 +167,11 @@ def test_corner_guard_at_a_narrow_dtype(tmp_path):
 
 def test_inflation_guard_at_a_narrow_dtype():
     # the bound of test_inflation_guard_reads_the_cached_table_bounds,
-    # D * t_max * max|M| * s1 + max|rot| * s2, with s2 the denominator
+    # D * t_max * max|M| + max|rot| * den: the integral table is scaled by
+    # the patch's denominator
     f = field_for_order(14)
     rules = derive_rules(14, 3, 1)
     tab = rules.columns()
-    assert tab.den == tab.mden == 1
     step = f.degree * tab.M_max
     den = (2 ** 62 - step * 100) // tab.rot_max
     c = -(-(2 ** 62 - tab.rot_max * den) // step)
@@ -189,30 +188,33 @@ def test_inflation_guard_at_a_narrow_dtype():
                 patch.inflate(rules)
 
 
-def scaled_flip(flip, k):
-    """The flip-table entry with its rows written over the denominator
-    k * den: the same replacements."""
-    return flip._replace(t=flip.t * k, den=flip.den * k,
-                         bound=flip.bound * k)
+def over(patch, k):
+    """The patch of den 1 with its rows written over the denominator k,
+    unreduced: the same tiles."""
+    f = field_for_order(patch.d)
+    return Patch(patch.d, [Tile(t.name, Isometry(t.iso.r, Elem(
+        f, [k * c for c in t.iso.t.num], k))) for t in patch.tiles])
 
 
 def test_flip_guard_and_rescaling_at_a_narrow_dtype():
-    # a flip over a denominator k rescales the int8 rows of the patch by
-    # k; the guard bound is k (t_max + flip bound)
+    # the flip's integral rows are scaled by the patch's denominator k:
+    # the int8 rows of the patch written over k flip as the patch does,
+    # and the guard bound is k (|t_i| + flip bound)
     _, _, patch = at_limit(127)
     site = find_flippable(patch)[0]
-    assert site.flip.den == 1
-    k = -(-2 ** 62 // (patch.t_max + site.flip.bound))
+    assert patch.columns[2].dtype == np.int8
+    t_i = substitution.max_abs(patch.columns[2][site.i])
+    k = -(-2 ** 62 // (t_i + site.flip.bound))
     want = apply_flip(patch, site).tiles
     for scale in (3, k - 1):
-        again = FlipSite(site.i, site.j, site.side,
-                         scaled_flip(site.flip, scale), site.patch)
-        got = apply_flip(patch, again)
+        scaled = over(patch, scale)
+        assert scaled.columns[3] == scale
+        got = apply_flip(scaled, site)
         assert got.columns[3] == 1 and got.tiles == want
+        again = FlipSite(site.i, site.j, site.side, site.flip, scaled)
         assert again.new == site.new
     with pytest.raises(OverflowError, match="flip"):
-        apply_flip(patch, FlipSite(site.i, site.j, site.side,
-                                   scaled_flip(site.flip, k), site.patch))
+        apply_flip(over(patch, k), site)
 
 
 def test_flips_copy_rows_in_their_stored_dtype():
@@ -226,13 +228,13 @@ def test_flips_copy_rows_in_their_stored_dtype():
     crossing = 0
     for site in find_flippable(patch):
         wide = t.astype(np.int64)
-        want, _ = _write_flip(14, ids.copy(), r.copy(), wide, den, site.i,
-                              site.j, site.flip)
+        want = _write_flip(14, ids.copy(), r.copy(), wide, den, site.i,
+                           site.j, site.flip)
         assert want is wide
         narrow = t.copy()
-        got, got_den = _write_flip(14, ids.copy(), r.copy(), narrow, den,
-                                   site.i, site.j, site.flip)
-        assert got_den == den and np.array_equal(got, want)
+        got = _write_flip(14, ids.copy(), r.copy(), narrow, den, site.i,
+                          site.j, site.flip)
+        assert np.array_equal(got, want)
         bound = substitution.max_abs(t[site.i]) + site.flip.bound
         assert got.dtype == max(np.dtype(np.int8),
                                 np.dtype(substitution._int_dtype(bound)))
@@ -255,24 +257,12 @@ def test_rational_translations_match_elem_arithmetic(tmp_path):
     patch = moved(base, w)
     assert patch.columns[3] == 77
     assert_corners_are_exact(patch)
-    # the rule table over den 1 is rescaled by 77
+    # the integral rule table is scaled by the patch's den 77
     for p, sign in ((3, 1), (5, 1)):
         rules = derive_rules(14, p, sign)
-        assert patch.inflate(rules).tiles == \
-            reference_inflate(patch.tiles, rules)
-    # a rule table over den 3: the patch is rescaled by 3, the table by 77
-    f = field_for_order(14)
-    third = f.rational(1, 3)
-    rules = derive_rules(14, 3, 1)
-    shifted = RuleSet(14, 3, 1, {
-        name: tuple((child, Isometry(h.r, h.t + third)) for child, h in kids)
-        for name, kids in rules.rules.items()})
-    tab = shifted.columns()
-    assert tab.den == 3
-    assert math.lcm(77 * tab.mden, tab.den) == 231
-    inflated = patch.inflate(shifted)
-    assert inflated.columns[3] == 231
-    assert inflated.tiles == reference_inflate(patch.tiles, shifted)
+        inflated = patch.inflate(rules)
+        assert inflated.columns[3] == 77
+        assert inflated.tiles == reference_inflate(patch.tiles, rules)
     # flips and rearrangement runs act as on the translate
     sites, base_sites = find_flippable(patch), find_flippable(base)
     assert len(sites) == len(base_sites) == 53
@@ -289,6 +279,33 @@ def test_rational_translations_match_elem_arithmetic(tmp_path):
     patchio.export_patch(patch, tmp_path / "w.json")
     imported, _ = patchio.import_patch(tmp_path / "w.json")
     assert imported.columns[3] == 77 and imported.tiles == patch.tiles
+
+
+def test_rule_children_must_be_integral():
+    # derived rule tables are integral, and only a Patch carries a
+    # denominator: a child at t + 1/3 is refused, while a child over an
+    # unreduced denominator of an integral translation is not, whether
+    # it comes as rules or as a table
+    f = field_for_order(14)
+    rules = derive_rules(14, 3, 1)
+    (child, h), *rest = rules.rules["G"]
+    for t, integral in ((h.t + f.rational(1, 3), False),
+                        (Elem(f, [3 * c for c in h.t.num], 3), True)):
+        kids = dict(rules.rules, G=((child, Isometry(h.r, t)), *rest))
+        if integral:
+            assert RuleSet(14, 3, 1, kids).rules == rules.rules
+        else:
+            with pytest.raises(ValueError, match="integral translations"):
+                RuleSet(14, 3, 1, kids)
+    count, table = rules.table()
+    unreduced = RuleSet(14, 3, 1, table=(count, over(table, 3)))
+    assert all(np.array_equal(a, b) for a, b in
+               zip(unreduced.table()[1].columns, table.columns))
+    assert unreduced.rules == rules.rules
+    tile = table.tiles[0]
+    first = Tile(tile.name, Isometry(tile.iso.r, tile.iso.t + f.rational(1, 3)))
+    with pytest.raises(ValueError, match="integral translations"):
+        RuleSet(14, 3, 1, table=(count, Patch(14, [first, *table.tiles[1:]])))
 
 
 def test_a_rational_seed_inflates_and_flips_as_its_translate():
@@ -344,7 +361,7 @@ def near_guard():
     """Two tiles of d = 14 whose corner coefficients come within 1 of the
     guard 2**62, one near +2**62 and one near -2**62: column 0 of the
     corner rows spans more than 2**62, 63 bits."""
-    x = 2 ** 62 - 1 - substitution._corner_table(14)[2]
+    x = 2 ** 62 - 1 - substitution._corner_table(14)[1]
     t = np.zeros((2, D14), dtype=np.int64)
     t[:, 0] = x, -x
     t[:, 3] = 5, 0

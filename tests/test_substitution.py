@@ -15,7 +15,8 @@ import pytest
 from deltiling.arrangement import (SymmetryIndex, TriangleId,
                                    classify_triple, edge_class,
                                    get_arrangement)
-from deltiling.field import field_for_order, inflation_factor
+from deltiling.field import (Elem, field_for_order, inflation_factor,
+                             reduce_columns)
 from deltiling import random as ensembles
 from deltiling import substitution
 from deltiling.prototiles import EdgeLetter, prototile_catalog
@@ -588,7 +589,7 @@ def test_area_rows_equal_the_field_products(d):
     # 2i times twice the area, conj(b - a) (c - a) minus its conjugate,
     # from integer rows equals the Elem products
     substitution._area_rows.cache_clear()
-    rows, den = substitution._area_rows(d)
+    rows = substitution._area_rows(d)
     names, _ = substitution.prototile_ids(d)
     areas = []
     for name in names:
@@ -596,7 +597,7 @@ def test_area_rows_equal_the_field_products(d):
         x = (b - a).conj() * (c - a)
         areas.append(x - x.conj())
     want, wden = substitution._common_den(areas, field_for_order(d).degree)
-    assert den == wden and rows.dtype == want.dtype
+    assert wden == 1 and rows.dtype == want.dtype
     assert np.array_equal(rows, want)
 
 
@@ -951,6 +952,44 @@ def test_few_huge_error_corners_keep_the_cells_small(monkeypatch):
     for n, edges, corners in sizes[-2:]:
         assert n <= grid_pairs + 6 * (edges + corners)
         assert n < edges * corners / 10
+
+
+def power(x, k):
+    y = x.f.rational(1)
+    for _ in range(k):
+        y = y * x
+    return y
+
+
+@pytest.mark.parametrize("d, p, shift", [
+    (14, 3, lambda f: f.rational(1, 7) + f.zeta(3) * Fraction(1, 11)),
+    (5, 2, lambda f: power(inflation_factor(5, 2).inv(), 58)),
+], ids=["den77", "iota^-58"])
+def test_t_junction_error_bounds_cover_every_column(d, p, shift,
+                                                    monkeypatch):
+    # the float error bound of each corner that `_t_junctions` hands to
+    # the filter is the corner's Elem.cvalue_error, sum_j |c_j| (D + 8)
+    # 2^-50 / den over every column: a bound without one used column
+    # would be smaller at a corner with c_j != 0 (here at most two ulps
+    # apart, against a relative 1e-13 for the smallest dropped |c_j| = 1)
+    f = field_for_order(d)
+    patch = Patch.single(d, prototile_catalog(d).prototiles[0].name)
+    for _ in range(2):
+        patch = patch.inflate(derive_rules(d, p, 1))
+    patch = moved(patch, shift(f))
+    seen = []
+    candidates = substitution._candidates
+    monkeypatch.setattr(substitution, "_candidates", lambda fl, err, *a: (
+        seen.append(err) or candidates(fl, err, *a)))
+    assert verify_face_to_face(patch).ok
+    _, first = substitution._corner_ids(patch)
+    points, den = patch.corner_rows(*np.divmod(first, 3))
+    assert den == (77 if d == 14 else 1)
+    assert (reduce_columns(np.bitwise_or, points) != 0).sum() >= 4
+    want = [Elem(f, row, den).cvalue_error()
+            for row in points.tolist()]
+    [err] = seen
+    assert np.allclose(err, want, rtol=1e-15, atol=0)
 
 
 def overlap_witnesses():
