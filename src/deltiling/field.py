@@ -174,11 +174,31 @@ class CycField:
 
     def turns(self, x, dtype):
         """out[i, k] = `turn`(x[i], k) for every k mod n, in dtype: x[i] is
-        one row or an array of them, and the caller's bound shows that
-        dtype holds every turn."""
+        one row of width D or an array of them, and the caller's bound
+        shows that dtype holds every turn.
+
+        The orbit is stepped, one rank-1 update per rotation.  For
+        y = zeta^k x with top coefficient c = y_(D-1),
+        zeta y = sum_(j < D-1) y_j zeta^(j+1) + c zeta^D: the row of
+        zeta^(k+1) x is y shifted up one column plus c times the row of
+        zeta^D, `powers[D]`.  No D x D product is taken.
+
+        Bound.  Every coefficient of zeta^k x is at most
+        B = D * max |x| * power_bound, so a shifted row plus its rank-1
+        term is at most B (1 + power_bound).  OverflowError is raised,
+        before anything is computed, unless that is below 2^62: no int64
+        step wraps.  A narrower dtype of b bits may wrap inside a step, but
+        numpy's integer arithmetic is exact mod 2^b, so each row is
+        zeta^k x mod 2^b, which is zeta^k x itself as dtype holds it.
+        """
+        _guard(self.degree * max_abs(x) * self.power_bound
+               * (1 + self.power_bound), "zeta turns")
+        step = self.powers[self.degree].astype(dtype)
         out = np.empty((len(x), self.n) + x.shape[1:], dtype)
-        for k in range(self.n):
-            out[:, k] = self.turn(x, k)
+        out[:, 0] = x
+        for k in range(self.n - 1):
+            np.multiply(out[:, k, ..., -1:], step, out=out[:, k + 1])
+            out[:, k + 1, ..., 1:] += out[:, k, ..., :-1]
         return out
 
     def mul_matrix(self, e):
@@ -205,7 +225,7 @@ class CycField:
         n = self.n
         ks = np.array([k for k in range(1, n) if math.gcd(k, n) == 1])
         red = self.powers[:n]
-        if sum(abs(c) for c in x.num) * self.power_bound >= 2 ** 62:
+        if sum(abs(c) for c in x.num) * self.power_bound >= INT64_SAFE:
             red = red.astype(object)
         rows = np.zeros((len(ks), self.degree), dtype=red.dtype)
         for j, c in enumerate(x.num):
@@ -469,6 +489,20 @@ class Elem:
 
     def __repr__(self):
         return f"<Elem n={self.f.n} ~ {self.cvalue():.6g}>"
+
+
+#: int64 arithmetic stays exact while every bound on a result is below this
+INT64_SAFE = 2 ** 62
+
+
+def _guard(bound, what):
+    if bound >= INT64_SAFE:
+        raise OverflowError(f"{what}: coefficients could reach {bound}, "
+                            "beyond the exact int64 range 2**62")
+
+
+def max_abs(a):
+    return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
 def reduce_columns(ufunc, rows):

@@ -45,9 +45,9 @@ from .arrangement import SymmetryIndex, get_arrangement, length_class
 from .substitution import (SHIFTS, Patch, RuleSet, derive_rules,
                            derive_edge_words, letter_table, match_triangles,
                            max_abs, mir, project, prototile_ids, row_ids,
-                           tile_edges, _congruent, _corner_ids, _corner_rows,
-                           _face_placements, _guard, _inflate, _int_dtype,
-                           _over, _rule_table)
+                           tile_edges, _agree, _corner_ids, _corner_rows,
+                           _corner_table, _face_placements, _guard, _inflate,
+                           _int_dtype, _over, _phase, _rule_table)
 
 
 # -- the inscribed polygon ----------------------------------------------
@@ -211,14 +211,18 @@ def _flip_entry(d, edge_cls, diag_cls, key):
     their classes are read off the letter table, and an exact congruence
     places each half.  This also makes the quadrilateral strictly convex:
     its four turns are the orientations of i, j and the two halves, and
-    every prototile runs anticlockwise.
+    every prototile runs anticlockwise.  Turned corners are read from
+    `_corner_table`: a float phase picks each candidate's turn, and equal
+    rows decide.
     """
     id_i, k_i, id_j, k_j, s = key
     f = field_for_order(d)
     rows = _corner_rows(d)
-    # bounds the turned corners and w2, a sum of three corner rows
-    _guard(3 * f.degree * max_abs(rows) * f.power_bound, "flip corners")
-    cj = f.turn(rows[id_j], s)
+    table, tmax = _corner_table(d)
+    # turned corners are bounded by tmax and w2, a sum of three, by 3 tmax;
+    # so the differences `_agree` takes are bounded by 6 tmax
+    _guard(6 * tmax, "flip corners")
+    cj = table[id_j, s].astype(np.int64)
     u, v, w1 = (rows[id_i, (k_i + k) % 3] for k in range(3))
     if not np.array_equal(cj[(k_j + 1) % 3] - cj[k_j], u - v):
         return None
@@ -234,11 +238,15 @@ def _flip_entry(d, edge_cls, diag_cls, key):
         cand = np.flatnonzero((shapes == sorted((*sides, diag_cls))).all(1))
         if not len(cand):
             return None
-        # prototiles of equal side classes differ only in decoration: the
-        # first in catalog order, then in cyclic-shift order, is placed
-        r, ok, t = _congruent(f, rows[cand][:, SHIFTS], quad[list(half)])
+        b = quad[list(half)]
+        r = _phase(f, rows[cand][:, SHIFTS], b)
+        # each candidate's corners turned by zeta^r[c, k], in shift k's order
+        ok, t = _agree(table[cand[:, None, None], r[..., None], SHIFTS]
+                       .astype(np.int64), b)
         if not ok.any():
             return None
+        # prototiles of equal side classes differ only in decoration: the
+        # first in catalog order, then in cyclic-shift order, is placed
         c, shift = divmod(int(np.argmax(ok)), 3)
         found.append((int(cand[c]), int(r[c, shift]), t[c, shift]))
     ids, r, t = zip(*found)

@@ -29,7 +29,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .field import Elem, field_for_order, inflation_factor, reduce_columns
+from .field import (INT64_SAFE, Elem, _guard, field_for_order,
+                    inflation_factor, max_abs, reduce_columns)
 from .arrangement import SymmetryIndex, TriangleId, get_arrangement
 from .prototiles import canonical_rotation, prototile_catalog
 
@@ -81,18 +82,30 @@ def _congruent(f, a, b):
     ok where w -> zeta^r w + t maps each a[k] to b[k].
 
     No field division: the float phase of the first sides picks the only
-    possible r, and equal integer rows of both sides decide.
+    possible r (`_phase`), and equal integer rows of both sides decide
+    (`_agree`).
     """
     # differences of rows bounded by B are bounded by 2B
     _guard(2 * max(f.degree * max_abs(a) * f.power_bound, max_abs(b)),
            "triangle match")
+    r = _phase(f, a, b)
+    return (r, *_agree(f.turn(a, r), b))
+
+
+def _phase(f, a, b):
+    """The r for which zeta^r (a1 - a0) can equal b1 - b0, for corner rows
+    a, b (..., 3, D), read off the float phase of the two sides."""
     za = (a[..., 1, :] - a[..., 0, :]) @ f.basis
     zb = (b[..., 1, :] - b[..., 0, :]) @ f.basis
-    r = np.rint(np.angle(zb * za.conj()) * f.n / (2 * np.pi)).astype(
+    return np.rint(np.angle(zb * za.conj()) * f.n / (2 * np.pi)).astype(
         np.int64) % f.n
-    a = f.turn(a, r)
+
+
+def _agree(a, b):
+    """(ok, t) for int64 corner rows a, b (..., 3, D): ok where w -> w + t
+    maps each a[k] to b[k], compared exactly as the rows of both sides."""
     ok = ((a - a[..., :1, :]) == (b - b[..., :1, :])).all(axis=(-2, -1))
-    return r, ok, b[..., 0, :] - a[..., 0, :]
+    return ok, b[..., 0, :] - a[..., 0, :]
 
 
 def match_triangles(src, dst):
@@ -490,20 +503,6 @@ class Tile:
 
     def corners(self, d):
         return tile_corners(d, self.name, self.iso)
-
-
-#: int64 arithmetic stays exact while every bound on a result is below this
-INT64_SAFE = 2 ** 62
-
-
-def _guard(bound, what):
-    if bound >= INT64_SAFE:
-        raise OverflowError(f"{what}: coefficients could reach {bound}, "
-                            "beyond the exact int64 range 2**62")
-
-
-def max_abs(a):
-    return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
 #: (dtype, largest value) of the narrow signed integer dtypes
@@ -961,12 +960,17 @@ class VerifyReport:
 
 
 def _inside_edge(a, b, c):
-    """Exact: c lies on the segment [a, b], strictly between its ends."""
-    u = b - a
-    w = u.conj() * (c - a)  # real iff c is on the line; then w = s * |u|^2
-    if w != w.conj():
-        return False
-    return w.real_sign() > 0 and (u * u.conj() - w).real_sign() > 0
+    """Exact: c lies on the segment [a, b], strictly between its ends.
+
+    That holds exactly when w = (c - a) conj(b - c) is real and positive.
+    If c = a + s (b - a) with 0 < s < 1, then c - a = s (b - a) and
+    b - c = (1 - s)(b - a), so w = s (1 - s) |b - a|^2 > 0.  Conversely,
+    w > 0 makes both factors nonzero (so c is neither a nor b) and
+    c - a = lambda (b - c) with lambda = w / |b - c|^2 > 0, so
+    c = a + s (b - a) with s = lambda / (1 + lambda) in (0, 1).
+    """
+    w = (c - a) * (b - c).conj()
+    return w.is_real() and w.real_sign() > 0
 
 
 def tile_edges(pid):

@@ -148,6 +148,33 @@ def test_int64_guard_raises_instead_of_wrapping():
         Patch(14, [Tile("G", Isometry(0, huge))]).corner_rows()
 
 
+def test_rotation_table_raises_instead_of_wrapping():
+    # a child translation of (2^61 - 1) times 24 signs: D max|x|
+    # power_bound passes 2^62, and int64 turns of it wrapped silently in
+    # 12 of the 84 rotation rows; now the table is refused before a turn
+    f = field_for_order(14)
+    signs = [1 if c == "+" else -1 for c in "-++--+++-++++++-+-++++--"]
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        draw = rng.choice([-1, 1], 24)
+    assert draw.tolist() == signs
+    count, kids = derive_rules(14, 3, 1).table()
+    ids, r, t, den = kids.columns
+    t = t.astype(np.int64)
+    t[0] = (2 ** 61 - 1) * np.array(signs)
+    rules = RuleSet(14, 3, 1, table=(count, Patch.from_columns(
+        14, ids, r, t, den)))
+    with pytest.raises(OverflowError, match="zeta turns"):
+        rules.columns()
+    # at 2^55, well inside the bound, every row is the field's rotation
+    t[0] = 2 ** 55 * np.array(signs)
+    tab = RuleSet(14, 3, 1, table=(count, Patch.from_columns(
+        14, ids, r, t, den))).columns()
+    x = f.from_coeffs(t[0].tolist())
+    assert [row.tolist() for row in tab.rot[tab.tidx[0]]] == [
+        list(x.mul_zeta(k).num) for k in range(f.n)]
+
+
 def reference_corner_rows(patch):
     """`Patch.corner_rows` with the table's bound reduced on every call."""
     ids, r, t, den = patch.columns

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from deltiling.field import (MAX_ORDER, CycField, Elem, cyclotomic_poly,
-                             field_for_order, inflation_factor, sin_val,
-                             cos_val, unit_root)
+                             field_for_order, inflation_factor, max_abs,
+                             sin_val, cos_val, unit_root)
 from deltiling.substitution import Isometry, Patch, Tile, derive_rules
 
 
@@ -252,6 +252,53 @@ def test_mul_matrix_is_multiplication(d):
             x = elem()
             row = np.array(x.num, dtype=np.int64) @ M
             assert f.from_coeffs(row.tolist(), x.den * den) == x * e
+
+
+@pytest.mark.parametrize("d", [5, 13, 14, 23, 64])
+def test_turns_equal_turn_at_every_k(d):
+    # the stepped orbit against one product per k: rows shaped (N, D) and
+    # (N, 3, D) with coefficients up to 2^40 into int64, up to the int16
+    # bound D max|x| power_bound <= 32767, and rows of two nonzero
+    # coefficients up to 63 / power_bound into int8
+    f = field_for_order(d)
+    D, pb = f.degree, f.power_bound
+    rng = np.random.default_rng(d)
+    sparse = np.zeros((6, 3, D), dtype=np.int64)
+    for row in sparse.reshape(-1, D):
+        row[rng.choice(D, 2, replace=False)] = rng.integers(
+            -(63 // pb), 63 // pb + 1, 2)
+    top = 32767 // (D * pb)
+    cases = [(rng.integers(-2 ** 40, 2 ** 40, (5, D)), np.int64),
+             (rng.integers(-2 ** 40, 2 ** 40, (4, 3, D)), np.int64),
+             (rng.integers(-top, top + 1, (5, D)), np.int16),
+             (rng.integers(-top, top + 1, (4, 3, D)), np.int16),
+             (sparse[:, 0], np.int8), (sparse, np.int8)]
+    for x, dtype in cases:
+        every = f.turns(x, dtype)
+        assert every.dtype == dtype
+        assert every.shape == (len(x), f.n) + x.shape[1:]
+        for k in range(f.n):
+            want = f.turn(x, k)
+            assert max_abs(want) <= np.iinfo(dtype).max
+            assert np.array_equal(every[:, k], want), (dtype, k)
+
+
+def test_turns_raise_before_the_step_can_wrap():
+    # B = D max|x| power_bound times the step's factor 1 + power_bound
+    # first reaches 2^62 at max|x| = c
+    for d in (14, 35):
+        f = field_for_order(d)
+        pb = f.power_bound
+        step = f.degree * pb * (1 + pb)
+        c = -(-2 ** 62 // step)
+        x = np.zeros((2, f.degree), dtype=np.int64)
+        x[0, 0], x[1, -1] = c - 1, -(c - 1)
+        every = f.turns(x, np.int64)
+        assert all(np.array_equal(every[:, k], f.turn(x, k))
+                   for k in range(f.n))
+        x[1, -1] = -c
+        with pytest.raises(OverflowError, match="zeta turns"):
+            f.turns(x, np.int64)
 
 
 @pytest.mark.parametrize("d", [13, 14, 23])

@@ -360,3 +360,70 @@ def test_flip_rows_are_guarded():
     with pytest.raises(OverflowError, match="flip"):
         _write_flip(14, ids.copy(), r.copy(), t, den, site.i, site.j,
                     site.flip)
+
+
+def reference_flip_entry(d, edge_cls, diag_cls, key):
+    """The flip-table entry with tile j's corners turned by
+    `CycField.turn` and each half placed by one `_congruent` test."""
+    id_i, k_i, id_j, k_j, s = key
+    f = field_for_order(d)
+    rows = substitution._corner_rows(d)
+    cj = f.turn(rows[id_j], s)
+    u, v, w1 = (rows[id_i, (k_i + k) % 3] for k in range(3))
+    if not np.array_equal(cj[(k_j + 1) % 3] - cj[k_j], u - v):
+        return None
+    quad = np.array([u, v, w1, cj[(k_j + 2) % 3] + (v - cj[k_j])])
+    cls = substitution.letter_table(d)[1]
+    shapes = np.sort(cls, axis=1)
+    known = ((cls[id_i, (k_i + 2) % 3], cls[id_j, (k_j + 1) % 3]),
+             (cls[id_j, (k_j + 2) % 3], cls[id_i, (k_i + 1) % 3]))
+    found = []
+    for half, sides in zip(ensembles._HALVES, known):
+        cand = np.flatnonzero((shapes == sorted((*sides, diag_cls))).all(1))
+        if not len(cand):
+            return None
+        r, ok, t = substitution._congruent(
+            f, rows[cand][:, substitution.SHIFTS], quad[list(half)])
+        if not ok.any():
+            return None
+        c, shift = divmod(int(np.argmax(ok)), 3)
+        found.append((int(cand[c]), int(r[c, shift]), t[c, shift]))
+    ids, r, t = zip(*found)
+    t = np.array(t)
+    return ensembles._Flip(ids, r, t,
+                           f.degree * substitution.max_abs(t) * f.power_bound)
+
+
+def test_flip_table_equals_the_turned_reference(monkeypatch):
+    # every key the forward and inverse searches reach on the level-3
+    # patches of the first prototile, by iota_{d,p} for every p, at
+    # d = 8..16: the entries read from the corner table equal those of
+    # corners turned by CycField.turn
+    patches = []
+    for d in range(8, 17, 2):
+        for p in range(2, d // 2 + 1):
+            rules = derive_rules(d, p, 1)
+            patch = Patch.single(d, substitution.prototile_ids(d)[0][0])
+            for _ in range(3):
+                patch = patch.inflate(rules)
+            patches.append(patch)
+    keys = set()
+    monkeypatch.setattr(ensembles, "_flip_entry",
+                        lambda *args: keys.add(args))
+    for patch in patches:
+        q = patch.d // 2
+        find_flippable(patch)
+        find_flippable(patch, edge_class=q - 1, diag_class=q)
+    monkeypatch.undo()
+    flips = 0
+    for args in sorted(keys):
+        got = ensembles._flip_entry.__wrapped__(*args)
+        want = reference_flip_entry(*args)
+        assert (got is None) == (want is None), args
+        if got is not None:
+            assert (got.ids, got.r, got.bound) == (want.ids, want.r,
+                                                   want.bound), args
+            assert got.t.dtype == want.t.dtype
+            assert np.array_equal(got.t, want.t), args
+            flips += 1
+    assert (len(keys), flips) == (428, 132), (len(keys), flips)

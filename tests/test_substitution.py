@@ -696,6 +696,37 @@ def reference_t_junctions(f, points, den, starts, ends, max_problems):
     return problems
 
 
+def test_inside_edge_equals_the_two_product_test():
+    # one product against the old test, conj(u) (c - a) = s |u|^2 real
+    # with 0 < s < 1 for u = b - a, on every ordered triple (repeats too)
+    # of a d = 5 tile's corners, points on its first edge's line at
+    # s = -1/2, 0, 1/50, 1/2, 49/50, 1, 3/2 and one just off it
+    f = field_for_order(5)
+    a, b, c = tile_corners(5, prototile_catalog(5).prototiles[0].name)
+    points = [a, b, c] + [a + (b - a) * Fraction(*s) for s in (
+        (-1, 2), (0, 1), (1, 50), (1, 2), (49, 50), (1, 1), (3, 2))]
+    off = (b - a).mul_zeta(f.n // 4) * Fraction(1, 10 ** 9)
+    points.append(points[6] + off)
+
+    def two_products(a, b, c):
+        u = b - a
+        w = u.conj() * (c - a)
+        return (w == w.conj() and w.real_sign() > 0
+                and (u * u.conj() - w).real_sign() > 0)
+
+    inside = 0
+    for x, y, z in itertools.product(points, repeat=3):
+        got = substitution._inside_edge(x, y, z)
+        assert got == two_products(x, y, z)
+        inside += got
+    # the nine points on the line (a and b twice) put one strictly
+    # between two others in 142 ordered triples; the midpoint of [a, b]
+    # lies inside it, and the point just off the line does not
+    assert inside == 142
+    assert substitution._inside_edge(a, b, points[6])
+    assert not substitution._inside_edge(a, b, points[-1])
+
+
 def reference_corner_ids(patch):
     """The corner ids of the whole corner matrix, by `np.unique`."""
     rows, _ = patch.corner_rows()
