@@ -8,9 +8,7 @@ report the Perron eigenvalue and the limiting tile frequencies.
 
 import argparse
 
-from deltiling.analysis import (is_primitive, pisot_table,
-                                substitution_matrix, tile_frequencies,
-                                top_frequencies)
+from deltiling.analysis import pisot_table, tile_frequencies, top_frequencies
 from deltiling.substitution import derive_rules
 
 
@@ -26,13 +24,12 @@ def main():
             print(f"  iota_{{{d},{row['p']}}} = {row['value']:.6f}  "
                   f"deg {row['degree']}  {mark:5}  {row['reason']}")
         p = max(2, d // 4)
-        rules = derive_rules(d, p, 1)
-        M, order = substitution_matrix(rules)
-        if not is_primitive(M):
+        try:
+            lam, freq = tile_frequencies(derive_rules(d, p, 1))
+        except ValueError:
             print(f"  matrix for p={p} is not primitive (kappa variants "
                   "cycle); frequencies undefined")
             continue
-        lam, freq = tile_frequencies(rules)
         shown = ", ".join(f"{name} {value:.4f}"
                           for name, value in top_frequencies(freq))
         print(f"  p={p}: lambda = {lam:.6f} = iota^2; "

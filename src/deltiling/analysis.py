@@ -14,7 +14,8 @@ from .arrangement import (SymmetryIndex, census_closed_form, get_arrangement,
                           subdivision_closed_form, multiplicity_closed_form,
                           triangular_pattern)
 from .prototiles import prototile_catalog, undecorated_signature
-from .substitution import RuleSet, letter_table, prototile_ids, _corner_ids
+from .substitution import (RuleSet, check_area_balance, letter_table,
+                           prototile_ids, _corner_ids)
 
 
 def substitution_matrix(rules: RuleSet):
@@ -27,38 +28,53 @@ def is_primitive(M):
 
     A primitive n x n matrix has A^k > 0 for every k >= (n-1)^2 + 1
     (Wielandt's bound), so squaring the 0/1 pattern until the exponent
-    2^j reaches that bound decides it.
+    2^j reaches that bound decides it.  The pattern is squared in
+    float64: its products are integers at most n, so they are exact.
     """
     n = M.shape[0]
-    P = (np.asarray(M) > 0).astype(np.int64)
+    P = (np.asarray(M) > 0).astype(float)
     power = 1
     while not P.all():
         if power >= (n - 1) ** 2 + 1:
             return False
-        P = ((P @ P) > 0).astype(np.int64)
+        P = ((P @ P) > 0).astype(float)
         power *= 2
     return True
 
 
 def tile_frequencies(rules: RuleSet):
-    """(dominant eigenvalue, name -> relative frequency).
+    """(iota^2, name -> relative frequency): the Perron root of the
+    substitution matrix M and its right eigenvector v, summing to 1 (the
+    tile-count proportions in high inflation powers).
 
-    The dominant eigenvalue must equal iota^2; the frequency vector is
-    the normalized Perron right eigenvector (tile-count proportions in
-    high inflation powers).
+    The root is iota^2, proved.  `check_area_balance` shows exactly that
+    a^T M = iota^2 a^T, where a > 0 holds the prototile areas.  A
+    nonnegative irreducible matrix (a primitive one is irreducible) has
+    only one eigenvalue with a positive eigenvector, its Perron root, and
+    that root is simple (Perron-Frobenius; Baake & Grimm, Aperiodic Order
+    Vol. 1, ch. 2), so the Perron root of M is iota^2.  A rule set whose
+    balance fails raises AssertionError (the verdict is computed once per
+    rule set), and one whose M is not primitive ValueError.
+
+    v solves M v = iota^2 v with one row replaced by sum v = 1.  That
+    system is regular: the rows of M - iota^2 I span dimension n - 1 with
+    the left null vector a, which has no zero entry, so any n - 1 of them
+    are independent; and the row of ones is not in their span, because
+    every row of M - iota^2 I annuls v > 0 and the ones do not.  v is
+    certified by v > 0 and by its residual.
     """
+    check_area_balance(rules)
     M, order = rules.matrix()
     if not is_primitive(M):
         raise ValueError("substitution matrix is not primitive")
-    vals, vecs = np.linalg.eig(M.astype(float))
-    k = int(np.argmax(vals.real))
-    lam = vals[k].real
-    v = vecs[:, k].real
-    v = np.abs(v)
-    v = v / v.sum()
-    assert np.max(np.abs(M.astype(float) @ v - lam * v)) < 1e-9
-    iota2 = abs(rules.iota.cvalue()) ** 2
-    assert abs(lam - iota2) < 1e-9, (lam, iota2)
+    lam = abs(rules.iota.cvalue()) ** 2
+    A = M - lam * np.eye(len(M))
+    A[-1] = 1
+    b = np.zeros(len(M))
+    b[-1] = 1
+    v = np.linalg.solve(A, b)
+    assert (v > 0).all()
+    assert np.max(np.abs(M @ v - lam * v)) < 1e-9
     return lam, dict(zip(order, v))
 
 

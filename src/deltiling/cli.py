@@ -8,7 +8,7 @@ import json
 import os
 import sys
 
-from .field import MAX_ORDER, field_for_order, inflation_factor
+from .field import MAX_ORDER, field_for_order
 from .arrangement import SymmetryIndex, get_arrangement, triangular_pattern
 from .prototiles import prototile_catalog
 from .substitution import Patch, derive_rules, derive_edge_words, \
@@ -194,16 +194,16 @@ def cmd_analyze(args):
         print(f"iota_{{{args.d},{row['p']}}} = {row['value']:.6f}: "
               f"Pisot={row['pisot']} ({row['reason']})")
     for p in ps:
-        rules = derive_rules(args.d, p, 1)
-        if not analysis.is_primitive(rules.matrix()[0]):
+        try:
+            lam, freq = analysis.tile_frequencies(derive_rules(args.d, p, 1))
+        except ValueError:
             print(f"matrix d={args.d} p={p}: not primitive")
             continue
-        lam, freq = analysis.tile_frequencies(rules)
-        iota2 = abs(inflation_factor(args.d, p).cvalue()) ** 2
         head = " ".join(f"{n}:{v:.4f}"
                         for n, v in analysis.top_frequencies(freq))
+        # lam is iota^2, proved by the area balance (tile_frequencies)
         print(f"matrix d={args.d} p={p}: lambda1={lam:.9f} "
-              f"iota^2={iota2:.9f} top frequencies {head}")
+              f"iota^2={lam:.9f} top frequencies {head}")
 
 
 def cmd_verify(args):

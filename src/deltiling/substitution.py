@@ -10,9 +10,10 @@ confirmed exactly by area balance (`check_area_balance`); edge words are
 still read from float corners.
 
 Congruences are found without field division: the float phase of a side
-ratio picks the rotation exponent r, and equal integer rows of
-zeta^r * (a1 - a0) and b1 - b0 (and of the third corner) decide.  Floats
-only pick r; every verdict is exact.
+ratio picks the rotation exponent r, a float test that keeps every exact
+fit admits candidates, and equal integer rows of zeta^r * (a1 - a0) and
+b1 - b0 (and of the third corner) decide.  Floats only pick r and
+candidates; every verdict is exact.
 
 Tiles are always placed by direct isometries w -> zeta^r w + t; a mirrored
 tile is represented by the mirror prototile of the catalog, so reflections
@@ -79,17 +80,40 @@ SHIFTS = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
 
 def _congruent(f, a, b):
     """(r, ok, t) for corner rows a, b (..., 3, D) over one denominator:
-    ok where w -> zeta^r w + t maps each a[k] to b[k].
+    ok where w -> zeta^r w + t maps each a[k] to b[k], and t is set there
+    (0 elsewhere).
 
     No field division: the float phase of the first sides picks the only
-    possible r (`_phase`), and equal integer rows of both sides decide
+    possible r (`_phase`), a float test of both sides admits the pairs
+    that can fit, and only those are turned and compared as integer rows
     (`_agree`).
+
+    The test keeps every exact fit.  Let x = a[k] - a[0] and y = b[k] -
+    b[0] (k = 1, 2) with zeta^r x = y, and s(x) = sum_j |x_j|.  The float
+    value x @ basis lies within e(x) = s(x) (D + 8) 2^-50 of x(zeta) (the
+    bound of `Elem.cvalue_error`, which holds in any summation order), so
+    e(x) >= 72 u s(x) with u = 2^-53.  The float of zeta^r is within 22u
+    of it, and the complex product adds at most 3u relative, so the
+    tested difference is at most e(x) + e(y) + 26u s(x), plus a few
+    roundings: below the tolerance 2 (e(x) + e(y)).
     """
     # differences of rows bounded by B are bounded by 2B
     _guard(2 * max(f.degree * max_abs(a) * f.power_bound, max_abs(b)),
            "triangle match")
+    a, b = np.broadcast_arrays(a, b)
+    x = a[..., 1:, :] - a[..., :1, :]
+    y = b[..., 1:, :] - b[..., :1, :]
     r = _phase(f, a, b)
-    return (r, *_agree(f.turn(a, r), b))
+    w = np.exp(1j * (r * (2 * np.pi / f.n)))
+    tol = (np.abs(x).sum(axis=-1) + np.abs(y).sum(axis=-1)) * (
+        (f.degree + 8) * 2.0 ** -49)
+    fit = np.nonzero((np.abs(w[..., None] * (x @ f.basis) - y @ f.basis)
+                      <= tol).all(axis=-1))
+    ok = np.zeros(r.shape, dtype=bool)
+    t = np.zeros(r.shape + (f.degree,), dtype=np.int64)
+    if len(fit[0]):
+        ok[fit], t[fit] = _agree(f.turn(a[fit], r[fit]), b[fit])
+    return r, ok, t
 
 
 def _phase(f, a, b):
@@ -480,18 +504,21 @@ def check_area_balance(rules: RuleSet):
 
     Counts times per-prototile area rows must equal the area rows times
     the matrix of multiplication by iota^2, as integer coefficient rows.
+    The verdict is kept on the rule set, so each is checked once
+    (`derive_rules` checks every rule set it derives).
     """
-    f = field_for_order(rules.d)
-    A = _area_rows(rules.d)
-    count, _ = rules.matrix()
-    M = _integral(*f.mul_matrix(rules.iota * rules.iota))
-    _guard((f.degree * max_abs(M) + int(count.sum(axis=0).max()))
-           * max_abs(A), "area balance")
-    bad = ~(count.T @ A == A @ M).all(axis=1)
-    if bad.any():
-        names, _ = prototile_ids(rules.d)
+    if "_unbalanced" not in rules.__dict__:
+        f = field_for_order(rules.d)
+        A = _area_rows(rules.d)
+        count, names = rules.matrix()
+        M = _integral(*f.mul_matrix(rules.iota * rules.iota))
+        _guard((f.degree * max_abs(M) + int(count.sum(axis=0).max()))
+               * max_abs(A), "area balance")
+        bad = ~(count.T @ A == A @ M).all(axis=1)
+        rules._unbalanced = [names[i] for i in np.flatnonzero(bad)]
+    if rules._unbalanced:
         raise AssertionError("children do not fill the inflated prototile: "
-                             + ", ".join(names[i] for i in np.flatnonzero(bad)))
+                             + ", ".join(rules._unbalanced))
 
 
 # -- patches ------------------------------------------------------------

@@ -12,7 +12,8 @@ from deltiling.analysis import (census_report, corner_angles,
                                 pisot_table, substitution_matrix,
                                 tile_frequencies, top_frequencies,
                                 vertex_configurations)
-from deltiling.substitution import Patch, _corner_rows, derive_rules
+from deltiling import substitution
+from deltiling.substitution import Patch, RuleSet, _corner_rows, derive_rules
 
 
 def test_matrix_columns_match_rules():
@@ -45,7 +46,7 @@ def wielandt(n):
     return A
 
 
-@pytest.mark.parametrize("n", range(4, 9))
+@pytest.mark.parametrize("n", [*range(4, 9), 30, 60])
 def test_is_primitive_beyond_exponent_n(n):
     A = wielandt(n)
     P = np.eye(n, dtype=np.int64)
@@ -64,26 +65,47 @@ def test_is_primitive_rejects_imprimitive_matrices():
 
 
 def test_perron_eigenvalue_is_iota_squared():
-    for d in (7, 8, 9, 10, 12, 14):
+    """Every (d, p, +-) with d = 5..16: tile_frequencies gives iota^2 and
+    the Perron vector of a dense eigensolver, to 1e-12, or refuses a
+    matrix that is not primitive."""
+    for d in range(5, 17):
         for p in range(2, d // 2 + 1):
             for sign in (1, -1):
                 rules = derive_rules(d, p, sign)
                 iota2 = abs(inflation_factor(d, p).cvalue()) ** 2
-                M, _ = substitution_matrix(rules)
-                lam = max(abs(np.linalg.eigvals(M.astype(float))))
-                assert abs(lam - iota2) < 1e-9, (d, p, sign)
+                M, order = substitution_matrix(rules)
+                vals, vecs = np.linalg.eig(M.astype(float))
+                k = int(np.argmax(vals.real))
+                assert abs(vals[k] - iota2) < 1e-9, (d, p, sign)
                 if not is_primitive(M):
                     # happens when the kappa variants cycle (3|d and the
                     # signed class -+p is 1 mod 3)
                     assert d % 3 == 0 and (-sign * p) % 3 == 1
-                    with pytest.raises(ValueError):
+                    with pytest.raises(ValueError, match="not primitive"):
                         tile_frequencies(rules)
                     continue
                 lam, freq = tile_frequencies(rules)
-                assert abs(lam - iota2) < 1e-9, (d, p, sign)
+                assert lam == iota2
+                assert list(freq) == order
+                want = np.abs(vecs[:, k].real)
                 vals = np.array(list(freq.values()))
                 assert (vals > 0).all()
-                assert abs(vals.sum() - 1) < 1e-12
+                assert np.abs(vals - want / want.sum()).max() < 1e-12, \
+                    (d, p, sign)
+
+
+def test_tile_frequencies_rest_on_the_area_balance(monkeypatch):
+    # a rule set whose balance fails is refused, not given a vector; each
+    # rule set's balance is computed once, a derived one's when derived
+    rules = derive_rules(14, 3, 1)
+    dropped = RuleSet(14, 3, 1, dict(rules.rules, G=rules.rules["G"][1:]))
+    with pytest.raises(AssertionError, match="prototile: G$"):
+        tile_frequencies(dropped)
+    monkeypatch.setattr(substitution, "_area_rows", None)
+    with pytest.raises(AssertionError, match="prototile: G$"):
+        tile_frequencies(dropped)
+    lam, _ = tile_frequencies(rules)
+    assert lam == abs(rules.iota.cvalue()) ** 2
 
 
 def test_top_frequencies_break_printed_ties_by_name():

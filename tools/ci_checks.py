@@ -36,6 +36,7 @@ import numpy as np
 from deltiling import patchio, svg
 from deltiling import random as R
 from deltiling import substitution as S
+from deltiling.analysis import tile_frequencies
 from deltiling.arrangement import edge_class, get_arrangement
 from deltiling.field import MAX_ORDER, field_for_order, inflation_factor
 from deltiling.prototiles import prototile_catalog
@@ -219,8 +220,11 @@ def test_rule_sets():
     column tables (child counts, ids, rotations, translations and
     denominators; the translations are hashed as int64 rows, whatever
     narrow dtype stores them) and, separately, of their edge words
-    (letters as str, keys in sorted order)."""
-    h, hw, n = hashlib.sha256(), hashlib.sha256(), 0
+    (letters as str, keys in sorted order).  It also takes the Perron
+    data of each: a primitive matrix gives a positive frequency vector,
+    and an imprimitive one is refused and matches the kappa-cycle rule
+    (3 | d and (-sign p) mod 3 = 1); their count is pinned."""
+    h, hw, n, imprimitive = hashlib.sha256(), hashlib.sha256(), 0, 0
     for d in range(5, 31):
         for p in range(2, d // 2 + 1):
             for sign in (1, -1):
@@ -233,13 +237,22 @@ def test_rule_sets():
                 words = derive_edge_words(rules)
                 hw.update(repr(sorted((str(a), [str(b) for b in w])
                                       for a, w in words.items())).encode())
+                try:
+                    _, freq = tile_frequencies(rules)
+                except ValueError:
+                    assert d % 3 == 0 and (-sign * p) % 3 == 1, (d, p, sign)
+                    imprimitive += 1
+                else:
+                    assert min(freq.values()) > 0, (d, p, sign)
                 n += 1
     assert n == 390, n
+    assert imprimitive == 45, imprimitive
     assert h.hexdigest() == ("d08147f9b21a0aa4d84686735d666edd"
                              "27dce4bf21c8d60a9087cf4c975954b5"), h.hexdigest()
     assert hw.hexdigest() == ("6308faf7f136f10157f89edea14ea4a4"
                               "602fc041bea79af68bf2199025a47566"), hw.hexdigest()
-    print(n, "rule sets match the pinned column tables and edge words")
+    print(n, "rule sets match the pinned column tables and edge words;",
+          imprimitive, "imprimitive ones follow the kappa-cycle rule")
 
 
 def test_catalogs():
