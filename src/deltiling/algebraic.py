@@ -2,19 +2,22 @@
 
 Every element x of a cyclotomic field Q(zeta_n) has its Galois
 conjugates at hand: they are the images sigma_k(x), zeta -> zeta^k, for
-the units k mod n.  The distinct images form the orbit of x, its minimal
-polynomial is the product of (X - sigma) over the orbit, and the Pisot
-verdict is one exact sign per conjugate.  No polynomial root finding is
-involved.
+the units k mod n.  The distinct images form the orbit of x, and its
+minimal polynomial has the orbit for its roots; it is built from the
+power sums of the orbit, which are traces of powers of x (Newton's
+identities).  The Pisot verdict is one certified sign per conjugate.  No
+polynomial root finding is involved.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .field import ESCALATION_DPS, Elem
+import numpy as np
+
+from .field import ESCALATION_DPS, INT64_SAFE, Elem, exact_product, max_abs
 
 
 class IntPolynomial:
@@ -86,25 +89,50 @@ def minimal_polynomial(x: Elem) -> IntPolynomial:
     """Primitive integer minimal polynomial of a field element.
 
     The roots of the minimal polynomial are the distinct conjugates of x,
-    so it is the product of (X - sigma) over the Galois orbit, expanded in
-    the field.  Every coefficient is fixed by all sigma_k, hence rational.
+    so it is the product of (X - sigma) over the Galois orbit
+    (`_trace_polynomial`).
     """
-    return _orbit_polynomial(galois_orbit(x))
+    return _trace_polynomial(x, len(galois_orbit(x)))
 
 
-def _orbit_polynomial(orbit):
-    """The primitive integer form of the product of (X - s) over orbit."""
-    f = orbit[0].f
-    poly = [f.one]  # ascending coefficients
-    for s in orbit:
-        poly = ([-s * poly[0]]
-                + [a - s * b for a, b in zip(poly, poly[1:])] + [f.one])
-    coeffs = []
-    for c in poly:
-        assert not any(c.num[1:]), "irrational coefficient"
-        coeffs.append(Fraction(c.num[0], c.den))
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return IntPolynomial([int(c * den) for c in coeffs]).primitive()
+def _trace_polynomial(x, m):
+    """The primitive integer form of the product of (X - s) over the m
+    distinct conjugates s of x, by Newton's identities.
+
+    Let y = den * x, whose row is the numerators of x: an algebraic
+    integer.  The D embeddings of the field send y to each of its m
+    conjugates D / m times, so the power sums of its orbit are
+    q_j = (m / D) Tr(y^j), and the elementary symmetric functions E_k of
+    the orbit follow from k E_k = sum_(i = 1..k) (-1)^(i-1) E_(k-i) q_i
+    (Cohen, A Course in Computational Algebraic Number Theory, GTM 138).
+    Both are rational algebraic integers, hence integers, and every
+    division is exact.  The product over the orbit of x is den^-m times
+    sum_k (-1)^k E_k den^(m-k) X^(m-k).  The row of y^j is
+    row_(j-1) @ M, M the numerators of the matrix of multiplication by x,
+    each step an `exact_product`, in Python ints once its bound passes
+    the int64 range.
+    """
+    f = x.f
+    M, den = f.mul_matrix(x)
+    top = max_abs(M)
+    row = np.array(f.one.num, dtype=M.dtype)
+    q, E = [], [1]
+    for k in range(1, m + 1):
+        bound = sum(map(abs, row.tolist())) * top
+        row = exact_product(row, M, bound,
+                            object if bound >= INT64_SAFE else np.int64)
+        q.append(_divexact(
+            m * sum(map(operator.mul, row.tolist(), f.traces)), f.degree))
+        E.append(_divexact(sum((-1) ** (i - 1) * E[k - i] * q[i - 1]
+                               for i in range(1, k + 1)), k))
+    return IntPolynomial([(-1) ** (m - i) * E[m - i] * den ** i
+                          for i in range(m + 1)]).primitive()
+
+
+def _divexact(a, b):
+    q, r = divmod(a, b)
+    assert not r, "non-integral power sum"
+    return q
 
 
 @dataclass
@@ -117,7 +145,7 @@ class PisotResult:
 
 
 def pisot_check(x: Elem, width=1e-7) -> PisotResult:
-    """Classify x as Pisot or not; every verdict is an exact sign.
+    """Classify x as Pisot or not; every verdict is certified.
 
     A real x of a cyclotomic field generates an abelian, hence normal,
     real subfield Q(x), so every conjugate sigma(x) lies in Q(x) and is
@@ -125,14 +153,16 @@ def pisot_check(x: Elem, width=1e-7) -> PisotResult:
     x = sigma^-1(+-1) = +-1.  For x > 1 each conjugate is therefore inside
     the unit circle exactly when 1 - sigma^2 > 0, a sign that is never
     zero: a conjugate on the unit circle (the Salem boundary case) cannot
-    occur.  The values in `conjugates` are within their error bounds
-    (`Elem.cvalue_error`), each at most width: they are floats, except
-    where the float bound exceeds width; there mpmath evaluates at the
-    precisions of `Elem.real_sign` until the bound is below width
-    (ArithmeticError if 800 digits do not suffice).
+    occur.  The side is read from the conjugate's certified value where
+    its error bound excludes modulus 1, else from that exact sign
+    (`_outside_unit_circle`).  The values in `conjugates` are within their
+    error bounds (`Elem.cvalue_error`), each at most width: they are
+    floats, except where the float bound exceeds width; there mpmath
+    evaluates at the precisions of `Elem.real_sign` until the bound is
+    below width (ArithmeticError if 800 digits do not suffice).
     """
     orbit = galois_orbit(x)
-    poly = _orbit_polynomial(orbit)
+    poly = _trace_polynomial(x, len(orbit))
     if not x.is_real():
         return PisotResult(False, "not a real number", poly, [], 0.0)
     if not (x > 1):
@@ -145,14 +175,25 @@ def pisot_check(x: Elem, width=1e-7) -> PisotResult:
         if rad > width:
             value, rad = _precise_value(s, width)
         conjugates.append((value, abs(value), rad))
-    outside = [mod for s, (_, mod, _) in zip(orbit[1:], conjugates[1:])
-               if (1 - s * s).real_sign() < 0]
+    outside = [mod for s, (_, mod, rad) in zip(orbit[1:], conjugates[1:])
+               if _outside_unit_circle(s, mod, rad)]
     if outside:
         reason = f"conjugate with modulus {float(max(outside)):.6f} > 1"
         return PisotResult(False, reason, poly, conjugates, 0.0)
     margin = min((1 - m - r for _, m, r in conjugates[1:]), default=0.0)
     return PisotResult(True, "all conjugates inside the unit circle", poly,
                        conjugates, margin)
+
+
+def _outside_unit_circle(s, mod, rad):
+    """|s| > 1 for a real conjugate s with |s| within rad of mod.
+
+    The enclosure decides when |mod - 1| > rad; otherwise the exact sign
+    of 1 - s^2, never zero (`pisot_check`), does.
+    """
+    if abs(mod - 1) > rad:
+        return mod > 1
+    return (1 - s * s).real_sign() < 0
 
 
 def _precise_value(x: Elem, width):

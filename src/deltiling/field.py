@@ -150,17 +150,20 @@ class CycField:
     def turn(self, x, k):
         """Rows of zeta^k * x(zeta) (int64) for coefficient rows x (..., w),
         with one exponent k >= 0 per leading index, k + w < n + D: k has the
-        leading shape of x (a scalar turns every row).  The caller bounds
-        w * max |x| * power_bound below 2^62.
+        leading shape of x (a scalar turns every row).
 
-        The row of zeta^k x is x @ powers[k:k + w].  Blocks of rows that
-        share a k are grouped, and each group takes one product with its
-        slice of `powers`, so no D x D matrix is gathered per row.
+        The row of zeta^k x is x @ powers[k:k + w], an `exact_product`
+        bounded by w * max |x| * power_bound; OverflowError is raised
+        unless that is below 2^62.  Blocks of rows that share a k are
+        grouped, and each group takes one product with its slice of
+        `powers`, so no D x D matrix is gathered per row.
         """
         red = self.powers
         w = x.shape[-1]
+        bound = w * max_abs(x) * self.power_bound
+        _guard(bound, "zeta turn")
         if np.ndim(k) == 0:
-            return x @ red[k:k + w]
+            return exact_product(x, red[k:k + w], bound)
         k = np.ravel(k)
         blocks = x.reshape(len(k), -1, w)
         out = np.empty(blocks.shape[:2] + (self.degree,), dtype=np.int64)
@@ -169,7 +172,7 @@ class CycField:
         cut = [0, *(np.flatnonzero(k[1:] != k[:-1]) + 1).tolist(), len(k)]
         for s, e in zip(cut, cut[1:]):
             rows = order[s:e]
-            out[rows] = blocks[rows] @ red[k[s]:k[s] + w]
+            out[rows] = exact_product(blocks[rows], red[k[s]:k[s] + w], bound)
         return out.reshape(x.shape[:-1] + (self.degree,))
 
     def turns(self, x, dtype):
@@ -201,37 +204,64 @@ class CycField:
             out[:, k + 1, ..., 1:] += out[:, k, ..., :-1]
         return out
 
+    @cached_property
+    def units(self):
+        """The units k mod n, in increasing order."""
+        return np.array([k for k in range(1, self.n)
+                         if math.gcd(k, self.n) == 1])
+
+    def _exact_powers(self, e):
+        """`powers`, as int64 while sum |e_j| * power_bound is below 2^62,
+        else as Python ints: that bounds every partial sum of the weighted
+        sums of rows of `powers` that `mul_matrix` and `conjugate_rows`
+        take with the coefficients e_j of e."""
+        if sum(abs(c) for c in e.num) * self.power_bound >= INT64_SAFE:
+            return self.powers.astype(object)
+        return self.powers
+
     def mul_matrix(self, e):
         """(M, den): the row of x * e is (row of x) @ M / den.
 
         M = sum of e_j * powers[j:j + D] over the nonzero coefficients of
         e: rows j .. j + D - 1 of `powers` are the matrix of w -> zeta^j w.
+        M is int64 while it provably fits, Python ints beyond.
         """
         D = self.degree
-        M = np.zeros((D, D), dtype=np.int64)
+        red = self._exact_powers(e)
+        M = np.zeros((D, D), dtype=red.dtype)
         for j, c in enumerate(e.num):
             if c:
-                M += c * self.powers[j:j + D]
+                M += c * red[j:j + D]
         return M, e.den
 
     def conjugate_rows(self, x):
-        """Rows over x.den of sigma_k(x), zeta -> zeta^k, for the units k
-        mod n in increasing order (the first row is x itself).
+        """Rows over x.den of sigma_k(x), zeta -> zeta^k, for the `units` k
+        in increasing order (the first row is x itself).
 
         The row of sigma_k(x) is the sum of c_j * (row of zeta^(jk mod n))
         over the nonzero c_j: the pattern of `mul_matrix`, one gather per
         c_j.  The rows are int64 while they provably fit, Python ints beyond.
         """
-        n = self.n
-        ks = np.array([k for k in range(1, n) if math.gcd(k, n) == 1])
-        red = self.powers[:n]
-        if sum(abs(c) for c in x.num) * self.power_bound >= INT64_SAFE:
-            red = red.astype(object)
+        n, ks = self.n, self.units
+        red = self._exact_powers(x)[:n]
         rows = np.zeros((len(ks), self.degree), dtype=red.dtype)
         for j, c in enumerate(x.num):
             if c:
                 rows += c * red[j * ks % n]
         return rows
+
+    @cached_property
+    def traces(self):
+        """Tr(zeta^i) for i < D, Python ints: the trace of x is
+        (row of x) . traces / den.
+
+        Tr(zeta^i) is the sum of zeta^(ik) over the `units` k, a rational
+        number, so its row is 0 but for the first coefficient, which is
+        the sum of the first coefficients of the rows of zeta^(ik mod n).
+        """
+        first = self.powers[:self.n, 0]
+        return tuple(int(first[i * self.units % self.n].sum())
+                     for i in range(self.degree))
 
     def cvalues(self, rows, den=1):
         """Complex embeddings of integer coefficient rows over a common den.
@@ -503,6 +533,50 @@ def _guard(bound, what):
 
 def max_abs(a):
     return max(int(a.max()), -int(a.min())) if a.size else 0
+
+
+#: float64 holds every integer below this in modulus exactly
+FLOAT_EXACT = 2 ** 53
+
+#: the most multiply-adds of one float64 block of `exact_product`
+PRODUCT_BLOCK = 2 ** 18
+
+
+def exact_product(x, M, bound, dtype=np.int64):
+    """x @ M, exactly, in dtype, for integer rows x (..., K) and an integer
+    matrix M (K, N), given the caller's proved bound: every sum over j of
+    |x_ij M_jk| is at most bound.
+
+    Below 2^53 the product is taken in float64.  Each term x_ij M_jk and
+    each partial sum of terms is then an integer of modulus at most
+    bound < 2^53, which float64 holds exactly, so no multiply or add
+    rounds (a fused multiply-add neither), in whatever order the BLAS
+    sums the terms.  (A row j of zeros in M admits any x_ij: its terms
+    are exact zeros.)  This assumes a classical gemm, one that sums the
+    terms x_ij M_jk themselves; a Strassen-type gemm multiplies sums of
+    entries, which the bound does not cover.  The rows go in blocks of at
+    most 2^18 multiply-adds, a dgemm small enough that OpenBLAS runs it on
+    one thread, and each block is written into the result in dtype, so
+    no float64 copy of more than one block is held.
+
+    From 2^53 to below 2^62 the product is int64 `@`.  dtype object takes
+    it in Python ints at any bound; past 2^62 any other dtype raises
+    OverflowError.
+    """
+    if np.dtype(dtype) == object:
+        return x.astype(object) @ M.astype(object)
+    if bound >= FLOAT_EXACT:
+        _guard(bound, "exact product")
+        return (x.astype(np.int64, copy=False)
+                @ M.astype(np.int64, copy=False)).astype(dtype, copy=False)
+    K, N = M.shape
+    rows = x.reshape(-1, K)
+    out = np.empty((len(rows), N), dtype)
+    Mf = M.astype(np.float64)
+    step = max(1, PRODUCT_BLOCK // (K * N))
+    for s in range(0, len(rows), step):
+        out[s:s + step] = rows[s:s + step].astype(np.float64) @ Mf
+    return out.reshape(x.shape[:-1] + (N,))
 
 
 def reduce_columns(ufunc, rows):

@@ -30,7 +30,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .field import (INT64_SAFE, Elem, _guard, field_for_order,
+from .field import (INT64_SAFE, Elem, _guard, exact_product, field_for_order,
                     inflation_factor, max_abs, reduce_columns)
 from .arrangement import SymmetryIndex, TriangleId, get_arrangement
 from .prototiles import canonical_rotation, prototile_catalog
@@ -258,12 +258,19 @@ def locate_inflated(sym, tri, p, sign=1):
     """Target (sym', tri', psi) with psi(iota * tri corners) = tri' corners."""
     f = field_for_order(sym.d)
     corners, _ = get_arrangement(sym.d, sym.kappa).corners(tri)
-    rows = _integral(*_common_den(corners, f.degree))
-    M = _integral(*f.mul_matrix(inflation_factor(sym.d, p)))
-    _guard(f.degree * max_abs(rows) * max_abs(M), "inflated corners")
-    [(sym2, tri2)], r, t, _ = _locate([(sym, tri)], (rows @ M)[None], p,
-                                      sign)
+    rows = _inflated(_integral(*_common_den(corners, f.degree)), sym.d, p)
+    [(sym2, tri2)], r, t, _ = _locate([(sym, tri)], rows[None], p, sign)
     return sym2, tri2, Isometry(int(r[0]), Elem(f, t[0].tolist(), 1))
+
+
+def _inflated(rows, d, p):
+    """The rows of iota_{d,p} times the integral rows (..., D) of the
+    order-d field."""
+    f = field_for_order(d)
+    M = _integral(*f.mul_matrix(inflation_factor(d, p)))
+    bound = f.degree * max_abs(rows) * max_abs(M)
+    _guard(bound, "inflated corners")
+    return exact_product(rows, M, bound)
 
 
 def _target(sym, tri, p, sign):
@@ -441,12 +448,9 @@ def derive_rules(d, p, sign=1) -> RuleSet:
     n = f.n
     cat = prototile_catalog(d)
     names, _ = prototile_ids(d)
-    corners = _corner_rows(d)
-    M = _integral(*f.mul_matrix(inflation_factor(d, p)))
-    _guard(f.degree * max_abs(corners) * max_abs(M), "inflated corners")
     targets, r, T, dst = _locate(
         [(proto.face.sym, proto.face.tri) for proto in cat.prototiles],
-        corners @ M, p, sign)
+        _inflated(_corner_rows(d), d, p), p, sign)
     kappa = np.array([sym2.kappa for sym2, _ in targets])
     faces = {k: _face_placements(d, k) for k in set(kappa.tolist())}
     tri = dst @ f.basis
@@ -459,8 +463,7 @@ def derive_rules(d, p, sign=1) -> RuleSet:
     del parts  # copies of the columns: free them before the turn
     count = np.bincount(owner, minlength=len(names))
     assert count.all(), f"empty rule for {names[int(np.argmin(count))]}"
-    _guard(f.degree * f.power_bound * (max_abs(t) + max_abs(T)),
-           "child placements")
+    _guard(max_abs(t) + max_abs(T), "child placements")
     t -= T[owner]
     t = f.turn(t, -r[owner] % n)
     r = (r_face - r[owner]) % n
@@ -489,9 +492,8 @@ def _area_rows(d):
     D = f.degree
     C = _corner_rows(d)
     u, w = C[:, 1] - C[:, 0], C[:, 2] - C[:, 0]
-    # |poly| <= 2D (2 max |C|)^2, and the turn multiplies by (2D - 1) bound
-    _guard(4 * D * D * (2 * max_abs(C)) ** 2 * f.power_bound,
-           "prototile areas")
+    # |poly| <= 2D (2 max |C|)^2; the turn guards its own bound
+    _guard(2 * D * (2 * max_abs(C)) ** 2, "prototile areas")
     poly = np.zeros((len(C), 2 * D - 1), dtype=np.int64)
     for j in range(D):
         poly[:, j:j + D] += (w[:, D - 1 - j, None] * u
@@ -512,9 +514,11 @@ def check_area_balance(rules: RuleSet):
         A = _area_rows(rules.d)
         count, names = rules.matrix()
         M = _integral(*f.mul_matrix(rules.iota * rules.iota))
-        _guard((f.degree * max_abs(M) + int(count.sum(axis=0).max()))
-               * max_abs(A), "area balance")
-        bad = ~(count.T @ A == A @ M).all(axis=1)
+        kids = int(count.sum(axis=0).max()) * max_abs(A)
+        scaled = f.degree * max_abs(M) * max_abs(A)
+        _guard(kids + scaled, "area balance")
+        bad = ~(exact_product(count.T, A, kids)
+                == exact_product(A, M, scaled)).all(axis=1)
         rules._unbalanced = [names[i] for i in np.flatnonzero(bad)]
     if rules._unbalanced:
         raise AssertionError("children do not fill the inflated prototile: "
@@ -944,8 +948,8 @@ def _inflate(patch, tab, key):
     Child c of tile (r, t) is placed by (zeta^r * h_c.t + iota * t,
     r + h_c.r): a gather from the rule table plus one matrix product, over
     the patch's den (the table is integral).
-    Every step computes in the dtype of the guarded bound, which also
-    bounds every partial sum of the product.  Returns (patch, parent,
+    Every step computes in the dtype of the guarded bound, the product as
+    an `exact_product` written into it.  Returns (patch, parent,
     child): the inflated patch and, per new tile, its parent tile and its
     child row in the table.
     """
@@ -958,10 +962,11 @@ def _inflate(patch, tab, key):
     parent, child = _runs(count)
     child += tab.start[key][parent]
     pr = r[parent]
-    bound = f.degree * patch.t_max * tab.M_max + tab.rot_max * den
+    scaled = f.degree * patch.t_max * tab.M_max
+    bound = scaled + tab.rot_max * den
     _guard(bound, "inflation")
-    dt = _int_dtype(max(bound, tab.M_max, den))
-    new_t = (t.astype(dt, copy=False) @ tab.M.astype(dt, copy=False))[parent]
+    dt = _int_dtype(max(bound, den))
+    new_t = exact_product(t, tab.M, scaled, dt)[parent]
     new_t += _scaled(tab.rot[tab.tidx[child], pr], den, dt)
     new_r = (pr + tab.r[child]) % f.n
     out = Patch.from_columns(patch.d, tab.ids[child], new_r.astype(np.int32),

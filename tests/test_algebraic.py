@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from deltiling.field import field_for_order, inflation_factor, sin_val
+from deltiling import algebraic
+from deltiling.field import Elem, field_for_order, inflation_factor, sin_val
 from deltiling.algebraic import (IntPolynomial, minimal_polynomial, is_pisot,
                                  pisot_check)
 
@@ -212,3 +214,61 @@ def test_pisot_conjugate_bounds_respect_width():
     assert fine.is_pisot == res.is_pisot and fine.reason == res.reason
     for (v, _, r), (w, _, q) in zip(res.conjugates, fine.conjugates):
         assert abs(v - w) <= r + q
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.sampled_from([7, 14, 13]),
+       terms=st.lists(st.tuples(st.integers(0, 47), st.integers(-6, 6)),
+                      max_size=4),
+       den=st.integers(1, 5))
+def test_trace_polynomial_equals_echelon(d, terms, den):
+    # sparse elements over denominators 1..5: most are non-real, some
+    # rational or zero, and the orbit sizes run from 1 to D
+    f = field_for_order(d)
+    nums = [0] * f.degree
+    for j, c in terms:
+        nums[j % f.degree] += c
+    x = f.from_coeffs(nums, den)
+    assert minimal_polynomial(x) == reference_minimal_polynomial(x)
+
+
+def test_trace_polynomial_special_elements():
+    f = field_for_order(14)
+    i3 = inflation_factor(14, 3)
+    assert minimal_polynomial(f.zero).coeffs == (0, 1)
+    assert minimal_polynomial(f.rational(-7, 5)).coeffs == (7, 5)
+    assert minimal_polynomial(f.zeta(3)) == reference_minimal_polynomial(
+        f.zeta(3))
+    # coefficients past int64: the powers are Python ints from the start
+    big = i3 * 2 ** 70 + f.rational(1, 3)
+    assert max(map(abs, big.num)) > 2 ** 62
+    assert f.mul_matrix(big)[0].dtype == object
+    assert minimal_polynomial(big) == reference_minimal_polynomial(big)
+
+
+def test_pisot_sides_fall_back_to_exact_signs(monkeypatch):
+    # with every float enclosure 0.9 wide, the conjugates of modulus
+    # 0.1..1.9 take the exact sign of 1 - s^2; the verdicts, reasons and
+    # polynomials stay those of the narrow enclosures
+    cases = [inflation_factor(d, p)
+             for d in (13, 14) for p in range(2, d // 2 + 1)]
+    want = [pisot_check(x) for x in cases]
+    exact_calls = []
+    true_error = Elem.cvalue_error
+
+    def wide_error(self, bits=53):
+        return 0.9 if bits == 53 else true_error(self, bits)
+
+    def counted(s, mod, rad):
+        exact_calls.append(abs(mod - 1) <= rad)
+        return outside(s, mod, rad)
+
+    outside = algebraic._outside_unit_circle
+    monkeypatch.setattr(Elem, "cvalue_error", wide_error)
+    monkeypatch.setattr(algebraic, "_outside_unit_circle", counted)
+    for x, res in zip(cases, want):
+        got = pisot_check(x, width=1.0)
+        assert (got.is_pisot, got.reason, got.polynomial) == (
+            res.is_pisot, res.reason, res.polynomial)
+        assert all(rad == 0.9 for _, _, rad in got.conjugates)
+    assert sum(exact_calls) > 10

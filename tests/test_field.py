@@ -10,9 +10,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from deltiling.field import (MAX_ORDER, CycField, Elem, cyclotomic_poly,
-                             field_for_order, inflation_factor, max_abs,
-                             sin_val, cos_val, unit_root)
+from deltiling.field import (MAX_ORDER, PRODUCT_BLOCK, CycField, Elem,
+                             cyclotomic_poly, exact_product, field_for_order,
+                             inflation_factor, max_abs, sin_val, cos_val,
+                             unit_root)
 from deltiling.substitution import Isometry, Patch, Tile, derive_rules
 
 
@@ -252,6 +253,120 @@ def test_mul_matrix_is_multiplication(d):
             x = elem()
             row = np.array(x.num, dtype=np.int64) @ M
             assert f.from_coeffs(row.tolist(), x.den * den) == x * e
+
+
+def python_product(x, M):
+    """x @ M in Python ints, for rows x (..., K) and M (K, N)."""
+    cols = list(zip(*M.tolist()))
+    rows = [[sum(a * b for a, b in zip(row, col)) for col in cols]
+            for row in x.reshape(-1, M.shape[0]).tolist()]
+    return np.array(rows, dtype=object).reshape(x.shape[:-1] + (M.shape[1],))
+
+
+def l1_bound(x, M):
+    """The largest sum_j |x_ij M_jk|, in Python ints."""
+    return max(python_product(abs(x.astype(object)), abs(M.astype(object)))
+               .ravel().tolist(), default=0)
+
+
+def test_exact_product_takes_the_path_its_bound_allows():
+    # x_i0 + x_i1 = 2^53 + 1, which float64 rounds to 2^53: a bound of
+    # 2^53 selects the int64 path, which is exact, and 2^53 - 1 the float
+    # path, which shows its rounding (the bound is false by design)
+    x = np.array([[2 ** 53, 1], [2 ** 52, 2 ** 52 - 1]], dtype=np.int64)
+    M = np.ones((2, 1), dtype=np.int64)
+    got = exact_product(x, M, 2 ** 53)
+    assert got.dtype == np.int64 and got.ravel().tolist() == [
+        2 ** 53 + 1, 2 ** 53 - 1]
+    got = exact_product(x, M, 2 ** 53 - 1)
+    assert got.ravel().tolist() == [2 ** 53, 2 ** 53 - 1]
+    # at its true bound 2^53 - 1 the float path is exact
+    assert l1_bound(x[1:], M) == 2 ** 53 - 1
+    assert exact_product(x[1:], M, 2 ** 53 - 1).tolist() == [[2 ** 53 - 1]]
+    # past 2^62 only Python ints will do
+    big = np.array([[2 ** 62, 2 ** 62]], dtype=object)
+    assert exact_product(big, M, 2 ** 63, object).tolist() == [[2 ** 63]]
+    with pytest.raises(OverflowError, match="exact product"):
+        exact_product(x, M, 2 ** 62)
+
+
+def test_exact_product_equals_python_int_products():
+    rng = np.random.default_rng(34)
+    D = 24
+    M = rng.integers(-40, 41, (D, D))
+    top = (2 ** 53 - 1) // (D * 40)
+    wide = rng.integers(-top, top + 1, (2000, D))
+    step = PRODUCT_BLOCK // (D * D)
+    cases = [
+        (wide, M, np.int64),  # more rows than four float blocks
+        (wide[: 3 * step + 1], M, np.int64),  # one row into the last block
+        (wide[::3, ::2], M[::2], np.int64),  # non-contiguous
+        (wide[:D].T, M[:, :7], np.int64),  # transposed rows
+        (rng.integers(-128, 128, (50, D)).astype(np.int8), M, np.int32),
+        (rng.integers(-30, 31, (7, 3, D)).astype(np.int16), M, np.int16),
+        (rng.integers(-9, 10, (2, 2, 3, D)), M, np.int64),  # batch shapes
+        (np.zeros((0, D), dtype=np.int16), M, np.int16),  # no rows
+        (np.zeros((4, 0, D), dtype=np.int64), M, np.int64),
+    ]
+    for x, A, dtype in cases:
+        want = python_product(x, A)
+        bound = l1_bound(x, A)
+        got = exact_product(x, A, bound, dtype)
+        assert got.dtype == dtype and got.shape == want.shape
+        assert got.tolist() == want.tolist()
+        # the int64 path and Python ints give the same rows
+        for path_bound, path_dtype in ((2 ** 53, np.int64),
+                                       (2 ** 70, object)):
+            assert exact_product(x, A, path_bound, path_dtype).tolist() \
+                == want.tolist()
+    assert l1_bound(wide, M) < 2 ** 53
+    assert len(wide) > 4 * step
+
+
+@pytest.mark.parametrize("d", [14, 13])
+def test_mul_matrix_holds_python_ints_past_int64(d):
+    # every entry of M is at most sum |e_j| * power_bound: below 2^62 M
+    # is int64, and from there on Python ints, where int64 sums (of 24
+    # coefficients 2^61, say) would wrap
+    f = field_for_order(d)
+    D, pb = f.degree, f.power_bound
+    c = (2 ** 62 - 1) // (D * pb)
+    for coeff, dtype in ((c, np.int64), (c + 1, object),
+                         (2 ** 61, object)):
+        e = f.from_coeffs([coeff] * D)
+        M, den = f.mul_matrix(e)
+        assert M.dtype == dtype and den == 1
+        want = sum(coeff * f.powers[j:j + D].astype(object)
+                   for j in range(D))
+        assert M.tolist() == want.tolist()
+        x = f.from_coeffs([1, -2] + [0] * (D - 3) + [3])
+        row = python_product(np.array(x.num, dtype=object), M)
+        assert f.from_coeffs(row.tolist()) == x * e
+
+
+@pytest.mark.parametrize("d", [5, 13, 14, 23])
+def test_traces_are_sums_of_the_conjugates(d):
+    f = field_for_order(d)
+    for i in range(f.degree):
+        rows = f.conjugate_rows(f.zeta(i))
+        total = rows.sum(axis=0).tolist()
+        assert total == [f.traces[i]] + [0] * (f.degree - 1)
+
+
+def test_turn_raises_before_it_can_wrap():
+    # the turn of rows of width w is bounded by w max|x| power_bound
+    f = field_for_order(14)
+    w, pb = f.degree, f.power_bound
+    c = (2 ** 62 - 1) // (w * pb)
+    x = np.zeros((2, 3, w), dtype=np.int64)
+    x[0, 1, 4] = c
+    got = f.turn(x, np.array([5, 70]))
+    assert f.from_coeffs(got[0, 1].tolist()) == f.zeta(9) * c
+    x[1, 2, 0] = -(c + 1)
+    with pytest.raises(OverflowError, match="zeta turn"):
+        f.turn(x, np.array([5, 70]))
+    with pytest.raises(OverflowError, match="zeta turn"):
+        f.turn(x, 3)
 
 
 @pytest.mark.parametrize("d", [5, 13, 14, 23, 64])

@@ -3,11 +3,11 @@
 Tier-1 checks the construction up to about d = 14.  These checks run it
 at every order the package builds and pin what it makes by sha256 and by
 count: the flip templates and tables, the rotation tables, all 390 rule
-sets and their edge words, the catalogs and inflated targets up to
-field.MAX_ORDER, a flip chain, the verifier and the patch reader at
-45,070 tiles, and the level-6 patch's memory and files.  Tier-1 does not
-collect this module (pyproject.toml's testpaths), so it runs only when
-named; each check is one workflow step,
+sets and their edge words, the Pisot tables, the catalogs and inflated
+targets up to field.MAX_ORDER, a flip chain, the verifier and the patch
+reader at 45,070 tiles, and the level-6 patch's memory and files.
+Tier-1 does not collect this module (pyproject.toml's testpaths), so it
+runs only when named; each check is one workflow step,
 
     PYTHONPATH=src python -m pytest -q tools/ci_checks.py::test_rule_sets
 
@@ -36,9 +36,9 @@ import numpy as np
 from deltiling import patchio, svg
 from deltiling import random as R
 from deltiling import substitution as S
-from deltiling.analysis import tile_frequencies
+from deltiling.analysis import pisot_table, tile_frequencies
 from deltiling.arrangement import edge_class, get_arrangement
-from deltiling.field import MAX_ORDER, field_for_order, inflation_factor
+from deltiling.field import MAX_ORDER, field_for_order
 from deltiling.prototiles import prototile_catalog
 from deltiling.substitution import (Isometry, Patch, Tile, derive_edge_words,
                                     derive_rules, prototile_ids, tile_corners,
@@ -255,6 +255,26 @@ def test_rule_sets():
           imprimitive, "imprimitive ones follow the kappa-cycle rule")
 
 
+def test_pisot_tables():
+    """Tier-1 compares the Pisot verdicts with root isolation up to
+    d = 20; this pins the sha256 of `pisot_table(d)` for d = 5..30: per
+    row d, p, the degree of the minimal polynomial, the verdict, the
+    reason and repr(margin), so the margin is pinned to the last bit."""
+    h, n, pisot = hashlib.sha256(), 0, 0
+    for d in range(5, 31):
+        for row in pisot_table(d):
+            h.update(repr((d, row["p"], row["degree"], row["pisot"],
+                           row["reason"], repr(row["margin"]))).encode()
+                     + b"\n")
+            n += 1
+            pisot += row["pisot"]
+    assert (n, pisot) == (195, 15), (n, pisot)
+    assert h.hexdigest() == ("68aaece8a46106473707a71efbe677e4"
+                             "e257fe46b9e2d261dc32e3d32d08228e"), h.hexdigest()
+    print(n, "inflation factors match the pinned Pisot table;", pisot,
+          "are Pisot")
+
+
 def test_catalogs():
     """Builds the prototile catalog of every order d = 5..64
     (field.MAX_ORDER), so the decoration's premise assertions run at each,
@@ -297,16 +317,13 @@ def test_inflated_targets():
     integral).  The full p range would take about ten minutes."""
     h, n = hashlib.sha256(), 0
     for d in range(5, MAX_ORDER + 1):
-        f = field_for_order(d)
         corners = S._corner_rows(d)
         tris = [(q.face.sym, q.face.tri)
                 for q in prototile_catalog(d).prototiles]
         for p in sorted({2, 3, d // 2} & set(range(2, d // 2 + 1))):
-            M, _ = f.mul_matrix(inflation_factor(d, p))
-            S._guard(f.degree * S.max_abs(corners) * S.max_abs(M),
-                     "inflated corners")
+            src = S._inflated(corners, d, p)
             for sign in (1, -1):
-                targets, r, t, _ = S._locate(tris, corners @ M, p, sign)
+                targets, r, t, _ = S._locate(tris, src, p, sign)
                 at = np.array([(s.kappa, *tri.idx) for s, tri in targets])
                 for a in (at, r, t):
                     _update(h, a)
